@@ -26,9 +26,11 @@ cargo test --workspace -q
 echo "== perf smoke: one-pass sweep vs direct simulation =="
 # Regenerates a Table-7-style grid three ways (direct, sliced, and
 # generation-fused streaming), asserts bit-identical ratios, and
-# records wall-clock + throughput in BENCH_sweep.json.
+# records wall-clock + throughput in BENCH_sweep.json. Pinned to one
+# slice thread: spare workers would otherwise shard the grid's single
+# engine unit, and the committed trajectory is a one-thread figure.
 cargo build --release -q -p occache-bench --bin perf_smoke
-./target/release/perf_smoke
+OCCACHE_SLICE_THREADS=1 ./target/release/perf_smoke
 
 echo "-- perf trajectory gate: streamed + FIFO throughput vs committed baseline --"
 # A real perf regression must fail loudly: each fresh measurement may

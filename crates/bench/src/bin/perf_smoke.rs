@@ -22,7 +22,7 @@ use std::time::Instant;
 use occache_core::CacheConfig;
 use occache_experiments::sweep::{
     evaluate_point, evaluate_results_sliced, evaluate_results_with, materialize, plan_units,
-    slice_workers, standard_config, stream_traces, table1_pairs, DesignPoint, PointError,
+    slice_pool, standard_config, stream_traces, table1_pairs, DesignPoint, PointError,
 };
 use occache_workloads::{Architecture, WorkloadSpec};
 
@@ -143,7 +143,7 @@ fn main() {
         );
     }
 
-    let threads = slice_workers(plan_units(&configs).len() * traces.len());
+    let threads = slice_pool(plan_units(&configs).len(), traces.len(), None).threads();
     let total_refs = (configs.len() * traces.len() * refs_per_trace) as f64;
     let json = format!(
         "{{\n  \"bench\": \"sweep\",\n  \"grid\": \"pdp11 Table 7 nets 64/256/1024\",\n  \

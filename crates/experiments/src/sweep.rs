@@ -19,7 +19,7 @@ pub use occache_runtime::config::{
 };
 pub use occache_runtime::eval::{
     evaluate_point, evaluate_results_with, evaluate_slice, plan_units, plan_units_disabling,
-    pool_workers, slice_workers, DesignPoint, PointError, PointFault, SweepUnit, Trace,
+    pool_workers, slice_pool, DesignPoint, PointError, PointFault, SweepUnit, Trace,
 };
 pub use occache_runtime::executor::{
     batch_of, evaluate_points, evaluate_points_isolated, evaluate_points_isolated_with,

@@ -1,10 +1,10 @@
 //! Slice-level parallelism must be invisible in the artifacts: Table 7
-//! regenerated with `OCCACHE_SLICE_THREADS=1` and with
-//! `OCCACHE_SLICE_THREADS=4` must write byte-identical CSVs and a
-//! byte-identical `MANIFEST.json`. Worker threads race only on wall
-//! clock — results are stitched back in planning order before anything
-//! is rendered, so a thread-count change can never shift a committed
-//! byte.
+//! regenerated with `OCCACHE_SLICE_THREADS` at 1, 2 and 4 must write
+//! byte-identical CSVs and a byte-identical `MANIFEST.json`. Worker and
+//! shard threads race only on wall clock — results are stitched back in
+//! planning order, and sharded traces folded back in trace order, before
+//! anything is rendered, so a thread-count change can never shift a
+//! committed byte.
 //!
 //! One `#[test]` only: the run depends on process-global environment
 //! (`OCCACHE_RESULTS`, `OCCACHE_JOBS`, `OCCACHE_SLICE_THREADS`), so
@@ -41,7 +41,7 @@ fn emit_table7(threads: &str) -> BTreeMap<String, Vec<u8>> {
     std::env::remove_var("OCCACHE_FAULT_POINT");
     std::env::remove_var("OCCACHE_FRESH");
     // Manifest fingerprints fold over the in-process phase registry;
-    // start each run from a clean one so the two manifests describe the
+    // start each run from a clean one so every manifest describes the
     // same phases.
     occache_experiments::run_report::reset();
 
@@ -69,7 +69,6 @@ fn emit_table7(threads: &str) -> BTreeMap<String, Vec<u8>> {
 #[test]
 fn slice_thread_count_never_changes_artifact_bytes() {
     let serial = emit_table7("1");
-    let threaded = emit_table7("4");
     assert!(
         serial.contains_key(MANIFEST_FILE),
         "table7 emit must write {MANIFEST_FILE}"
@@ -78,15 +77,20 @@ fn slice_thread_count_never_changes_artifact_bytes() {
         serial.keys().any(|n| n.ends_with(".csv")),
         "table7 emit must write at least one CSV"
     );
-    assert_eq!(
-        serial.keys().collect::<Vec<_>>(),
-        threaded.keys().collect::<Vec<_>>(),
-        "thread count changed the set of emitted files"
-    );
-    for (name, bytes) in &serial {
+    // Width 2 shards each architecture's single engine unit over two
+    // threads (Z8000's five traces split 3/2); width 4 shards wider.
+    for threads in ["2", "4"] {
+        let threaded = emit_table7(threads);
         assert_eq!(
-            bytes, &threaded[name],
-            "{name} differs between OCCACHE_SLICE_THREADS=1 and =4"
+            serial.keys().collect::<Vec<_>>(),
+            threaded.keys().collect::<Vec<_>>(),
+            "thread count {threads} changed the set of emitted files"
         );
+        for (name, bytes) in &serial {
+            assert_eq!(
+                bytes, &threaded[name],
+                "{name} differs between OCCACHE_SLICE_THREADS=1 and ={threads}"
+            );
+        }
     }
 }

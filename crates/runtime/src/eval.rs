@@ -209,20 +209,51 @@ pub fn evaluate_point(config: CacheConfig, traces: &[Trace], warmup: usize) -> D
 /// Evaluates a one-pass-compatible slice of configurations with a single
 /// engine pass per trace, averaging exactly as [`evaluate_point`] does.
 ///
-/// The accumulation order per configuration is identical to the per-point
-/// path (outer loop over traces, then the division by the trace count), so
-/// the resulting floats are bit-identical, not merely close.
+/// `shards` spreads the traces over that many threads (capped at the
+/// trace count; 0 and 1 both mean serial): the trace list splits into
+/// contiguous groups of near-equal count, the calling thread runs the
+/// first group and scoped threads run the rest. Each trace's engine pass
+/// is independent, and the per-trace metrics are folded in trace order
+/// whatever the shard count, so the accumulation order per configuration
+/// is identical to the per-point path (outer loop over traces, then the
+/// division by the trace count) and the resulting floats are
+/// bit-identical, not merely close. A panic on a shard thread resumes on
+/// the calling thread with its original payload.
 pub fn evaluate_slice(
     configs: &[CacheConfig],
     traces: &[Trace],
     warmup: usize,
+    shards: usize,
 ) -> Vec<DesignPoint> {
+    let shards = shards.clamp(1, traces.len().max(1));
+    let (base, extra) = (traces.len() / shards, traces.len() % shards);
+    let mut groups = Vec::with_capacity(shards);
+    let mut rest = traces;
+    for g in 0..shards {
+        let (group, tail) = rest.split_at(base + usize::from(g < extra));
+        groups.push(group);
+        rest = tail;
+    }
+    let per_trace = thread::scope(|scope| {
+        let handles: Vec<_> = groups[1..]
+            .iter()
+            .map(|&group| scope.spawn(move || engine_metrics(configs, group, warmup)))
+            .collect();
+        let mut all = engine_metrics(configs, groups[0], warmup);
+        for handle in handles {
+            match handle.join() {
+                Ok(metrics) => all.extend(metrics),
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        }
+        all
+    });
     let nibble = BusModel::paper_nibble();
     let mut miss = vec![0.0; configs.len()];
     let mut traffic = vec![0.0; configs.len()];
     let mut scaled = vec![0.0; configs.len()];
     let mut redundant = vec![0.0; configs.len()];
-    let mut fold = |all: &[Metrics]| {
+    for all in &per_trace {
         for (i, metrics) in all.iter().enumerate() {
             miss[i] += metrics.miss_ratio();
             traffic[i] += metrics.traffic_ratio();
@@ -231,24 +262,6 @@ pub fn evaluate_slice(
                 redundant[i] += metrics.redundant_sub_loads() as f64 / metrics.sub_loads() as f64;
             }
         }
-    };
-    // Traces go through the engine two at a time: the paired run
-    // interleaves two independent engine passes to overlap their
-    // dependency chains (see `simulate_many_pair`), and folding the
-    // pair's metrics in trace order keeps the float accumulation
-    // sequence — and therefore every ratio — bit-identical to the
-    // one-trace-at-a-time loop.
-    let mut chunks = traces.chunks_exact(2);
-    for pair in chunks.by_ref() {
-        let (first, second) = simulate_many_pair(configs, pair[0].iter(), pair[1].iter(), warmup)
-            .expect("sweep planner grouped an engine-incompatible slice");
-        fold(&first);
-        fold(&second);
-    }
-    for trace in chunks.remainder() {
-        let all = simulate_many(configs, trace.iter(), warmup)
-            .expect("sweep planner grouped an engine-incompatible slice");
-        fold(&all);
     }
     let n = traces.len().max(1) as f64;
     configs
@@ -263,6 +276,29 @@ pub fn evaluate_slice(
             gross_size: config.gross_size(),
         })
         .collect()
+}
+
+/// One engine pass per trace over `configs`, returning each trace's
+/// per-configuration metrics in trace order.
+///
+/// Traces go through the engine two at a time: the paired run
+/// interleaves two independent engine passes to overlap their dependency
+/// chains (see `simulate_many_pair`) and returns exactly what two
+/// separate passes would, so pairing is purely a scheduling change.
+fn engine_metrics(configs: &[CacheConfig], traces: &[Trace], warmup: usize) -> Vec<Vec<Metrics>> {
+    const PLANNED: &str = "sweep planner grouped an engine-incompatible slice";
+    let mut out = Vec::with_capacity(traces.len());
+    let mut chunks = traces.chunks_exact(2);
+    for pair in chunks.by_ref() {
+        let (first, second) =
+            simulate_many_pair(configs, pair[0].iter(), pair[1].iter(), warmup).expect(PLANNED);
+        out.push(first);
+        out.push(second);
+    }
+    for trace in chunks.remainder() {
+        out.push(simulate_many(configs, trace.iter(), warmup).expect(PLANNED));
+    }
+    out
 }
 
 /// One schedulable unit of a sliced sweep: a group of config indices that
@@ -542,17 +578,44 @@ pub fn pool_workers(units: usize) -> usize {
         .min(units.max(1))
 }
 
-/// Worker count for slice-level sweep execution: `OCCACHE_SLICE_THREADS`
-/// when set (so an operator can pin sweep concurrency without resizing
-/// the serving pools), otherwise [`pool_workers`]'s `OCCACHE_JOBS` /
-/// hardware-parallelism fallback; always capped at the unit count.
-/// Binaries validate the variable strictly at startup via
+/// How a slice-level sweep spreads its planned units over threads: the
+/// worker count, and how many threads each engine unit splits its
+/// traces across (see [`evaluate_slice`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlicePool {
+    /// Workers draining the unit queue.
+    pub workers: usize,
+    /// Trace shards per engine unit, the calling worker included.
+    pub shards: usize,
+}
+
+impl SlicePool {
+    /// Engine threads the pool runs at most at once.
+    pub fn threads(&self) -> usize {
+        self.workers * self.shards
+    }
+}
+
+/// Sizes the pool for `units` planned units over `traces` traces. The
+/// width is `width` when given, else `OCCACHE_SLICE_THREADS` when set (so
+/// an operator can pin sweep concurrency without resizing the serving
+/// pools), else [`pool_workers`]'s `OCCACHE_JOBS` / hardware-parallelism
+/// fallback. At most one worker per unit runs; when there are fewer
+/// units than the width, the spare workers shard each engine unit's
+/// traces (`width / units` shards, capped at the trace count), so the
+/// width bounds the total number of engine threads either way. Binaries
+/// validate the variable strictly at startup via
 /// [`crate::config::try_slice_threads`]; by the time a pool is being
 /// sized, a malformed value falls back to the default rather than
 /// aborting mid-sweep.
-pub fn slice_workers(units: usize) -> usize {
-    match crate::config::try_slice_threads().unwrap_or(None) {
-        Some(n) => n.min(units.max(1)),
-        None => pool_workers(units),
+pub fn slice_pool(units: usize, traces: usize, width: Option<usize>) -> SlicePool {
+    let width = width
+        .or_else(|| crate::config::try_slice_threads().unwrap_or(None))
+        .unwrap_or_else(|| pool_workers(usize::MAX))
+        .max(1);
+    let units = units.max(1);
+    SlicePool {
+        workers: width.min(units),
+        shards: (width / units).clamp(1, traces.max(1)),
     }
 }

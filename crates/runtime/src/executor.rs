@@ -36,7 +36,7 @@ use occache_core::CacheConfig;
 use crate::config::parse_timeout;
 use crate::eval::{
     evaluate_point, evaluate_results_with, evaluate_slice, panic_message, plan_units_disabling,
-    DesignPoint, PointError, SweepUnit, Trace,
+    slice_pool, DesignPoint, PointError, SlicePool, SweepUnit, Trace,
 };
 use crate::journal::JournalHealth;
 
@@ -438,13 +438,12 @@ pub fn evaluate_results_supervised(
 }
 
 /// [`evaluate_results_supervised`] with the pool knobs exposed: an
-/// explicit worker-count override (`None` honours `OCCACHE_SLICE_THREADS`,
-/// then `OCCACHE_JOBS` / hardware parallelism, via
-/// [`crate::eval::slice_workers`]) and an
-/// `on_point` hook called exactly once per config — from worker threads,
-/// as each result lands — which the checkpoint layer uses to stream
-/// journal appends to its single writer thread and the serving layer
-/// uses to publish results as they complete.
+/// explicit pool width (`None` honours `OCCACHE_SLICE_THREADS`, then
+/// `OCCACHE_JOBS` / hardware parallelism) and an `on_point` hook called
+/// exactly once per config — from worker threads, as each result lands —
+/// which the checkpoint layer uses to stream journal appends to its
+/// single writer thread and the serving layer uses to publish results as
+/// they complete.
 ///
 /// The pool is interrupt-aware: once [`crate::interrupt::requested`]
 /// turns true, workers finish their current unit and stop claiming new
@@ -452,12 +451,20 @@ pub fn evaluate_results_supervised(
 /// [`PointFault::Interrupted`](crate::eval::PointFault::Interrupted)
 /// failures (for which `on_point` is *not* called — nothing was
 /// evaluated).
+///
+/// The width bounds the total number of engine threads, sized by
+/// [`slice_pool`]: one worker per unit at most, and when the grid plans
+/// fewer units than the width, each engine unit's traces are sharded
+/// over the spare workers inside the unit's deadline-bounded attempt.
+/// Fault trips, deadlines, retries and the per-member direct fallback
+/// therefore still apply once per unit attempt, and results stay
+/// bit-identical at every width.
 pub fn evaluate_results_supervised_with<H>(
     policy: &SupervisorPolicy,
     configs: &[CacheConfig],
     traces: &[Trace],
     warmup: usize,
-    workers: Option<usize>,
+    width: Option<usize>,
     on_point: H,
 ) -> (Vec<Result<DesignPoint, PointError>>, SuperviseStats)
 where
@@ -467,10 +474,7 @@ where
     // units; the planner already routes engine-inexpressible configs
     // there unconditionally.
     let units = plan_units_disabling(configs, crate::config::multisim_disabled());
-    let workers = workers
-        .unwrap_or_else(|| crate::eval::slice_workers(units.len()))
-        .min(units.len().max(1))
-        .max(1);
+    let SlicePool { workers, shards } = slice_pool(units.len(), traces.len(), width);
     let mut slots: Vec<Option<Result<DesignPoint, PointError>>> = vec![None; configs.len()];
     let mut stats = SuperviseStats::default();
     let mut died: Vec<String> = Vec::new();
@@ -510,7 +514,7 @@ where
                                 for config in &slice {
                                     fault.trip(config);
                                 }
-                                evaluate_slice(&slice, &owned, warmup)
+                                evaluate_slice(&slice, &owned, warmup, shards)
                             });
                             match run {
                                 Deadline::Finished(Ok(points)) => {
@@ -752,6 +756,7 @@ mod tests {
     use super::*;
     use crate::eval::PointFault;
     use occache_workloads::WorkloadSpec;
+    use std::sync::Mutex;
 
     // Local stand-ins for the workload helpers that live above this
     // crate (`occache_experiments::sweep::{materialize, table1_pairs,
@@ -855,6 +860,104 @@ mod tests {
         let (results, stats) = evaluate_results_supervised(&policy, &configs, &traces, 0);
         assert!(results.iter().all(Result::is_ok), "retry must recover");
         assert!(stats.retries >= 1);
+    }
+
+    /// Five traces — four packed, then a streamed one whose factory
+    /// panics and records the thread it ran on — for a grid whose single
+    /// engine unit shards 3/2 at width 2, so the panic is raised on a
+    /// spawned shard thread.
+    fn sharded_grid(
+        panicking: bool,
+    ) -> (
+        Vec<CacheConfig>,
+        Vec<Trace>,
+        Arc<Mutex<Vec<thread::ThreadId>>>,
+    ) {
+        let (configs, mut traces) = small_grid();
+        let spec = WorkloadSpec::pdp11_ed();
+        for seed in 1..4 {
+            traces.push(Trace::new(spec.name(), spec.generator(seed).take(1_000)));
+        }
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        traces.push(Trace::streamed(spec.name(), 1_000, move || {
+            log.lock().unwrap().push(thread::current().id());
+            assert!(!panicking, "injected trace factory failure");
+            spec.generator(9)
+        }));
+        (configs, traces, seen)
+    }
+
+    #[test]
+    fn shard_thread_panic_falls_back_per_member() {
+        let (configs, traces, seen) = sharded_grid(true);
+        for timeout in [None, Some(Duration::from_secs(60))] {
+            seen.lock().unwrap().clear();
+            let mut policy = SupervisorPolicy::disabled();
+            policy.timeout = timeout;
+            let worker = Mutex::new(None);
+            let (results, stats) =
+                evaluate_results_supervised_with(&policy, &configs, &traces, 0, Some(2), |_, _| {
+                    *worker.lock().unwrap() = Some(thread::current().id());
+                });
+            // The factory first ran on a shard thread, not the worker
+            // that ran group 0 and then re-ran every member directly.
+            let first = seen.lock().unwrap()[0];
+            assert_ne!(Some(first), *worker.lock().unwrap());
+            for result in &results {
+                let e = result.as_ref().unwrap_err();
+                assert_eq!(e.fault, PointFault::Panic);
+                assert!(e.message.contains("injected trace factory failure"), "{e}");
+            }
+            assert_eq!(stats.retries, 1);
+            assert_eq!(stats.direct_points, configs.len());
+            assert_eq!(stats.engine_points, [0; 3]);
+            assert_eq!(stats.abandoned_threads, 0);
+        }
+    }
+
+    #[test]
+    fn sharded_unit_trips_faults_once_per_attempt() {
+        let (configs, traces, _) = sharded_grid(false);
+        let mut policy = SupervisorPolicy::disabled();
+        policy.retries = 1;
+        policy.backoff = Duration::from_millis(1);
+        let mut runs = Vec::new();
+        for width in [1, 3] {
+            // The slice attempt panics once, then every member recovers
+            // on its direct re-run.
+            policy.fault = FaultPlan::panic_once(8, 4);
+            let (results, stats) = evaluate_results_supervised_with(
+                &policy,
+                &configs,
+                &traces,
+                0,
+                Some(width),
+                |_, _| {},
+            );
+            assert_eq!(stats.retries, 1, "width {width}");
+            assert_eq!(stats.direct_points, configs.len(), "width {width}");
+            runs.push(results.into_iter().map(Result::unwrap).collect::<Vec<_>>());
+            // One attempt trips each member once: a period one past the
+            // member count never fires, unless every shard tripped too.
+            policy.fault = FaultPlan::panic_every(configs.len() as u64 + 1);
+            let (results, stats) = evaluate_results_supervised_with(
+                &policy,
+                &configs,
+                &traces,
+                0,
+                Some(width),
+                |_, _| {},
+            );
+            assert!(results.iter().all(Result::is_ok), "width {width}");
+            assert_eq!(stats.retries, 0, "width {width}");
+            assert_eq!(stats.direct_points, 0, "width {width}");
+        }
+        for (a, b) in runs[0].iter().zip(&runs[1]) {
+            assert_eq!(a.config, b.config);
+            assert_eq!(a.miss_ratio.to_bits(), b.miss_ratio.to_bits());
+            assert_eq!(a.traffic_ratio.to_bits(), b.traffic_ratio.to_bits());
+        }
     }
 
     #[test]

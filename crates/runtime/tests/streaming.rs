@@ -85,8 +85,9 @@ proptest! {
             &configs,
             &[materialized.clone(), materialized.clone()],
             warmup,
+            1,
         );
-        let sliced_str = evaluate_slice(&configs, &[streamed.clone(), streamed], warmup);
+        let sliced_str = evaluate_slice(&configs, &[streamed.clone(), streamed], warmup, 1);
         for (m, s) in sliced_mat.iter().zip(&sliced_str) {
             prop_assert_eq!(m.config, s.config);
             prop_assert!(
