@@ -11,11 +11,11 @@
 
 use std::fmt::Write as _;
 
-use occache_core::{simulate, SharedBus};
+use occache_core::SharedBus;
 use occache_trace::{TraceStats, WorkingSetCurve};
-use occache_workloads::{Architecture, WorkloadSpec};
+use occache_workloads::Architecture;
 
-use crate::runs::{Artifact, Workbench};
+use crate::runs::{evaluate_each, Artifact, Workbench};
 use crate::sweep::standard_config;
 
 /// Per-trace characterisation: reference mix, footprint, sequential-run
@@ -34,11 +34,11 @@ pub fn run_workload_stats(bench: &mut Workbench) -> Artifact {
          ws_1k_blocks,ws_10k_blocks,ws_100k_blocks\n",
     );
     for arch in Architecture::ALL {
-        for spec in WorkloadSpec::set_for(arch) {
+        for trace in bench.arch_traces(arch) {
             let word = arch.word_size();
             let mut stats = TraceStats::new(word);
             let mut ws = WorkingSetCurve::new(16);
-            for r in spec.generator(0).take(len) {
+            for r in trace.iter() {
                 stats.observe(r);
                 ws.observe(r);
             }
@@ -47,7 +47,7 @@ pub fn run_workload_stats(bench: &mut Workbench) -> Artifact {
             let _ = writeln!(
                 report,
                 "{:<10} {:<8} {:>6.1}% {:>6.1}% {:>8}B {:>6.1} | {:>8.0} {:>8.0} {:>8.0}",
-                spec.name(),
+                trace.name,
                 arch.name().split(' ').next_back().unwrap_or(""),
                 stats.ifetch_fraction() * 100.0,
                 write_frac * 100.0,
@@ -60,7 +60,7 @@ pub fn run_workload_stats(bench: &mut Workbench) -> Artifact {
             let _ = writeln!(
                 csv,
                 "{},{},{:.4},{:.4},{},{:.2},{:.1},{:.1},{:.1}",
-                spec.name(),
+                trace.name,
                 arch.name(),
                 stats.ifetch_fraction(),
                 write_frac,
@@ -124,17 +124,15 @@ pub fn run_bus_contention(bench: &mut Workbench) -> Artifact {
             arch.name(),
             bus.max_processors(1.0, TARGET)
         );
-        for (label, net, block, sub) in [
+        let designs = [
             ("64B (4,2)", 64u64, 2 * word, word),
             ("1024B (16,16)", 1024, 16, 16),
             ("1024B (16,2)", 1024, 16, word.max(2)),
-        ] {
-            let config = standard_config(arch, net, block, sub);
-            let mut traffic = 0.0;
-            for t in traces {
-                traffic += simulate(config, t.iter(), warmup).traffic_ratio();
-            }
-            traffic /= traces.len() as f64;
+        ];
+        for ((label, ..), p) in evaluate_each(&designs, traces, warmup, |(_, net, block, sub)| {
+            standard_config(arch, net, block, sub)
+        }) {
+            let traffic = p.traffic_ratio;
             let processors = bus.max_processors(traffic, TARGET);
             let _ = write!(row, " {processors:>12}");
             let _ = writeln!(csv, "{},{label},{traffic:.4},{processors}", arch.name());

@@ -10,7 +10,7 @@ use occache_riscii::{compact_profile, ChipTiming, RiscIiCache};
 use occache_trace::MemRef;
 use occache_workloads::{riscii_instruction_workload, Architecture, ProgramGenerator};
 
-use crate::runs::{Artifact, Workbench};
+use crate::runs::{evaluate_each, Artifact, Workbench};
 
 /// Write-policy study: total bus traffic — fills *plus* write traffic —
 /// under write-through vs copy-back, across the four architectures.
@@ -112,14 +112,16 @@ pub fn run_split(bench: &mut Workbench) -> Artifact {
     for arch in Architecture::ALL {
         let word = arch.word_size();
         let traces = bench.arch_traces(arch);
-        for net in [512u64, 1024] {
-            let unified_config = CacheConfig::builder()
+        let unified = evaluate_each(&[512u64, 1024], traces, 0, |net| {
+            CacheConfig::builder()
                 .net_size(net)
                 .block_size(16)
                 .sub_block_size(8)
                 .word_size(word)
                 .build()
-                .expect("valid geometry");
+                .expect("valid geometry")
+        });
+        for (net, unified) in unified {
             let half_config = CacheConfig::builder()
                 .net_size(net / 2)
                 .block_size(16)
@@ -127,17 +129,14 @@ pub fn run_split(bench: &mut Workbench) -> Artifact {
                 .word_size(word)
                 .build()
                 .expect("valid geometry");
-            let mut unified_miss = 0.0;
+            let unified_miss = unified.miss_ratio;
             let mut split_miss = 0.0;
             for trace in traces {
-                unified_miss += simulate(unified_config, trace.iter(), 0).miss_ratio();
                 let mut split = SplitCache::new(half_config, half_config);
                 split.run(trace.iter());
                 split_miss += split.miss_ratio();
             }
-            let n = traces.len() as f64;
-            unified_miss /= n;
-            split_miss /= n;
+            split_miss /= traces.len() as f64;
             let winner = if unified_miss <= split_miss {
                 "unified"
             } else {

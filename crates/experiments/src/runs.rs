@@ -8,13 +8,13 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use occache_core::{simulate, BusModel, CacheConfig, FetchPolicy, Metrics, ReplacementPolicy};
+use occache_core::{simulate, CacheConfig, FetchPolicy, Metrics, ReplacementPolicy};
 use occache_workloads::{m85_mix, riscii_instruction_workload, Architecture, WorkloadSpec};
 
 use crate::paper;
 use crate::plot::{ScatterPlot, Series};
 use crate::report::{points_to_csv, relative_error, table7_block};
-use crate::sweep::{standard_config, table1_pairs, trace_len, DesignPoint, Trace};
+use crate::sweep::{evaluate_points, standard_config, table1_pairs, trace_len, DesignPoint, Trace};
 
 /// A regenerated artifact: report text plus named CSV payloads.
 #[derive(Debug, Clone)]
@@ -296,6 +296,24 @@ fn paper_grid(arch: Architecture, nets: &[u64]) -> Vec<CacheConfig> {
         .collect()
 }
 
+/// Builds one config per item, evaluates them all in one call on the
+/// sliced worker pool ([`evaluate_points`]), and pairs each item with
+/// its point, in item order. The pool's trace-order mean is the
+/// unweighted §3.3 average the artifacts report.
+pub(crate) fn evaluate_each<T: Copy>(
+    items: &[T],
+    traces: &[Trace],
+    warmup: usize,
+    config: impl Fn(T) -> CacheConfig,
+) -> Vec<(T, DesignPoint)> {
+    let configs: Vec<CacheConfig> = items.iter().map(|&item| config(item)).collect();
+    items
+        .iter()
+        .copied()
+        .zip(evaluate_points(&configs, traces, warmup))
+        .collect()
+}
+
 /// One homogeneous slice of a journalled artifact's sweep: the configs
 /// evaluated against one trace set with one warm-up. Verification
 /// re-derives journal keys from these.
@@ -511,6 +529,8 @@ pub fn run_table6(bench: &mut Workbench) -> Artifact {
     );
 
     let mut csv = String::from("organisation,miss_ratio,relative_to_sector,paper_miss\n");
+    // The sector row stays on the direct simulator: it also reads the
+    // unreferenced-sub-block fraction, which a `DesignPoint` does not carry.
     let mut sector_miss = 0.0;
     let mut unref = 0.0;
     for trace in traces {
@@ -535,24 +555,22 @@ pub fn run_table6(bench: &mut Workbench) -> Artifact {
         paper::table6::SECTOR_360_85
     );
 
-    for (ways, paper_miss) in [
+    let rows = [
         (4u64, paper::table6::SET_ASSOC_4WAY),
         (8, paper::table6::SET_ASSOC_8WAY),
         (16, paper::table6::SET_ASSOC_16WAY),
-    ] {
-        let config = CacheConfig::builder()
+    ];
+    for ((ways, paper_miss), p) in evaluate_each(&rows, traces, 0, |(ways, _)| {
+        CacheConfig::builder()
             .net_size(NET)
             .block_size(64)
             .sub_block_size(64)
             .associativity(ways)
             .word_size(4)
             .build()
-            .expect("set-associative geometry is valid");
-        let mut miss = 0.0;
-        for trace in traces {
-            miss += simulate(config, trace.iter(), 0).miss_ratio();
-        }
-        miss /= traces.len() as f64;
+            .expect("set-associative geometry is valid")
+    }) {
+        let miss = p.miss_ratio;
         let _ = writeln!(
             report,
             "{:<28} {:>9.4} {:>9.3} {:>9.4} {:>9.3}",
@@ -639,7 +657,6 @@ pub fn run_table8(bench: &mut Workbench) -> Artifact {
     let len = bench.len();
     let warmup = bench.warmup_for(Architecture::Z8000);
     let traces = bench.load_forward_traces();
-    let nibble = BusModel::paper_nibble();
 
     let mut report = String::new();
     let _ = writeln!(
@@ -655,7 +672,9 @@ pub fn run_table8(bench: &mut Workbench) -> Artifact {
         "net,block,sub,load_forward,gross,miss_ratio,traffic_ratio,nibble_traffic,redundant_fraction\n",
     );
 
-    for &row in paper::TABLE8 {
+    // One grid for every row: the demand rows share an engine pass and
+    // the load-forward rows run as direct units beside it.
+    for (row, p) in evaluate_each(paper::TABLE8, traces, warmup, |row| {
         let mut builder = CacheConfig::builder();
         builder
             .net_size(row.net)
@@ -665,25 +684,10 @@ pub fn run_table8(bench: &mut Workbench) -> Artifact {
         if row.load_forward {
             builder.fetch(FetchPolicy::LOAD_FORWARD);
         }
-        let config = builder.build().expect("Table 8 geometry is valid");
-        let mut miss = 0.0;
-        let mut traffic = 0.0;
-        let mut scaled = 0.0;
-        let mut redundant = 0.0;
-        for trace in traces {
-            let m = simulate(config, trace.iter(), warmup);
-            miss += m.miss_ratio();
-            traffic += m.traffic_ratio();
-            scaled += m.scaled_traffic_ratio(nibble);
-            if m.sub_loads() > 0 {
-                redundant += m.redundant_sub_loads() as f64 / m.sub_loads() as f64;
-            }
-        }
-        let n = traces.len() as f64;
-        miss /= n;
-        traffic /= n;
-        scaled /= n;
-        redundant /= n;
+        builder.build().expect("Table 8 geometry is valid")
+    }) {
+        let (miss, traffic) = (p.miss_ratio, p.traffic_ratio);
+        let (scaled, redundant) = (p.nibble_traffic_ratio, p.redundant_load_fraction);
         let label = if row.load_forward {
             format!("{},{},LF", row.block, row.sub)
         } else {
@@ -704,11 +708,7 @@ pub fn run_table8(bench: &mut Workbench) -> Artifact {
         let _ = writeln!(
             csv,
             "{},{},{},{},{},{miss:.6},{traffic:.6},{scaled:.6},{redundant:.6}",
-            row.net,
-            row.block,
-            row.sub,
-            row.load_forward,
-            config.gross_size(),
+            row.net, row.block, row.sub, row.load_forward, p.gross_size,
         );
     }
     let _ = writeln!(
@@ -759,20 +759,17 @@ pub fn run_risc2(bench: &mut Workbench) -> Artifact {
         "net", "miss", "p.miss", "relerr"
     );
     let mut csv = String::from("net,miss_ratio,paper_miss\n");
-    for &(net, paper_miss) in paper::RISCII_CURVE {
-        let config = CacheConfig::builder()
+    for ((net, paper_miss), p) in evaluate_each(paper::RISCII_CURVE, traces, 0, |(net, _)| {
+        CacheConfig::builder()
             .net_size(net)
             .block_size(8)
             .sub_block_size(8)
             .associativity(1)
             .word_size(4)
             .build()
-            .expect("RISC II geometry is valid");
-        let mut miss = 0.0;
-        for trace in traces {
-            miss += simulate(config, trace.iter(), 0).miss_ratio();
-        }
-        miss /= traces.len() as f64;
+            .expect("RISC II geometry is valid")
+    }) {
+        let miss = p.miss_ratio;
         let _ = writeln!(
             report,
             "{:>6} {:>9.4} {:>9.4} {:>6.0}%",
@@ -815,20 +812,17 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
         let warmup = bench.warmup_for(arch);
         let traces = bench.arch_traces(arch);
         let mut row = format!("  {:<16}", arch.name());
-        for ways in [1u64, 2, 4, 8] {
-            let config = CacheConfig::builder()
+        for (ways, p) in evaluate_each(&[1u64, 2, 4, 8], traces, warmup, |ways| {
+            CacheConfig::builder()
                 .net_size(1024)
                 .block_size(16)
                 .sub_block_size(8)
                 .associativity(ways)
                 .word_size(arch.word_size())
                 .build()
-                .expect("valid geometry");
-            let mut miss = 0.0;
-            for t in traces {
-                miss += simulate(config, t.iter(), warmup).miss_ratio();
-            }
-            miss /= traces.len() as f64;
+                .expect("valid geometry")
+        }) {
+            let miss = p.miss_ratio;
             let _ = write!(row, " {ways}-way {miss:.4} ");
             let _ = writeln!(csv, "associativity,{},{ways}-way,{miss:.6},", arch.name());
         }
@@ -845,24 +839,22 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
         let warmup = bench.warmup_for(arch);
         let traces = bench.arch_traces(arch);
         let mut row = format!("  {:<16}", arch.name());
-        for policy in [
+        let policies = [
             ReplacementPolicy::Lru,
             ReplacementPolicy::Fifo,
             ReplacementPolicy::Random,
-        ] {
-            let config = CacheConfig::builder()
+        ];
+        for (policy, p) in evaluate_each(&policies, traces, warmup, |policy| {
+            CacheConfig::builder()
                 .net_size(1024)
                 .block_size(16)
                 .sub_block_size(8)
                 .replacement(policy)
                 .word_size(arch.word_size())
                 .build()
-                .expect("valid geometry");
-            let mut miss = 0.0;
-            for t in traces {
-                miss += simulate(config, t.iter(), warmup).miss_ratio();
-            }
-            miss /= traces.len() as f64;
+                .expect("valid geometry")
+        }) {
+            let miss = p.miss_ratio;
             let _ = write!(row, " {policy} {miss:.4} ");
             let _ = writeln!(csv, "replacement,{},{policy},{miss:.6},", arch.name());
         }
@@ -878,20 +870,17 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
     let _ = writeln!(report, "  {:>6} {:>9} {:>9}", "net", "miss", "Strecker");
     {
         let traces = bench.arch_traces(Architecture::Pdp11);
-        for &(net, paper_miss) in paper::STRECKER_CURVE {
-            let config = CacheConfig::builder()
+        for ((net, paper_miss), p) in evaluate_each(paper::STRECKER_CURVE, traces, 0, |(net, _)| {
+            CacheConfig::builder()
                 .net_size(net)
                 .block_size(4)
                 .sub_block_size(4)
                 .associativity(1)
                 .word_size(2)
                 .build()
-                .expect("valid geometry");
-            let mut miss = 0.0;
-            for t in traces {
-                miss += simulate(config, t.iter(), 0).miss_ratio();
-            }
-            miss /= traces.len() as f64;
+                .expect("valid geometry")
+        }) {
+            let miss = p.miss_ratio;
             let _ = writeln!(report, "  {:>6} {:>9.4} {:>9.2}", net, miss, paper_miss);
             let _ = writeln!(csv, "strecker,PDP-11,{net},{miss:.6},");
         }
@@ -906,7 +895,7 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
     {
         let warmup = bench.warmup_for(Architecture::Z8000);
         let traces = bench.load_forward_traces();
-        for (label, fetch) in [
+        let variants = [
             ("redundant (paper)", FetchPolicy::LOAD_FORWARD),
             (
                 "optimized",
@@ -914,35 +903,22 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
                     remember_valid: true,
                 },
             ),
-        ] {
-            let config = CacheConfig::builder()
+        ];
+        for ((label, _), p) in evaluate_each(&variants, traces, warmup, |(_, fetch)| {
+            CacheConfig::builder()
                 .net_size(256)
                 .block_size(16)
                 .sub_block_size(2)
                 .word_size(2)
                 .fetch(fetch)
                 .build()
-                .expect("valid geometry");
-            let mut miss = 0.0;
-            let mut traffic = 0.0;
-            for t in traces {
-                let m = simulate(config, t.iter(), warmup);
-                miss += m.miss_ratio();
-                traffic += m.traffic_ratio();
-            }
-            let n = traces.len() as f64;
-            let _ = writeln!(
-                report,
-                "  {:<20} miss {:.4}  traffic {:.4}",
-                label,
-                miss / n,
-                traffic / n
-            );
+                .expect("valid geometry")
+        }) {
+            let (miss, traffic) = (p.miss_ratio, p.traffic_ratio);
+            let _ = writeln!(report, "  {label:<20} miss {miss:.4}  traffic {traffic:.4}");
             let _ = writeln!(
                 csv,
-                "load_forward_variant,Z8000,{label},{:.6},{:.6}",
-                miss / n,
-                traffic / n
+                "load_forward_variant,Z8000,{label},{miss:.6},{traffic:.6}"
             );
         }
         let _ = writeln!(
@@ -967,11 +943,7 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
             .build()
             .expect("valid geometry");
         for (label, warmup) in [("cold", 0usize), ("warm (5%)", len / 20)] {
-            let mut miss = 0.0;
-            for t in traces {
-                miss += simulate(config, t.iter(), warmup).miss_ratio();
-            }
-            miss /= traces.len() as f64;
+            let miss = evaluate_points(&[config], traces, warmup)[0].miss_ratio;
             let _ = writeln!(report, "  {label:<12} miss {miss:.4}");
             let _ = writeln!(csv, "warm_start,Z8000,{label},{miss:.6},");
         }
@@ -1010,16 +982,8 @@ pub fn run_headline(bench: &mut Workbench) -> Artifact {
         let warmup = bench.warmup_for(arch);
         let traces = bench.arch_traces(arch);
         let config = standard_config(arch, 1024, 8, 8);
-        let mut miss = 0.0;
-        let mut traffic = 0.0;
-        for t in traces {
-            let m = simulate(config, t.iter(), warmup);
-            miss += m.miss_ratio();
-            traffic += m.traffic_ratio();
-        }
-        let n = traces.len() as f64;
-        miss /= n;
-        traffic /= n;
+        let p = evaluate_points(&[config], traces, warmup)[0];
+        let (miss, traffic) = (p.miss_ratio, p.traffic_ratio);
         let reference = paper::table7_row(arch, 1024, 8, 8).expect("anchor row present");
         let _ = writeln!(
             report,

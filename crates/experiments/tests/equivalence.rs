@@ -3,7 +3,10 @@
 //! path (`OCCACHE_NO_MULTISIM=1`), reports and CSVs alike — first under
 //! the stock LRU grids, then re-run down the FIFO axis via
 //! `OCCACHE_REPLACEMENT=fifo` with only the FIFO engine disabled on the
-//! reference side (`OCCACHE_NO_MULTISIM=fifo,random`).
+//! reference side (`OCCACHE_NO_MULTISIM=fifo,random`). Beside the
+//! journalled Table 7 and Figure 2, the mixed grids of the ablations and
+//! Table 8 cover all three engines, direct load-forward units and two
+//! warm-ups in one pooled call each.
 //!
 //! This file holds exactly one test because it mutates process-global
 //! environment variables; sibling tests in the same binary would race.
@@ -11,7 +14,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use occache_experiments::runs::{run_figure, run_table7, Artifact, Workbench};
+use occache_experiments::runs::{
+    run_ablations, run_figure, run_table7, run_table8, Artifact, Workbench,
+};
 
 fn temp_results(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("occache-equiv-{tag}-{}", std::process::id()));
@@ -22,7 +27,12 @@ fn temp_results(tag: &str) -> PathBuf {
 
 fn build_artifacts(len: usize) -> Vec<Artifact> {
     let mut bench = Workbench::new(len);
-    vec![run_table7(&mut bench), run_figure(&mut bench, 2)]
+    vec![
+        run_table7(&mut bench),
+        run_figure(&mut bench, 2),
+        run_ablations(&mut bench),
+        run_table8(&mut bench),
+    ]
 }
 
 #[test]

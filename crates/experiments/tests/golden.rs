@@ -1,8 +1,10 @@
-//! Golden regression over every journalled artifact: the report text,
-//! every CSV payload, and the sealed checkpoint journal of Table 7 and
-//! Figures 1–8 — regenerated at a small reference count with a serial
-//! worker pool — must hash exactly to the values committed in
-//! `golden_hashes.txt`.
+//! Golden regression over the paper artifacts: the report text and
+//! every CSV payload of the journalled Table 7 and Figures 1–8 plus the
+//! unjournalled headline, Table 6, Table 8, Figure 9, risc2, ablations,
+//! bus contention, split and workload statistics, and the sealed
+//! checkpoint journal of each journalled one — regenerated at a small
+//! reference count with a serial worker pool — must hash exactly to the
+//! values committed in `golden_hashes.txt`.
 //!
 //! The committed hashes were produced by this same test (run with
 //! `OCCACHE_GOLDEN_REGEN=1`), so any refactor of the execution path
@@ -17,8 +19,13 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use occache_experiments::characterize::{run_bus_contention, run_workload_stats};
 use occache_experiments::checkpoint::fnv1a;
-use occache_experiments::runs::{journalled_artifacts, run_figure, run_table7, Workbench};
+use occache_experiments::extensions::run_split;
+use occache_experiments::runs::{
+    journalled_artifacts, run_ablations, run_fig9, run_figure, run_headline, run_risc2, run_table6,
+    run_table7, run_table8, Artifact, Workbench,
+};
 
 /// References per trace: small enough for a debug-profile test run,
 /// large enough that every Table 1 pair sees real misses.
@@ -28,6 +35,15 @@ fn golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden_hashes.txt")
+}
+
+/// Hashes an artifact's report and each of its CSVs into `hashes`.
+fn record(hashes: &mut BTreeMap<String, u64>, artifact: &Artifact) {
+    let name = artifact.name;
+    hashes.insert(format!("{name}/report"), fnv1a(artifact.report.as_bytes()));
+    for (file, contents) in &artifact.csv {
+        hashes.insert(format!("{name}/{file}"), fnv1a(contents.as_bytes()));
+    }
 }
 
 /// `name -> fnv1a(contents)` for every hashed item of every artifact.
@@ -63,14 +79,26 @@ fn regenerate() -> BTreeMap<String, u64> {
             }
         };
         assert_eq!(artifact.name, name);
-        hashes.insert(format!("{name}/report"), fnv1a(artifact.report.as_bytes()));
-        for (file, contents) in &artifact.csv {
-            hashes.insert(format!("{name}/{file}"), fnv1a(contents.as_bytes()));
-        }
+        record(&mut hashes, &artifact);
         let journal = scratch.join(".checkpoint").join(format!("{name}.jsonl"));
         let bytes = std::fs::read(&journal)
             .unwrap_or_else(|e| panic!("missing journal {}: {e}", journal.display()));
         hashes.insert(format!("{name}/journal"), fnv1a(&bytes));
+    }
+    type Runner = fn(&mut Workbench) -> Artifact;
+    let unjournalled: [Runner; 9] = [
+        run_headline,
+        run_table6,
+        run_table8,
+        run_fig9,
+        run_risc2,
+        run_ablations,
+        run_bus_contention,
+        run_split,
+        run_workload_stats,
+    ];
+    for run in unjournalled {
+        record(&mut hashes, &run(&mut bench));
     }
     let _ = std::fs::remove_dir_all(&scratch);
     hashes
@@ -85,7 +113,7 @@ fn render(hashes: &BTreeMap<String, u64>) -> String {
 }
 
 #[test]
-fn journalled_artifacts_match_committed_golden_hashes() {
+fn paper_artifacts_match_committed_golden_hashes() {
     let hashes = regenerate();
     let rendered = render(&hashes);
     if std::env::var_os("OCCACHE_GOLDEN_REGEN").is_some() {

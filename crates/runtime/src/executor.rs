@@ -728,27 +728,45 @@ pub fn evaluate_points_isolated(
     outcome
 }
 
-/// Evaluates many configurations, spreading work across threads.
+/// Evaluates many configurations, spreading work across threads, and
+/// returns one point per config in input order.
+///
+/// An interrupt does not cut the result short: configs the pool skipped
+/// once [`crate::interrupt::requested`] turned true (the
+/// [`PointFault::Interrupted`](crate::eval::PointFault::Interrupted)
+/// failures) are evaluated here on the direct path with
+/// [`evaluate_point`], so a caller that is running when SIGINT arrives
+/// still gets the complete, bit-identical grid and can finish its
+/// artifact before the binary stops.
 ///
 /// # Panics
 ///
-/// Panics if any point's evaluation panics, naming the failing
-/// configuration. Use [`evaluate_points_isolated`] to get partial results
-/// instead.
+/// Panics on any other failure, naming the failing configuration. Use
+/// [`evaluate_points_isolated`] to get partial results instead.
 pub fn evaluate_points(
     configs: &[CacheConfig],
     traces: &[Trace],
     warmup: usize,
 ) -> Vec<DesignPoint> {
-    let outcome = evaluate_points_isolated(configs, traces, warmup);
-    if let Some(first) = outcome.failures.first() {
+    let mut points = Vec::with_capacity(configs.len());
+    let mut failures = Vec::new();
+    for result in evaluate_results_sliced(configs, traces, warmup) {
+        match result {
+            Ok(p) => points.push(p),
+            Err(e) if e.fault == crate::eval::PointFault::Interrupted => {
+                points.push(evaluate_point(e.config, traces, warmup));
+            }
+            Err(e) => failures.push(e),
+        }
+    }
+    if let Some(first) = failures.first() {
         panic!(
             "sweep failed at {} of {} design point(s); first failure: {first}",
-            outcome.failures.len(),
+            failures.len(),
             configs.len()
         );
     }
-    outcome.points
+    points
 }
 
 #[cfg(test)]

@@ -543,10 +543,11 @@ mod tests {
 
     fn quiet_set(peers: &[&str]) -> Arc<PeerSet> {
         // A probe interval long enough that the background thread never
-        // interferes with the state transitions under test.
+        // interferes with the state transitions under test. The cooldown
+        // stays at `for_tests()`'s 200 ms, so a scheduler stall between
+        // tripping the breaker and asserting it is open cannot outlast it.
         let policy = PeerPolicy {
             probe_interval: Duration::from_secs(600),
-            cooldown: Duration::from_millis(30),
             failure_threshold: 2,
             ..PeerPolicy::for_tests()
         };
@@ -561,6 +562,7 @@ mod tests {
     #[test]
     fn breaker_trips_after_threshold_and_recovers_half_open() {
         let set = quiet_set(&["a:1", "b:2"]);
+        let past_cooldown = PeerPolicy::for_tests().cooldown + Duration::from_millis(50);
         assert!(set.available("a:1"));
         set.record_failure("a:1");
         assert_eq!(set.health("a:1"), PeerHealth::Up, "one failure is noise");
@@ -570,7 +572,7 @@ mod tests {
         assert_eq!(set.down_total(), 1);
         assert!(set.available("b:2"), "other peers unaffected");
 
-        std::thread::sleep(Duration::from_millis(40));
+        std::thread::sleep(past_cooldown);
         assert!(set.available("a:1"), "cooldown expired: half-open trial");
         assert_eq!(set.health("a:1"), PeerHealth::HalfOpen);
         set.record_failure("a:1");
@@ -581,7 +583,7 @@ mod tests {
         );
         assert_eq!(set.down_total(), 2);
 
-        std::thread::sleep(Duration::from_millis(40));
+        std::thread::sleep(past_cooldown);
         assert!(set.available("a:1"));
         set.record_success("a:1");
         assert_eq!(set.health("a:1"), PeerHealth::Up);
