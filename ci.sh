@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for the occache workspace.
 #
-#   ./ci.sh          run everything (lint, tier-1, full workspace tests)
+#   ./ci.sh          run everything (lint, rustdoc, tier-1, full workspace tests)
 #
 # Tier-1 (the must-stay-green bar from ROADMAP.md) is the release build
 # plus the root-package test suite; the clippy gate enforces, among the
@@ -15,6 +15,9 @@ cargo fmt --all -- --check
 
 echo "== clippy (warnings are errors) =="
 cargo clippy --workspace -- -D warnings
+
+echo "== rustdoc (broken or ambiguous doc links are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== tier-1: release build + root-package tests =="
 cargo build --release

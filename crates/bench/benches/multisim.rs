@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 use occache_bench::bench_trace;
-use occache_core::{simulate, simulate_many, CacheConfig};
+use occache_core::{simulate, simulate_many, CacheConfig, DEFAULT_RANDOM_SEED};
 use occache_workloads::Architecture;
 
 const TRACE_LEN: usize = 100_000;
@@ -42,7 +42,7 @@ fn bench_one_pass_vs_direct(c: &mut Criterion) {
             &configs,
             |b, configs| {
                 b.iter(|| {
-                    simulate_many(configs, trace.iter().copied(), 0)
+                    simulate_many(configs, [trace.iter().copied()], 0, DEFAULT_RANDOM_SEED)
                         .expect("slice is engine-eligible")
                 })
             },

@@ -21,11 +21,9 @@
 //! * [`BusModel`] — the §4.3 `a + b·w` bus-cost models and scaled traffic
 //!   ratios (nibble-mode memories, transactional busses),
 //! * [`LruStackAnalyzer`] — single-pass Mattson stack-distance analysis,
-//! * [`SliceEngine`] / [`simulate_many`] — one-pass engines
-//!   ([`AllSizesLruEngine`], [`AllSizesFifoEngine`],
-//!   [`AllSizesRandomEngine`]) that produce bit-identical metrics for
-//!   every cache size of a demand-fetch design slice, one engine per
-//!   replacement policy ([`multisim`]),
+//! * [`simulate_many`] — the one-pass engine ([`multisim`]): one pass
+//!   per trace yields bit-identical metrics for every cache size of a
+//!   demand-fetch design slice, under LRU, FIFO or Random replacement,
 //! * [`SplitCache`] — the split I/D extension flagged as further work.
 //!
 //! # Example: the paper's miss/traffic trade-off
@@ -78,9 +76,7 @@ pub use contention::SharedBus;
 pub use ibuffer::InstructionBuffer;
 pub use metrics::Metrics;
 pub use multisim::{
-    engine_for, engine_for_seeded, engine_supports, simulate_many, simulate_many_pair,
-    simulate_many_seeded, AllSizesFifoEngine, AllSizesLruEngine, AllSizesRandomEngine, EngineKind,
-    MultiSimError, SliceEngine, ENGINE_CHUNK, MAX_MULTISIM_CONFIGS,
+    engine_supports, simulate_many, EngineKind, MultiSimError, MAX_MULTISIM_CONFIGS,
 };
 pub use split::SplitCache;
 pub use stackdist::{LruStackAnalyzer, SetAssocLruAnalyzer};

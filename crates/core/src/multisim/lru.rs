@@ -1,15 +1,9 @@
-//! The permutation-packed all-sizes LRU engine, plus the four-way
-//! quad-interleave scheduler its paired runs use.
+//! The four-way quad-interleave scheduler behind paired LRU runs: two
+//! traces' chunks through two same-shape LRU engines in one loop.
 
-use occache_trace::{AccessKind, Address, MemRef};
+use occache_trace::MemRef;
 
-use crate::config::{CacheConfig, ReplacementPolicy};
-use crate::metrics::Metrics;
-
-use super::{
-    run_classes, ClassState, CounterBank, EngineCore, EngineKind, MultiSimError, SliceEngine,
-    SpecCtx,
-};
+use super::{ClassState, CounterBank, EngineCore, SpecCtx};
 
 /// One side of a [`run_quad_spec`] call: an adjacent class pair of one
 /// engine, that engine's decoded chunk, and its counter bank.
@@ -72,262 +66,117 @@ fn run_quad_spec<const WAYS: usize, const MA: usize, const MB: usize>(
     );
 }
 
-/// The one-pass all-sizes LRU engine. See the module docs for the
-/// algorithm; construct with [`AllSizesLruEngine::new`] and drive with
-/// [`access`](AllSizesLruEngine::access), or use
-/// [`simulate_many`](super::simulate_many).
+/// Runs one chunk through an LRU engine and an equal-length chunk
+/// through a second, same-shape LRU engine (a clone of the same fresh
+/// engine), interleaving their per-reference steps.
 ///
-/// ```
-/// use occache_core::{simulate, simulate_many, CacheConfig};
-/// use occache_trace::MemRef;
-///
-/// let configs: Vec<CacheConfig> = [64u64, 256]
-///     .iter()
-///     .map(|&net| {
-///         CacheConfig::builder()
-///             .net_size(net)
-///             .block_size(16)
-///             .sub_block_size(8)
-///             .word_size(2)
-///             .build()
-///             .expect("valid geometry")
-///     })
-///     .collect();
-/// let trace: Vec<MemRef> = (0..500u64).map(|i| MemRef::read((i * 13) % 640 * 2)).collect();
-/// let all = simulate_many(&configs, trace.iter().copied(), 0)?;
-/// for (config, metrics) in configs.iter().zip(&all) {
-///     assert_eq!(*metrics, simulate(*config, trace.iter().copied(), 0));
-/// }
-/// # Ok::<(), occache_core::MultiSimError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct AllSizesLruEngine {
-    core: EngineCore,
-}
-
-impl AllSizesLruEngine {
-    /// Builds an engine for a compatible slice of LRU configurations.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MultiSimError`] when the slice is empty or too wide,
-    /// or a configuration needs an unsupported policy/geometry.
-    pub fn new(configs: &[CacheConfig]) -> Result<Self, MultiSimError> {
-        Ok(AllSizesLruEngine {
-            core: EngineCore::new(configs, ReplacementPolicy::Lru)?,
-        })
-    }
-
-    /// Presents one reference to every simulated configuration.
-    pub fn access(&mut self, addr: Address, kind: AccessKind) {
-        let lane = self.core.count_one(kind);
-        let CounterBank {
-            miss,
-            evicted_blocks,
-            evicted_referenced,
-            ..
-        } = &mut self.core.bank;
-        let a = addr.value();
-        for class in &mut self.core.classes {
-            class.one::<false>(a, lane, miss, evicted_blocks, evicted_referenced);
-        }
-    }
-
-    /// Feeds a run of references through the engine, class by class: the
-    /// chunked ingest fast path the streamed evaluation loop drives, one
-    /// buffer refill at a time, without materialising a whole trace.
-    ///
-    /// Residency classes are independent simulations, so processing the
-    /// whole chunk for one class before the next is exactly equivalent
-    /// to presenting each reference to every class in turn — and much
-    /// faster, because each class's tight inner loop keeps its set
-    /// state cache-resident and its branch history coherent instead of
-    /// cycling through every class's working set per reference.
-    pub fn access_run(&mut self, refs: &[MemRef]) {
-        self.core.decode_chunk(refs);
-        let CounterBank {
-            miss,
-            evicted_blocks,
-            evicted_referenced,
-            ..
-        } = &mut self.core.bank;
-        run_classes::<false>(
-            &mut self.core.classes,
-            &self.core.scratch_addr,
-            &self.core.scratch_lane,
-            miss,
-            evicted_blocks,
-            evicted_referenced,
-        );
-    }
-
-    /// Presents one chunk to this engine and another chunk to a
-    /// second engine over the same configurations, interleaving their
-    /// per-reference steps.
-    ///
-    /// Two engines driven by different traces are completely
-    /// independent, so their steps overlap perfectly in the
-    /// out-of-order window (see `run_pair_spec` in the parent module
-    /// for why that pays);
-    /// combined with adjacent-class pairing this keeps four
-    /// dependency chains in flight. Results are exactly what two
-    /// separate [`access_run`](Self::access_run) calls would produce —
-    /// which is also the fallback when the chunks differ in length or
-    /// the engines in shape.
-    pub fn access_run_pair(&mut self, refs: &[MemRef], other: &mut Self, other_refs: &[MemRef]) {
-        if refs.len() != other_refs.len() || !self.core.same_shape(&other.core) {
-            self.access_run(refs);
-            other.access_run(other_refs);
-            return;
-        }
-        self.core.decode_chunk(refs);
-        other.core.decode_chunk(other_refs);
-        let EngineCore {
-            classes: classes_a,
-            bank: bank_a,
-            scratch_addr: addrs_a,
-            scratch_lane: lanes_a,
-            ..
-        } = &mut self.core;
-        let EngineCore {
-            classes: classes_b,
-            bank: bank_b,
-            scratch_addr: addrs_b,
-            scratch_lane: lanes_b,
-            ..
-        } = &mut other.core;
-        let mut i = 0;
-        while i < classes_a.len() {
-            if i + 1 < classes_a.len() {
-                let (head_a, tail_a) = classes_a.split_at_mut(i + 1);
-                let (head_b, tail_b) = classes_b.split_at_mut(i + 1);
-                let a1 = &mut head_a[i];
-                let a2 = &mut tail_a[0];
-                let b1 = &mut head_b[i];
-                let b2 = &mut tail_b[0];
-                if a1.assoc == 4 && a2.assoc == 4 {
-                    macro_rules! quad {
-                        ($ma:literal, $mb:literal) => {{
-                            run_quad_spec::<4, $ma, $mb>(
-                                (a1, a2, addrs_a, lanes_a, bank_a),
-                                (b1, b2, addrs_b, lanes_b, bank_b),
-                            );
-                            true
-                        }};
-                    }
-                    let done = match (a1.meta.len(), a2.meta.len()) {
-                        (1, 1) => quad!(1, 1),
-                        (1, 2) => quad!(1, 2),
-                        (1, 3) => quad!(1, 3),
-                        (1, 4) => quad!(1, 4),
-                        (1, 5) => quad!(1, 5),
-                        (1, 6) => quad!(1, 6),
-                        (2, 1) => quad!(2, 1),
-                        (2, 2) => quad!(2, 2),
-                        (2, 3) => quad!(2, 3),
-                        (2, 4) => quad!(2, 4),
-                        (2, 5) => quad!(2, 5),
-                        (2, 6) => quad!(2, 6),
-                        (3, 1) => quad!(3, 1),
-                        (3, 2) => quad!(3, 2),
-                        (3, 3) => quad!(3, 3),
-                        (3, 4) => quad!(3, 4),
-                        (3, 5) => quad!(3, 5),
-                        (3, 6) => quad!(3, 6),
-                        (4, 1) => quad!(4, 1),
-                        (4, 2) => quad!(4, 2),
-                        (4, 3) => quad!(4, 3),
-                        (4, 4) => quad!(4, 4),
-                        (4, 5) => quad!(4, 5),
-                        (4, 6) => quad!(4, 6),
-                        (5, 1) => quad!(5, 1),
-                        (5, 2) => quad!(5, 2),
-                        (5, 3) => quad!(5, 3),
-                        (5, 4) => quad!(5, 4),
-                        (5, 5) => quad!(5, 5),
-                        (5, 6) => quad!(5, 6),
-                        (6, 1) => quad!(6, 1),
-                        (6, 2) => quad!(6, 2),
-                        (6, 3) => quad!(6, 3),
-                        (6, 4) => quad!(6, 4),
-                        (6, 5) => quad!(6, 5),
-                        (6, 6) => quad!(6, 6),
-                        _ => false,
-                    };
-                    if done {
-                        i += 2;
-                        continue;
-                    }
+/// Two engines driven by different traces are completely independent,
+/// so their steps overlap perfectly in the out-of-order window (see
+/// `run_pair_spec` in the parent module for why that pays); combined
+/// with adjacent-class pairing this keeps four dependency chains in
+/// flight. Results are exactly what two separate chunk runs produce.
+pub(super) fn run_pair(
+    a: &mut EngineCore,
+    refs: &[MemRef],
+    b: &mut EngineCore,
+    other_refs: &[MemRef],
+) {
+    debug_assert_eq!(refs.len(), other_refs.len());
+    debug_assert_eq!(a.classes.len(), b.classes.len());
+    a.decode_chunk(refs);
+    b.decode_chunk(other_refs);
+    let EngineCore {
+        classes: classes_a,
+        bank: bank_a,
+        scratch_addr: addrs_a,
+        scratch_lane: lanes_a,
+        ..
+    } = a;
+    let EngineCore {
+        classes: classes_b,
+        bank: bank_b,
+        scratch_addr: addrs_b,
+        scratch_lane: lanes_b,
+        ..
+    } = b;
+    let mut i = 0;
+    while i < classes_a.len() {
+        if i + 1 < classes_a.len() {
+            let (head_a, tail_a) = classes_a.split_at_mut(i + 1);
+            let (head_b, tail_b) = classes_b.split_at_mut(i + 1);
+            let a1 = &mut head_a[i];
+            let a2 = &mut tail_a[0];
+            let b1 = &mut head_b[i];
+            let b2 = &mut tail_b[0];
+            if a1.assoc == 4 && a2.assoc == 4 {
+                macro_rules! quad {
+                    ($ma:literal, $mb:literal) => {{
+                        run_quad_spec::<4, $ma, $mb>(
+                            (a1, a2, addrs_a, lanes_a, bank_a),
+                            (b1, b2, addrs_b, lanes_b, bank_b),
+                        );
+                        true
+                    }};
+                }
+                let done = match (a1.meta.len(), a2.meta.len()) {
+                    (1, 1) => quad!(1, 1),
+                    (1, 2) => quad!(1, 2),
+                    (1, 3) => quad!(1, 3),
+                    (1, 4) => quad!(1, 4),
+                    (1, 5) => quad!(1, 5),
+                    (1, 6) => quad!(1, 6),
+                    (2, 1) => quad!(2, 1),
+                    (2, 2) => quad!(2, 2),
+                    (2, 3) => quad!(2, 3),
+                    (2, 4) => quad!(2, 4),
+                    (2, 5) => quad!(2, 5),
+                    (2, 6) => quad!(2, 6),
+                    (3, 1) => quad!(3, 1),
+                    (3, 2) => quad!(3, 2),
+                    (3, 3) => quad!(3, 3),
+                    (3, 4) => quad!(3, 4),
+                    (3, 5) => quad!(3, 5),
+                    (3, 6) => quad!(3, 6),
+                    (4, 1) => quad!(4, 1),
+                    (4, 2) => quad!(4, 2),
+                    (4, 3) => quad!(4, 3),
+                    (4, 4) => quad!(4, 4),
+                    (4, 5) => quad!(4, 5),
+                    (4, 6) => quad!(4, 6),
+                    (5, 1) => quad!(5, 1),
+                    (5, 2) => quad!(5, 2),
+                    (5, 3) => quad!(5, 3),
+                    (5, 4) => quad!(5, 4),
+                    (5, 5) => quad!(5, 5),
+                    (5, 6) => quad!(5, 6),
+                    (6, 1) => quad!(6, 1),
+                    (6, 2) => quad!(6, 2),
+                    (6, 3) => quad!(6, 3),
+                    (6, 4) => quad!(6, 4),
+                    (6, 5) => quad!(6, 5),
+                    (6, 6) => quad!(6, 6),
+                    _ => false,
+                };
+                if done {
+                    i += 2;
+                    continue;
                 }
             }
-            classes_a[i].run::<false>(
-                addrs_a,
-                lanes_a,
-                &mut bank_a.miss,
-                &mut bank_a.evicted_blocks,
-                &mut bank_a.evicted_referenced,
-            );
-            classes_b[i].run::<false>(
-                addrs_b,
-                lanes_b,
-                &mut bank_b.miss,
-                &mut bank_b.evicted_blocks,
-                &mut bank_b.evicted_referenced,
-            );
-            i += 1;
         }
-    }
-
-    /// Zeroes every configuration's metrics while keeping cache state —
-    /// the warm-start discipline, mirroring
-    /// [`SubBlockCache::reset_metrics`](crate::SubBlockCache::reset_metrics).
-    pub fn reset_metrics(&mut self) {
-        self.core.reset_metrics();
-    }
-
-    /// Metrics accumulated so far, in the order of the configurations
-    /// given to [`AllSizesLruEngine::new`]. Derived counters (fetch
-    /// traffic, write-through bytes, evicted sub-slots) are expanded
-    /// from the compact per-size counts here, exactly.
-    pub fn metrics(&self) -> Vec<Metrics> {
-        self.core.metrics()
-    }
-}
-
-impl SliceEngine for AllSizesLruEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Lru
-    }
-
-    fn access_run(&mut self, refs: &[MemRef]) {
-        AllSizesLruEngine::access_run(self, refs);
-    }
-
-    fn reset_metrics(&mut self) {
-        AllSizesLruEngine::reset_metrics(self);
-    }
-
-    fn metrics(&self) -> Vec<Metrics> {
-        AllSizesLruEngine::metrics(self)
-    }
-
-    fn clone_box(&self) -> Box<dyn SliceEngine> {
-        Box::new(self.clone())
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-
-    // Interleave with a same-type partner; anything else runs the two
-    // chunks sequentially (results are identical either way).
-    fn run_pair(&mut self, refs: &[MemRef], other: &mut dyn SliceEngine, other_refs: &[MemRef]) {
-        match other.as_any_mut().downcast_mut::<AllSizesLruEngine>() {
-            Some(partner) => self.access_run_pair(refs, partner, other_refs),
-            None => {
-                self.access_run(refs);
-                other.access_run(other_refs);
-            }
-        }
+        classes_a[i].run::<false>(
+            addrs_a,
+            lanes_a,
+            &mut bank_a.miss,
+            &mut bank_a.evicted_blocks,
+            &mut bank_a.evicted_referenced,
+        );
+        classes_b[i].run::<false>(
+            addrs_b,
+            lanes_b,
+            &mut bank_b.miss,
+            &mut bank_b.evicted_blocks,
+            &mut bank_b.evicted_referenced,
+        );
+        i += 1;
     }
 }

@@ -6,33 +6,42 @@
 //! associativity may all differ per configuration. For such a slice a
 //! single pass over a trace yields every configuration's metrics,
 //! bit-identical to running [`simulate`](crate::simulate) once per
-//! configuration. Three engines implement the pass, one per policy the
-//! direct simulator knows:
+//! configuration. [`simulate_many`] is the one entry point: it takes a
+//! slice, any number of traces, a warm-up and a seed, and returns each
+//! trace's per-configuration metrics.
 //!
-//! * [`AllSizesLruEngine`] (`lru` module) — the Mattson-style
-//!   stack-simulation engine, permutation-packed recency per set.
-//! * [`AllSizesFifoEngine`] (`fifo` module) — fill-order queues; FIFO
-//!   has no inclusion property across associativities (CIPARSim's
-//!   intersection property degenerates to exact class sharing), but the
-//!   residency-class structure still collapses a whole grid into one
-//!   pass.
-//! * [`AllSizesRandomEngine`] (`random` module) — deterministic seeded
-//!   replication of the direct simulator's per-cache RNG, one generator
-//!   per residency class.
+//! Behind it sits one engine type whose replacement policy picks the
+//! chunk runner, once per chunk of references:
 //!
-//! All three sit behind the object-safe [`SliceEngine`] trait, and
-//! [`ENGINE_REGISTRY`] maps a [`EngineKind`] to its builder — the seam
-//! where future organisations (victim caches, way prediction) plug in
-//! without touching the planner. [`simulate_many`] /
-//! [`simulate_many_pair`] pick the engine from the slice's policy, so
-//! callers never name a concrete engine type.
+//! * **LRU** — the Mattson-style stack simulation, permutation-packed
+//!   recency per set.
+//! * **FIFO** — fill-order queues. FIFO has no inclusion property across
+//!   associativities (CIPARSim's intersection property degenerates to
+//!   exact class sharing), but configurations with equal block size, set
+//!   count and associativity still make identical fill and eviction
+//!   decisions, since hits never disturb the queue. FIFO therefore runs
+//!   the LRU reference step with one compile-time flag set: hits update
+//!   only the hit way's sub-block mask — no block rotation, no
+//!   permutation promotion — while misses are the identical
+//!   shift-and-fill at the back of the queue. Sentinel-filled ways sink
+//!   to the back and are consumed in fill order, which is exactly the
+//!   direct simulator's fill-the-first-empty-frame rule.
+//! * **Random** — deterministic seeded replication of the direct
+//!   simulator's per-cache RNG, one generator per residency class (the
+//!   `random` module).
 //!
-//! The machinery shared by the engines lives here: the deduplicated
-//! **residency class** ([`ClassState`] — configurations with equal block
+//! [`simulate_many`] runs consecutive traces two at a time. Two
+//! equal-length chunks of an LRU slice go through one four-way
+//! interleaved loop (the `lru` module); FIFO and Random chunks, and the
+//! ragged tail of a pair, run back to back. Pairing is a scheduling
+//! change only: the two traces never share state.
+//!
+//! The machinery shared by the policies lives here: the deduplicated
+//! **residency class** (`ClassState` — configurations with equal block
 //! size, set count and associativity make identical residency and
 //! victim decisions under LRU *and* FIFO, and share one RNG draw
 //! sequence under Random, so they share block-level state), the
-//! shape-specialised reference loops ([`SpecCtx`], const-generic over
+//! shape-specialised reference loops (`SpecCtx`, const-generic over
 //! way count and a `FIFO` flag so hit promotion compiles out), and the
 //! flat per-configuration counter bank from which full [`Metrics`] are
 //! reconstructed exactly (under demand fetch + write-through every
@@ -50,13 +59,13 @@
 //! shift-and-fill with eviction statistics gated on the victim being
 //! real.
 //!
-//! What no engine expresses (callers fall back to [`simulate`]): the
-//! prefetch and load-forward fetch policies (fill width depends on
+//! What the engine cannot express (callers fall back to [`simulate`]):
+//! the prefetch and load-forward fetch policies (fill width depends on
 //! per-size valid bits in ways that break the shared-pass structure),
 //! copy-back write accounting (write-back bytes depend on per-size
 //! dirty state at eviction), and geometries whose set count is not a
-//! power of two (bit-selection needs one). The equivalence of every
-//! engine to the direct simulator is enforced by property tests in
+//! power of two (bit-selection needs one). The engine's equivalence to
+//! the direct simulator is enforced by property tests in
 //! `tests/multisim_equiv.rs` and `tests/policy_equiv.rs`.
 //!
 //! [`simulate`]: crate::simulate
@@ -64,18 +73,16 @@
 use std::error::Error;
 use std::fmt;
 
-use occache_trace::{AccessKind, MemRef};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use occache_trace::MemRef;
 
 use crate::config::{CacheConfig, FetchPolicy, ReplacementPolicy, WritePolicy};
 use crate::metrics::{EngineCounters, Metrics};
 
-mod fifo;
 mod lru;
 mod random;
-
-pub use fifo::AllSizesFifoEngine;
-pub use lru::AllSizesLruEngine;
-pub use random::AllSizesRandomEngine;
 
 /// Maximum configurations one engine instance simulates per pass.
 ///
@@ -126,15 +133,16 @@ impl fmt::Display for MultiSimError {
 
 impl Error for MultiSimError {}
 
-/// Which one-pass engine a slice runs on — one per replacement policy
-/// the direct simulator implements.
+/// Which replacement policy a one-pass slice runs under — one per
+/// policy the direct simulator implements. Planners label engine slices
+/// with it (progress feeds, run reports, per-policy kill switches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EngineKind {
-    /// The permutation-packed LRU stack engine.
+    /// The permutation-packed LRU stack runner.
     Lru,
-    /// The fill-order-queue FIFO engine.
+    /// The fill-order-queue FIFO runner.
     Fifo,
-    /// The seeded deterministic Random engine.
+    /// The seeded deterministic Random runner.
     Random,
 }
 
@@ -165,8 +173,8 @@ impl EngineKind {
             .find(|k| s.eq_ignore_ascii_case(k.as_str()))
     }
 
-    /// The engine that can run `config` in one pass, or `None` when only
-    /// the direct simulator can (prefetch/load-forward, copy-back,
+    /// The policy under which `config` runs in one pass, or `None` when
+    /// only the direct simulator can (prefetch/load-forward, copy-back,
     /// non-power-of-two sets, >16 ways).
     pub fn for_config(config: &CacheConfig) -> Option<EngineKind> {
         if supports_or_reason(config).is_some() {
@@ -218,122 +226,6 @@ fn supports_or_reason(config: &CacheConfig) -> Option<&'static str> {
         );
     }
     None
-}
-
-/// One replacement policy's one-pass engine, behind an object-safe
-/// interface so planners and evaluation loops never name a concrete
-/// engine type.
-///
-/// All implementations promise the same contract the LRU engine always
-/// had: [`metrics`](SliceEngine::metrics) is bit-identical to running
-/// [`simulate`](crate::simulate) once per member configuration over the
-/// same references, [`reset_metrics`](SliceEngine::reset_metrics)
-/// zeroes counters while keeping cache (and RNG) state for warm starts,
-/// and [`run_pair`](SliceEngine::run_pair) equals two sequential
-/// [`access_run`](SliceEngine::access_run) calls — engines override it
-/// only to *schedule* the two passes better (the LRU engine interleaves
-/// them), never to change results.
-pub trait SliceEngine: Send {
-    /// Which policy family this engine simulates.
-    fn kind(&self) -> EngineKind;
-
-    /// Feeds a run of references through every member configuration.
-    fn access_run(&mut self, refs: &[MemRef]);
-
-    /// Zeroes every configuration's metrics while keeping cache state —
-    /// the warm-start discipline.
-    fn reset_metrics(&mut self);
-
-    /// Metrics accumulated so far, in member-configuration order.
-    fn metrics(&self) -> Vec<Metrics>;
-
-    /// Clones the engine, state and all (paired runs drive one engine
-    /// per trace from a shared starting point).
-    fn clone_box(&self) -> Box<dyn SliceEngine>;
-
-    /// Downcast hook so a concrete engine can recognise a same-type
-    /// partner in [`run_pair`](SliceEngine::run_pair).
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
-
-    /// Presents one chunk to this engine and another chunk to a second
-    /// engine over the same configurations. The default runs the two
-    /// sequentially; the LRU engine overrides it to interleave the
-    /// per-reference steps when the partner is also an LRU engine.
-    fn run_pair(&mut self, refs: &[MemRef], other: &mut dyn SliceEngine, other_refs: &[MemRef]) {
-        self.access_run(refs);
-        other.access_run(other_refs);
-    }
-}
-
-/// An [`EngineSpec`] builder: constructs an engine for a slice; `seed`
-/// feeds policies with random state (deterministic engines ignore it).
-pub type EngineBuilder = fn(&[CacheConfig], u64) -> Result<Box<dyn SliceEngine>, MultiSimError>;
-
-/// One registered engine: the seam where a new organisation (victim
-/// cache, way prediction, ...) plugs into the planner without touching
-/// it — add a kind, a builder, and a registry row.
-pub struct EngineSpec {
-    /// The policy family the engine covers.
-    pub kind: EngineKind,
-    /// Builds an engine for a slice.
-    pub build: EngineBuilder,
-}
-
-/// Every one-pass engine the planner can dispatch to, in
-/// [`EngineKind::ALL`] order.
-pub static ENGINE_REGISTRY: &[EngineSpec] = &[
-    EngineSpec {
-        kind: EngineKind::Lru,
-        build: |configs, _seed| Ok(Box::new(AllSizesLruEngine::new(configs)?)),
-    },
-    EngineSpec {
-        kind: EngineKind::Fifo,
-        build: |configs, _seed| Ok(Box::new(AllSizesFifoEngine::new(configs)?)),
-    },
-    EngineSpec {
-        kind: EngineKind::Random,
-        build: |configs, seed| Ok(Box::new(AllSizesRandomEngine::with_seed(configs, seed)?)),
-    },
-];
-
-/// Builds the one-pass engine matching a slice's replacement policy,
-/// seeding random state with [`DEFAULT_RANDOM_SEED`](crate::DEFAULT_RANDOM_SEED)
-/// — the direct simulator's default, so results stay bit-identical to
-/// [`simulate`](crate::simulate).
-///
-/// # Errors
-///
-/// Returns a [`MultiSimError`] when the slice is empty, too wide, mixes
-/// replacement policies, or contains an engine-inexpressible
-/// configuration.
-pub fn engine_for(configs: &[CacheConfig]) -> Result<Box<dyn SliceEngine>, MultiSimError> {
-    engine_for_seeded(configs, crate::DEFAULT_RANDOM_SEED)
-}
-
-/// [`engine_for`] with an explicit seed for random-state policies.
-///
-/// # Errors
-///
-/// Returns a [`MultiSimError`] exactly as [`engine_for`] would.
-pub fn engine_for_seeded(
-    configs: &[CacheConfig],
-    seed: u64,
-) -> Result<Box<dyn SliceEngine>, MultiSimError> {
-    let first = configs.first().ok_or(MultiSimError::NoConfigs)?;
-    let kind = match EngineKind::for_config(first) {
-        Some(kind) => kind,
-        None => {
-            return Err(MultiSimError::Unsupported {
-                config: *first,
-                why: supports_or_reason(first).unwrap_or("unsupported configuration"),
-            });
-        }
-    };
-    let spec = ENGINE_REGISTRY
-        .iter()
-        .find(|s| s.kind == kind)
-        .expect("every engine kind has a registry row");
-    (spec.build)(configs, seed)
 }
 
 /// Per-configuration eviction/miss accumulators plus the two slice-wide
@@ -415,7 +307,7 @@ const EMPTY_WAY: u64 = u64::MAX;
 /// chain; one packed-permutation word update replaces all of that
 /// traffic. Unoccupied ways hold [`EMPTY_WAY`] with zero masks, so
 /// every set is structurally full and the hot path never consults an
-/// occupancy count. (The Random engine reuses the same layout with
+/// occupancy count. (Random reuses the same layout with
 /// blocks at fixed physical positions and the permutation left at
 /// identity; see [`random`].)
 #[derive(Debug, Clone)]
@@ -433,7 +325,7 @@ struct ClassState {
     /// (see the struct docs for the layout).
     data: Vec<u64>,
     /// Per-set rank→physical-mask-row permutation, 4 bits per rank
-    /// (which is why the engines cap associativity at 16 ways).
+    /// (which is why the engine caps associativity at 16 ways).
     perm: Vec<u64>,
 }
 
@@ -717,8 +609,7 @@ fn run_pair_spec<const WAYS: usize, const MA: usize, const MB: usize, const FIFO
 ///
 /// Pairing never changes results (classes are independent); it only
 /// changes how their per-reference steps are scheduled. Policy comes in
-/// through the const `FIFO` flag — the LRU and FIFO engines share this
-/// scheduler.
+/// through the const `FIFO` flag — LRU and FIFO share this scheduler.
 fn run_classes<const FIFO: bool>(
     classes: &mut [ClassState],
     addrs: &[u64],
@@ -958,10 +849,11 @@ impl ClassState {
     }
 }
 
-/// The construction, chunk-decode and read-out machinery every engine
+/// The construction, chunk-decode and read-out machinery every policy
 /// shares: per-slice residency classes, the counter bank, the per-size
-/// read-out tables, and the chunk scratch buffers. Engines wrap this
-/// and differ only in how they run a decoded chunk through the classes.
+/// read-out tables, and the chunk scratch buffers. [`Engine`] pairs it
+/// with the policy that decides how a decoded chunk runs through the
+/// classes.
 #[derive(Debug, Clone)]
 struct EngineCore {
     /// Number of configurations (prefix of the per-size arrays).
@@ -982,11 +874,9 @@ struct EngineCore {
 }
 
 impl EngineCore {
-    /// Validates a slice for `policy` and builds its residency classes.
+    /// Validates a non-empty slice for `policy` and builds its residency
+    /// classes.
     fn new(configs: &[CacheConfig], policy: ReplacementPolicy) -> Result<Self, MultiSimError> {
-        if configs.is_empty() {
-            return Err(MultiSimError::NoConfigs);
-        }
         if configs.len() > MAX_MULTISIM_CONFIGS {
             return Err(MultiSimError::TooManyConfigs {
                 given: configs.len(),
@@ -1076,29 +966,6 @@ impl EngineCore {
         }
     }
 
-    /// Folds one reference's access totals into the bank (per-reference
-    /// `access` paths) and returns its counter lane.
-    fn count_one(&mut self, kind: AccessKind) -> usize {
-        let counted = u64::from(kind.is_counted());
-        self.bank.accesses += counted;
-        self.bank.write_accesses += 1 - counted;
-        counted as usize
-    }
-
-    /// Whether `other` simulates the identical residency-class layout
-    /// (same configurations in the same order), making two engines
-    /// eligible for an interleaved paired run.
-    fn same_shape(&self, other: &Self) -> bool {
-        self.n == other.n
-            && self.classes.len() == other.classes.len()
-            && self.classes.iter().zip(&other.classes).all(|(a, b)| {
-                a.shift == b.shift
-                    && a.mask == b.mask
-                    && a.assoc == b.assoc
-                    && a.meta.len() == b.meta.len()
-            })
-    }
-
     /// Zeroes every configuration's metrics while keeping cache state.
     fn reset_metrics(&mut self) {
         self.bank = CounterBank::default();
@@ -1127,161 +994,263 @@ impl EngineCore {
     }
 }
 
-/// Simulates a whole trace against a compatible slice of configurations
-/// in one pass, returning per-configuration metrics in input order.
-///
-/// The one-pass counterpart of [`simulate`](crate::simulate): `warmup`
-/// references prime the caches and are excluded from the metrics, and
-/// every returned [`Metrics`] is bit-identical to what
-/// `simulate(configs[i], refs, warmup)` would produce. The engine is
-/// chosen by the slice's replacement policy; Random slices are seeded
-/// with [`DEFAULT_RANDOM_SEED`](crate::DEFAULT_RANDOM_SEED), matching
-/// the direct simulator's default.
-///
-/// # Errors
-///
-/// Returns a [`MultiSimError`] when the slice cannot run on any engine;
-/// see [`engine_supports`] for the per-configuration conditions.
-pub fn simulate_many<I>(
-    configs: &[CacheConfig],
-    refs: I,
-    warmup: usize,
-) -> Result<Vec<Metrics>, MultiSimError>
-where
-    I: IntoIterator<Item = MemRef>,
-{
-    simulate_many_seeded(configs, refs, warmup, crate::DEFAULT_RANDOM_SEED)
+/// The replacement policy an [`Engine`] runs its classes under, with
+/// the per-class state only Random needs.
+#[derive(Debug, Clone)]
+enum Policy {
+    Lru,
+    Fifo,
+    Random {
+        /// Per class: occupied-way count per set (the direct simulator's
+        /// `filled`), driving the first-empty-frame fill rule.
+        filled: Vec<Vec<u16>>,
+        /// Per class: the replacement generator every member cache of
+        /// that class would have drawn from.
+        rngs: Vec<StdRng>,
+    },
 }
 
-/// [`simulate_many`] with an explicit seed for random-state policies —
-/// bit-identical to `simulate_seeded(configs[i], refs, warmup, seed)`
-/// per member (deterministic engines ignore the seed).
+/// The one-pass engine: one slice's residency classes, counter bank and
+/// chunk scratch ([`EngineCore`]), run under one replacement policy.
+#[derive(Debug, Clone)]
+struct Engine {
+    core: EngineCore,
+    policy: Policy,
+}
+
+impl Engine {
+    /// Builds an engine for a slice, taking the policy from its first
+    /// configuration; `seed` seeds each Random class's generator.
+    fn new(configs: &[CacheConfig], seed: u64) -> Result<Self, MultiSimError> {
+        let replacement = configs
+            .first()
+            .ok_or(MultiSimError::NoConfigs)?
+            .replacement();
+        let core = EngineCore::new(configs, replacement)?;
+        let policy = match replacement {
+            ReplacementPolicy::Lru => Policy::Lru,
+            ReplacementPolicy::Fifo => Policy::Fifo,
+            ReplacementPolicy::Random => Policy::Random {
+                filled: core
+                    .classes
+                    .iter()
+                    .map(|c| vec![0u16; (c.mask + 1) as usize])
+                    .collect(),
+                rngs: core
+                    .classes
+                    .iter()
+                    .map(|_| StdRng::seed_from_u64(seed))
+                    .collect(),
+            },
+        };
+        Ok(Engine { core, policy })
+    }
+
+    /// Feeds a run of references through every residency class, one
+    /// class at a time.
+    ///
+    /// Residency classes are independent simulations, so processing the
+    /// whole chunk for one class before the next is exactly equivalent
+    /// to presenting each reference to every class in turn — and much
+    /// faster, because each class's tight inner loop keeps its set
+    /// state cache-resident and its branch history coherent instead of
+    /// cycling through every class's working set per reference.
+    fn access_run(&mut self, refs: &[MemRef]) {
+        self.core.decode_chunk(refs);
+        let EngineCore {
+            classes,
+            bank,
+            scratch_addr: addrs,
+            scratch_lane: lanes,
+            ..
+        } = &mut self.core;
+        let CounterBank {
+            miss,
+            evicted_blocks,
+            evicted_referenced,
+            ..
+        } = bank;
+        match &mut self.policy {
+            Policy::Lru => run_classes::<false>(
+                classes,
+                addrs,
+                lanes,
+                miss,
+                evicted_blocks,
+                evicted_referenced,
+            ),
+            Policy::Fifo => run_classes::<true>(
+                classes,
+                addrs,
+                lanes,
+                miss,
+                evicted_blocks,
+                evicted_referenced,
+            ),
+            Policy::Random { filled, rngs } => {
+                for ((class, filled), rng) in classes.iter_mut().zip(filled).zip(rngs) {
+                    random::run_class(
+                        class,
+                        filled,
+                        rng,
+                        addrs,
+                        lanes,
+                        miss,
+                        evicted_blocks,
+                        evicted_referenced,
+                    );
+                }
+            }
+        }
+    }
+
+    /// Presents one chunk to this engine and another chunk to `other`,
+    /// a clone of the same fresh engine running a second trace.
+    ///
+    /// Two equal-length LRU chunks go through the four-way interleave
+    /// (`lru::run_pair`); anything else — FIFO, Random, or the ragged
+    /// tail of two traces of different lengths — runs back to back.
+    /// Results are exactly what two separate
+    /// [`access_run`](Engine::access_run) calls produce. Pairing stays
+    /// LRU-only because a FIFO quad measured slower than two FIFO
+    /// passes back to back.
+    fn run_pair(&mut self, refs: &[MemRef], other: &mut Engine, other_refs: &[MemRef]) {
+        if matches!(self.policy, Policy::Lru) && refs.len() == other_refs.len() {
+            lru::run_pair(&mut self.core, refs, &mut other.core, other_refs);
+        } else {
+            self.access_run(refs);
+            other.access_run(other_refs);
+        }
+    }
+}
+
+/// Chunk size (in references) fed to [`Engine::access_run`]: a chunk
+/// this size stays L1/L2-resident while every residency class sweeps
+/// over it.
+const ENGINE_CHUNK: usize = 4096;
+
+/// Simulates every trace against a compatible slice of configurations,
+/// one pass per trace, returning per-trace, per-configuration metrics
+/// in input order.
+///
+/// The one-pass counterpart of [`simulate_seeded`](crate::simulate_seeded):
+/// `warmup` references of each trace prime the caches and are excluded
+/// from its metrics, and `result[t][i]` is bit-identical to
+/// `simulate_seeded(configs[i], trace t, warmup, seed)`. The seed only
+/// matters for Random slices; pass
+/// [`DEFAULT_RANDOM_SEED`](crate::DEFAULT_RANDOM_SEED) to match
+/// [`simulate`](crate::simulate).
+///
+/// Consecutive traces run as pairs, with an odd last trace alone; see
+/// the module docs for what pairing buys.
+///
+/// ```
+/// use occache_core::{simulate, simulate_many, CacheConfig, DEFAULT_RANDOM_SEED};
+/// use occache_trace::MemRef;
+///
+/// let configs: Vec<CacheConfig> = [64u64, 256]
+///     .iter()
+///     .map(|&net| {
+///         CacheConfig::builder()
+///             .net_size(net)
+///             .block_size(16)
+///             .sub_block_size(8)
+///             .word_size(2)
+///             .build()
+///             .expect("valid geometry")
+///     })
+///     .collect();
+/// let trace: Vec<MemRef> = (0..500u64).map(|i| MemRef::read((i * 13) % 640 * 2)).collect();
+/// let all = simulate_many(&configs, [trace.iter().copied()], 0, DEFAULT_RANDOM_SEED)?;
+/// for (config, metrics) in configs.iter().zip(&all[0]) {
+///     assert_eq!(*metrics, simulate(*config, trace.iter().copied(), 0));
+/// }
+/// # Ok::<(), occache_core::MultiSimError>(())
+/// ```
 ///
 /// # Errors
 ///
-/// Returns a [`MultiSimError`] exactly as [`simulate_many`] would.
-pub fn simulate_many_seeded<I>(
+/// Returns a [`MultiSimError`] when the slice is empty, too wide, mixes
+/// replacement policies, or contains a configuration no engine can run
+/// (see [`engine_supports`]); no trace is read in that case.
+pub fn simulate_many<T>(
     configs: &[CacheConfig],
-    refs: I,
+    traces: T,
     warmup: usize,
     seed: u64,
-) -> Result<Vec<Metrics>, MultiSimError>
+) -> Result<Vec<Vec<Metrics>>, MultiSimError>
 where
-    I: IntoIterator<Item = MemRef>,
+    T: IntoIterator,
+    T::Item: IntoIterator<Item = MemRef>,
 {
-    let mut engine = engine_for_seeded(configs, seed)?;
-    let mut iter = refs.into_iter();
-    // Buffer the stream into chunks sized to stay cache-resident while
-    // the per-class tiled loops of `access_run` sweep over them.
-    let mut buf: Vec<MemRef> = Vec::with_capacity(ENGINE_CHUNK);
-    let mut remaining = warmup;
-    while remaining > 0 {
-        buf.clear();
-        buf.extend(iter.by_ref().take(remaining.min(ENGINE_CHUNK)));
-        if buf.is_empty() {
-            break;
+    let fresh = Engine::new(configs, seed)?;
+    let mut out = Vec::new();
+    let mut traces = traces.into_iter();
+    while let Some(first) = traces.next() {
+        let second = traces.next();
+        let paired = second.is_some();
+        let [a, b] = run_two(&fresh, first, second.into_iter().flatten(), warmup);
+        out.push(a);
+        if paired {
+            out.push(b);
         }
-        remaining -= buf.len();
-        engine.access_run(&buf);
     }
-    engine.reset_metrics();
-    loop {
-        buf.clear();
-        buf.extend(iter.by_ref().take(ENGINE_CHUNK));
-        if buf.is_empty() {
-            break;
-        }
-        engine.access_run(&buf);
-    }
-    Ok(engine.metrics())
+    Ok(out)
 }
 
-/// [`simulate_many`] for two traces at once: one engine per trace,
-/// driven chunk-by-chunk through [`SliceEngine::run_pair`] so the two
-/// passes can interleave (the LRU engine does; other engines run the
-/// chunks sequentially).
-///
-/// Returns exactly what two separate [`simulate_many`] calls would
-/// (the interleave never mixes state); the pairing is purely a
-/// scheduling change that overlaps the two traces' dependency chains.
-///
-/// # Errors
-///
-/// Returns a [`MultiSimError`] exactly as [`simulate_many`] would.
-pub fn simulate_many_pair<I, J>(
-    configs: &[CacheConfig],
-    refs_a: I,
-    refs_b: J,
-    warmup: usize,
-) -> Result<(Vec<Metrics>, Vec<Metrics>), MultiSimError>
+/// Runs two traces through two clones of `fresh`, chunk by chunk, and
+/// returns each one's metrics. An empty second trace makes this a
+/// single-trace run.
+fn run_two<I, J>(fresh: &Engine, refs_a: I, refs_b: J, warmup: usize) -> [Vec<Metrics>; 2]
 where
     I: IntoIterator<Item = MemRef>,
     J: IntoIterator<Item = MemRef>,
 {
-    let mut engine_a = engine_for(configs)?;
-    let mut engine_b = engine_a.clone_box();
+    let mut engine_a = fresh.clone();
+    let mut engine_b = fresh.clone();
     let mut iter_a = refs_a.into_iter();
     let mut iter_b = refs_b.into_iter();
     let mut buf_a: Vec<MemRef> = Vec::with_capacity(ENGINE_CHUNK);
     let mut buf_b: Vec<MemRef> = Vec::with_capacity(ENGINE_CHUNK);
-    let mut remaining = warmup;
-    while remaining > 0 {
-        let take = remaining.min(ENGINE_CHUNK);
+    let mut refill = |take: usize, buf_a: &mut Vec<MemRef>, buf_b: &mut Vec<MemRef>| {
         buf_a.clear();
         buf_a.extend(iter_a.by_ref().take(take));
         buf_b.clear();
         buf_b.extend(iter_b.by_ref().take(take));
-        if buf_a.is_empty() && buf_b.is_empty() {
-            break;
-        }
-        // Both traces consume warmup at the same pace, so the chunks
-        // stay aligned until one stream ends (the pair call falls back
-        // to serial runs for ragged tails).
-        remaining -= take.min(buf_a.len().max(buf_b.len()));
-        engine_a.run_pair(&buf_a, engine_b.as_mut(), &buf_b);
+        !(buf_a.is_empty() && buf_b.is_empty())
+    };
+    let mut remaining = warmup;
+    while remaining > 0 && refill(remaining.min(ENGINE_CHUNK), &mut buf_a, &mut buf_b) {
+        // Both traces consume warm-up at the same pace, so the chunks
+        // stay aligned until one stream ends; after that the longer
+        // one alone counts down what is left.
+        remaining -= buf_a.len().max(buf_b.len());
+        engine_a.run_pair(&buf_a, &mut engine_b, &buf_b);
     }
-    engine_a.reset_metrics();
-    engine_b.reset_metrics();
-    loop {
-        buf_a.clear();
-        buf_a.extend(iter_a.by_ref().take(ENGINE_CHUNK));
-        buf_b.clear();
-        buf_b.extend(iter_b.by_ref().take(ENGINE_CHUNK));
-        if buf_a.is_empty() && buf_b.is_empty() {
-            break;
-        }
-        engine_a.run_pair(&buf_a, engine_b.as_mut(), &buf_b);
+    engine_a.core.reset_metrics();
+    engine_b.core.reset_metrics();
+    while refill(ENGINE_CHUNK, &mut buf_a, &mut buf_b) {
+        engine_a.run_pair(&buf_a, &mut engine_b, &buf_b);
     }
-    Ok((engine_a.metrics(), engine_b.metrics()))
+    [engine_a.core.metrics(), engine_b.core.metrics()]
 }
-
-/// Chunk size (in references) used when feeding an iterator through an
-/// engine's tiled [`access_run`](SliceEngine::access_run) path: a chunk
-/// this size stays L1/L2-resident while every residency class sweeps
-/// over it.
-pub const ENGINE_CHUNK: usize = 4096;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulate;
+    use crate::{simulate, simulate_seeded, DEFAULT_RANDOM_SEED};
+
+    const POLICIES: [ReplacementPolicy; 3] = [
+        ReplacementPolicy::Lru,
+        ReplacementPolicy::Fifo,
+        ReplacementPolicy::Random,
+    ];
 
     fn cfg(net: u64, block: u64, sub: u64) -> CacheConfig {
-        CacheConfig::builder()
-            .net_size(net)
-            .block_size(block)
-            .sub_block_size(sub)
-            .word_size(2)
-            .build()
-            .unwrap()
+        cfg_policy(net, block, sub, ReplacementPolicy::Lru)
     }
 
-    pub(super) fn cfg_policy(
-        net: u64,
-        block: u64,
-        sub: u64,
-        policy: ReplacementPolicy,
-    ) -> CacheConfig {
+    fn cfg_policy(net: u64, block: u64, sub: u64, policy: ReplacementPolicy) -> CacheConfig {
         CacheConfig::builder()
             .net_size(net)
             .block_size(block)
@@ -1294,7 +1263,7 @@ mod tests {
 
     /// A deterministic trace with loops, strides and writes — enough
     /// structure to exercise hits, conflict misses and evictions.
-    pub(super) fn mixed_trace(len: u64, span: u64) -> Vec<MemRef> {
+    fn mixed_trace(len: u64, span: u64) -> Vec<MemRef> {
         (0..len)
             .map(|i| {
                 let addr = (i * 7 + (i / 13) * 31) % span * 2;
@@ -1307,58 +1276,132 @@ mod tests {
             .collect()
     }
 
+    /// Asserts the one-pass metrics of `configs` over `trace` equal the
+    /// direct simulator's, per configuration.
+    fn assert_matches_direct(configs: &[CacheConfig], trace: &[MemRef], warmup: usize) {
+        let all = simulate_many(
+            configs,
+            [trace.iter().copied()],
+            warmup,
+            DEFAULT_RANDOM_SEED,
+        )
+        .unwrap();
+        for (config, metrics) in configs.iter().zip(&all[0]) {
+            let direct = simulate(*config, trace.iter().copied(), warmup);
+            assert_eq!(*metrics, direct, "{config} warmup {warmup}");
+        }
+    }
+
+    /// Presents one reference through the generic per-reference path
+    /// (`ClassState::one`), bypassing the shape-specialised runners.
+    fn access_one(engine: &mut Engine, r: MemRef) {
+        let fifo = matches!(engine.policy, Policy::Fifo);
+        let core = &mut engine.core;
+        let counted = u64::from(r.kind().is_counted());
+        core.bank.accesses += counted;
+        core.bank.write_accesses += 1 - counted;
+        let CounterBank {
+            miss,
+            evicted_blocks,
+            evicted_referenced,
+            ..
+        } = &mut core.bank;
+        let (a, lane) = (r.address().value(), counted as usize);
+        for class in &mut core.classes {
+            if fifo {
+                class.one::<true>(a, lane, miss, evicted_blocks, evicted_referenced);
+            } else {
+                class.one::<false>(a, lane, miss, evicted_blocks, evicted_referenced);
+            }
+        }
+    }
+
     #[test]
     fn matches_direct_simulation_across_sizes() {
-        let configs = [cfg(64, 16, 8), cfg(256, 16, 8), cfg(1024, 16, 8)];
         let trace = mixed_trace(20_000, 4096);
-        let all = simulate_many(&configs, trace.iter().copied(), 0).unwrap();
-        for (config, metrics) in configs.iter().zip(&all) {
-            let direct = simulate(*config, trace.iter().copied(), 0);
-            assert_eq!(*metrics, direct, "{config}");
+        for policy in POLICIES {
+            let configs = [
+                cfg_policy(64, 16, 8, policy),
+                cfg_policy(256, 16, 8, policy),
+                cfg_policy(1024, 16, 8, policy),
+                cfg_policy(256, 16, 4, policy),
+                cfg_policy(256, 32, 8, policy),
+            ];
+            assert_matches_direct(&configs, &trace, 0);
         }
     }
 
     #[test]
     fn matches_direct_simulation_with_warmup() {
-        let configs = [cfg(64, 8, 2), cfg(256, 8, 2), cfg(1024, 8, 2)];
         let trace = mixed_trace(10_000, 2048);
-        let all = simulate_many(&configs, trace.iter().copied(), 1_000).unwrap();
-        for (config, metrics) in configs.iter().zip(&all) {
-            let direct = simulate(*config, trace.iter().copied(), 1_000);
-            assert_eq!(*metrics, direct, "{config}");
+        for policy in POLICIES {
+            let configs = [
+                cfg_policy(64, 8, 2, policy),
+                cfg_policy(256, 8, 2, policy),
+                cfg_policy(1024, 8, 2, policy),
+            ];
+            assert_matches_direct(&configs, &trace, 1_000);
         }
     }
 
     #[test]
     fn single_config_slice_matches_direct() {
-        let configs = [cfg(128, 8, 8)];
-        let trace = mixed_trace(5_000, 1024);
-        let all = simulate_many(&configs, trace.iter().copied(), 0).unwrap();
-        assert_eq!(all[0], simulate(configs[0], trace.iter().copied(), 0));
+        assert_matches_direct(&[cfg(128, 8, 8)], &mixed_trace(5_000, 1024), 0);
     }
 
     #[test]
     fn tiny_caches_with_capped_associativity_match() {
         // net 32, block 16 -> 2 blocks, effective associativity 2, 1 set.
-        let configs = [cfg(32, 16, 8), cfg(64, 16, 8)];
         let trace = mixed_trace(5_000, 512);
-        let all = simulate_many(&configs, trace.iter().copied(), 0).unwrap();
-        for (config, metrics) in configs.iter().zip(&all) {
-            assert_eq!(
-                *metrics,
-                simulate(*config, trace.iter().copied(), 0),
-                "{config}"
-            );
+        for policy in POLICIES {
+            let configs = [cfg_policy(32, 16, 8, policy), cfg_policy(64, 16, 8, policy)];
+            assert_matches_direct(&configs, &trace, 0);
         }
     }
 
     #[test]
+    fn paired_and_ragged_traces_match_per_trace_runs() {
+        // Three traces: the first two run as a pair whose chunks go
+        // ragged once the shorter ends (mid warm-up for one of them),
+        // the third alone. Lengths straddle the 4096-reference chunk.
+        let traces = [
+            mixed_trace(10_000, 4096),
+            mixed_trace(3_000, 2048),
+            mixed_trace(9_000, 1024),
+        ];
+        for policy in POLICIES {
+            let configs = [
+                cfg_policy(64, 16, 8, policy),
+                cfg_policy(1024, 16, 4, policy),
+            ];
+            for warmup in [0, 5_000] {
+                let all = simulate_many(
+                    &configs,
+                    traces.iter().map(|t| t.iter().copied()),
+                    warmup,
+                    7,
+                )
+                .unwrap();
+                assert_eq!(all.len(), traces.len());
+                for (trace, per_config) in traces.iter().zip(&all) {
+                    for (config, metrics) in configs.iter().zip(per_config) {
+                        let direct = simulate_seeded(*config, trace.iter().copied(), warmup, 7);
+                        assert_eq!(*metrics, direct, "{config} warmup {warmup}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn no_traces_yield_no_results() {
+        let none: [Vec<MemRef>; 0] = [];
+        assert_eq!(simulate_many(&[cfg(64, 8, 4)], none, 0, 0), Ok(Vec::new()));
+    }
+
+    #[test]
     fn every_replacement_policy_is_engine_eligible() {
-        for policy in [
-            ReplacementPolicy::Lru,
-            ReplacementPolicy::Fifo,
-            ReplacementPolicy::Random,
-        ] {
+        for policy in POLICIES {
             let config = cfg_policy(64, 8, 4, policy);
             assert!(engine_supports(&config), "{policy:?}");
         }
@@ -1373,18 +1416,29 @@ mod tests {
     }
 
     #[test]
+    fn engine_policy_follows_the_slice() {
+        for policy in POLICIES {
+            let engine = Engine::new(&[cfg_policy(64, 8, 4, policy)], 0).unwrap();
+            let built = match engine.policy {
+                Policy::Lru => ReplacementPolicy::Lru,
+                Policy::Fifo => ReplacementPolicy::Fifo,
+                Policy::Random { .. } => ReplacementPolicy::Random,
+            };
+            assert_eq!(built, policy);
+        }
+    }
+
+    #[test]
     fn rejects_unsupported_features_and_mixed_policies() {
-        let fifo = cfg_policy(64, 8, 4, ReplacementPolicy::Fifo);
-        // A FIFO config no longer falls back — but it cannot ride an
-        // LRU engine instance.
-        assert!(matches!(
-            AllSizesLruEngine::new(&[fifo]),
-            Err(MultiSimError::Unsupported { .. })
-        ));
-        assert!(matches!(
-            engine_for(&[cfg(64, 8, 4), fifo]),
-            Err(MultiSimError::Unsupported { .. })
-        ));
+        for first in POLICIES {
+            for second in POLICIES.into_iter().filter(|&p| p != first) {
+                let slice = [cfg_policy(64, 8, 4, first), cfg_policy(64, 8, 4, second)];
+                assert!(matches!(
+                    Engine::new(&slice, 0),
+                    Err(MultiSimError::Unsupported { .. })
+                ));
+            }
+        }
         let prefetch = CacheConfig::builder()
             .net_size(64)
             .block_size(8)
@@ -1417,18 +1471,6 @@ mod tests {
     }
 
     #[test]
-    fn registry_dispatches_each_policy_to_its_engine() {
-        for (policy, kind) in [
-            (ReplacementPolicy::Lru, EngineKind::Lru),
-            (ReplacementPolicy::Fifo, EngineKind::Fifo),
-            (ReplacementPolicy::Random, EngineKind::Random),
-        ] {
-            let engine = engine_for(&[cfg_policy(64, 8, 4, policy)]).unwrap();
-            assert_eq!(engine.kind(), kind);
-        }
-    }
-
-    #[test]
     fn rejects_non_power_of_two_set_counts() {
         // 8 blocks at 3-way: 8/3 truncates, so bit selection cannot map it.
         let odd = CacheConfig::builder()
@@ -1444,14 +1486,14 @@ mod tests {
 
     #[test]
     fn rejects_empty_and_oversized_slices() {
-        assert!(matches!(
-            AllSizesLruEngine::new(&[]),
+        let trace = [mixed_trace(10, 64)];
+        assert_eq!(
+            simulate_many(&[], trace.clone(), 0, 0),
             Err(MultiSimError::NoConfigs)
-        ));
-        assert!(matches!(engine_for(&[]), Err(MultiSimError::NoConfigs)));
+        );
         let oversized = [cfg(64, 8, 4); MAX_MULTISIM_CONFIGS + 1];
         assert!(matches!(
-            AllSizesLruEngine::new(&oversized),
+            simulate_many(&oversized, trace, 0, 0),
             Err(MultiSimError::TooManyConfigs { .. })
         ));
     }
@@ -1474,12 +1516,7 @@ mod tests {
             cfg(1024, 16, 16),
             cfg(1024, 8, 2),
         ];
-        let trace = mixed_trace(20_000, 4096);
-        let all = simulate_many(&configs, trace.iter().copied(), 500).unwrap();
-        for (config, metrics) in configs.iter().zip(&all) {
-            let direct = simulate(*config, trace.iter().copied(), 500);
-            assert_eq!(*metrics, direct, "{config}");
-        }
+        assert_matches_direct(&configs, &mixed_trace(20_000, 4096), 500);
     }
 
     #[test]
@@ -1495,12 +1532,7 @@ mod tests {
             cfg(256, 16, 8),
             cfg(256, 16, 4),
         ];
-        let trace = mixed_trace(20_000, 4096);
-        let all = simulate_many(&configs, trace.iter().copied(), 0).unwrap();
-        for (config, metrics) in configs.iter().zip(&all) {
-            let direct = simulate(*config, trace.iter().copied(), 0);
-            assert_eq!(*metrics, direct, "{config}");
-        }
+        assert_matches_direct(&configs, &mixed_trace(20_000, 4096), 0);
     }
 
     #[test]
@@ -1514,11 +1546,11 @@ mod tests {
         // must stay linear and exact.
         let configs = [cfg(64, 32, 8), cfg(256, 32, 8), cfg(1024, 32, 8)];
         let trace = mixed_trace(60_000, 1 << 17);
-        let mut engine = AllSizesLruEngine::new(&configs).unwrap();
-        for r in &trace {
-            engine.access(r.address(), r.kind());
+        let mut engine = Engine::new(&configs, 0).unwrap();
+        for &r in &trace {
+            access_one(&mut engine, r);
         }
-        for (config, metrics) in configs.iter().zip(engine.metrics()) {
+        for (config, metrics) in configs.iter().zip(engine.core.metrics()) {
             assert_eq!(
                 metrics,
                 simulate(*config, trace.iter().copied(), 0),
@@ -1529,17 +1561,46 @@ mod tests {
 
     #[test]
     fn access_run_matches_per_reference_access() {
-        let configs = [cfg(64, 16, 8), cfg(256, 16, 8)];
         let trace = mixed_trace(10_000, 2048);
-        let mut chunked = AllSizesLruEngine::new(&configs).unwrap();
-        for chunk in trace.chunks(97) {
-            chunked.access_run(chunk);
+        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
+            let configs = [
+                cfg_policy(64, 16, 8, policy),
+                cfg_policy(256, 16, 8, policy),
+            ];
+            let mut chunked = Engine::new(&configs, 0).unwrap();
+            for chunk in trace.chunks(97) {
+                chunked.access_run(chunk);
+            }
+            let mut one = Engine::new(&configs, 0).unwrap();
+            for &r in &trace {
+                access_one(&mut one, r);
+            }
+            assert_eq!(chunked.core.metrics(), one.core.metrics(), "{policy:?}");
         }
-        let mut one = AllSizesLruEngine::new(&configs).unwrap();
-        for r in &trace {
-            one.access(r.address(), r.kind());
+    }
+
+    #[test]
+    fn explicit_seeds_match_seeded_direct_simulation() {
+        let random = |net| cfg_policy(net, 16, 8, ReplacementPolicy::Random);
+        let configs = [random(64), random(256)];
+        let trace = mixed_trace(10_000, 2048);
+        for seed in [0u64, 9, 0xdead_beef] {
+            let all = simulate_many(&configs, [trace.iter().copied()], 0, seed).unwrap();
+            for (config, metrics) in configs.iter().zip(&all[0]) {
+                let direct = simulate_seeded(*config, trace.iter().copied(), 0, seed);
+                assert_eq!(*metrics, direct, "{config} seed {seed}");
+            }
         }
-        assert_eq!(chunked.metrics(), one.metrics());
+    }
+
+    #[test]
+    fn random_runs_are_deterministic() {
+        let random = |net| cfg_policy(net, 16, 8, ReplacementPolicy::Random);
+        let configs = [random(64), random(256), random(1024)];
+        let trace = [mixed_trace(15_000, 4096)];
+        let a = simulate_many(&configs, trace.clone(), 500, DEFAULT_RANDOM_SEED).unwrap();
+        let b = simulate_many(&configs, trace, 500, DEFAULT_RANDOM_SEED).unwrap();
+        assert_eq!(a, b);
     }
 
     #[test]

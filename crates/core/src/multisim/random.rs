@@ -1,4 +1,4 @@
-//! The one-pass all-sizes Random engine: a seeded, deterministic
+//! The Random policy's chunk runner: a seeded, deterministic
 //! replication of the direct simulator's random replacement.
 //!
 //! Random replacement has no stack structure to exploit, but the
@@ -13,7 +13,7 @@
 //! exactly, and the engine stays bit-identical to
 //! [`simulate`](crate::simulate) — not merely statistically alike.
 //!
-//! Unlike the stack engines, blocks keep **fixed physical positions**:
+//! Unlike the LRU and FIFO runners, blocks keep **fixed physical positions**:
 //! fills take the first empty way in order (the direct simulator's
 //! fill-the-first-empty-frame rule, tracked by a per-set fill count),
 //! replacements overwrite the drawn way in place, and the permutation
@@ -22,121 +22,14 @@
 //! is exactly what `gen_range` produces in the direct simulator.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
-use occache_trace::MemRef;
-
-use crate::config::{CacheConfig, ReplacementPolicy};
-use crate::metrics::Metrics;
-
-use super::{
-    ClassState, CounterBank, EngineCore, EngineKind, MultiSimError, SliceEngine, EMPTY_WAY,
-    MAX_MULTISIM_CONFIGS,
-};
-
-/// The one-pass all-sizes Random engine: the random-replacement sibling
-/// of [`AllSizesLruEngine`](super::AllSizesLruEngine), bit-identical to
-/// running [`simulate`](crate::simulate) (equivalently,
-/// `SubBlockCache::with_seed` at this engine's seed) per member
-/// configuration.
-///
-/// Construct with [`AllSizesRandomEngine::with_seed`] over a slice of
-/// Random-replacement configurations, or let
-/// [`simulate_many_seeded`](super::simulate_many_seeded) dispatch here
-/// from the slice's policy.
-#[derive(Debug, Clone)]
-pub struct AllSizesRandomEngine {
-    core: EngineCore,
-    /// Per class: occupied-way count per set (the direct simulator's
-    /// `filled`), driving the first-empty-frame fill rule.
-    filled: Vec<Vec<u16>>,
-    /// Per class: the replacement generator every member cache of that
-    /// class would have drawn from.
-    rngs: Vec<StdRng>,
-}
-
-impl AllSizesRandomEngine {
-    /// Builds an engine for a compatible slice of Random-replacement
-    /// configurations, seeding each residency class's generator with
-    /// `seed` — pass [`DEFAULT_RANDOM_SEED`](crate::DEFAULT_RANDOM_SEED)
-    /// to match [`simulate`](crate::simulate).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MultiSimError`] when the slice is empty or too wide,
-    /// or a configuration needs an unsupported policy/geometry.
-    pub fn with_seed(configs: &[CacheConfig], seed: u64) -> Result<Self, MultiSimError> {
-        let core = EngineCore::new(configs, ReplacementPolicy::Random)?;
-        let filled = core
-            .classes
-            .iter()
-            .map(|c| vec![0u16; (c.mask + 1) as usize])
-            .collect();
-        let rngs = core
-            .classes
-            .iter()
-            .map(|_| StdRng::seed_from_u64(seed))
-            .collect();
-        Ok(AllSizesRandomEngine { core, filled, rngs })
-    }
-
-    /// Builds an engine at the direct simulator's default seed.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MultiSimError`] exactly as
-    /// [`with_seed`](AllSizesRandomEngine::with_seed) would.
-    pub fn new(configs: &[CacheConfig]) -> Result<Self, MultiSimError> {
-        AllSizesRandomEngine::with_seed(configs, crate::DEFAULT_RANDOM_SEED)
-    }
-
-    /// Feeds a run of references through the engine, class by class.
-    pub fn access_run(&mut self, refs: &[MemRef]) {
-        self.core.decode_chunk(refs);
-        let CounterBank {
-            miss,
-            evicted_blocks,
-            evicted_referenced,
-            ..
-        } = &mut self.core.bank;
-        for ((class, filled), rng) in self
-            .core
-            .classes
-            .iter_mut()
-            .zip(&mut self.filled)
-            .zip(&mut self.rngs)
-        {
-            run_class(
-                class,
-                filled,
-                rng,
-                &self.core.scratch_addr,
-                &self.core.scratch_lane,
-                miss,
-                evicted_blocks,
-                evicted_referenced,
-            );
-        }
-    }
-
-    /// Zeroes every configuration's metrics while keeping cache *and
-    /// generator* state — the warm-start discipline; the direct
-    /// simulator's `reset_metrics` likewise leaves its generator alone.
-    pub fn reset_metrics(&mut self) {
-        self.core.reset_metrics();
-    }
-
-    /// Metrics accumulated so far, in the order of the configurations
-    /// given to [`AllSizesRandomEngine::with_seed`].
-    pub fn metrics(&self) -> Vec<Metrics> {
-        self.core.metrics()
-    }
-}
+use super::{ClassState, EMPTY_WAY, MAX_MULTISIM_CONFIGS};
 
 /// One chunk through one residency class: probe physically, fill the
 /// first empty way, or replace the drawn way in place.
 #[allow(clippy::too_many_arguments)] // mirrors the shared runner signatures
-fn run_class(
+pub(super) fn run_class(
     class: &mut ClassState,
     filled: &mut [u16],
     rng: &mut StdRng,
@@ -206,102 +99,5 @@ fn run_class(
             miss_ctr[usize::from(sm.si) & (MAX_MULTISIM_CONFIGS - 1)] += u64::from(old & bit == 0);
             row[mrow + w] = old | bit;
         }
-    }
-}
-
-impl SliceEngine for AllSizesRandomEngine {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Random
-    }
-
-    fn access_run(&mut self, refs: &[MemRef]) {
-        AllSizesRandomEngine::access_run(self, refs);
-    }
-
-    fn reset_metrics(&mut self) {
-        AllSizesRandomEngine::reset_metrics(self);
-    }
-
-    fn metrics(&self) -> Vec<Metrics> {
-        AllSizesRandomEngine::metrics(self)
-    }
-
-    fn clone_box(&self) -> Box<dyn SliceEngine> {
-        Box::new(self.clone())
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::super::tests::{cfg_policy, mixed_trace};
-    use super::*;
-    use crate::multisim::{simulate_many, simulate_many_seeded};
-    use crate::{simulate, simulate_seeded};
-
-    fn rnd(net: u64, block: u64, sub: u64) -> CacheConfig {
-        cfg_policy(net, block, sub, ReplacementPolicy::Random)
-    }
-
-    #[test]
-    fn matches_direct_simulation_across_sizes() {
-        let configs = [
-            rnd(64, 16, 8),
-            rnd(256, 16, 8),
-            rnd(1024, 16, 8),
-            rnd(256, 16, 4),
-            rnd(256, 32, 8),
-        ];
-        let trace = mixed_trace(20_000, 4096);
-        let all = simulate_many(&configs, trace.iter().copied(), 0).unwrap();
-        for (config, metrics) in configs.iter().zip(&all) {
-            let direct = simulate(*config, trace.iter().copied(), 0);
-            assert_eq!(*metrics, direct, "{config}");
-        }
-    }
-
-    #[test]
-    fn matches_direct_simulation_with_warmup() {
-        let configs = [rnd(64, 8, 2), rnd(256, 8, 2), rnd(1024, 8, 2)];
-        let trace = mixed_trace(10_000, 2048);
-        let all = simulate_many(&configs, trace.iter().copied(), 1_000).unwrap();
-        for (config, metrics) in configs.iter().zip(&all) {
-            let direct = simulate(*config, trace.iter().copied(), 1_000);
-            assert_eq!(*metrics, direct, "{config}");
-        }
-    }
-
-    #[test]
-    fn explicit_seeds_match_seeded_direct_simulation() {
-        let configs = [rnd(64, 16, 8), rnd(256, 16, 8)];
-        let trace = mixed_trace(10_000, 2048);
-        for seed in [0u64, 9, 0xdead_beef] {
-            let all = simulate_many_seeded(&configs, trace.iter().copied(), 0, seed).unwrap();
-            for (config, metrics) in configs.iter().zip(&all) {
-                let direct = simulate_seeded(*config, trace.iter().copied(), 0, seed);
-                assert_eq!(*metrics, direct, "{config} seed {seed}");
-            }
-        }
-    }
-
-    #[test]
-    fn runs_are_deterministic() {
-        let configs = [rnd(64, 16, 8), rnd(256, 16, 8), rnd(1024, 16, 8)];
-        let trace = mixed_trace(15_000, 4096);
-        let a = simulate_many(&configs, trace.iter().copied(), 500).unwrap();
-        let b = simulate_many(&configs, trace.iter().copied(), 500).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn rejects_lru_members() {
-        let lru = cfg_policy(64, 8, 4, ReplacementPolicy::Lru);
-        assert!(matches!(
-            AllSizesRandomEngine::new(&[lru]),
-            Err(MultiSimError::Unsupported { .. })
-        ));
     }
 }

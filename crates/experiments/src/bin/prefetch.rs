@@ -2,7 +2,7 @@
 //!
 //! §2.2 proposes caches whose "special-purpose logic can examine reference
 //! patterns to prefetch instruction codes and operands", warning (after
-//! Smith [11]) that "effective prefetching reduces latency at a cost of
+//! Smith \[11\]) that "effective prefetching reduces latency at a cost of
 //! increased memory traffic and at a risk of memory pollution". This
 //! binary quantifies all three quantities for demand fetch, sequential
 //! prefetch-on-miss, tagged prefetch, and load-forward, at the 1024-byte

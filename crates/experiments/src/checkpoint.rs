@@ -28,11 +28,10 @@
 //! rewrites the journal from its intact records. Failed points are
 //! journalled as *tombstones* (`"fail":1`); a point that failed in
 //! [`QUARANTINE_AFTER`] runs is quarantined — skipped with a
-//! [`PointFault::Quarantined`](crate::sweep::PointFault::Quarantined)
-//! failure instead of being retried forever. A `.checkpoint/LOCK`
-//! advisory lockfile with stale-PID detection makes each results
-//! directory single-writer, so two concurrent runs cannot interleave
-//! appends.
+//! [`PointFault::Quarantined`] failure instead of being retried
+//! forever. A `.checkpoint/LOCK` advisory lockfile with stale-PID
+//! detection makes each results directory single-writer, so two
+//! concurrent runs cannot interleave appends.
 //!
 //! Pass `--fresh` (or set `OCCACHE_FRESH=1`) to discard the journal
 //! (tombstones included) and recompute everything.
@@ -49,8 +48,10 @@ use occache_runtime::progress::ProgressWriter;
 
 use crate::report::{results_dir, write_result_in};
 use crate::run_report::PhaseReport;
-use crate::supervisor::{evaluate_results_supervised_with, SuperviseStats, SupervisorPolicy};
 use crate::sweep::{DesignPoint, PointError, PointFault, SweepOutcome, Trace};
+use occache_runtime::executor::{
+    evaluate_results_supervised_with, SuperviseStats, SupervisorPolicy,
+};
 
 pub use occache_runtime::config::fresh_requested;
 pub use occache_runtime::journal::{

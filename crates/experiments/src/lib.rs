@@ -8,8 +8,10 @@
 //! The execution machinery itself — supervised worker pools, the slice
 //! planner, watchdog/retry, the journal codec, instrumentation and
 //! `OCCACHE_*` env parsing — lives in `occache-runtime` (DESIGN.md §9),
-//! shared with `occache-serve`. This crate re-exports it under the
-//! historical paths and adds the batch-side policy and rendering:
+//! shared with `occache-serve`; import the supervisor from
+//! `occache_runtime::executor` and the signal flag from
+//! `occache_runtime::interrupt`. This crate adds the batch-side policy
+//! and rendering:
 //!
 //! * [`sweep`] — trace materialisation and the Table 1 parameter grid
 //!   (plus re-exports of the runtime evaluation/executor API:
@@ -18,9 +20,6 @@
 //!   advisory locking, atomic compaction, tombstone quarantine, and the
 //!   checkpointed entry points (`--fresh` / `OCCACHE_FRESH=1` discards
 //!   journals),
-//! * [`supervisor`] — re-export of the runtime supervisor: per-point
-//!   wall-clock deadlines, bounded retries, and fault injection for
-//!   unattended paper-scale runs,
 //! * [`manifest`] / [`run_report`] / [`verify`] — end-to-end result
 //!   integrity: content-hashed artifact manifest, per-run supervision
 //!   report, and the `occache-verify` checks (manifest + journal scan +
@@ -38,14 +37,12 @@ pub mod buffers;
 pub mod characterize;
 pub mod checkpoint;
 pub mod extensions;
-pub mod interrupt;
 pub mod manifest;
 pub mod paper;
 pub mod plot;
 pub mod report;
 pub mod run_report;
 pub mod runs;
-pub mod supervisor;
 pub mod sweep;
 pub mod verify;
 

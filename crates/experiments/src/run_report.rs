@@ -4,7 +4,7 @@
 //! points computed vs restored, failures by class (timed out,
 //! quarantined, non-finite), supervisor retries, journal damage found,
 //! and wall-clock — into an in-process registry; binaries write the
-//! accumulated report once at exit via [`write`]. The report is the
+//! accumulated report once at exit via [`write()`]. The report is the
 //! operator's first stop after an unattended paper-scale run: a clean
 //! run shows zeros in every failure column, and anything else names the
 //! phase to investigate (see the EXPERIMENTS.md runbook).
@@ -161,7 +161,7 @@ pub fn render(phases: &[PhaseReport], interrupted: bool) -> String {
 
 /// Renders the in-flight variant of the report: byte-identical to
 /// [`render`] except for one extra `"in_progress": true` line after the
-/// opening brace. The final [`write`] drops the marker again, so a
+/// opening brace. The final [`write()`] drops the marker again, so a
 /// completed run's report bytes are unchanged by mid-run flushing.
 pub fn render_in_progress(phases: &[PhaseReport], interrupted: bool) -> String {
     let sealed = render(phases, interrupted);
@@ -217,7 +217,7 @@ pub fn render_metrics(phases: &[PhaseReport]) -> String {
 /// (atomic replace, marked `"in_progress": true`), plus the metrics
 /// sidecar. Called at phase boundaries so an operator — or
 /// `occache-top` — reads supervision totals mid-run instead of waiting
-/// for process exit; the final [`write`] replaces it with the sealed
+/// for process exit; the final [`write()`] replaces it with the sealed
 /// bytes.
 ///
 /// # Errors
@@ -229,7 +229,7 @@ pub fn flush(dir: &Path) -> io::Result<PathBuf> {
     write_result_in(
         dir,
         RUN_REPORT_FILE,
-        &render_in_progress(&snapshot, crate::interrupt::requested()),
+        &render_in_progress(&snapshot, occache_runtime::interrupt::requested()),
     )
 }
 
@@ -247,7 +247,7 @@ pub fn write(dir: &Path) -> io::Result<PathBuf> {
     write_result_in(
         dir,
         RUN_REPORT_FILE,
-        &render(&snapshot, crate::interrupt::requested()),
+        &render(&snapshot, occache_runtime::interrupt::requested()),
     )
 }
 

@@ -7,8 +7,8 @@
 //! One `#[test]` only, in a file of its own: the interrupt flag is
 //! process-global, and raising it would stop any sibling test's sweep.
 
-use occache_experiments::interrupt;
 use occache_experiments::runs::{run_ablations, Workbench};
+use occache_runtime::interrupt;
 
 #[test]
 fn interrupted_ablations_match_an_uninterrupted_run() {

@@ -14,12 +14,12 @@ use occache_core::CacheConfig;
 use occache_experiments::checkpoint::evaluate_checkpointed_in;
 use occache_experiments::manifest::{self, ManifestEntry};
 use occache_experiments::report::{points_to_csv, write_result_in};
-use occache_experiments::supervisor::{evaluate_results_supervised, FaultPlan, SupervisorPolicy};
 use occache_experiments::sweep::{
     batch_of, evaluate_point, materialize, standard_config, table1_pairs,
 };
 use occache_experiments::verify::{verify_dir, VerifyOptions};
 use occache_experiments::{PointFault, Trace};
+use occache_runtime::executor::{evaluate_results_supervised, FaultPlan, SupervisorPolicy};
 use occache_trace::fault::{FaultMode, FaultyReader};
 use occache_trace::io::{parse_trace, write_trace, ParseTraceError};
 use occache_workloads::{Architecture, WorkloadSpec};

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::thread;
 
 use occache_core::{
-    simulate, simulate_many, simulate_many_pair, BusModel, CacheConfig, EngineKind, Metrics,
+    simulate, simulate_many, BusModel, CacheConfig, EngineKind, Metrics, DEFAULT_RANDOM_SEED,
     MAX_MULTISIM_CONFIGS,
 };
 use occache_trace::{MemRef, PackedTrace};
@@ -279,26 +279,16 @@ pub fn evaluate_slice(
 }
 
 /// One engine pass per trace over `configs`, returning each trace's
-/// per-configuration metrics in trace order.
-///
-/// Traces go through the engine two at a time: the paired run
-/// interleaves two independent engine passes to overlap their dependency
-/// chains (see `simulate_many_pair`) and returns exactly what two
-/// separate passes would, so pairing is purely a scheduling change.
+/// per-configuration metrics in trace order. Random slices use
+/// [`DEFAULT_RANDOM_SEED`], the seed the point keys fold in.
 fn engine_metrics(configs: &[CacheConfig], traces: &[Trace], warmup: usize) -> Vec<Vec<Metrics>> {
-    const PLANNED: &str = "sweep planner grouped an engine-incompatible slice";
-    let mut out = Vec::with_capacity(traces.len());
-    let mut chunks = traces.chunks_exact(2);
-    for pair in chunks.by_ref() {
-        let (first, second) =
-            simulate_many_pair(configs, pair[0].iter(), pair[1].iter(), warmup).expect(PLANNED);
-        out.push(first);
-        out.push(second);
-    }
-    for trace in chunks.remainder() {
-        out.push(simulate_many(configs, trace.iter(), warmup).expect(PLANNED));
-    }
-    out
+    simulate_many(
+        configs,
+        traces.iter().map(Trace::iter),
+        warmup,
+        DEFAULT_RANDOM_SEED,
+    )
+    .expect("sweep planner grouped an engine-incompatible slice")
 }
 
 /// One schedulable unit of a sliced sweep: a group of config indices that

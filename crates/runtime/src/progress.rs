@@ -15,9 +15,10 @@
 //! "engine_lru":L,"engine_fifo":G,"engine_random":N,"direct":D,
 //! "elapsed_ms":M,"sealed":B,"interrupted":I,
 //! "sum":"<fnv1a(body) as 016x>"}`. The four engine columns split the
-//! computed points by which evaluation path produced them — the three
-//! one-pass slice engines (see `occache_core::SliceEngine`) and the
-//! per-config direct simulator fallback — so a dashboard can show *how*
+//! computed points by which evaluation path produced them — the
+//! one-pass engine under each of its three policies (see
+//! [`occache_core::EngineKind`]) and the per-config direct simulator
+//! fallback — so a dashboard can show *how*
 //! a sweep is running, not just how far along it is. v1 readers reject
 //! v2 records (and vice versa) via the version field; the feed is
 //! ephemeral per phase, so no migration is needed.

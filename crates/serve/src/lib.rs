@@ -3,11 +3,12 @@
 //! A dependency-free (std-only) HTTP/1.1 service that evaluates cache
 //! design points on demand. Clients POST JSON design points or grids
 //! referencing the named workload models from `occache-workloads`; the
-//! service fronts a shared worker-pool scheduler with a
-//! content-addressed result cache keyed by the same FNV fingerprints
-//! the checkpoint journals use, so any point a batch sweep already
-//! sealed to disk — or any point served once — comes back without
-//! re-simulation, bit-identical to direct evaluation.
+//! service fronts the shared worker-pool scheduler
+//! (`occache_runtime::queue`) with a content-addressed result cache
+//! keyed by the same FNV fingerprints the checkpoint journals use, so
+//! any point a batch sweep already sealed to disk — or any point served
+//! once — comes back without re-simulation, bit-identical to direct
+//! evaluation.
 //!
 //! Layers, bottom up:
 //!
@@ -22,8 +23,6 @@
 //! * [`breaker`] — the per-point-key circuit breaker mirroring the
 //!   journal quarantine policy.
 //! * [`persist`] — the write-behind result journal (crash recovery).
-//! * [`scheduler`] — the bounded-queue worker pool that coalesces
-//!   compatible points into one-pass multisim engine slices.
 //! * [`peer`] — the cluster peer table: health probes, per-peer circuit
 //!   breakers, and the deadline-bounded peer HTTP client.
 //! * [`router`] — rendezvous-hash request routing and the thin
@@ -42,5 +41,4 @@ pub mod metrics;
 pub mod peer;
 pub mod persist;
 pub mod router;
-pub mod scheduler;
 pub mod service;

@@ -410,7 +410,7 @@ fn probe_loop(set: &PeerSet) {
 
 /// Deterministic backoff before retry `attempt` (≥ 1) against `addr`:
 /// exponential base with FNV-derived jitter, no randomness, capped at
-/// [`BACKOFF_CAP`] so retries stay inside the peer deadline regime.
+/// `BACKOFF_CAP` so retries stay inside the peer deadline regime.
 pub fn backoff_delay(addr: &str, attempt: usize) -> Duration {
     let base = Duration::from_millis(25u64.saturating_mul(1 << attempt.min(4)));
     let jitter = fnv1a(format!("{addr}:{attempt}").as_bytes()) % 25;

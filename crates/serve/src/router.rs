@@ -502,14 +502,13 @@ impl Router {
         format!(
             "{{\"service\":\"occache-route\",\"peers\":{},\"peers_up\":{up},\
              \"forwarded\":{},\"rerouted\":{},\"unroutable\":{},\
-             \"peer_down_total\":{},\"uptime_seconds\":{:?},\"uptime_s\":{},\
+             \"peer_down_total\":{},\"uptime_s\":{},\
              \"journal_replayed\":0}}",
             self.addrs.len(),
             self.counters.forwarded.get(),
             self.counters.rerouted.get(),
             self.counters.unroutable.get(),
             self.peers.down_total(),
-            self.started.elapsed().as_secs_f64(),
             self.started.elapsed().as_secs(),
         )
     }

@@ -58,7 +58,7 @@ use crate::metrics::{Counters, Gauges, PeerStats};
 use crate::peer::{PeerPolicy, PeerSet};
 use crate::persist::WriteBehind;
 use crate::router::{ranked, render_peer_request, route_key};
-use crate::scheduler::{Job, Priority, Scheduler, SubmitError, TraceSet};
+use occache_runtime::queue::{Job, Priority, Scheduler, SubmitError, TraceSet};
 
 /// How long a connection may sit idle (or mid-read) before the server
 /// gives up on it.
@@ -458,7 +458,7 @@ impl Service {
         format!(
             "{{\"service\":\"occache-serve\",\"queue_depth\":{},\"workers\":{},\
              \"workers_busy\":{},\"cache_entries\":{},\"cache_hits\":{},\
-             \"cache_misses\":{},\"uptime_seconds\":{:?},\"uptime_s\":{},\"ready\":{},\
+             \"cache_misses\":{},\"uptime_s\":{},\"ready\":{},\
              \"draining\":{},\"retry_after\":{},\"quarantined\":{},\
              \"journal_replayed\":{},\"peers\":{},\"peers_up\":{}}}",
             g.queue_depth,
@@ -467,7 +467,6 @@ impl Service {
             g.cache_entries,
             g.cache_hits,
             g.cache_misses,
-            g.uptime_seconds,
             self.started.elapsed().as_secs(),
             g.ready,
             g.draining,

@@ -347,6 +347,7 @@ fn router_status_reports_uptime_and_peer_summary() {
         doc.get("uptime_s").and_then(Json::as_u64).is_some(),
         "{body}"
     );
+    assert!(doc.get("uptime_seconds").is_none(), "{body}");
     assert_eq!(doc.get("journal_replayed").and_then(Json::as_u64), Some(0));
     assert_eq!(doc.get("peers").and_then(Json::as_u64), Some(1), "{body}");
 

@@ -203,6 +203,9 @@ fn routing_and_input_validation() {
         stat.get("uptime_s").and_then(Json::as_u64).is_some(),
         "{stat:?}"
     );
+    // One uptime field: the float `uptime_seconds` lives on only as the
+    // Prometheus gauge.
+    assert!(stat.get("uptime_seconds").is_none(), "{stat:?}");
     assert_eq!(stat.get("journal_replayed").and_then(Json::as_u64), Some(0));
     assert_eq!(stat.get("peers").and_then(Json::as_u64), Some(0));
     assert_eq!(stat.get("peers_up").and_then(Json::as_u64), Some(0));

@@ -1,5 +1,5 @@
 //! The presentation layer: a pure function from a collected
-//! [`Frame`](crate::sources::Frame) to the string one redraw prints.
+//! [`Frame`] to the string one redraw prints.
 //!
 //! Byte-stable by construction — the same frame, width and mode always
 //! produce the same bytes (the golden tests pin this), which is what

@@ -487,10 +487,10 @@ impl WorkloadSpec {
     /// Looks a *workload model* — a named trace set — up by name,
     /// case-insensitively. This is the vocabulary the serving layer and
     /// load generator speak: an architecture name (`"pdp11"`, `"z8000"`,
-    /// `"vax11"`, `"s370"`, with the same aliases as [`by_name`]) yields
+    /// `"vax11"`, `"s370"`, with the same aliases as [`by_name`](Self::by_name)) yields
     /// its paper trace set; `"z8000-full"`, `"z8000-compilers"`, `"m85"`
     /// and `"all"` name the other sets; any single-trace name accepted by
-    /// [`by_name`] (e.g. `"ED"`, `"z8000:C2"`) yields that one trace.
+    /// [`by_name`](Self::by_name) (e.g. `"ED"`, `"z8000:C2"`) yields that one trace.
     pub fn set_by_name(name: &str) -> Option<Vec<WorkloadSpec>> {
         match name.to_ascii_lowercase().as_str() {
             "pdp11" | "pdp-11" => Some(WorkloadSpec::pdp11_set()),
@@ -505,7 +505,7 @@ impl WorkloadSpec {
         }
     }
 
-    /// The set names [`set_by_name`] accepts (canonical spellings only;
+    /// The set names [`set_by_name`](Self::set_by_name) accepts (canonical spellings only;
     /// single-trace names from Tables 2–5 also resolve). The serving
     /// layer's error messages and docs list these.
     pub fn set_names() -> &'static [&'static str] {

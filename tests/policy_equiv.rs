@@ -1,122 +1,58 @@
-//! Property-based equivalence for the non-LRU slice engines: the
-//! one-pass FIFO and seeded-Random engines must produce metrics
-//! **exactly equal** (every counter, hence every derived ratio) to the
-//! direct simulator run once per configuration — across random
-//! geometries (including sub-block < block), random reference streams,
-//! random warm-up prefixes and, for Random, random seeds.
+//! Property-based equivalence for FIFO and Random slices: the one-pass
+//! engine must produce metrics **exactly equal** (every counter, hence
+//! every derived ratio) to the direct simulator run once per
+//! configuration and trace — across random geometries (including
+//! sub-block < block), one to three random reference streams of
+//! independent lengths, random warm-up prefixes and, for Random, random
+//! seeds.
 //!
 //! Sibling of `tests/multisim_equiv.rs`, which pins the same property
-//! for the LRU engine.
+//! for LRU slices.
+
+mod common;
 
 use proptest::prelude::*;
 
-use occache::core::{
-    simulate, simulate_many, simulate_many_seeded, simulate_seeded, CacheConfig, ReplacementPolicy,
-};
-use occache::trace::{AccessKind, Address, MemRef};
+use occache::core::{ReplacementPolicy, DEFAULT_RANDOM_SEED};
 
-/// An arbitrary engine-eligible slice of the given replacement policy:
-/// one block size at up to four net sizes with varying sub-block size,
-/// associativity and word size. The planner never mixes policies in a
-/// slice, so neither does the generator.
-fn arb_slice(policy: ReplacementPolicy) -> impl Strategy<Value = Vec<CacheConfig>> {
-    (
-        0u32..=4, // block 2..32
-        proptest::collection::vec((0u32..=4, 0u32..=3, 0u32..=1, 0u32..=4), 4),
-        1usize..=4, // how many of the four size candidates to keep
-    )
-        .prop_filter_map(
-            "slice must contain at least one valid power-of-two geometry",
-            move |(block_exp, sizes, take)| {
-                let block = 2u64 << block_exp;
-                let configs: Vec<CacheConfig> = sizes
-                    .into_iter()
-                    .take(take)
-                    .filter_map(|(net_exp, ways_exp, word_exp, sub_exp)| {
-                        CacheConfig::builder()
-                            .net_size(32u64 << net_exp) // 32..512
-                            .block_size(block)
-                            .sub_block_size((2u64 << sub_exp).min(block)) // 2..block
-                            .associativity(1u64 << ways_exp) // 1..8
-                            .word_size(2u64 << word_exp) // 2 or 4
-                            .replacement(policy)
-                            .build()
-                            .ok()
-                            .filter(occache::core::engine_supports)
-                    })
-                    .collect();
-                (!configs.is_empty()).then_some(configs)
-            },
-        )
-}
-
-/// An arbitrary 2-byte-aligned reference stream over a 32 KB space.
-fn arb_trace(len: usize) -> impl Strategy<Value = Vec<MemRef>> {
-    proptest::collection::vec((0u64..16_384, 0usize..3), len).prop_map(|raw| {
-        raw.into_iter()
-            .map(|(word, kind)| {
-                let kind = [
-                    AccessKind::InstrFetch,
-                    AccessKind::DataRead,
-                    AccessKind::DataWrite,
-                ][kind];
-                MemRef::new(Address::new(word * 2), kind)
-            })
-            .collect()
-    })
-}
+use common::{arb_slice, arb_traces, assert_engine_matches_direct};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Full `Metrics` equality for the FIFO engine, arbitrary warm-up
-    /// prefix included (0 keeps the cold-start case in the net).
+    /// FIFO, arbitrary warm-up prefix included (0 keeps the cold-start
+    /// case in the net).
     #[test]
     fn fifo_engine_equals_direct_simulation(
         configs in arb_slice(ReplacementPolicy::Fifo),
-        trace in arb_trace(600),
-        warmup in 0usize..600,
+        traces in arb_traces(),
+        warmup in 0usize..=5_000,
     ) {
-        let all = simulate_many(&configs, trace.iter().copied(), warmup)
-            .expect("arb_slice only builds engine-eligible slices");
-        for (config, metrics) in configs.iter().zip(&all) {
-            let direct = simulate(*config, trace.iter().copied(), warmup);
-            prop_assert_eq!(*metrics, direct, "{} warmup {}", config, warmup);
-        }
+        assert_engine_matches_direct(&configs, &traces, warmup, DEFAULT_RANDOM_SEED);
     }
 
-    /// Full `Metrics` equality for the Random engine under the default
-    /// seed: the per-class RNG replays exactly the draw sequence every
-    /// member cache sees in its own direct simulation.
+    /// Random under the default seed: the per-class RNG replays exactly
+    /// the draw sequence every member cache sees in its own direct
+    /// simulation.
     #[test]
     fn random_engine_equals_direct_simulation(
         configs in arb_slice(ReplacementPolicy::Random),
-        trace in arb_trace(600),
-        warmup in 0usize..600,
+        traces in arb_traces(),
+        warmup in 0usize..=5_000,
     ) {
-        let all = simulate_many(&configs, trace.iter().copied(), warmup)
-            .expect("arb_slice only builds engine-eligible slices");
-        for (config, metrics) in configs.iter().zip(&all) {
-            let direct = simulate(*config, trace.iter().copied(), warmup);
-            prop_assert_eq!(*metrics, direct, "{} warmup {}", config, warmup);
-        }
+        assert_engine_matches_direct(&configs, &traces, warmup, DEFAULT_RANDOM_SEED);
     }
 
     /// The same equality under an arbitrary explicit seed, proving the
-    /// seed threads identically through both paths (and that two
-    /// different seeds go through the same machinery — the property
+    /// seed threads identically through both paths (the property
     /// quantifies over the seed, not one blessed constant).
     #[test]
     fn random_engine_equals_seeded_direct_simulation(
         configs in arb_slice(ReplacementPolicy::Random),
-        trace in arb_trace(400),
+        traces in arb_traces(),
+        warmup in 0usize..=5_000,
         seed in 0u64..u64::MAX,
     ) {
-        let all = simulate_many_seeded(&configs, trace.iter().copied(), 0, seed)
-            .expect("arb_slice only builds engine-eligible slices");
-        for (config, metrics) in configs.iter().zip(&all) {
-            let direct = simulate_seeded(*config, trace.iter().copied(), 0, seed);
-            prop_assert_eq!(*metrics, direct, "{} seed {}", config, seed);
-        }
+        assert_engine_matches_direct(&configs, &traces, warmup, seed);
     }
 }
