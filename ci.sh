@@ -26,57 +26,93 @@ cargo test -q
 echo "== full workspace tests =="
 cargo test --workspace -q
 
-echo "== perf smoke: one-pass sweep vs direct simulation =="
-# Regenerates a Table-7-style grid three ways (direct, sliced, and
-# generation-fused streaming), asserts bit-identical ratios, and
-# records wall-clock + throughput in BENCH_sweep.json. Pinned to one
-# slice thread: spare workers would otherwise shard the grid's single
-# engine unit, and the committed trajectory is a one-thread figure.
-cargo build --release -q -p occache-bench --bin perf_smoke
-OCCACHE_SLICE_THREADS=1 ./target/release/perf_smoke
-
-echo "-- perf trajectory gate: streamed + FIFO throughput vs committed baseline --"
-# A real perf regression must fail loudly: each fresh measurement may
-# not fall more than 25% below its committed baseline (the timed walls
-# are already best-of-N, so scheduler noise is mostly filtered). The
-# gate covers both engine families — the streamed LRU fast path and the
-# one-pass FIFO engine — so a regression in either fails CI. An
-# improvement on every tracked metric rewrites the committed trajectory
-# point; anything short of that restores the baseline file so noise
-# never erodes the bar.
-CURRENT=$(sed -n 's/.*"effective_refs_per_sec": \([0-9]*\).*/\1/p' BENCH_sweep.json)
-FIFO_CURRENT=$(sed -n 's/.*"fifo_refs_per_sec": \([0-9]*\).*/\1/p' BENCH_sweep.json)
-FIFO_RATIO=$(sed -n 's/.*"fifo_vs_direct": \([0-9.]*\).*/\1/p' BENCH_sweep.json)
-BASELINE=$(git show HEAD:BENCH_sweep.json 2>/dev/null \
-  | sed -n 's/.*"effective_refs_per_sec": \([0-9]*\).*/\1/p')
-FIFO_BASELINE=$(git show HEAD:BENCH_sweep.json 2>/dev/null \
-  | sed -n 's/.*"fifo_refs_per_sec": \([0-9]*\).*/\1/p')
-[ -n "$CURRENT" ] || { echo "FAIL: no effective_refs_per_sec in BENCH_sweep.json"; exit 1; }
-[ -n "$FIFO_CURRENT" ] || { echo "FAIL: no fifo_refs_per_sec in BENCH_sweep.json"; exit 1; }
-# The one-pass FIFO engine must beat per-config direct simulation by at
-# least 2x on the committed bench grid — below that the engine has lost
-# its reason to exist.
-[ -n "$FIFO_RATIO" ] || { echo "FAIL: no fifo_vs_direct in BENCH_sweep.json"; exit 1; }
-awk -v r="$FIFO_RATIO" 'BEGIN { exit (r >= 2.0) ? 0 : 1 }' \
-  || { echo "FAIL: FIFO engine speedup ${FIFO_RATIO}x is below the 2x floor"; exit 1; }
-if [ -n "$BASELINE" ]; then
-  awk -v c="$CURRENT" -v b="$BASELINE" 'BEGIN { exit (c >= 0.75 * b) ? 0 : 1 }' \
-    || { echo "FAIL: effective_refs_per_sec $CURRENT regressed >25% below baseline $BASELINE"; exit 1; }
+echo "== perf gate: perfbench sweep records vs the committed trajectory =="
+# The repository benchmark (perfbench/, its own cargo workspace) times
+# the paper's Table 7 sweeps and checks the outputs it timed: perfbench
+# exits non-zero when any sampled point differs from the direct
+# simulator or a repeated pass changes a bit, and `set -e` fails CI on
+# that. Two runs feed the gate: `sweep-lru` end to end (the streamed LRU
+# engine at 2 threads) and `sweep-policies` traced (per-layer FIFO
+# engine and direct simulator costs). Each run's `# record` object,
+# which names the box (nproc, threads, rustc, commit), becomes one key
+# of BENCH_sweep.json.
+#
+# An offline build of perfbench rewrites perfbench/Cargo.lock whenever
+# the workspace's crate graph has moved on from it. The lock belongs to
+# perfbench, so CI snapshots it and puts it back after the build,
+# leaving the tree as it found it.
+PB_DIR=target/ci-perfbench
+rm -rf "$PB_DIR"
+mkdir -p "$PB_DIR"
+cp perfbench/Cargo.lock "$PB_DIR/Cargo.lock"
+PB_BUILT=0
+cargo build --release --offline -q --manifest-path perfbench/Cargo.toml && PB_BUILT=1
+cp "$PB_DIR/Cargo.lock" perfbench/Cargo.lock
+[ "$PB_BUILT" = 1 ] || { echo "FAIL: perfbench did not build"; exit 1; }
+# perfbench_record WORKLOAD TRACE: one short run; its record line lands
+# in $PB_DIR/WORKLOAD.record.
+perfbench_record() {
+  perfbench/target/release/perfbench --workload "$1" --seed 0 --seconds 5 --trace "$2" \
+    > "$PB_DIR/$1.out" \
+    || { echo "FAIL: perfbench --workload $1 exited non-zero (an output check failed)"; exit 1; }
+  sed -n 's/^# record //p' "$PB_DIR/$1.out" > "$PB_DIR/$1.record"
+  [ -s "$PB_DIR/$1.record" ] || { echo "FAIL: perfbench --workload $1 printed no record"; exit 1; }
+}
+perfbench_record sweep-lru 0
+perfbench_record sweep-policies 1
+printf '{\n"sweep-lru": %s,\n"sweep-policies": %s\n}\n' \
+  "$(cat "$PB_DIR/sweep-lru.record")" "$(cat "$PB_DIR/sweep-policies.record")" > BENCH_sweep.json
+git show HEAD:BENCH_sweep.json > "$PB_DIR/committed.json" 2>/dev/null || true
+# metric FILE WORKLOAD NAME: one metric's value from a workload's record.
+metric() {
+  sed -n "/^\"$2\": /s/.*\"$3\": {\"value\": \([^,}]*\).*/\1/p" "$1"
+}
+LRU=$(metric BENCH_sweep.json sweep-lru sim_refs_per_s)
+FIFO=$(metric BENCH_sweep.json sweep-policies core.multisim.fifo_ns_per_ref)
+FIFO_S=$(metric BENCH_sweep.json sweep-policies core.multisim.fifo_s)
+FIFO_POINTS=$(metric BENCH_sweep.json sweep-policies runtime.engine_points.fifo)
+DIRECT_S=$(metric BENCH_sweep.json sweep-policies core.direct_s)
+DIRECT_POINTS=$(metric BENCH_sweep.json sweep-policies runtime.direct_points)
+LRU_BASE=$(metric "$PB_DIR/committed.json" sweep-lru sim_refs_per_s)
+FIFO_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.fifo_ns_per_ref)
+for pair in "sim_refs_per_s:$LRU" "core.multisim.fifo_ns_per_ref:$FIFO" \
+            "core.multisim.fifo_s:$FIFO_S" "runtime.engine_points.fifo:$FIFO_POINTS" \
+            "core.direct_s:$DIRECT_S" "runtime.direct_points:$DIRECT_POINTS"; do
+  [ -n "${pair#*:}" ] || { echo "FAIL: no ${pair%%:*} in the perfbench records"; exit 1; }
+done
+# The one-pass FIFO engine must cost at most a quarter of what the
+# direct simulator spends per design point. Both time sums are means
+# over the same traced passes, and both point counts come from one
+# pass. The floor keeps the old one-grid bench's 2x floor at the same
+# fraction of the measured ratio (7.8 here, 3.65 there, both on one
+# 2-vCPU box), rounded down to a half.
+FIFO_FLOOR=4.0
+FIFO_RATIO=$(awk -v ds="$DIRECT_S" -v dp="$DIRECT_POINTS" -v fs="$FIFO_S" -v fp="$FIFO_POINTS" \
+  'BEGIN { print (dp > 0 && fs > 0) ? (ds / dp) / (fs / fp) : 0 }')
+awk -v r="$FIFO_RATIO" -v f="$FIFO_FLOOR" 'BEGIN { exit (r >= f) ? 0 : 1 }' \
+  || { echo "FAIL: fifo_vs_direct per-point cost ratio ${FIFO_RATIO}x is below the ${FIFO_FLOOR}x floor"; exit 1; }
+# A real perf regression must fail loudly: LRU throughput may not fall
+# more than 25% below its committed value, nor FIFO ns/ref rise past
+# committed / 0.75 (the same 25% throughput bound).
+if [ -n "$LRU_BASE" ]; then
+  awk -v c="$LRU" -v b="$LRU_BASE" 'BEGIN { exit (c >= 0.75 * b) ? 0 : 1 }' \
+    || { echo "FAIL: sweep-lru sim_refs_per_s $LRU regressed >25% below baseline $LRU_BASE"; exit 1; }
 fi
-if [ -n "$FIFO_BASELINE" ]; then
-  awk -v c="$FIFO_CURRENT" -v b="$FIFO_BASELINE" 'BEGIN { exit (c >= 0.75 * b) ? 0 : 1 }' \
-    || { echo "FAIL: fifo_refs_per_sec $FIFO_CURRENT regressed >25% below baseline $FIFO_BASELINE"; exit 1; }
+if [ -n "$FIFO_BASE" ]; then
+  awk -v c="$FIFO" -v b="$FIFO_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
+    || { echo "FAIL: sweep-policies core.multisim.fifo_ns_per_ref $FIFO regressed >25% above baseline $FIFO_BASE"; exit 1; }
 fi
-if [ -z "$BASELINE" ] || [ -z "$FIFO_BASELINE" ]; then
-  # No complete committed baseline (first run, or the FIFO fields are
-  # new): the fresh measurement becomes the trajectory point.
-  echo "   no complete committed baseline; keeping fresh measurement ($CURRENT / $FIFO_CURRENT refs/s)"
-elif awk -v c="$CURRENT" -v b="$BASELINE" -v fc="$FIFO_CURRENT" -v fb="$FIFO_BASELINE" \
-       'BEGIN { exit (c > b && fc > fb) ? 0 : 1 }'; then
-  echo "   improved: $BASELINE -> $CURRENT, fifo $FIFO_BASELINE -> $FIFO_CURRENT refs/s (baseline rewritten)"
+# An improvement on both ratcheted metrics rewrites the committed
+# trajectory point; anything short of that restores the committed file
+# so noise never erodes the bar.
+if [ -z "$LRU_BASE" ] || [ -z "$FIFO_BASE" ]; then
+  echo "   no complete committed baseline; keeping fresh measurement ($LRU refs/s, fifo $FIFO ns/ref)"
+elif awk -v c="$LRU" -v b="$LRU_BASE" -v fc="$FIFO" -v fb="$FIFO_BASE" \
+       'BEGIN { exit (c > b && fc < fb) ? 0 : 1 }'; then
+  echo "   improved: $LRU_BASE -> $LRU refs/s, fifo $FIFO_BASE -> $FIFO ns/ref (baseline rewritten)"
 else
   git checkout -- BENCH_sweep.json
-  echo "   held: $CURRENT / fifo $FIFO_CURRENT refs/s within 25% of baseline (baseline kept)"
+  echo "   held: $LRU refs/s, fifo $FIFO ns/ref, fifo_vs_direct ${FIFO_RATIO}x within bounds (baseline kept)"
 fi
 
 echo "== integrity: manifest + verify + supervised fault injection =="

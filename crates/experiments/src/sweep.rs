@@ -5,25 +5,25 @@
 //! The evaluation machinery itself — [`Trace`], [`DesignPoint`], the
 //! direct and one-pass engine paths, the slice planner, fault types and
 //! the supervised worker pool — lives in `occache-runtime` (shared with
-//! the serving layer) and is re-exported here so existing callers keep
-//! their import paths. This module adds only what needs the workload
-//! crate: turning [`WorkloadSpec`]s into traces and building the paper's
+//! the serving layer). The names the experiment binaries, the CLI and the
+//! checkpoint layer call are re-exported here, so a sweep needs one
+//! import path. This module adds only what needs the workload crate:
+//! turning [`WorkloadSpec`]s into traces and building the paper's
 //! standard configurations.
 
 use occache_core::{CacheConfig, FetchPolicy};
+use occache_runtime::config::replacement_override;
 use occache_workloads::{Architecture, WorkloadSpec};
 
 pub use occache_runtime::config::{
-    multisim_disabled, replacement_override, try_jobs, try_multisim_disabled,
-    try_replacement_override, try_slice_threads, DisabledEngines,
+    try_jobs, try_multisim_disabled, try_replacement_override, try_slice_threads,
 };
 pub use occache_runtime::eval::{
-    evaluate_point, evaluate_results_with, evaluate_slice, plan_units, plan_units_disabling,
-    pool_workers, slice_pool, DesignPoint, PointError, PointFault, SweepUnit, Trace,
+    evaluate_point, plan_units, DesignPoint, PointError, PointFault, SweepUnit, Trace,
 };
 pub use occache_runtime::executor::{
-    batch_of, evaluate_points, evaluate_points_isolated, evaluate_points_isolated_with,
-    evaluate_results_sliced, failure_note, SweepOutcome,
+    batch_of, evaluate_points, evaluate_points_isolated, evaluate_results_sliced, failure_note,
+    SweepOutcome,
 };
 pub use occache_runtime::journal::JournalHealth;
 
@@ -32,23 +32,6 @@ pub fn materialize(specs: &[WorkloadSpec], len: usize) -> Vec<Trace> {
     specs
         .iter()
         .map(|spec| Trace::new(spec.name(), spec.generator(0).take(len)))
-        .collect()
-}
-
-/// Streamed counterparts of [`materialize`]: each trace regenerates its
-/// reference stream on every iteration instead of holding a packed copy,
-/// so evaluation is generation-fused — references flow from the workload
-/// generator straight into the simulators. Because [`WorkloadSpec`]
-/// generators are deterministic per seed, a streamed trace replays
-/// exactly the stream its materialized twin packs, and fingerprints,
-/// journal keys and metrics come out identical.
-pub fn stream_traces(specs: &[WorkloadSpec], len: usize) -> Vec<Trace> {
-    specs
-        .iter()
-        .map(|spec| {
-            let spec = spec.clone();
-            Trace::streamed(spec.name(), len, move || spec.generator(0))
-        })
         .collect()
 }
 
@@ -143,6 +126,9 @@ pub fn warmup_len() -> usize {
 mod tests {
     use super::*;
     use occache_core::{engine_supports, MAX_MULTISIM_CONFIGS};
+    use occache_runtime::config::DisabledEngines;
+    use occache_runtime::eval::plan_units_disabling;
+    use occache_runtime::executor::evaluate_points_isolated_with;
 
     #[test]
     fn table1_pairs_match_table7_row_sets() {

@@ -269,10 +269,16 @@ fn render_bench(frame: &Frame, style: &Style, push: &mut impl FnMut(String)) {
         push(style.paint(DIM, " no committed benchmarks"));
         return;
     }
+    // Names pad to the other panes' 14-column label, or to the longest.
+    let width = frame
+        .bench
+        .iter()
+        .map(|s| s.name.chars().count())
+        .fold(14, usize::max);
     for series in &frame.bench {
         let latest = series.values.last().copied().unwrap_or(0.0);
         push(format!(
-            " {:<14} {}  {:.1}{}  ({} commits)",
+            " {:<width$} {}  {:.1}{}  ({} commits)",
             series.name,
             sparkline(&series.values),
             latest,
@@ -437,11 +443,18 @@ mod tests {
     fn plain_mode_emits_no_escapes_and_every_pane_header() {
         let frame = Frame {
             results_dir: "results/".into(),
-            bench: vec![BenchSeries {
-                name: "sweep Mref/s".into(),
-                unit: "M".into(),
-                values: vec![1.0, 2.0],
-            }],
+            bench: vec![
+                BenchSeries {
+                    name: "sweep-lru Mref/s".into(),
+                    unit: "M".into(),
+                    values: vec![1.0, 2.0],
+                },
+                BenchSeries {
+                    name: "fifo ns/ref".into(),
+                    unit: "ns".into(),
+                    values: vec![2.0, 1.0],
+                },
+            ],
             ..Frame::default()
         };
         let text = render(&frame, 100, true);
@@ -450,7 +463,16 @@ mod tests {
             assert!(text.contains(pane), "missing pane {pane} in:\n{text}");
         }
         assert!(text.contains("no progress feed"));
-        assert!(text.contains("sweep Mref/s"));
+        // A name longer than the label column still lines up the sparklines.
+        let spark_at = |name: &str| {
+            let line = text
+                .lines()
+                .find(|l| l.contains(name))
+                .expect("series line");
+            line.chars().position(|c| "▁▂▃▄▅▆▇█".contains(c))
+        };
+        assert_eq!(spark_at("sweep-lru Mref/s"), Some(18));
+        assert_eq!(spark_at("fifo ns/ref"), Some(18));
         let ansi = render(&frame, 100, false);
         assert!(ansi.contains('\x1b'));
     }

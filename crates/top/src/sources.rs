@@ -142,7 +142,7 @@ pub struct ArtifactEntry {
 /// One benchmark metric over committed history, oldest first.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BenchSeries {
-    /// Display name, e.g. `"sweep Mref/s"`.
+    /// Display name, e.g. `"sweep-lru Mref/s"`.
     pub name: String,
     /// Unit suffix for the latest value, e.g. `"M"` or `"ms"`.
     pub unit: String,
@@ -385,13 +385,24 @@ pub fn bench_trajectories(repo: &Path) -> Vec<BenchSeries> {
         }
     };
     push(
-        "sweep Mref/s",
+        "sweep-lru Mref/s",
         "M",
         "BENCH_sweep.json",
-        &["effective_refs_per_sec"],
+        &["sweep-lru", "metrics", "sim_refs_per_s", "value"],
         1e-6,
     );
-    push("sweep speedup", "x", "BENCH_sweep.json", &["speedup"], 1.0);
+    push(
+        "fifo ns/ref",
+        "ns",
+        "BENCH_sweep.json",
+        &[
+            "sweep-policies",
+            "metrics",
+            "core.multisim.fifo_ns_per_ref",
+            "value",
+        ],
+        1.0,
+    );
     push(
         "serve p99",
         "ms",
@@ -456,6 +467,52 @@ mod tests {
         assert_eq!(artifacts.len(), 1);
         assert_eq!(artifacts[0].name, "table7.json");
         std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
+
+    #[test]
+    fn bench_pane_reads_perfbench_records_from_git_history() {
+        let dir = std::env::temp_dir().join(format!("occache-top-bench-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let commit = |message: &str| {
+            let args = [
+                "-c",
+                "user.name=t",
+                "-c",
+                "user.email=t@t",
+                "commit",
+                "-qam",
+                message,
+            ];
+            git(&dir, &args).expect("git commit");
+        };
+        git(&dir, &["init", "-q"]).expect("git init");
+        // One revision in the old flat schema, which has neither series,
+        // then one in the per-workload record schema.
+        std::fs::write(
+            dir.join("BENCH_sweep.json"),
+            "{\"effective_refs_per_sec\": 174600000, \"speedup\": 3.5}\n",
+        )
+        .expect("write");
+        git(&dir, &["add", "BENCH_sweep.json"]).expect("git add");
+        commit("old schema");
+        std::fs::write(
+            dir.join("BENCH_sweep.json"),
+            "{\n\"sweep-lru\": {\"workload\":\"sweep-lru\",\"threads\":2,\"notes\":{},\
+             \"metrics\":{\"sim_refs_per_s\": {\"value\": 420000000.5, \"unit\": \"1/s\"}}},\n\
+             \"sweep-policies\": {\"workload\":\"sweep-policies\",\"threads\":2,\"notes\":{},\
+             \"metrics\":{\"core.multisim.fifo_ns_per_ref\": {\"value\": 185.25, \"unit\": \"ns\"}}}\n}\n",
+        )
+        .expect("write");
+        commit("new schema");
+        let series = bench_trajectories(&dir);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+        assert_eq!(series.len(), 2, "{series:?}");
+        assert_eq!(series[0].name, "sweep-lru Mref/s");
+        assert_eq!(series[0].values.len(), 1, "the old schema adds no value");
+        assert!((series[0].values[0] - 420.0000005).abs() < 1e-9);
+        assert_eq!(series[1].name, "fifo ns/ref");
+        assert_eq!(series[1].values, vec![185.25]);
     }
 
     #[test]
