@@ -33,7 +33,8 @@ echo "== perf gate: perfbench sweep records vs the committed trajectory =="
 # simulator or a repeated pass changes a bit, and `set -e` fails CI on
 # that. Two runs feed the gate: `sweep-lru` end to end (the streamed LRU
 # engine at 2 threads) and `sweep-policies` traced (per-layer FIFO
-# engine and direct simulator costs). Each run's `# record` object,
+# engine costs, and the LRU engine's cost on the load-forward and
+# copy-back twins). Each run's `# record` object,
 # which names the box (nproc, threads, rustc, commit), becomes one key
 # of BENCH_sweep.json.
 #
@@ -69,31 +70,27 @@ metric() {
 }
 LRU=$(metric BENCH_sweep.json sweep-lru sim_refs_per_s)
 FIFO=$(metric BENCH_sweep.json sweep-policies core.multisim.fifo_ns_per_ref)
-FIFO_S=$(metric BENCH_sweep.json sweep-policies core.multisim.fifo_s)
-FIFO_POINTS=$(metric BENCH_sweep.json sweep-policies runtime.engine_points.fifo)
-DIRECT_S=$(metric BENCH_sweep.json sweep-policies core.direct_s)
+TWINS=$(metric BENCH_sweep.json sweep-policies core.multisim.lru_ns_per_ref)
 DIRECT_POINTS=$(metric BENCH_sweep.json sweep-policies runtime.direct_points)
+DIRECT_UNITS=$(metric BENCH_sweep.json sweep-policies runtime.units.direct)
 LRU_BASE=$(metric "$PB_DIR/committed.json" sweep-lru sim_refs_per_s)
 FIFO_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.fifo_ns_per_ref)
+TWINS_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.lru_ns_per_ref)
 for pair in "sim_refs_per_s:$LRU" "core.multisim.fifo_ns_per_ref:$FIFO" \
-            "core.multisim.fifo_s:$FIFO_S" "runtime.engine_points.fifo:$FIFO_POINTS" \
-            "core.direct_s:$DIRECT_S" "runtime.direct_points:$DIRECT_POINTS"; do
+            "core.multisim.lru_ns_per_ref:$TWINS" "runtime.direct_points:$DIRECT_POINTS" \
+            "runtime.units.direct:$DIRECT_UNITS"; do
   [ -n "${pair#*:}" ] || { echo "FAIL: no ${pair%%:*} in the perfbench records"; exit 1; }
 done
-# The one-pass FIFO engine must cost at most a quarter of what the
-# direct simulator spends per design point. Both time sums are means
-# over the same traced passes, and both point counts come from one
-# pass. The floor keeps the old one-grid bench's 2x floor at the same
-# fraction of the measured ratio (7.8 here, 3.65 there, both on one
-# 2-vCPU box), rounded down to a half.
-FIFO_FLOOR=4.0
-FIFO_RATIO=$(awk -v ds="$DIRECT_S" -v dp="$DIRECT_POINTS" -v fs="$FIFO_S" -v fp="$FIFO_POINTS" \
-  'BEGIN { print (dp > 0 && fs > 0) ? (ds / dp) / (fs / fp) : 0 }')
-awk -v r="$FIFO_RATIO" -v f="$FIFO_FLOOR" 'BEGIN { exit (r >= f) ? 0 : 1 }' \
-  || { echo "FAIL: fifo_vs_direct per-point cost ratio ${FIFO_RATIO}x is below the ${FIFO_FLOOR}x floor"; exit 1; }
+# Every sweep-policies config, the load-forward and copy-back twins
+# included, must ride a one-pass engine: any slide back onto the direct
+# simulator fails here.
+awk -v p="$DIRECT_POINTS" -v u="$DIRECT_UNITS" 'BEGIN { exit (p == 0 && u == 0) ? 0 : 1 }' \
+  || { echo "FAIL: sweep-policies ran $DIRECT_POINTS point(s) in $DIRECT_UNITS unit(s) on the direct simulator; every config must ride an engine"; exit 1; }
 # A real perf regression must fail loudly: LRU throughput may not fall
-# more than 25% below its committed value, nor FIFO ns/ref rise past
-# committed / 0.75 (the same 25% throughput bound).
+# more than 25% below its committed value, nor FIFO ns/ref or the twins'
+# LRU ns/ref rise past committed / 0.75 (the same 25% throughput bound).
+# A committed value of 0 means that engine did not run in the committed
+# record, so there is nothing to ratchet against yet.
 if [ -n "$LRU_BASE" ]; then
   awk -v c="$LRU" -v b="$LRU_BASE" 'BEGIN { exit (c >= 0.75 * b) ? 0 : 1 }' \
     || { echo "FAIL: sweep-lru sim_refs_per_s $LRU regressed >25% below baseline $LRU_BASE"; exit 1; }
@@ -102,17 +99,25 @@ if [ -n "$FIFO_BASE" ]; then
   awk -v c="$FIFO" -v b="$FIFO_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
     || { echo "FAIL: sweep-policies core.multisim.fifo_ns_per_ref $FIFO regressed >25% above baseline $FIFO_BASE"; exit 1; }
 fi
-# An improvement on both ratcheted metrics rewrites the committed
+if [ -n "$TWINS_BASE" ] && awk -v b="$TWINS_BASE" 'BEGIN { exit (b > 0) ? 0 : 1 }'; then
+  awk -v c="$TWINS" -v b="$TWINS_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
+    || { echo "FAIL: sweep-policies core.multisim.lru_ns_per_ref $TWINS regressed >25% above baseline $TWINS_BASE"; exit 1; }
+else
+  TWINS_BASE=
+fi
+# An improvement on every ratcheted metric rewrites the committed
 # trajectory point; anything short of that restores the committed file
-# so noise never erodes the bar.
+# so noise never erodes the bar. A committed record without the twins'
+# figure takes its first one with the next rewrite that improves the
+# other two.
 if [ -z "$LRU_BASE" ] || [ -z "$FIFO_BASE" ]; then
-  echo "   no complete committed baseline; keeping fresh measurement ($LRU refs/s, fifo $FIFO ns/ref)"
-elif awk -v c="$LRU" -v b="$LRU_BASE" -v fc="$FIFO" -v fb="$FIFO_BASE" \
-       'BEGIN { exit (c > b && fc < fb) ? 0 : 1 }'; then
-  echo "   improved: $LRU_BASE -> $LRU refs/s, fifo $FIFO_BASE -> $FIFO ns/ref (baseline rewritten)"
+  echo "   no complete committed baseline; keeping fresh measurement ($LRU refs/s, fifo $FIFO ns/ref, twins $TWINS ns/ref)"
+elif awk -v c="$LRU" -v b="$LRU_BASE" -v fc="$FIFO" -v fb="$FIFO_BASE" -v tc="$TWINS" -v tb="$TWINS_BASE" \
+       'BEGIN { exit (c > b && fc < fb && (tb == "" || tc < tb)) ? 0 : 1 }'; then
+  echo "   improved: $LRU_BASE -> $LRU refs/s, fifo $FIFO_BASE -> $FIFO ns/ref, twins ${TWINS_BASE:-none} -> $TWINS ns/ref (baseline rewritten)"
 else
   git checkout -- BENCH_sweep.json
-  echo "   held: $LRU refs/s, fifo $FIFO ns/ref, fifo_vs_direct ${FIFO_RATIO}x within bounds (baseline kept)"
+  echo "   held: $LRU refs/s, fifo $FIFO ns/ref, twins $TWINS ns/ref within bounds, no direct points (baseline kept)"
 fi
 
 echo "== integrity: manifest + verify + supervised fault injection =="

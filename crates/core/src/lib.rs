@@ -23,7 +23,8 @@
 //! * [`LruStackAnalyzer`] — single-pass Mattson stack-distance analysis,
 //! * [`simulate_many`] — the one-pass engine ([`multisim`]): one pass
 //!   per trace yields bit-identical metrics for every cache size of a
-//!   demand-fetch design slice, under LRU, FIFO or Random replacement,
+//!   design slice — demand or load-forward fetch, write-through or
+//!   copy-back — under LRU, FIFO or Random replacement,
 //! * [`SplitCache`] — the split I/D extension flagged as further work.
 //!
 //! # Example: the paper's miss/traffic trade-off

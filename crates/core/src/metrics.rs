@@ -14,6 +14,7 @@
 //! comparable with `==` rather than within a tolerance.
 
 use crate::bus::BusModel;
+use crate::config::{CacheConfig, WritePolicy};
 
 /// Counters accumulated by a cache over a run.
 ///
@@ -59,11 +60,11 @@ pub struct Metrics {
 }
 
 /// The counters the one-pass engine actually has to accumulate per
-/// configuration. Under demand fetch + write-through every other
-/// `Metrics` field is a product of these (each counted miss fetches
-/// exactly one sub-block, each write writes through exactly one word,
-/// each eviction releases exactly `slots` sub-slots), so the engine's
-/// hot path updates four numbers and the rest are reconstructed here.
+/// configuration. Every other `Metrics` field is a product of these
+/// (each counted miss is one fetch transaction of `sub_loads`-worth of
+/// sub-blocks, each write-through write moves exactly one word, each
+/// eviction releases exactly `slots` sub-slots), so the engine's hot
+/// path updates a few numbers and the rest are reconstructed here.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct EngineCounters {
     /// Counted accesses (identical for every configuration in a slice).
@@ -72,9 +73,18 @@ pub(crate) struct EngineCounters {
     pub write_accesses: u64,
     pub misses: u64,
     pub write_misses: u64,
+    /// Sub-blocks loaded on counted misses: equal to `misses` under
+    /// demand fetch, more under load-forward.
+    pub sub_loads: u64,
+    /// Of `sub_loads`, re-fetches of already-valid sub-blocks (redundant
+    /// load-forward only).
+    pub redundant_sub_loads: u64,
     pub evicted_blocks: u64,
     /// Total referenced sub-blocks across all evictions.
     pub evicted_referenced_subs: u64,
+    /// Total dirty sub-blocks across all evictions (charged as
+    /// write-back traffic under copy-back only).
+    pub evicted_dirty_subs: u64,
 }
 
 impl Metrics {
@@ -85,28 +95,32 @@ impl Metrics {
         }
     }
 
-    /// Expands the engine's compact counters into full `Metrics`,
-    /// bit-identical to accumulating through the recording methods:
-    /// demand fetch moves one `sub_size` sub-block per counted miss,
-    /// write-through moves one word per data write, and an eviction
-    /// releases `slots` sub-slots of which `evicted_referenced_subs`
-    /// were touched.
-    pub(crate) fn from_engine(
-        word_size: u64,
-        sub_size: u64,
-        slots: u64,
-        c: EngineCounters,
-    ) -> Metrics {
+    /// Expands the engine's compact counters for `config` into full
+    /// `Metrics`, bit-identical to accumulating through the recording
+    /// methods: each counted miss is one fetch transaction, each loaded
+    /// sub-block moves `sub_size` bytes, write-through moves one word
+    /// per data write, copy-back moves each dirty sub-block of an evicted
+    /// block, and an eviction releases `slots` sub-slots of which
+    /// `evicted_referenced_subs` were touched.
+    pub(crate) fn from_engine(config: &CacheConfig, c: EngineCounters) -> Metrics {
+        let (word_size, sub_size) = (config.word_size(), config.sub_block_size());
+        let slots = config.sub_blocks_per_block();
+        let (write_through_bytes, write_back_bytes) = match config.write_policy() {
+            WritePolicy::WriteThrough => (c.write_accesses * word_size, 0),
+            WritePolicy::CopyBack => (0, c.evicted_dirty_subs * sub_size),
+        };
         Metrics {
             word_size,
             accesses: c.accesses,
             misses: c.misses,
-            fetch_bytes: c.misses * sub_size,
+            fetch_bytes: c.sub_loads * sub_size,
             fetch_transactions: c.misses,
-            sub_loads: c.misses,
+            sub_loads: c.sub_loads,
+            redundant_sub_loads: c.redundant_sub_loads,
             write_accesses: c.write_accesses,
             write_misses: c.write_misses,
-            write_through_bytes: c.write_accesses * word_size,
+            write_through_bytes,
+            write_back_bytes,
             evicted_blocks: c.evicted_blocks,
             evicted_sub_slots: c.evicted_blocks * slots,
             evicted_unreferenced_subs: c.evicted_blocks * slots - c.evicted_referenced_subs,

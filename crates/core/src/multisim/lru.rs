@@ -22,17 +22,17 @@ type QuadSide<'a> = (
 /// nothing at all; the four-way interleave is what finally covers the
 /// store-to-load forwarding stalls a two-way interleave still exposes.
 /// Chunks must be the same length (the caller falls back otherwise).
-fn run_quad_spec<const WAYS: usize, const MA: usize, const MB: usize>(
+fn run_quad_spec<const WAYS: usize, const MA: usize, const MB: usize, const EXT: bool>(
     side_a: QuadSide<'_>,
     side_b: QuadSide<'_>,
 ) {
     let (a1, a2, addrs_a, lanes_a, bank_a) = side_a;
     let (b1, b2, addrs_b, lanes_b, bank_b) = side_b;
     debug_assert_eq!(addrs_a.len(), addrs_b.len());
-    let mut ca1 = SpecCtx::<MA>::new::<WAYS>(a1);
-    let mut ca2 = SpecCtx::<MB>::new::<WAYS>(a2);
-    let mut cb1 = SpecCtx::<MA>::new::<WAYS>(b1);
-    let mut cb2 = SpecCtx::<MB>::new::<WAYS>(b2);
+    let mut ca1 = SpecCtx::<MA, EXT>::new::<WAYS>(a1);
+    let mut ca2 = SpecCtx::<MB, EXT>::new::<WAYS>(a2);
+    let mut cb1 = SpecCtx::<MA, EXT>::new::<WAYS>(b1);
+    let mut cb2 = SpecCtx::<MB, EXT>::new::<WAYS>(b2);
     for i in 0..addrs_a.len().min(addrs_b.len()) {
         let aa = addrs_a[i];
         let ab = addrs_b[i];
@@ -44,26 +44,31 @@ fn run_quad_spec<const WAYS: usize, const MA: usize, const MB: usize>(
         ca2.visit::<WAYS, false>(aa, wa);
         cb2.visit::<WAYS, false>(ab, wb);
     }
-    ca1.flush(
-        &mut bank_a.miss,
-        &mut bank_a.evicted_blocks,
-        &mut bank_a.evicted_referenced,
-    );
-    ca2.flush(
-        &mut bank_a.miss,
-        &mut bank_a.evicted_blocks,
-        &mut bank_a.evicted_referenced,
-    );
-    cb1.flush(
-        &mut bank_b.miss,
-        &mut bank_b.evicted_blocks,
-        &mut bank_b.evicted_referenced,
-    );
-    cb2.flush(
-        &mut bank_b.miss,
-        &mut bank_b.evicted_blocks,
-        &mut bank_b.evicted_referenced,
-    );
+    ca1.flush(bank_a);
+    ca2.flush(bank_a);
+    cb1.flush(bank_b);
+    cb2.flush(bank_b);
+}
+
+/// Runs two engines' chunks through an adjacent 4-way class pair of
+/// each, of one sub-block rule, when a [`run_quad_spec`]
+/// specialisation exists for their shape; returns whether it ran.
+fn run_quad(side_a: QuadSide<'_>, side_b: QuadSide<'_>) -> bool {
+    macro_rules! plain {
+        ($ma:literal, $mb:literal) => {{
+            run_quad_spec::<4, $ma, $mb, false>(side_a, side_b);
+            true
+        }};
+    }
+    macro_rules! extended {
+        ($ma:literal, $mb:literal) => {{
+            run_quad_spec::<4, $ma, $mb, true>(side_a, side_b);
+            true
+        }};
+    }
+    debug_assert_eq!(side_a.0.ext, side_a.1.ext);
+    let counts = (side_a.0.meta.len(), side_a.1.meta.len());
+    pair_shapes!(side_a.0.ext, counts, plain, extended)
 }
 
 /// Runs one chunk through an LRU engine and an equal-length chunk
@@ -108,75 +113,17 @@ pub(super) fn run_pair(
             let a2 = &mut tail_a[0];
             let b1 = &mut head_b[i];
             let b2 = &mut tail_b[0];
-            if a1.assoc == 4 && a2.assoc == 4 {
-                macro_rules! quad {
-                    ($ma:literal, $mb:literal) => {{
-                        run_quad_spec::<4, $ma, $mb>(
-                            (a1, a2, addrs_a, lanes_a, bank_a),
-                            (b1, b2, addrs_b, lanes_b, bank_b),
-                        );
-                        true
-                    }};
-                }
-                let done = match (a1.meta.len(), a2.meta.len()) {
-                    (1, 1) => quad!(1, 1),
-                    (1, 2) => quad!(1, 2),
-                    (1, 3) => quad!(1, 3),
-                    (1, 4) => quad!(1, 4),
-                    (1, 5) => quad!(1, 5),
-                    (1, 6) => quad!(1, 6),
-                    (2, 1) => quad!(2, 1),
-                    (2, 2) => quad!(2, 2),
-                    (2, 3) => quad!(2, 3),
-                    (2, 4) => quad!(2, 4),
-                    (2, 5) => quad!(2, 5),
-                    (2, 6) => quad!(2, 6),
-                    (3, 1) => quad!(3, 1),
-                    (3, 2) => quad!(3, 2),
-                    (3, 3) => quad!(3, 3),
-                    (3, 4) => quad!(3, 4),
-                    (3, 5) => quad!(3, 5),
-                    (3, 6) => quad!(3, 6),
-                    (4, 1) => quad!(4, 1),
-                    (4, 2) => quad!(4, 2),
-                    (4, 3) => quad!(4, 3),
-                    (4, 4) => quad!(4, 4),
-                    (4, 5) => quad!(4, 5),
-                    (4, 6) => quad!(4, 6),
-                    (5, 1) => quad!(5, 1),
-                    (5, 2) => quad!(5, 2),
-                    (5, 3) => quad!(5, 3),
-                    (5, 4) => quad!(5, 4),
-                    (5, 5) => quad!(5, 5),
-                    (5, 6) => quad!(5, 6),
-                    (6, 1) => quad!(6, 1),
-                    (6, 2) => quad!(6, 2),
-                    (6, 3) => quad!(6, 3),
-                    (6, 4) => quad!(6, 4),
-                    (6, 5) => quad!(6, 5),
-                    (6, 6) => quad!(6, 6),
-                    _ => false,
-                };
-                if done {
+            if a1.pairs_with(a2) {
+                let side_a = (a1, a2, &addrs_a[..], &lanes_a[..], &mut *bank_a);
+                let side_b = (b1, b2, &addrs_b[..], &lanes_b[..], &mut *bank_b);
+                if run_quad(side_a, side_b) {
                     i += 2;
                     continue;
                 }
             }
         }
-        classes_a[i].run::<false>(
-            addrs_a,
-            lanes_a,
-            &mut bank_a.miss,
-            &mut bank_a.evicted_blocks,
-            &mut bank_a.evicted_referenced,
-        );
-        classes_b[i].run::<false>(
-            addrs_b,
-            lanes_b,
-            &mut bank_b.miss,
-            &mut bank_b.evicted_blocks,
-            &mut bank_b.evicted_referenced,
-        );
+        classes_a[i].run::<false>(addrs_a, lanes_a, bank_a);
+        classes_b[i].run::<false>(addrs_b, lanes_b, bank_b);
         i += 1;
     }
 }

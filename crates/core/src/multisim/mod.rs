@@ -1,14 +1,15 @@
 //! One-pass multi-configuration simulation, policy-generic.
 //!
-//! A *slice* is a set of configurations sharing demand fetch,
-//! write-through accounting, power-of-two set counts and one replacement
-//! policy — net size, block size, sub-block size, word size and
-//! associativity may all differ per configuration. For such a slice a
-//! single pass over a trace yields every configuration's metrics,
-//! bit-identical to running [`simulate`](crate::simulate) once per
-//! configuration. [`simulate_many`] is the one entry point: it takes a
-//! slice, any number of traces, a warm-up and a seed, and returns each
-//! trace's per-configuration metrics.
+//! A *slice* is a set of configurations sharing power-of-two set counts
+//! and one replacement policy — net size, block size, sub-block size,
+//! word size, associativity, fetch policy (demand or load-forward) and
+//! write policy (write-through or copy-back) may all differ per
+//! configuration. For such a slice a single pass over a trace yields
+//! every configuration's metrics, bit-identical to running
+//! [`simulate`](crate::simulate) once per configuration.
+//! [`simulate_many`] is the one entry point: it takes a slice, any
+//! number of traces, a warm-up and a seed, and returns each trace's
+//! per-configuration metrics.
 //!
 //! Behind it sits one engine type whose replacement policy picks the
 //! chunk runner, once per chunk of references:
@@ -42,17 +43,31 @@
 //! victim decisions under LRU *and* FIFO, and share one RNG draw
 //! sequence under Random, so they share block-level state), the
 //! shape-specialised reference loops (`SpecCtx`, const-generic over
-//! way count and a `FIFO` flag so hit promotion compiles out), and the
-//! flat per-configuration counter bank from which full [`Metrics`] are
-//! reconstructed exactly (under demand fetch + write-through every
-//! derived counter is a product of the counted/write misses and
-//! eviction counts).
+//! way count, a `FIFO` flag so hit promotion compiles out, and an `EXT`
+//! flag selecting the sub-block rule), and the flat per-configuration
+//! counter bank from which full [`Metrics`] are reconstructed exactly.
 //!
 //! Sub-block bitmasks are kept **per configuration** for each resident
 //! way, because evictions (which clear them) happen at different times
-//! for different cache sizes. Under demand fetch a sub-block is valid
-//! exactly when it has been referenced, so one mask word per (way,
-//! configuration) serves as both the valid and the referenced set.
+//! for different cache sizes. Fetch and write policy never change which
+//! block is resident or which one is evicted, so they only select the
+//! sub-block rule a class's members follow; the residency class key
+//! carries that choice, so each class has one rule:
+//!
+//! * **Plain** classes (demand fetch + write-through members only): a
+//!   sub-block is valid exactly when it has been referenced, so one mask
+//!   word per (way, configuration) serves as both the valid and the
+//!   referenced set, every counted miss loads one sub-block and every
+//!   write writes through one word. The Table 7 grids run here.
+//! * **Extended** classes (any member with load-forward or copy-back)
+//!   keep three words per (way, configuration) — referenced, valid and
+//!   dirty sub-blocks — and follow one rule (`ext_touch`) in every
+//!   runner: a miss at sub-block `s` fills `s` alone under demand fetch
+//!   or `s..slots` under load-forward, counting the loaded and, under
+//!   the redundant variant, the re-fetched valid sub-blocks on counted
+//!   references; a data write marks its sub-block dirty; an eviction
+//!   charges the dirty sub-blocks as copy-back traffic.
+//!
 //! Empty ways hold a sentinel block number (`u64::MAX`, which no real
 //! block can equal once blocks span at least two bytes), so sets are
 //! always structurally full and the insert path is one unified
@@ -60,12 +75,13 @@
 //! real.
 //!
 //! What the engine cannot express (callers fall back to [`simulate`]):
-//! the prefetch and load-forward fetch policies (fill width depends on
-//! per-size valid bits in ways that break the shared-pass structure),
-//! copy-back write accounting (write-back bytes depend on per-size
-//! dirty state at eviction), and geometries whose set count is not a
-//! power of two (bit-selection needs one). The engine's equivalence to
-//! the direct simulator is enforced by property tests in
+//! the prefetch fetch policies (their pollution statistics need a
+//! fourth, prefetched-but-unused mask, and under tagged prefetch a
+//! *hit* can fetch, which no runner's hit path models), geometries whose set count is not a power
+//! of two (bit-selection needs one), more than 16 ways (recency
+//! permutations pack into 4-bit fields) and 1-byte blocks (block
+//! numbers reserve the sentinel). The engine's equivalence to the
+//! direct simulator is enforced by property tests in
 //! `tests/multisim_equiv.rs` and `tests/policy_equiv.rs`.
 //!
 //! [`simulate`]: crate::simulate
@@ -80,6 +96,60 @@ use occache_trace::MemRef;
 
 use crate::config::{CacheConfig, FetchPolicy, ReplacementPolicy, WritePolicy};
 use crate::metrics::{EngineCounters, Metrics};
+
+/// Dispatches two adjacent classes' sub-block rule and member counts
+/// to `$plain!(MA, MB)` or `$extended!(MA, MB)` for every specialised
+/// two-class shape, or to `false`: the shape table the paired and quad
+/// runners share. Plain classes specialise 1 to 6 members each;
+/// extended classes only 1 or 2, the most any artifact or benchmark
+/// grid puts in one (more shapes would mostly grow the binary).
+macro_rules! pair_shapes {
+    ($ext:expr, $counts:expr, $plain:ident, $extended:ident) => {
+        match ($ext, $counts) {
+            (false, (1, 1)) => $plain!(1, 1),
+            (false, (1, 2)) => $plain!(1, 2),
+            (false, (1, 3)) => $plain!(1, 3),
+            (false, (1, 4)) => $plain!(1, 4),
+            (false, (1, 5)) => $plain!(1, 5),
+            (false, (1, 6)) => $plain!(1, 6),
+            (false, (2, 1)) => $plain!(2, 1),
+            (false, (2, 2)) => $plain!(2, 2),
+            (false, (2, 3)) => $plain!(2, 3),
+            (false, (2, 4)) => $plain!(2, 4),
+            (false, (2, 5)) => $plain!(2, 5),
+            (false, (2, 6)) => $plain!(2, 6),
+            (false, (3, 1)) => $plain!(3, 1),
+            (false, (3, 2)) => $plain!(3, 2),
+            (false, (3, 3)) => $plain!(3, 3),
+            (false, (3, 4)) => $plain!(3, 4),
+            (false, (3, 5)) => $plain!(3, 5),
+            (false, (3, 6)) => $plain!(3, 6),
+            (false, (4, 1)) => $plain!(4, 1),
+            (false, (4, 2)) => $plain!(4, 2),
+            (false, (4, 3)) => $plain!(4, 3),
+            (false, (4, 4)) => $plain!(4, 4),
+            (false, (4, 5)) => $plain!(4, 5),
+            (false, (4, 6)) => $plain!(4, 6),
+            (false, (5, 1)) => $plain!(5, 1),
+            (false, (5, 2)) => $plain!(5, 2),
+            (false, (5, 3)) => $plain!(5, 3),
+            (false, (5, 4)) => $plain!(5, 4),
+            (false, (5, 5)) => $plain!(5, 5),
+            (false, (5, 6)) => $plain!(5, 6),
+            (false, (6, 1)) => $plain!(6, 1),
+            (false, (6, 2)) => $plain!(6, 2),
+            (false, (6, 3)) => $plain!(6, 3),
+            (false, (6, 4)) => $plain!(6, 4),
+            (false, (6, 5)) => $plain!(6, 5),
+            (false, (6, 6)) => $plain!(6, 6),
+            (true, (1, 1)) => $extended!(1, 1),
+            (true, (1, 2)) => $extended!(1, 2),
+            (true, (2, 1)) => $extended!(2, 1),
+            (true, (2, 2)) => $extended!(2, 2),
+            _ => false,
+        }
+    };
+}
 
 mod lru;
 mod random;
@@ -174,8 +244,8 @@ impl EngineKind {
     }
 
     /// The policy under which `config` runs in one pass, or `None` when
-    /// only the direct simulator can (prefetch/load-forward, copy-back,
-    /// non-power-of-two sets, >16 ways).
+    /// only the direct simulator can (prefetch, non-power-of-two sets,
+    /// more than 16 ways, 1-byte blocks; see [`engine_supports`]).
     pub fn for_config(config: &CacheConfig) -> Option<EngineKind> {
         if supports_or_reason(config).is_some() {
             return None;
@@ -195,21 +265,23 @@ impl fmt::Display for EngineKind {
 }
 
 /// Whether a single configuration is expressible on some one-pass
-/// engine (demand fetch + write-through + power-of-two set count, any
-/// replacement policy).
+/// engine: any replacement policy, demand or load-forward fetch (either
+/// variant), write-through or copy-back, over a power-of-two set count
+/// of at most 16 ways and blocks of at least 2 bytes.
 ///
-/// Configurations failing this must run on the direct simulator; see the
-/// module docs for why each exclusion exists.
+/// Configurations failing this — prefetch, non-power-of-two set counts,
+/// more than 16 ways, 1-byte blocks — must run on the direct simulator;
+/// see the module docs for why each exclusion exists.
 pub fn engine_supports(config: &CacheConfig) -> bool {
     supports_or_reason(config).is_none()
 }
 
 fn supports_or_reason(config: &CacheConfig) -> Option<&'static str> {
-    if config.fetch() != FetchPolicy::Demand {
-        return Some("one-pass simulation requires demand fetch");
-    }
-    if config.write_policy() != WritePolicy::WriteThrough {
-        return Some("one-pass simulation requires write-through accounting");
+    if let FetchPolicy::PrefetchNext { .. } = config.fetch() {
+        return Some(
+            "one-pass simulation does not model prefetch (its hits can fetch, and its \
+             pollution statistics need a prefetched-but-unused mask)",
+        );
     }
     let sets = config.num_sets();
     if !sets.is_power_of_two() || sets * config.effective_associativity() != config.num_blocks() {
@@ -247,6 +319,13 @@ struct CounterBank {
     /// Referenced sub-blocks summed over evictions (the unreferenced
     /// count is `evicted_blocks * slots` minus this, per configuration).
     evicted_referenced: [u64; MAX_MULTISIM_CONFIGS],
+    /// Extended classes only: sub-blocks loaded on counted misses (a
+    /// plain class loads exactly one per counted miss).
+    loads: [u64; MAX_MULTISIM_CONFIGS],
+    /// Extended classes only: of `loads`, re-fetches of valid sub-blocks.
+    redundant: [u64; MAX_MULTISIM_CONFIGS],
+    /// Extended classes only: dirty sub-blocks summed over evictions.
+    evicted_dirty: [u64; MAX_MULTISIM_CONFIGS],
 }
 
 impl Default for CounterBank {
@@ -259,6 +338,9 @@ impl Default for CounterBank {
             miss: [[0; MAX_MULTISIM_CONFIGS]; 2],
             evicted_blocks: [0; MAX_MULTISIM_CONFIGS],
             evicted_referenced: [0; MAX_MULTISIM_CONFIGS],
+            loads: [0; MAX_MULTISIM_CONFIGS],
+            redundant: [0; MAX_MULTISIM_CONFIGS],
+            evicted_dirty: [0; MAX_MULTISIM_CONFIGS],
         }
     }
 }
@@ -274,6 +356,169 @@ struct SizeMeta {
     /// `sub_blocks_per_block - 1`: selects the sub-slot bit index from
     /// the shifted address.
     slot_mask: u64,
+    /// All-ones under load-forward (a miss fills from the referenced
+    /// sub-block to the end of the block), zero under demand fetch.
+    forward: u64,
+    /// All-ones under redundant load-forward (`remember_valid: false`),
+    /// whose forward fill re-fetches the sub-blocks already valid.
+    refetch: u64,
+}
+
+impl SizeMeta {
+    fn new(si: usize, config: &CacheConfig) -> SizeMeta {
+        let (forward, refetch) = match config.fetch() {
+            FetchPolicy::LoadForward { remember_valid } => {
+                (u64::MAX, u64::from(remember_valid).wrapping_sub(1))
+            }
+            _ => (0, 0),
+        };
+        SizeMeta {
+            si: si as u8,
+            sub_shift: config.sub_block_size().trailing_zeros(),
+            slot_mask: config.sub_blocks_per_block() - 1,
+            forward,
+            refetch,
+        }
+    }
+
+    /// The sub-block bit address `a` falls in.
+    #[inline(always)]
+    fn bit(&self, a: u64) -> u64 {
+        1u64 << ((a >> self.sub_shift) & self.slot_mask)
+    }
+
+    /// The sub-blocks a miss on sub-block `bit` fills: `bit` alone
+    /// under demand fetch, `bit` through the block's last sub-block
+    /// under load-forward.
+    #[inline(always)]
+    fn fill(&self, bit: u64) -> u64 {
+        let block = u64::MAX >> (63 - self.slot_mask);
+        bit | (block & !(bit - 1) & self.forward)
+    }
+}
+
+/// Whether `config` needs an extended residency class: load-forward
+/// fetch or copy-back writes, whose sub-block state is more than the
+/// referenced set.
+fn is_extended(config: &CacheConfig) -> bool {
+    config.fetch() != FetchPolicy::Demand || config.write_policy() != WritePolicy::WriteThrough
+}
+
+/// Mask words per (way, member) in an extended class: the referenced,
+/// valid and dirty sub-blocks, in that order. A plain class keeps only
+/// the first.
+const EXT_WORDS: usize = 3;
+
+/// What one member counted for one reference under [`ext_touch`].
+struct ExtTouch {
+    /// 1 when the referenced sub-block was not valid.
+    missed: u64,
+    /// Sub-blocks loaded, on counted references only.
+    loads: u64,
+    /// Of those, re-fetches of already-valid sub-blocks.
+    redundant: u64,
+}
+
+/// The extended sub-block rule, the one every runner applies to an
+/// extended class's members: presents a reference to sub-block `bit` to
+/// the member's `[referenced, valid, dirty]` words at `row[at..at + 3]`,
+/// the way `cache.rs`'s access and fill do.
+///
+/// `keep` is all-ones when the block was resident and zero when it is
+/// being (re)filled, which clears the victim's masks. `fill` is
+/// [`SizeMeta::fill`] of `bit` and `refetch` the member's
+/// [`SizeMeta::refetch`]. `wmask` is all-ones for a data write, which
+/// dirties the sub-block and counts no loads; counted references count
+/// the fill's loads and redundant re-fetches.
+#[inline(always)]
+fn ext_touch(
+    row: &mut [u64],
+    at: usize,
+    bit: u64,
+    fill: u64,
+    refetch: u64,
+    keep: u64,
+    wmask: u64,
+) -> ExtTouch {
+    let referenced = row[at] & keep;
+    let valid = row[at + 1] & keep;
+    let dirty = row[at + 2] & keep;
+    row[at] = referenced | bit;
+    row[at + 2] = dirty | (bit & wmask);
+    if valid & bit != 0 {
+        row[at + 1] = valid;
+        return ExtTouch {
+            missed: 0,
+            loads: 0,
+            redundant: 0,
+        };
+    }
+    // A miss: rare enough that the population counts stay off the hit
+    // path.
+    let counted = !wmask;
+    row[at + 1] = valid | fill;
+    ExtTouch {
+        missed: 1,
+        loads: u64::from((fill & (!valid | refetch)).count_ones()) & counted,
+        redundant: u64::from((fill & valid & refetch).count_ones()) & counted,
+    }
+}
+
+/// Presents address `a` to every member's masks of one way — the mask
+/// row at `mrow` — through the class's sub-block rule, counting into
+/// the bank: the per-member step of the generic runners
+/// ([`ClassState::one`] and the Random runner). `keep` is as for
+/// [`ext_touch`]; `lane` is 1 for counted references, 0 for data writes.
+#[inline(always)]
+fn touch_members<const EXT: bool>(
+    meta: &[SizeMeta],
+    row: &mut [u64],
+    mrow: usize,
+    a: u64,
+    keep: u64,
+    lane: usize,
+    bank: &mut CounterBank,
+) {
+    let wmask = (lane as u64 & 1).wrapping_sub(1);
+    let miss_ctr = &mut bank.miss[lane];
+    for (w, sm) in meta.iter().enumerate() {
+        let bit = sm.bit(a);
+        let si = usize::from(sm.si) & (MAX_MULTISIM_CONFIGS - 1);
+        if EXT {
+            let at = mrow + EXT_WORDS * w;
+            let t = ext_touch(row, at, bit, sm.fill(bit), sm.refetch, keep, wmask);
+            miss_ctr[si] += t.missed;
+            bank.loads[si] += t.loads;
+            bank.redundant[si] += t.redundant;
+        } else {
+            let old = row[mrow + w] & keep;
+            miss_ctr[si] += u64::from(old & bit == 0);
+            row[mrow + w] = old | bit;
+        }
+    }
+}
+
+/// Records the eviction of the block whose member masks sit in the row
+/// at `mrow`, for every member: its referenced sub-blocks and, in an
+/// extended class, its dirty ones. Called before the refill overwrites
+/// the victim's masks.
+#[inline(always)]
+fn charge_eviction<const EXT: bool>(
+    meta: &[SizeMeta],
+    row: &[u64],
+    mrow: usize,
+    bank: &mut CounterBank,
+) {
+    let words = if EXT { EXT_WORDS } else { 1 };
+    for (w, sm) in meta.iter().enumerate() {
+        let si = usize::from(sm.si);
+        let at = mrow + words * w;
+        bank.evicted_blocks[si] += 1;
+        bank.evicted_referenced[si] += u64::from(row[at].count_ones());
+        if EXT {
+            bank.evicted_dirty[si] += u64::from(row[at + 2].count_ones());
+        }
+    }
 }
 
 /// Sentinel block number marking an unoccupied way.
@@ -287,7 +532,7 @@ const EMPTY_WAY: u64 = u64::MAX;
 
 /// One deduplicated residency class: the set-mapped block-level state
 /// shared by every configuration with this (block size, set count,
-/// associativity) triple.
+/// associativity) triple and sub-block rule.
 ///
 /// Configurations in one class make identical fill and eviction
 /// decisions under LRU and FIFO alike — sub-block state never feeds
@@ -298,12 +543,13 @@ const EMPTY_WAY: u64 = u64::MAX;
 /// masks_0 .. masks_{A-1}]` — the `A` resident block numbers
 /// contiguous (so the probe reads one cache line) and in stack order
 /// (LRU: recency, most recent first; FIFO: fill order, newest first),
-/// followed by `A` rows of `m = meta.len()` member-configuration mask
-/// words in **physical** order. Mask rows never move: moving a block
+/// followed by `A` rows of member-configuration mask words (one per
+/// member in a plain class, [`EXT_WORDS`] per member in an extended
+/// one) in **physical** order. Mask rows never move: moving a block
 /// rotates only the block words, and the per-set entry of `perm` —
 /// sixteen 4-bit fields mapping stack rank to physical mask row — is
 /// updated instead. Rotating the mask rows too would make every
-/// promotion copy `A * m` words through a store-to-load-forwarding
+/// promotion copy every mask word through a store-to-load-forwarding
 /// chain; one packed-permutation word update replaces all of that
 /// traffic. Unoccupied ways hold [`EMPTY_WAY`] with zero masks, so
 /// every set is structurally full and the hot path never consults an
@@ -319,9 +565,12 @@ struct ClassState {
     mask: u64,
     /// Effective associativity (ways per set).
     assoc: usize,
+    /// Whether members follow the extended sub-block rule
+    /// ([`ext_touch`]) rather than the plain one.
+    ext: bool,
     /// The slice configurations belonging to this class.
     meta: Vec<SizeMeta>,
-    /// `num_sets * assoc * (1 + meta.len())` words of per-set state
+    /// `num_sets * assoc * (1 + mask_words())` words of per-set state
     /// (see the struct docs for the layout).
     data: Vec<u64>,
     /// Per-set rank→physical-mask-row permutation, 4 bits per rank
@@ -359,8 +608,11 @@ fn promote(perm: u64, pos: usize) -> u64 {
 /// with it set, hits update only the hit way's mask row — no block
 /// rotation, no permutation update — which is exactly the direct
 /// simulator's "hits do not disturb the queue" FIFO semantics, and the
-/// miss path (shift-and-fill at the back) is shared with LRU.
-struct SpecCtx<'a, const M: usize> {
+/// miss path (shift-and-fill at the back) is shared with LRU. The
+/// context's `EXT` flag selects the class's sub-block rule; with it
+/// clear, the extended tables and counters are never touched and the
+/// step is the plain demand/write-through one.
+struct SpecCtx<'a, const M: usize, const EXT: bool> {
     shift: u32,
     set_mask: u64,
     /// Finest member sub-block granularity; block offsets are taken at
@@ -369,6 +621,10 @@ struct SpecCtx<'a, const M: usize> {
     off_mask: u64,
     /// Per-offset sub-block bit per member; see [`SpecCtx::new`].
     bit_table: [[u64; M]; 32],
+    /// `EXT` only: per-offset [`SizeMeta::fill`] of each member's bit.
+    fill_table: [[u64; M]; 32],
+    /// `EXT` only: each member's [`SizeMeta::refetch`].
+    refetch: [u64; M],
     data: &'a mut [u64],
     perms: &'a mut [u64],
     /// Member slice indices, pre-masked so the flush indexes unchecked.
@@ -377,19 +633,29 @@ struct SpecCtx<'a, const M: usize> {
     miss_write: [u64; M],
     evb: u64,
     evr: [u64; M],
+    /// `EXT` only: loads, redundant loads and evicted dirty sub-blocks.
+    loads: [u64; M],
+    redundant: [u64; M],
+    evd: [u64; M],
 }
 
-impl<'a, const M: usize> SpecCtx<'a, M> {
+impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
+    /// Mask words per member in a way's mask row.
+    const WORDS: usize = if EXT { EXT_WORDS } else { 1 };
+
     #[inline(always)]
     fn new<const WAYS: usize>(class: &'a mut ClassState) -> Self {
         debug_assert_eq!(class.assoc, WAYS);
         debug_assert_eq!(class.meta.len(), M);
+        debug_assert_eq!(class.ext, EXT);
         let mut sub_shift = [0u32; M];
         let mut slot_mask = [0u64; M];
         let mut si = [0usize; M];
+        let mut refetch = [0u64; M];
         for (w, sm) in class.meta.iter().enumerate() {
             sub_shift[w] = sm.sub_shift;
             slot_mask[w] = sm.slot_mask;
+            refetch[w] = sm.refetch;
             // Slice indices are < MAX_MULTISIM_CONFIGS by construction;
             // the mask proves it to the optimiser so the counter
             // updates in `flush` index unchecked.
@@ -404,13 +670,20 @@ impl<'a, const M: usize> SpecCtx<'a, M> {
         let shift = class.shift;
         let min_shift = sub_shift.iter().copied().min().unwrap_or(0);
         let off_bits = shift - min_shift;
-        debug_assert!(off_bits <= 5, "block/sub ratio capped at 32 by Table 1");
+        debug_assert!(
+            class.fits_bit_table(),
+            "callers route wider classes to `one`"
+        );
         let off_mask = (1u64 << off_bits) - 1;
         let mut bit_table = [[0u64; M]; 32];
+        let mut fill_table = [[0u64; M]; 32];
         for (off, bits) in bit_table.iter_mut().enumerate().take(1 << off_bits) {
             for w in 0..M {
                 let slot = ((off as u64) >> (sub_shift[w] - min_shift)) & slot_mask[w];
                 bits[w] = 1u64 << slot;
+                if EXT {
+                    fill_table[off][w] = class.meta[w].fill(bits[w]);
+                }
             }
         }
         let set_mask = class.mask;
@@ -421,7 +694,10 @@ impl<'a, const M: usize> SpecCtx<'a, M> {
         // never exceeds `(set_mask + 1) * row_words` — with the
         // equalities pinned here the per-reference row slicing and
         // permutation access compile without bounds checks.
-        assert_eq!(data.len(), (set_mask as usize + 1) * (WAYS * (1 + M)));
+        assert_eq!(
+            data.len(),
+            (set_mask as usize + 1) * (WAYS * (1 + M * Self::WORDS))
+        );
         assert_eq!(perms.len(), set_mask as usize + 1);
         SpecCtx {
             shift,
@@ -429,6 +705,8 @@ impl<'a, const M: usize> SpecCtx<'a, M> {
             min_shift,
             off_mask,
             bit_table,
+            fill_table,
+            refetch,
             data,
             perms,
             si,
@@ -436,6 +714,9 @@ impl<'a, const M: usize> SpecCtx<'a, M> {
             miss_write: [0u64; M],
             evb: 0,
             evr: [0u64; M],
+            loads: [0u64; M],
+            redundant: [0u64; M],
+            evd: [0u64; M],
         }
     }
 
@@ -445,14 +726,43 @@ impl<'a, const M: usize> SpecCtx<'a, M> {
     /// misses alone.
     #[inline(always)]
     fn visit<const WAYS: usize, const FIFO: bool>(&mut self, a: u64, wmask: u64) {
-        let row_words = WAYS * (1 + M);
+        let row_words = WAYS * (1 + M * Self::WORDS);
         let block = a >> self.shift;
         let set = (block & self.set_mask) as usize;
         let base = set * row_words;
         let data = &mut *self.data;
         let perms = &mut *self.perms;
         let row = &mut data[base..base + row_words];
-        let bits = &self.bit_table[((a >> self.min_shift) & self.off_mask) as usize];
+        let off = ((a >> self.min_shift) & self.off_mask) as usize;
+        let bits = &self.bit_table[off];
+        // The member step for the way whose mask row starts at `$mrow`,
+        // with `$keep` all-ones when that way's block was resident:
+        // the plain demand/write-through rule, or `ext_touch`.
+        macro_rules! update_masks {
+            ($mrow:expr, $keep:expr) => {
+                if EXT {
+                    let fills = &self.fill_table[off];
+                    for w in 0..M {
+                        let at = $mrow + EXT_WORDS * w;
+                        let t =
+                            ext_touch(row, at, bits[w], fills[w], self.refetch[w], $keep, wmask);
+                        self.miss_total[w] += t.missed;
+                        self.miss_write[w] += t.missed & wmask;
+                        self.loads[w] += t.loads;
+                        self.redundant[w] += t.redundant;
+                    }
+                } else {
+                    for w in 0..M {
+                        let bit = bits[w];
+                        let old = row[$mrow + w] & $keep;
+                        let missed = u64::from(old & bit == 0);
+                        self.miss_total[w] += missed;
+                        self.miss_write[w] += missed & wmask;
+                        row[$mrow + w] = old | bit;
+                    }
+                }
+            };
+        }
         // Top-two fast path: hits on the two newest ways cover both
         // straight-line reuse and the in-set ping-pong of two
         // interleaved streams (instruction fetches alternating with
@@ -469,7 +779,7 @@ impl<'a, const M: usize> SpecCtx<'a, M> {
             if row[0] == block || h1 {
                 let phys0 = (p as usize) & (WAYS - 1);
                 let phys1 = ((p >> 4) as usize) & (WAYS - 1);
-                let mrow = WAYS + if h1 { phys1 } else { phys0 } * M;
+                let mrow = WAYS + if h1 { phys1 } else { phys0 } * M * Self::WORDS;
                 if !FIFO {
                     let b0 = row[0];
                     row[0] = block;
@@ -477,25 +787,11 @@ impl<'a, const M: usize> SpecCtx<'a, M> {
                     let swapped = (p & !0xFF) | (((p & 15) << 4) | ((p >> 4) & 15));
                     perms[set] = if h1 { swapped } else { p };
                 }
-                for w in 0..M {
-                    let bit = bits[w];
-                    let old = row[mrow + w];
-                    let missed = u64::from(old & bit == 0);
-                    self.miss_total[w] += missed;
-                    self.miss_write[w] += missed & wmask;
-                    row[mrow + w] = old | bit;
-                }
+                update_masks!(mrow, u64::MAX);
                 return;
             }
         } else if row[0] == block {
-            for w in 0..M {
-                let bit = bits[w];
-                let old = row[WAYS + w];
-                let missed = u64::from(old & bit == 0);
-                self.miss_total[w] += missed;
-                self.miss_write[w] += missed & wmask;
-                row[WAYS + w] = old | bit;
-            }
+            update_masks!(WAYS, u64::MAX);
             return;
         }
         // Ways 0 and 1 were just probed (way 0 alone when WAYS is
@@ -510,7 +806,7 @@ impl<'a, const M: usize> SpecCtx<'a, M> {
         }
         let hit = j != usize::MAX;
         let pos = if hit { j } else { WAYS - 1 };
-        let mrow = WAYS + (((p >> (4 * pos)) as usize) & (WAYS - 1)) * M;
+        let mrow = WAYS + (((p >> (4 * pos)) as usize) & (WAYS - 1)) * M * Self::WORDS;
         // Eviction of a real block is the rarest outcome; keeping
         // its statistics behind a branch spares the common paths
         // the victim-mask loads and counter read-modify-writes. The
@@ -519,20 +815,17 @@ impl<'a, const M: usize> SpecCtx<'a, M> {
         if !hit && row[WAYS - 1] != EMPTY_WAY {
             self.evb += 1;
             for w in 0..M {
-                self.evr[w] += u64::from(row[mrow + w].count_ones());
+                let at = mrow + Self::WORDS * w;
+                self.evr[w] += u64::from(row[at].count_ones());
+                if EXT {
+                    self.evd[w] += u64::from(row[at + 2].count_ones());
+                }
             }
         }
         // All-ones when hit: masks the old way's words so the miss
         // case sees zeros without a separate arm.
         let keep = u64::from(hit).wrapping_neg();
-        for w in 0..M {
-            let bit = bits[w];
-            let old = row[mrow + w] & keep;
-            let missed = u64::from(old & bit == 0);
-            self.miss_total[w] += missed;
-            self.miss_write[w] += missed & wmask;
-            row[mrow + w] = old | bit;
-        }
+        update_masks!(mrow, keep);
         // FIFO hits leave the queue untouched — only misses shift the
         // block words and rotate the permutation (and for FIFO a miss
         // always has pos == WAYS - 1: pure shift-and-fill at the back,
@@ -555,17 +848,18 @@ impl<'a, const M: usize> SpecCtx<'a, M> {
     }
 
     /// Folds the chunk-local counters into the shared bank.
-    fn flush(
-        self,
-        miss: &mut [[u64; MAX_MULTISIM_CONFIGS]; 2],
-        evicted_blocks: &mut [u64; MAX_MULTISIM_CONFIGS],
-        evicted_referenced: &mut [u64; MAX_MULTISIM_CONFIGS],
-    ) {
+    fn flush(self, bank: &mut CounterBank) {
         for w in 0..M {
-            miss[1][self.si[w]] += self.miss_total[w] - self.miss_write[w];
-            miss[0][self.si[w]] += self.miss_write[w];
-            evicted_blocks[self.si[w]] += self.evb;
-            evicted_referenced[self.si[w]] += self.evr[w];
+            let si = self.si[w];
+            bank.miss[1][si] += self.miss_total[w] - self.miss_write[w];
+            bank.miss[0][si] += self.miss_write[w];
+            bank.evicted_blocks[si] += self.evb;
+            bank.evicted_referenced[si] += self.evr[w];
+            if EXT {
+                bank.loads[si] += self.loads[w];
+                bank.redundant[si] += self.redundant[w];
+                bank.evicted_dirty[si] += self.evd[w];
+            }
         }
     }
 }
@@ -581,31 +875,62 @@ impl<'a, const M: usize> SpecCtx<'a, M> {
 /// the out-of-order window, overlapping those stalls (and sharing the
 /// one address load per reference); measured on the Table 7 grid this
 /// is worth roughly a third of the pass.
-fn run_pair_spec<const WAYS: usize, const MA: usize, const MB: usize, const FIFO: bool>(
+fn run_pair_spec<
+    const WAYS: usize,
+    const MA: usize,
+    const MB: usize,
+    const FIFO: bool,
+    const EXT: bool,
+>(
     first: &mut ClassState,
     second: &mut ClassState,
     addrs: &[u64],
     lanes: &[u8],
-    miss: &mut [[u64; MAX_MULTISIM_CONFIGS]; 2],
-    evicted_blocks: &mut [u64; MAX_MULTISIM_CONFIGS],
-    evicted_referenced: &mut [u64; MAX_MULTISIM_CONFIGS],
+    bank: &mut CounterBank,
 ) {
-    let mut ca = SpecCtx::<MA>::new::<WAYS>(first);
-    let mut cb = SpecCtx::<MB>::new::<WAYS>(second);
+    let mut ca = SpecCtx::<MA, EXT>::new::<WAYS>(first);
+    let mut cb = SpecCtx::<MB, EXT>::new::<WAYS>(second);
     for (&a, &lane) in addrs.iter().zip(lanes) {
         // All-ones for data writes (lane 0), zero for counted refs.
         let wmask = u64::from(lane & 1).wrapping_sub(1);
         ca.visit::<WAYS, FIFO>(a, wmask);
         cb.visit::<WAYS, FIFO>(a, wmask);
     }
-    ca.flush(miss, evicted_blocks, evicted_referenced);
-    cb.flush(miss, evicted_blocks, evicted_referenced);
+    ca.flush(bank);
+    cb.flush(bank);
 }
 
-/// Runs a chunk through every class, pairing adjacent 4-way classes so
-/// their loops interleave (see [`run_pair_spec`]); classes that cannot
-/// pair — odd one out, non-4-way, or too many members for a
-/// specialisation — run alone via [`ClassState::run`].
+/// Runs a chunk through two adjacent 4-way classes of one sub-block
+/// rule with their loops interleaved, when a [`run_pair_spec`]
+/// specialisation exists for their shape; returns whether it ran.
+fn run_pair<const FIFO: bool>(
+    a: &mut ClassState,
+    b: &mut ClassState,
+    addrs: &[u64],
+    lanes: &[u8],
+    bank: &mut CounterBank,
+) -> bool {
+    macro_rules! plain {
+        ($ma:literal, $mb:literal) => {{
+            run_pair_spec::<4, $ma, $mb, FIFO, false>(a, b, addrs, lanes, bank);
+            true
+        }};
+    }
+    macro_rules! extended {
+        ($ma:literal, $mb:literal) => {{
+            run_pair_spec::<4, $ma, $mb, FIFO, true>(a, b, addrs, lanes, bank);
+            true
+        }};
+    }
+    debug_assert_eq!(a.ext, b.ext);
+    pair_shapes!(a.ext, (a.meta.len(), b.meta.len()), plain, extended)
+}
+
+/// Runs a chunk through every class, pairing adjacent 4-way classes of
+/// one sub-block rule so their loops interleave (see
+/// [`run_pair_spec`]); classes that cannot pair — odd one out, non-4-way,
+/// the other rule, or too many members for a specialisation — run alone
+/// via [`ClassState::run`].
 ///
 /// Pairing never changes results (classes are independent); it only
 /// changes how their per-reference steps are scheduled. Policy comes in
@@ -614,9 +939,7 @@ fn run_classes<const FIFO: bool>(
     classes: &mut [ClassState],
     addrs: &[u64],
     lanes: &[u8],
-    miss: &mut [[u64; MAX_MULTISIM_CONFIGS]; 2],
-    evicted_blocks: &mut [u64; MAX_MULTISIM_CONFIGS],
-    evicted_referenced: &mut [u64; MAX_MULTISIM_CONFIGS],
+    bank: &mut CounterBank,
 ) {
     let mut i = 0;
     while i < classes.len() {
@@ -624,90 +947,61 @@ fn run_classes<const FIFO: bool>(
             let (head, tail) = classes.split_at_mut(i + 1);
             let a = &mut head[i];
             let b = &mut tail[0];
-            if a.assoc == 4 && b.assoc == 4 {
-                macro_rules! pair {
-                    ($ma:literal, $mb:literal) => {{
-                        run_pair_spec::<4, $ma, $mb, FIFO>(
-                            a,
-                            b,
-                            addrs,
-                            lanes,
-                            miss,
-                            evicted_blocks,
-                            evicted_referenced,
-                        );
-                        true
-                    }};
-                }
-                let paired = match (a.meta.len(), b.meta.len()) {
-                    (1, 1) => pair!(1, 1),
-                    (1, 2) => pair!(1, 2),
-                    (1, 3) => pair!(1, 3),
-                    (1, 4) => pair!(1, 4),
-                    (1, 5) => pair!(1, 5),
-                    (1, 6) => pair!(1, 6),
-                    (2, 1) => pair!(2, 1),
-                    (2, 2) => pair!(2, 2),
-                    (2, 3) => pair!(2, 3),
-                    (2, 4) => pair!(2, 4),
-                    (2, 5) => pair!(2, 5),
-                    (2, 6) => pair!(2, 6),
-                    (3, 1) => pair!(3, 1),
-                    (3, 2) => pair!(3, 2),
-                    (3, 3) => pair!(3, 3),
-                    (3, 4) => pair!(3, 4),
-                    (3, 5) => pair!(3, 5),
-                    (3, 6) => pair!(3, 6),
-                    (4, 1) => pair!(4, 1),
-                    (4, 2) => pair!(4, 2),
-                    (4, 3) => pair!(4, 3),
-                    (4, 4) => pair!(4, 4),
-                    (4, 5) => pair!(4, 5),
-                    (4, 6) => pair!(4, 6),
-                    (5, 1) => pair!(5, 1),
-                    (5, 2) => pair!(5, 2),
-                    (5, 3) => pair!(5, 3),
-                    (5, 4) => pair!(5, 4),
-                    (5, 5) => pair!(5, 5),
-                    (5, 6) => pair!(5, 6),
-                    (6, 1) => pair!(6, 1),
-                    (6, 2) => pair!(6, 2),
-                    (6, 3) => pair!(6, 3),
-                    (6, 4) => pair!(6, 4),
-                    (6, 5) => pair!(6, 5),
-                    (6, 6) => pair!(6, 6),
-                    _ => false,
-                };
-                if paired {
-                    i += 2;
-                    continue;
-                }
+            if a.pairs_with(b) && run_pair::<FIFO>(a, b, addrs, lanes, bank) {
+                i += 2;
+                continue;
             }
         }
-        classes[i].run::<FIFO>(addrs, lanes, miss, evicted_blocks, evicted_referenced);
+        classes[i].run::<FIFO>(addrs, lanes, bank);
         i += 1;
     }
 }
 
 impl ClassState {
+    /// Mask words per way: one per member, or [`EXT_WORDS`] per member
+    /// in an extended class.
+    fn mask_words(&self) -> usize {
+        self.meta.len() * if self.ext { EXT_WORDS } else { 1 }
+    }
+
+    /// Whether the block offsets at the finest member's sub-block grain
+    /// fit [`SpecCtx`]'s 32-entry tables: at most 32 sub-blocks per
+    /// block, as in every Table 1 geometry. Wider classes (up to the 64
+    /// sub-blocks a config allows) run on the generic [`ClassState::one`]
+    /// path.
+    fn fits_bit_table(&self) -> bool {
+        let min_sub_shift = self.meta.iter().map(|sm| sm.sub_shift).min();
+        min_sub_shift.is_some_and(|min| self.shift - min <= 5)
+    }
+
+    /// Whether this class and the next can share an interleaved loop
+    /// (`run_pair_spec`, or the quad loop of paired traces): both 4-way,
+    /// one sub-block rule, and within the specialised tables.
+    fn pairs_with(&self, next: &ClassState) -> bool {
+        self.assoc == 4
+            && next.assoc == 4
+            && self.ext == next.ext
+            && self.fits_bit_table()
+            && next.fits_bit_table()
+    }
+
     /// Presents one reference (`lane` 1 = counted, 0 = data write) to
     /// this class and its member configurations. Generic fallback for
     /// shapes [`ClassState::run`] has no specialisation for, and the
     /// single-reference `access` paths.
-    fn one<const FIFO: bool>(
+    fn one<const FIFO: bool, const EXT: bool>(
         &mut self,
         a: u64,
         lane: usize,
-        miss: &mut [[u64; MAX_MULTISIM_CONFIGS]; 2],
-        evicted_blocks: &mut [u64; MAX_MULTISIM_CONFIGS],
-        evicted_referenced: &mut [u64; MAX_MULTISIM_CONFIGS],
+        bank: &mut CounterBank,
     ) {
+        debug_assert_eq!(self.ext, EXT);
         let block = a >> self.shift;
         let ways = self.assoc;
-        let m = self.meta.len();
+        let words = self.mask_words();
         let set = (block & self.mask) as usize;
-        let base = set * ways * (1 + m);
-        let row = &mut self.data[base..base + ways * (1 + m)];
+        let base = set * ways * (1 + words);
+        let row = &mut self.data[base..base + ways * (1 + words)];
         // Probe every way (sentinels never match; resident block
         // numbers are distinct, so no early exit is needed).
         let mut j = usize::MAX;
@@ -724,29 +1018,15 @@ impl ClassState {
         let perm = &mut self.perm[set];
         // The mask row of the touched way never moves; the permutation
         // names it and is rotated in its stead below.
-        let mrow = ways + (((*perm >> (4 * pos)) & 15) as usize) * m;
-        let miss_ctr = &mut miss[lane];
+        let mrow = ways + (((*perm >> (4 * pos)) & 15) as usize) * words;
         if FIFO && hit {
             // FIFO hits leave the queue and permutation untouched;
             // only the hit way's mask rows pick up the sub-block.
-            for (w, sm) in self.meta.iter().enumerate() {
-                let bit = 1u64 << ((a >> sm.sub_shift) & sm.slot_mask);
-                let old = row[mrow + w];
-                miss_ctr[usize::from(sm.si) & (MAX_MULTISIM_CONFIGS - 1)] +=
-                    u64::from(old & bit == 0);
-                row[mrow + w] = old | bit;
-            }
+            touch_members::<EXT>(&self.meta, row, mrow, a, u64::MAX, lane, bank);
             return;
         }
         if !hit && row[ways - 1] != EMPTY_WAY {
-            // Evicting a real block: record its referenced sub-blocks
-            // for every member configuration before the refill below
-            // overwrites the victim's masks.
-            for (w, sm) in self.meta.iter().enumerate() {
-                let si = usize::from(sm.si);
-                evicted_blocks[si] += 1;
-                evicted_referenced[si] += u64::from(row[mrow + w].count_ones());
-            }
+            charge_eviction::<EXT>(&self.meta, row, mrow, bank);
         }
         // Rotate block words 0..=pos right by one — the pos way (hit or
         // victim) lands at slot 0 — and promote the permutation to
@@ -755,69 +1035,71 @@ impl ClassState {
         row[0] = block;
         *perm = promote(*perm, pos);
         let keep = u64::from(hit).wrapping_neg();
-        for (w, sm) in self.meta.iter().enumerate() {
-            let bit = 1u64 << ((a >> sm.sub_shift) & sm.slot_mask);
-            let old = row[mrow + w] & keep;
-            miss_ctr[usize::from(sm.si) & (MAX_MULTISIM_CONFIGS - 1)] += u64::from(old & bit == 0);
-            row[mrow + w] = old | bit;
-        }
+        touch_members::<EXT>(&self.meta, row, mrow, a, keep, lane, bank);
     }
 
-    /// Runs a whole pre-decoded chunk of references through this class,
-    /// dispatching to a shape-specialised inner loop when one exists.
+    /// Runs a whole pre-decoded chunk of references through this class
+    /// under its sub-block rule, dispatching to a shape-specialised
+    /// inner loop when one exists.
     ///
-    /// The specialisations cover every (associativity, member-count)
-    /// shape the paper grids produce; anything else falls back to the
-    /// generic per-reference path, which is exact but branchier.
-    fn run<const FIFO: bool>(
-        &mut self,
-        addrs: &[u64],
-        lanes: &[u8],
-        miss: &mut [[u64; MAX_MULTISIM_CONFIGS]; 2],
-        evicted_blocks: &mut [u64; MAX_MULTISIM_CONFIGS],
-        evicted_referenced: &mut [u64; MAX_MULTISIM_CONFIGS],
-    ) {
-        macro_rules! spec {
+    /// The plain specialisations cover every (associativity,
+    /// member-count) shape the paper grids produce, the extended ones
+    /// the one- and two-member classes the load-forward and copy-back
+    /// configs form; anything else falls back to the generic
+    /// per-reference path, which is exact but branchier.
+    fn run<const FIFO: bool>(&mut self, addrs: &[u64], lanes: &[u8], bank: &mut CounterBank) {
+        macro_rules! plain {
             ($w:literal, $m:literal) => {
-                self.run_spec::<$w, $m, FIFO>(
-                    addrs,
-                    lanes,
-                    miss,
-                    evicted_blocks,
-                    evicted_referenced,
-                )
+                self.run_spec::<$w, $m, FIFO, false>(addrs, lanes, bank)
             };
         }
-        match (self.assoc, self.meta.len()) {
-            (1, 1) => spec!(1, 1),
-            (1, 2) => spec!(1, 2),
-            (1, 3) => spec!(1, 3),
-            (1, 4) => spec!(1, 4),
-            (1, 5) => spec!(1, 5),
-            (1, 6) => spec!(1, 6),
-            (2, 1) => spec!(2, 1),
-            (2, 2) => spec!(2, 2),
-            (2, 3) => spec!(2, 3),
-            (2, 4) => spec!(2, 4),
-            (2, 5) => spec!(2, 5),
-            (2, 6) => spec!(2, 6),
-            (4, 1) => spec!(4, 1),
-            (4, 2) => spec!(4, 2),
-            (4, 3) => spec!(4, 3),
-            (4, 4) => spec!(4, 4),
-            (4, 5) => spec!(4, 5),
-            (4, 6) => spec!(4, 6),
-            (8, 1) => spec!(8, 1),
-            (8, 2) => spec!(8, 2),
-            _ => {
+        macro_rules! extended {
+            ($w:literal, $m:literal) => {
+                self.run_spec::<$w, $m, FIFO, true>(addrs, lanes, bank)
+            };
+        }
+        let shape = if self.fits_bit_table() {
+            (self.ext, self.assoc, self.meta.len())
+        } else {
+            (self.ext, 0, 0)
+        };
+        match shape {
+            (false, 1, 1) => plain!(1, 1),
+            (false, 1, 2) => plain!(1, 2),
+            (false, 1, 3) => plain!(1, 3),
+            (false, 1, 4) => plain!(1, 4),
+            (false, 1, 5) => plain!(1, 5),
+            (false, 1, 6) => plain!(1, 6),
+            (false, 2, 1) => plain!(2, 1),
+            (false, 2, 2) => plain!(2, 2),
+            (false, 2, 3) => plain!(2, 3),
+            (false, 2, 4) => plain!(2, 4),
+            (false, 2, 5) => plain!(2, 5),
+            (false, 2, 6) => plain!(2, 6),
+            (false, 4, 1) => plain!(4, 1),
+            (false, 4, 2) => plain!(4, 2),
+            (false, 4, 3) => plain!(4, 3),
+            (false, 4, 4) => plain!(4, 4),
+            (false, 4, 5) => plain!(4, 5),
+            (false, 4, 6) => plain!(4, 6),
+            (false, 8, 1) => plain!(8, 1),
+            (false, 8, 2) => plain!(8, 2),
+            (true, 1, 1) => extended!(1, 1),
+            (true, 1, 2) => extended!(1, 2),
+            (true, 2, 1) => extended!(2, 1),
+            (true, 2, 2) => extended!(2, 2),
+            (true, 4, 1) => extended!(4, 1),
+            (true, 4, 2) => extended!(4, 2),
+            (true, 8, 1) => extended!(8, 1),
+            (true, 8, 2) => extended!(8, 2),
+            (true, ..) => {
                 for (&a, &lane) in addrs.iter().zip(lanes) {
-                    self.one::<FIFO>(
-                        a,
-                        usize::from(lane),
-                        miss,
-                        evicted_blocks,
-                        evicted_referenced,
-                    );
+                    self.one::<FIFO, true>(a, usize::from(lane), bank);
+                }
+            }
+            (false, ..) => {
+                for (&a, &lane) in addrs.iter().zip(lanes) {
+                    self.one::<FIFO, false>(a, usize::from(lane), bank);
                 }
             }
         }
@@ -831,21 +1113,19 @@ impl ClassState {
     /// Must be exactly equivalent to calling [`ClassState::one`] per
     /// reference; `access_run_matches_per_reference_access` and the
     /// equivalence proptests enforce this.
-    fn run_spec<const WAYS: usize, const M: usize, const FIFO: bool>(
+    fn run_spec<const WAYS: usize, const M: usize, const FIFO: bool, const EXT: bool>(
         &mut self,
         addrs: &[u64],
         lanes: &[u8],
-        miss: &mut [[u64; MAX_MULTISIM_CONFIGS]; 2],
-        evicted_blocks: &mut [u64; MAX_MULTISIM_CONFIGS],
-        evicted_referenced: &mut [u64; MAX_MULTISIM_CONFIGS],
+        bank: &mut CounterBank,
     ) {
-        let mut ctx = SpecCtx::<M>::new::<WAYS>(self);
+        let mut ctx = SpecCtx::<M, EXT>::new::<WAYS>(self);
         for (&a, &lane) in addrs.iter().zip(lanes) {
             // All-ones for data writes (lane 0), zero for counted refs.
             let wmask = u64::from(lane & 1).wrapping_sub(1);
             ctx.visit::<WAYS, FIFO>(a, wmask);
         }
-        ctx.flush(miss, evicted_blocks, evicted_referenced);
+        ctx.flush(bank);
     }
 }
 
@@ -856,14 +1136,9 @@ impl ClassState {
 /// classes.
 #[derive(Debug, Clone)]
 struct EngineCore {
-    /// Number of configurations (prefix of the per-size arrays).
-    n: usize,
+    /// The slice, in counter-bank order.
+    configs: Vec<CacheConfig>,
     classes: Vec<ClassState>,
-    sub_size: [u64; MAX_MULTISIM_CONFIGS],
-    /// Sub-block slots per block, as recorded in eviction statistics.
-    slots: [u64; MAX_MULTISIM_CONFIGS],
-    /// Bus word size (write-through accounting).
-    word_size: [u64; MAX_MULTISIM_CONFIGS],
     bank: CounterBank,
     /// Chunk scratch: addresses decoded once per `access_run` chunk so
     /// the per-class passes read plain words instead of re-decoding
@@ -895,16 +1170,14 @@ impl EngineCore {
             }
         }
         let mut classes: Vec<ClassState> = Vec::new();
-        let mut sub_size = [0u64; MAX_MULTISIM_CONFIGS];
-        let mut slots = [0u64; MAX_MULTISIM_CONFIGS];
-        let mut word_size = [0u64; MAX_MULTISIM_CONFIGS];
         for (si, c) in configs.iter().enumerate() {
             let shift = c.block_size().trailing_zeros();
             let mask = c.num_sets() - 1;
             let assoc = c.effective_associativity() as usize;
+            let ext = is_extended(c);
             let class = match classes
                 .iter_mut()
-                .find(|x| x.shift == shift && x.mask == mask && x.assoc == assoc)
+                .find(|x| x.shift == shift && x.mask == mask && x.assoc == assoc && x.ext == ext)
             {
                 Some(class) => class,
                 None => {
@@ -912,6 +1185,7 @@ impl EngineCore {
                         shift,
                         mask,
                         assoc,
+                        ext,
                         meta: Vec::new(),
                         data: Vec::new(),
                         perm: Vec::new(),
@@ -919,21 +1193,19 @@ impl EngineCore {
                     classes.last_mut().expect("just pushed")
                 }
             };
-            class.meta.push(SizeMeta {
-                si: si as u8,
-                sub_shift: c.sub_block_size().trailing_zeros(),
-                slot_mask: c.sub_blocks_per_block() - 1,
-            });
-            sub_size[si] = c.sub_block_size();
-            slots[si] = c.sub_blocks_per_block();
-            word_size[si] = c.word_size();
+            class.meta.push(SizeMeta::new(si, c));
         }
+        // Plain classes first, in slice order, so a load-forward or
+        // copy-back class never splits two plain classes the runners
+        // would otherwise pair. Classes are independent, so their order
+        // never changes results.
+        classes.sort_by_key(|class| class.ext);
         // Set state is sized once membership is final: per way, one
-        // block word plus one mask word per member configuration, the
+        // block word plus the member configurations' mask words, the
         // block words leading each set and initialised to the sentinel.
         for class in &mut classes {
             let sets = (class.mask + 1) as usize;
-            let set_words = class.assoc * (1 + class.meta.len());
+            let set_words = class.assoc * (1 + class.mask_words());
             class.data = vec![0; sets * set_words];
             for set in class.data.chunks_exact_mut(set_words) {
                 set[..class.assoc].fill(EMPTY_WAY);
@@ -941,11 +1213,8 @@ impl EngineCore {
             class.perm = vec![IDENT_PERM; sets];
         }
         Ok(EngineCore {
-            n: configs.len(),
+            configs: configs.to_vec(),
             classes,
-            sub_size,
-            slots,
-            word_size,
             bank: CounterBank::default(),
             scratch_addr: Vec::new(),
             scratch_lane: Vec::new(),
@@ -974,19 +1243,30 @@ impl EngineCore {
     /// Expands the compact per-size counters into full [`Metrics`],
     /// exactly.
     fn metrics(&self) -> Vec<Metrics> {
-        (0..self.n)
-            .map(|si| {
+        let bank = &self.bank;
+        self.configs
+            .iter()
+            .enumerate()
+            .map(|(si, config)| {
+                let misses = bank.miss[1][si];
                 Metrics::from_engine(
-                    self.word_size[si],
-                    self.sub_size[si],
-                    self.slots[si],
+                    config,
                     EngineCounters {
-                        accesses: self.bank.accesses,
-                        write_accesses: self.bank.write_accesses,
-                        misses: self.bank.miss[1][si],
-                        write_misses: self.bank.miss[0][si],
-                        evicted_blocks: self.bank.evicted_blocks[si],
-                        evicted_referenced_subs: self.bank.evicted_referenced[si],
+                        accesses: bank.accesses,
+                        write_accesses: bank.write_accesses,
+                        misses,
+                        write_misses: bank.miss[0][si],
+                        // A plain class loads one sub-block per counted
+                        // miss and never counts loads itself.
+                        sub_loads: if is_extended(config) {
+                            bank.loads[si]
+                        } else {
+                            misses
+                        },
+                        redundant_sub_loads: bank.redundant[si],
+                        evicted_blocks: bank.evicted_blocks[si],
+                        evicted_referenced_subs: bank.evicted_referenced[si],
+                        evicted_dirty_subs: bank.evicted_dirty[si],
                     },
                 )
             })
@@ -1064,41 +1344,12 @@ impl Engine {
             scratch_lane: lanes,
             ..
         } = &mut self.core;
-        let CounterBank {
-            miss,
-            evicted_blocks,
-            evicted_referenced,
-            ..
-        } = bank;
         match &mut self.policy {
-            Policy::Lru => run_classes::<false>(
-                classes,
-                addrs,
-                lanes,
-                miss,
-                evicted_blocks,
-                evicted_referenced,
-            ),
-            Policy::Fifo => run_classes::<true>(
-                classes,
-                addrs,
-                lanes,
-                miss,
-                evicted_blocks,
-                evicted_referenced,
-            ),
+            Policy::Lru => run_classes::<false>(classes, addrs, lanes, bank),
+            Policy::Fifo => run_classes::<true>(classes, addrs, lanes, bank),
             Policy::Random { filled, rngs } => {
                 for ((class, filled), rng) in classes.iter_mut().zip(filled).zip(rngs) {
-                    random::run_class(
-                        class,
-                        filled,
-                        rng,
-                        addrs,
-                        lanes,
-                        miss,
-                        evicted_blocks,
-                        evicted_referenced,
-                    );
+                    random::run_class(class, filled, rng, addrs, lanes, bank);
                 }
             }
         }
@@ -1261,6 +1512,26 @@ mod tests {
             .unwrap()
     }
 
+    fn cfg_with(
+        net: u64,
+        block: u64,
+        sub: u64,
+        policy: ReplacementPolicy,
+        fetch: FetchPolicy,
+        write: WritePolicy,
+    ) -> CacheConfig {
+        CacheConfig::builder()
+            .net_size(net)
+            .block_size(block)
+            .sub_block_size(sub)
+            .word_size(2)
+            .replacement(policy)
+            .fetch(fetch)
+            .write_policy(write)
+            .build()
+            .unwrap()
+    }
+
     /// A deterministic trace with loops, strides and writes — enough
     /// structure to exercise hits, conflict misses and evictions.
     fn mixed_trace(len: u64, span: u64) -> Vec<MemRef> {
@@ -1300,18 +1571,13 @@ mod tests {
         let counted = u64::from(r.kind().is_counted());
         core.bank.accesses += counted;
         core.bank.write_accesses += 1 - counted;
-        let CounterBank {
-            miss,
-            evicted_blocks,
-            evicted_referenced,
-            ..
-        } = &mut core.bank;
-        let (a, lane) = (r.address().value(), counted as usize);
+        let (a, lane, bank) = (r.address().value(), counted as usize, &mut core.bank);
         for class in &mut core.classes {
-            if fifo {
-                class.one::<true>(a, lane, miss, evicted_blocks, evicted_referenced);
-            } else {
-                class.one::<false>(a, lane, miss, evicted_blocks, evicted_referenced);
+            match (fifo, class.ext) {
+                (false, false) => class.one::<false, false>(a, lane, bank),
+                (false, true) => class.one::<false, true>(a, lane, bank),
+                (true, false) => class.one::<true, false>(a, lane, bank),
+                (true, true) => class.one::<true, true>(a, lane, bank),
             }
         }
     }
@@ -1449,15 +1715,181 @@ mod tests {
             .unwrap();
         assert!(!engine_supports(&prefetch));
         assert_eq!(EngineKind::for_config(&prefetch), None);
-        let copy_back = CacheConfig::builder()
-            .net_size(64)
-            .block_size(8)
-            .sub_block_size(4)
-            .word_size(2)
-            .write_policy(WritePolicy::CopyBack)
-            .build()
-            .unwrap();
-        assert!(!engine_supports(&copy_back));
+    }
+
+    #[test]
+    fn load_forward_and_copy_back_are_engine_eligible() {
+        for policy in POLICIES {
+            for fetch in [
+                FetchPolicy::LOAD_FORWARD,
+                FetchPolicy::LoadForward {
+                    remember_valid: true,
+                },
+            ] {
+                for write in [WritePolicy::WriteThrough, WritePolicy::CopyBack] {
+                    let config = cfg_with(64, 8, 4, policy, fetch, write);
+                    assert!(engine_supports(&config), "{config}");
+                }
+            }
+            let copy_back = cfg_with(64, 8, 4, policy, FetchPolicy::Demand, WritePolicy::CopyBack);
+            assert_eq!(
+                EngineKind::for_config(&copy_back),
+                EngineKind::for_config(&cfg_policy(64, 8, 4, policy))
+            );
+        }
+    }
+
+    /// A slice mixing every engine fetch and write policy over three
+    /// geometries, so plain and extended classes of one geometry run
+    /// side by side.
+    fn policy_mix(policy: ReplacementPolicy) -> Vec<CacheConfig> {
+        let fetches = [
+            FetchPolicy::Demand,
+            FetchPolicy::LOAD_FORWARD,
+            FetchPolicy::LoadForward {
+                remember_valid: true,
+            },
+        ];
+        let writes = [WritePolicy::WriteThrough, WritePolicy::CopyBack];
+        let mut configs = Vec::new();
+        for (net, block, sub) in [(64, 16, 2), (256, 16, 4), (256, 32, 8)] {
+            for fetch in fetches {
+                for write in writes {
+                    configs.push(cfg_with(net, block, sub, policy, fetch, write));
+                }
+            }
+        }
+        configs
+    }
+
+    #[test]
+    fn load_forward_and_copy_back_match_direct_simulation() {
+        let trace = mixed_trace(20_000, 4096);
+        for policy in POLICIES {
+            let configs = policy_mix(policy);
+            assert_matches_direct(&configs, &trace, 0);
+            assert_matches_direct(&configs, &trace, 3_000);
+        }
+    }
+
+    #[test]
+    fn blocks_of_more_than_32_sub_blocks_match_direct_simulation() {
+        // 128-byte blocks in 2-byte sub-blocks: 64 slots, past the
+        // specialised runners' 32-entry offset tables, so these classes
+        // take the generic path — alone, and beside a 4-way class of
+        // narrow blocks they would otherwise pair with. Two equal-length
+        // traces take the LRU quad scheduler too.
+        let traces = [mixed_trace(20_000, 8192), mixed_trace(20_000, 4096)];
+        for policy in POLICIES {
+            let lf = FetchPolicy::LOAD_FORWARD;
+            let (through, back) = (WritePolicy::WriteThrough, WritePolicy::CopyBack);
+            let configs = [
+                cfg_with(1024, 128, 2, policy, FetchPolicy::Demand, through),
+                cfg_with(1024, 128, 8, policy, FetchPolicy::Demand, through),
+                cfg_with(1024, 128, 2, policy, lf, back),
+                cfg_with(2048, 128, 2, policy, lf, through),
+                cfg_with(256, 16, 4, policy, FetchPolicy::Demand, through),
+                cfg_with(256, 16, 4, policy, lf, back),
+            ];
+            let all = simulate_many(&configs, traces.iter().map(|t| t.iter().copied()), 0, 0);
+            for (trace, per_config) in traces.iter().zip(all.unwrap()) {
+                for (config, metrics) in configs.iter().zip(per_config) {
+                    let direct = simulate_seeded(*config, trace.iter().copied(), 0, 0);
+                    assert_eq!(metrics, direct, "{config}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn redundant_load_forward_refetches_valid_data() {
+        // Mirrors the direct simulator's test of the same name: a miss
+        // on sub 4 loads 4..8, then a backward miss on sub 0 reloads
+        // 4..8 redundantly.
+        for policy in POLICIES {
+            let config = cfg_with(
+                64,
+                16,
+                2,
+                policy,
+                FetchPolicy::LOAD_FORWARD,
+                WritePolicy::WriteThrough,
+            );
+            let trace = [MemRef::read(8), MemRef::read(0)];
+            let m = simulate_many(&[config], [trace.iter().copied()], 0, 0).unwrap()[0][0];
+            assert_eq!(m.redundant_sub_loads(), 4, "{policy:?}");
+            assert_eq!(m.fetch_bytes(), 8 + 16, "{policy:?}");
+            assert_matches_direct(&[config], &trace, 0);
+            // The same backward miss on a data write fills the block too,
+            // but loads count on counted references only.
+            let write = [MemRef::read(8), MemRef::write(0)];
+            let m = simulate_many(&[config], [write.iter().copied()], 0, 0).unwrap()[0][0];
+            assert_eq!(m.redundant_sub_loads(), 0, "{policy:?}");
+            assert_eq!(m.sub_loads(), 4, "{policy:?}");
+            assert_eq!(m.write_misses(), 1, "{policy:?}");
+            assert_matches_direct(&[config], &write, 0);
+        }
+    }
+
+    #[test]
+    fn optimized_load_forward_skips_valid_data() {
+        for policy in POLICIES {
+            let fetch = FetchPolicy::LoadForward {
+                remember_valid: true,
+            };
+            let config = cfg_with(64, 16, 2, policy, fetch, WritePolicy::WriteThrough);
+            let trace = [MemRef::read(8), MemRef::read(0)];
+            let m = simulate_many(&[config], [trace.iter().copied()], 0, 0).unwrap()[0][0];
+            assert_eq!(m.redundant_sub_loads(), 0, "{policy:?}");
+            assert_eq!(m.fetch_bytes(), 8 + 8, "{policy:?}");
+            assert_eq!(m.misses(), 2, "{policy:?}");
+            assert_matches_direct(&[config], &trace, 0);
+        }
+    }
+
+    #[test]
+    fn copy_back_writes_back_dirty_sub_blocks_across_evictions() {
+        // Direct-mapped, two sets of 8-byte blocks in 4-byte sub-blocks:
+        // blocks 0 and 2 share set 0. Block 0 is written in both subs,
+        // then evicted (8 bytes back); the blocks refilled after it are
+        // clean, so neither later eviction writes anything back.
+        let trace = [
+            MemRef::write(0),
+            MemRef::write(6),
+            MemRef::read(16),
+            MemRef::read(0),
+            MemRef::read(16),
+        ];
+        for policy in POLICIES {
+            let one_way = CacheConfig::builder()
+                .net_size(16)
+                .block_size(8)
+                .sub_block_size(4)
+                .associativity(1)
+                .word_size(2)
+                .replacement(policy)
+                .write_policy(WritePolicy::CopyBack)
+                .build()
+                .unwrap();
+            let m = simulate_many(&[one_way], [trace.iter().copied()], 0, 0).unwrap()[0][0];
+            assert_eq!(m.evicted_blocks(), 3, "{policy:?}");
+            assert_eq!(m.write_back_bytes(), 8, "{policy:?}");
+            assert_eq!(m.write_through_bytes(), 0, "{policy:?}");
+            assert_eq!(m.write_misses(), 2, "{policy:?}");
+            assert_matches_direct(&[one_way], &trace, 0);
+            // The same geometry at 2 ways beside its write-through twin,
+            // over a trace that cycles dirty blocks through the set.
+            let two_way = cfg_with(16, 8, 4, policy, FetchPolicy::Demand, WritePolicy::CopyBack);
+            let through = cfg_with(
+                16,
+                8,
+                4,
+                policy,
+                FetchPolicy::Demand,
+                WritePolicy::WriteThrough,
+            );
+            assert_matches_direct(&[two_way, through], &mixed_trace(5_000, 64), 0);
+        }
     }
 
     #[test]
@@ -1563,10 +1995,11 @@ mod tests {
     fn access_run_matches_per_reference_access() {
         let trace = mixed_trace(10_000, 2048);
         for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
-            let configs = [
+            let mut configs = vec![
                 cfg_policy(64, 16, 8, policy),
                 cfg_policy(256, 16, 8, policy),
             ];
+            configs.extend(policy_mix(policy));
             let mut chunked = Engine::new(&configs, 0).unwrap();
             for chunk in trace.chunks(97) {
                 chunked.access_run(chunk);

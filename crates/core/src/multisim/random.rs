@@ -24,21 +24,35 @@
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use super::{ClassState, EMPTY_WAY, MAX_MULTISIM_CONFIGS};
+use super::{charge_eviction, touch_members, ClassState, CounterBank, EMPTY_WAY};
 
 /// One chunk through one residency class: probe physically, fill the
 /// first empty way, or replace the drawn way in place.
-#[allow(clippy::too_many_arguments)] // mirrors the shared runner signatures
 pub(super) fn run_class(
     class: &mut ClassState,
     filled: &mut [u16],
     rng: &mut StdRng,
     addrs: &[u64],
     lanes: &[u8],
-    miss: &mut [[u64; MAX_MULTISIM_CONFIGS]; 2],
-    evicted_blocks: &mut [u64; MAX_MULTISIM_CONFIGS],
-    evicted_referenced: &mut [u64; MAX_MULTISIM_CONFIGS],
+    bank: &mut CounterBank,
 ) {
+    if class.ext {
+        run_class_as::<true>(class, filled, rng, addrs, lanes, bank);
+    } else {
+        run_class_as::<false>(class, filled, rng, addrs, lanes, bank);
+    }
+}
+
+/// [`run_class`] for one sub-block rule.
+fn run_class_as<const EXT: bool>(
+    class: &mut ClassState,
+    filled: &mut [u16],
+    rng: &mut StdRng,
+    addrs: &[u64],
+    lanes: &[u8],
+    bank: &mut CounterBank,
+) {
+    let words = class.mask_words();
     let ClassState {
         shift,
         mask,
@@ -50,8 +64,7 @@ pub(super) fn run_class(
     let shift = *shift;
     let set_mask = *mask;
     let ways = *assoc;
-    let m = meta.len();
-    let row_words = ways * (1 + m);
+    let row_words = ways * (1 + words);
     for (&a, &lane) in addrs.iter().zip(lanes) {
         let block = a >> shift;
         let set = (block & set_mask) as usize;
@@ -79,25 +92,12 @@ pub(super) fn run_class(
         } else {
             rng.gen_range(0..ways)
         };
-        let mrow = ways + way * m;
+        let mrow = ways + way * words;
         if !hit && row[way] != EMPTY_WAY {
-            // Evicting a real block: record its referenced sub-blocks
-            // for every member configuration before the refill below
-            // overwrites the victim's masks.
-            for (w, sm) in meta.iter().enumerate() {
-                let si = usize::from(sm.si);
-                evicted_blocks[si] += 1;
-                evicted_referenced[si] += u64::from(row[mrow + w].count_ones());
-            }
+            charge_eviction::<EXT>(meta, row, mrow, bank);
         }
         row[way] = block;
         let keep = u64::from(hit).wrapping_neg();
-        let miss_ctr = &mut miss[usize::from(lane)];
-        for (w, sm) in meta.iter().enumerate() {
-            let bit = 1u64 << ((a >> sm.sub_shift) & sm.slot_mask);
-            let old = row[mrow + w] & keep;
-            miss_ctr[usize::from(sm.si) & (MAX_MULTISIM_CONFIGS - 1)] += u64::from(old & bit == 0);
-            row[mrow + w] = old | bit;
-        }
+        touch_members::<EXT>(meta, row, mrow, a, keep, usize::from(lane), bank);
     }
 }

@@ -5,8 +5,9 @@
 
 use std::fmt::Write as _;
 
-use occache_core::{simulate, CacheConfig, Metrics, SplitCache, SubBlockCache, WritePolicy};
+use occache_core::{CacheConfig, Metrics, SplitCache, SubBlockCache, WritePolicy};
 use occache_riscii::{compact_profile, ChipTiming, RiscIiCache};
+use occache_runtime::executor::evaluate_metrics;
 use occache_trace::MemRef;
 use occache_workloads::{riscii_instruction_workload, Architecture, ProgramGenerator};
 
@@ -36,31 +37,30 @@ pub fn run_writes(bench: &mut Workbench) -> Artifact {
         let warmup = bench.warmup_for(arch);
         let word = arch.word_size();
         let traces = bench.arch_traces(arch);
-        let mut fill = 0.0;
-        let mut wt_total = 0.0;
-        let mut cb_total = 0.0;
-        for policy in [WritePolicy::WriteThrough, WritePolicy::CopyBack] {
-            let config = CacheConfig::builder()
+        let configs = [WritePolicy::WriteThrough, WritePolicy::CopyBack].map(|policy| {
+            CacheConfig::builder()
                 .net_size(1024)
                 .block_size(16)
                 .sub_block_size(8)
                 .word_size(word)
                 .write_policy(policy)
                 .build()
-                .expect("valid geometry");
-            for trace in traces {
-                let m: Metrics = simulate(config, trace.iter(), warmup);
-                let denom = (m.accesses() * word) as f64;
-                match policy {
-                    WritePolicy::WriteThrough => {
-                        fill += m.traffic_ratio();
-                        wt_total += (m.fetch_bytes() + m.write_through_bytes()) as f64 / denom;
-                    }
-                    WritePolicy::CopyBack => {
-                        cb_total += (m.fetch_bytes() + m.write_back_bytes()) as f64 / denom;
-                    }
-                }
-            }
+                .expect("valid geometry")
+        });
+        // Both policies share one engine pass per trace on the pool.
+        let [through, back] =
+            <[Vec<Metrics>; 2]>::try_from(evaluate_metrics(&configs, traces, warmup))
+                .expect("one metrics row per config");
+        let denom = |m: &Metrics| (m.accesses() * word) as f64;
+        let mut fill = 0.0;
+        let mut wt_total = 0.0;
+        let mut cb_total = 0.0;
+        for m in &through {
+            fill += m.traffic_ratio();
+            wt_total += (m.fetch_bytes() + m.write_through_bytes()) as f64 / denom(m);
+        }
+        for m in &back {
+            cb_total += (m.fetch_bytes() + m.write_back_bytes()) as f64 / denom(m);
         }
         let n = traces.len() as f64;
         fill /= n;

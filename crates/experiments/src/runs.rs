@@ -674,8 +674,8 @@ pub fn run_table8(bench: &mut Workbench) -> Artifact {
         "net,block,sub,load_forward,gross,miss_ratio,traffic_ratio,nibble_traffic,redundant_fraction\n",
     );
 
-    // One grid for every row: the demand rows share an engine pass and
-    // the load-forward rows run as direct units beside it.
+    // One grid for every row: the demand and load-forward rows share
+    // one LRU engine pass per trace.
     for (row, p) in evaluate_each(paper::TABLE8, traces, warmup, |row| {
         let mut builder = CacheConfig::builder();
         builder

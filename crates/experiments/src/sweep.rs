@@ -255,8 +255,9 @@ mod tests {
     }
 
     /// A Table-7-style grid plus a FIFO config (engine-eligible, but on
-    /// its own policy's slice) and configs no engine can express
-    /// (prefetch, copy-back): exercises every planner path.
+    /// its own policy's slice), load-forward and copy-back configs (on
+    /// the LRU slice beside the grid) and the one config no engine can
+    /// express (prefetch): exercises every planner path.
     fn mixed_grid() -> Vec<CacheConfig> {
         let mut configs = Vec::new();
         for net in [64u64, 256] {
@@ -282,6 +283,9 @@ mod tests {
         configs.push(fallback(
             CacheConfig::builder().write_policy(occache_core::WritePolicy::CopyBack),
         ));
+        configs.push(fallback(
+            CacheConfig::builder().fetch(FetchPolicy::LOAD_FORWARD),
+        ));
         configs
     }
 
@@ -305,13 +309,24 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
-        // Only prefetch and copy-back still need the direct simulator;
-        // the FIFO config rides its own policy's engine slice.
+        // Only prefetch still needs the direct simulator; the FIFO
+        // config rides its own policy's engine slice, and the copy-back
+        // and load-forward configs ride the LRU slice with the grid.
         let direct = units
             .iter()
             .filter(|u| matches!(u, SweepUnit::Direct(_)))
             .count();
-        assert_eq!(direct, 2);
+        assert_eq!(direct, 1);
+        let n = configs.len();
+        let lru_slice = units
+            .iter()
+            .find_map(|u| match u {
+                SweepUnit::Engine { kind, members } if *kind == EngineKind::Lru => Some(members),
+                _ => None,
+            })
+            .expect("the grid plans an LRU slice");
+        assert!(lru_slice.contains(&(n - 2)), "copy-back: {units:?}");
+        assert!(lru_slice.contains(&(n - 1)), "load-forward: {units:?}");
         assert!(
             units
                 .iter()
@@ -339,13 +354,13 @@ mod tests {
             ..DisabledEngines::NONE
         };
         let units = plan_units_disabling(&configs, disabled);
-        // The FIFO config joins prefetch and copy-back on the direct
-        // path; the LRU grid still rides its engine.
+        // The FIFO config joins prefetch on the direct path; the LRU
+        // grid still rides its engine.
         let direct = units
             .iter()
             .filter(|u| matches!(u, SweepUnit::Direct(_)))
             .count();
-        assert_eq!(direct, 3);
+        assert_eq!(direct, 2);
         assert!(units
             .iter()
             .all(|u| !matches!(u, SweepUnit::Engine { kind, .. }

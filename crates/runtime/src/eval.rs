@@ -5,14 +5,15 @@
 //! ("Multiple-trace miss and traffic ratios are the unweighted average
 //! of the miss and traffic ratios of individual runs", §3.3). Sweeps do
 //! not simulate every point independently: [`plan_units`] groups a grid
-//! into one-pass-compatible slices per replacement policy (demand
-//! fetch, write-through, power-of-two sets — geometry may differ
-//! freely per member) and [`evaluate_slice`] runs each through the
-//! matching [`occache_core::multisim`] engine (LRU, FIFO or Random),
-//! which yields every cache size's metrics from a single trace pass —
-//! bit-identical to [`occache_core::simulate`]. Only points no engine
-//! can express (prefetch/load-forward, copy-back, non-power-of-two
-//! sets) fall back to the direct simulator, and
+//! into one-pass-compatible slices per replacement policy (power-of-two
+//! sets — geometry, demand or load-forward fetch and write-through or
+//! copy-back may differ freely per member) and [`evaluate_slice`] runs
+//! each through the matching [`occache_core::multisim`] engine (LRU,
+//! FIFO or Random), which yields every cache size's metrics from a
+//! single trace pass — bit-identical to [`occache_core::simulate`].
+//! Only points no engine can express (prefetch, non-power-of-two sets,
+//! more than 16 ways, 1-byte blocks) fall back to the direct simulator,
+//! and
 //! `OCCACHE_NO_MULTISIM=<list>` forces the direct path for the listed
 //! engines — or all of them with `OCCACHE_NO_MULTISIM=all` — (used by
 //! equivalence tests and timing comparisons; see
@@ -225,29 +226,7 @@ pub fn evaluate_slice(
     warmup: usize,
     shards: usize,
 ) -> Vec<DesignPoint> {
-    let shards = shards.clamp(1, traces.len().max(1));
-    let (base, extra) = (traces.len() / shards, traces.len() % shards);
-    let mut groups = Vec::with_capacity(shards);
-    let mut rest = traces;
-    for g in 0..shards {
-        let (group, tail) = rest.split_at(base + usize::from(g < extra));
-        groups.push(group);
-        rest = tail;
-    }
-    let per_trace = thread::scope(|scope| {
-        let handles: Vec<_> = groups[1..]
-            .iter()
-            .map(|&group| scope.spawn(move || engine_metrics(configs, group, warmup)))
-            .collect();
-        let mut all = engine_metrics(configs, groups[0], warmup);
-        for handle in handles {
-            match handle.join() {
-                Ok(metrics) => all.extend(metrics),
-                Err(payload) => panic::resume_unwind(payload),
-            }
-        }
-        all
-    });
+    let per_trace = slice_metrics(configs, traces, warmup, shards);
     let nibble = BusModel::paper_nibble();
     let mut miss = vec![0.0; configs.len()];
     let mut traffic = vec![0.0; configs.len()];
@@ -276,6 +255,40 @@ pub fn evaluate_slice(
             gross_size: config.gross_size(),
         })
         .collect()
+}
+
+/// Runs a one-pass-compatible slice over every trace, sharded as
+/// [`evaluate_slice`] describes, returning each trace's
+/// per-configuration metrics in trace order.
+pub(crate) fn slice_metrics(
+    configs: &[CacheConfig],
+    traces: &[Trace],
+    warmup: usize,
+    shards: usize,
+) -> Vec<Vec<Metrics>> {
+    let shards = shards.clamp(1, traces.len().max(1));
+    let (base, extra) = (traces.len() / shards, traces.len() % shards);
+    let mut groups = Vec::with_capacity(shards);
+    let mut rest = traces;
+    for g in 0..shards {
+        let (group, tail) = rest.split_at(base + usize::from(g < extra));
+        groups.push(group);
+        rest = tail;
+    }
+    thread::scope(|scope| {
+        let handles: Vec<_> = groups[1..]
+            .iter()
+            .map(|&group| scope.spawn(move || engine_metrics(configs, group, warmup)))
+            .collect();
+        let mut all = engine_metrics(configs, groups[0], warmup);
+        for handle in handles {
+            match handle.join() {
+                Ok(metrics) => all.extend(metrics),
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        }
+        all
+    })
 }
 
 /// One engine pass per trace over `configs`, returning each trace's

@@ -31,12 +31,12 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-use occache_core::CacheConfig;
+use occache_core::{simulate, CacheConfig, Metrics};
 
 use crate::config::parse_timeout;
 use crate::eval::{
     evaluate_point, evaluate_results_with, evaluate_slice, panic_message, plan_units_disabling,
-    slice_pool, DesignPoint, PointError, SlicePool, SweepUnit, Trace,
+    slice_metrics, slice_pool, DesignPoint, PointError, SlicePool, SweepUnit, Trace,
 };
 use crate::journal::JournalHealth;
 
@@ -769,6 +769,65 @@ pub fn evaluate_points(
     points
 }
 
+/// Every configuration's per-trace [`Metrics`], `result[config][trace]`,
+/// from one pooled call: the grid is planned into engine slices and
+/// direct units (honouring `OCCACHE_NO_MULTISIM`) and drained by the
+/// same worker pool shape as [`evaluate_points`], but nothing is
+/// averaged, so an artifact can report counters a [`DesignPoint`] does
+/// not carry, such as write-through and write-back traffic. Each entry
+/// is bit-identical to [`occache_core::simulate`] of that config and
+/// trace. Unsupervised: a panic in any unit propagates to the caller.
+pub fn evaluate_metrics(
+    configs: &[CacheConfig],
+    traces: &[Trace],
+    warmup: usize,
+) -> Vec<Vec<Metrics>> {
+    let units = plan_units_disabling(configs, crate::config::multisim_disabled());
+    let SlicePool { workers, shards } = slice_pool(units.len(), traces.len(), None);
+    let next = AtomicUsize::new(0);
+    let (units, next) = (&units, &next);
+    let mut out = vec![Vec::new(); configs.len()];
+    thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut done: Vec<(usize, Vec<Metrics>)> = Vec::new();
+                    while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        match unit {
+                            SweepUnit::Direct(i) => {
+                                let config = configs[*i];
+                                let per_trace =
+                                    traces.iter().map(|t| simulate(config, t.iter(), warmup));
+                                done.push((*i, per_trace.collect()));
+                            }
+                            SweepUnit::Engine { members, .. } => {
+                                let slice: Vec<CacheConfig> =
+                                    members.iter().map(|&i| configs[i]).collect();
+                                let per_trace = slice_metrics(&slice, traces, warmup, shards);
+                                for (k, &i) in members.iter().enumerate() {
+                                    done.push((i, per_trace.iter().map(|m| m[k]).collect()));
+                                }
+                            }
+                        }
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (i, metrics) in done {
+                        out[i] = metrics;
+                    }
+                }
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        }
+    });
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,6 +860,56 @@ mod tests {
             block /= 2;
         }
         (configs, traces)
+    }
+
+    #[test]
+    fn evaluate_metrics_matches_simulate_per_config_and_trace() {
+        use occache_core::{FetchPolicy, WritePolicy};
+        let (mut configs, mut traces) = small_grid();
+        let spec = WorkloadSpec::pdp11_opsys();
+        traces.push(Trace::new(spec.name(), spec.generator(0).take(1_500)));
+        // Engine slices with load-forward and copy-back members, plus a
+        // prefetch config only the direct simulator runs.
+        let mut extra = Vec::new();
+        for config in configs.iter().take(6) {
+            let mut builder = CacheConfig::builder();
+            builder
+                .net_size(config.net_size())
+                .block_size(config.block_size())
+                .sub_block_size(config.sub_block_size())
+                .word_size(2);
+            extra.push(
+                builder
+                    .fetch(FetchPolicy::LOAD_FORWARD)
+                    .build()
+                    .expect("valid geometry"),
+            );
+            extra.push(
+                builder
+                    .write_policy(WritePolicy::CopyBack)
+                    .build()
+                    .expect("valid geometry"),
+            );
+        }
+        extra.push(
+            CacheConfig::builder()
+                .net_size(256)
+                .block_size(16)
+                .sub_block_size(4)
+                .word_size(2)
+                .fetch(FetchPolicy::PrefetchNext { tagged: true })
+                .build()
+                .expect("valid geometry"),
+        );
+        configs.extend(extra);
+        let all = evaluate_metrics(&configs, &traces, 100);
+        assert_eq!(all.len(), configs.len());
+        for (config, per_trace) in configs.iter().zip(&all) {
+            assert_eq!(per_trace.len(), traces.len());
+            for (trace, metrics) in traces.iter().zip(per_trace) {
+                assert_eq!(*metrics, simulate(*config, trace.iter(), 100), "{config}");
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 
-use occache::core::{simulate_many, simulate_seeded, CacheConfig, ReplacementPolicy};
+use occache::core::{
+    simulate_many, simulate_seeded, CacheConfig, FetchPolicy, ReplacementPolicy, WritePolicy,
+};
 use occache::trace::{AccessKind, Address, MemRef};
 
 /// Longest drawn trace: past two 4096-reference engine chunks, so
@@ -12,12 +14,18 @@ const MAX_TRACE_LEN: usize = 9_000;
 
 /// An arbitrary engine-eligible slice of the given replacement policy:
 /// one block size at up to four net sizes with varying sub-block size,
-/// associativity and word size. The planner never mixes policies in a
-/// slice, so neither does the generator.
+/// associativity and word size, each config drawing its fetch policy
+/// (demand, redundant or optimized load-forward) and write policy
+/// (write-through or copy-back) independently, so plain and extended
+/// residency classes mix within one slice. The planner never mixes
+/// replacement policies in a slice, so neither does the generator.
 pub fn arb_slice(policy: ReplacementPolicy) -> impl Strategy<Value = Vec<CacheConfig>> {
     (
         0u32..=4, // block 2..32
-        proptest::collection::vec((0u32..=4, 0u32..=3, 0u32..=1, 0u32..=4), 4),
+        proptest::collection::vec(
+            (0u32..=4, 0u32..=3, 0u32..=1, 0u32..=4, 0usize..3, 0usize..2),
+            4,
+        ),
         1usize..=4, // how many of the four size candidates to keep
     )
         .prop_filter_map(
@@ -27,7 +35,7 @@ pub fn arb_slice(policy: ReplacementPolicy) -> impl Strategy<Value = Vec<CacheCo
                 let configs: Vec<CacheConfig> = sizes
                     .into_iter()
                     .take(take)
-                    .filter_map(|(net_exp, ways_exp, word_exp, sub_exp)| {
+                    .filter_map(|(net_exp, ways_exp, word_exp, sub_exp, fetch, write)| {
                         CacheConfig::builder()
                             .net_size(32u64 << net_exp) // 32..512
                             .block_size(block)
@@ -35,6 +43,16 @@ pub fn arb_slice(policy: ReplacementPolicy) -> impl Strategy<Value = Vec<CacheCo
                             .associativity(1u64 << ways_exp) // 1..8
                             .word_size(2u64 << word_exp) // 2 or 4
                             .replacement(policy)
+                            .fetch(
+                                [
+                                    FetchPolicy::Demand,
+                                    FetchPolicy::LOAD_FORWARD,
+                                    FetchPolicy::LoadForward {
+                                        remember_valid: true,
+                                    },
+                                ][fetch],
+                            )
+                            .write_policy([WritePolicy::WriteThrough, WritePolicy::CopyBack][write])
                             .build()
                             .ok()
                             .filter(occache::core::engine_supports)
@@ -78,7 +96,8 @@ pub fn arb_traces() -> impl Strategy<Value = Vec<Vec<MemRef>>> {
 }
 
 /// Full `Metrics` equality (the type derives `Eq`, so this covers every
-/// counter: accesses, misses, fetch bytes, write-throughs, evictions and
+/// counter: accesses, misses, fetch bytes, sub-block and redundant
+/// loads, write-through and write-back bytes, evictions and
 /// unreferenced-sub-block statistics) between one `simulate_many` call
 /// over all `traces` and `simulate_seeded` per trace and configuration.
 pub fn assert_engine_matches_direct(
