@@ -26,6 +26,16 @@ cargo test -q
 echo "== full workspace tests =="
 cargo test --workspace -q
 
+echo "== engine equivalence proptests under a rotating seed =="
+# The proptest shim seeds every test from its name, so the runs above
+# replay the same cases each time. One more pass of the engine
+# equivalence suites under a seed taken from the date explores new
+# cases; a failure prints the PROPTEST_SEED and PROPTEST_CASES that
+# replay it.
+PT_SEED=$(date -u +%Y%m%d)
+echo "   PROPTEST_SEED=$PT_SEED"
+PROPTEST_SEED="$PT_SEED" cargo test -q --test policy_equiv --test multisim_equiv
+
 echo "== perf gate: perfbench sweep records vs the committed trajectory =="
 # The repository benchmark (perfbench/, its own cargo workspace) times
 # the paper's Table 7 sweeps and checks the outputs it timed: perfbench
@@ -33,8 +43,8 @@ echo "== perf gate: perfbench sweep records vs the committed trajectory =="
 # simulator or a repeated pass changes a bit, and `set -e` fails CI on
 # that. Two runs feed the gate: `sweep-lru` end to end (the streamed LRU
 # engine at 2 threads) and `sweep-policies` traced (per-layer FIFO
-# engine costs, and the LRU engine's cost on the load-forward and
-# copy-back twins). Each run's `# record` object,
+# and Random engine costs, and the LRU engine's cost on the
+# load-forward and copy-back twins). Each run's `# record` object,
 # which names the box (nproc, threads, rustc, commit), becomes one key
 # of BENCH_sweep.json.
 #
@@ -70,13 +80,16 @@ metric() {
 }
 LRU=$(metric BENCH_sweep.json sweep-lru sim_refs_per_s)
 FIFO=$(metric BENCH_sweep.json sweep-policies core.multisim.fifo_ns_per_ref)
+RANDOM_NS=$(metric BENCH_sweep.json sweep-policies core.multisim.random_ns_per_ref)
 TWINS=$(metric BENCH_sweep.json sweep-policies core.multisim.lru_ns_per_ref)
 DIRECT_POINTS=$(metric BENCH_sweep.json sweep-policies runtime.direct_points)
 DIRECT_UNITS=$(metric BENCH_sweep.json sweep-policies runtime.units.direct)
 LRU_BASE=$(metric "$PB_DIR/committed.json" sweep-lru sim_refs_per_s)
 FIFO_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.fifo_ns_per_ref)
+RANDOM_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.random_ns_per_ref)
 TWINS_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.lru_ns_per_ref)
 for pair in "sim_refs_per_s:$LRU" "core.multisim.fifo_ns_per_ref:$FIFO" \
+            "core.multisim.random_ns_per_ref:$RANDOM_NS" \
             "core.multisim.lru_ns_per_ref:$TWINS" "runtime.direct_points:$DIRECT_POINTS" \
             "runtime.units.direct:$DIRECT_UNITS"; do
   [ -n "${pair#*:}" ] || { echo "FAIL: no ${pair%%:*} in the perfbench records"; exit 1; }
@@ -87,8 +100,9 @@ done
 awk -v p="$DIRECT_POINTS" -v u="$DIRECT_UNITS" 'BEGIN { exit (p == 0 && u == 0) ? 0 : 1 }' \
   || { echo "FAIL: sweep-policies ran $DIRECT_POINTS point(s) in $DIRECT_UNITS unit(s) on the direct simulator; every config must ride an engine"; exit 1; }
 # A real perf regression must fail loudly: LRU throughput may not fall
-# more than 25% below its committed value, nor FIFO ns/ref or the twins'
-# LRU ns/ref rise past committed / 0.75 (the same 25% throughput bound).
+# more than 25% below its committed value, nor FIFO ns/ref, Random
+# ns/ref or the twins' LRU ns/ref rise past committed / 0.75 (the same
+# 25% throughput bound).
 # A committed value of 0 means that engine did not run in the committed
 # record, so there is nothing to ratchet against yet.
 if [ -n "$LRU_BASE" ]; then
@@ -99,6 +113,12 @@ if [ -n "$FIFO_BASE" ]; then
   awk -v c="$FIFO" -v b="$FIFO_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
     || { echo "FAIL: sweep-policies core.multisim.fifo_ns_per_ref $FIFO regressed >25% above baseline $FIFO_BASE"; exit 1; }
 fi
+if [ -n "$RANDOM_BASE" ] && awk -v b="$RANDOM_BASE" 'BEGIN { exit (b > 0) ? 0 : 1 }'; then
+  awk -v c="$RANDOM_NS" -v b="$RANDOM_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
+    || { echo "FAIL: sweep-policies core.multisim.random_ns_per_ref $RANDOM_NS regressed >25% above baseline $RANDOM_BASE"; exit 1; }
+else
+  RANDOM_BASE=
+fi
 if [ -n "$TWINS_BASE" ] && awk -v b="$TWINS_BASE" 'BEGIN { exit (b > 0) ? 0 : 1 }'; then
   awk -v c="$TWINS" -v b="$TWINS_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
     || { echo "FAIL: sweep-policies core.multisim.lru_ns_per_ref $TWINS regressed >25% above baseline $TWINS_BASE"; exit 1; }
@@ -107,17 +127,18 @@ else
 fi
 # An improvement on every ratcheted metric rewrites the committed
 # trajectory point; anything short of that restores the committed file
-# so noise never erodes the bar. A committed record without the twins'
-# figure takes its first one with the next rewrite that improves the
-# other two.
+# so noise never erodes the bar. A committed record without the Random
+# or twins' figure takes its first one with the next rewrite that
+# improves the others.
 if [ -z "$LRU_BASE" ] || [ -z "$FIFO_BASE" ]; then
-  echo "   no complete committed baseline; keeping fresh measurement ($LRU refs/s, fifo $FIFO ns/ref, twins $TWINS ns/ref)"
-elif awk -v c="$LRU" -v b="$LRU_BASE" -v fc="$FIFO" -v fb="$FIFO_BASE" -v tc="$TWINS" -v tb="$TWINS_BASE" \
-       'BEGIN { exit (c > b && fc < fb && (tb == "" || tc < tb)) ? 0 : 1 }'; then
-  echo "   improved: $LRU_BASE -> $LRU refs/s, fifo $FIFO_BASE -> $FIFO ns/ref, twins ${TWINS_BASE:-none} -> $TWINS ns/ref (baseline rewritten)"
+  echo "   no complete committed baseline; keeping fresh measurement ($LRU refs/s, fifo $FIFO ns/ref, random $RANDOM_NS ns/ref, twins $TWINS ns/ref)"
+elif awk -v c="$LRU" -v b="$LRU_BASE" -v fc="$FIFO" -v fb="$FIFO_BASE" -v rc="$RANDOM_NS" -v rb="$RANDOM_BASE" \
+       -v tc="$TWINS" -v tb="$TWINS_BASE" \
+       'BEGIN { exit (c > b && fc < fb && (rb == "" || rc < rb) && (tb == "" || tc < tb)) ? 0 : 1 }'; then
+  echo "   improved: $LRU_BASE -> $LRU refs/s, fifo $FIFO_BASE -> $FIFO ns/ref, random ${RANDOM_BASE:-none} -> $RANDOM_NS ns/ref, twins ${TWINS_BASE:-none} -> $TWINS ns/ref (baseline rewritten)"
 else
   git checkout -- BENCH_sweep.json
-  echo "   held: $LRU refs/s, fifo $FIFO ns/ref, twins $TWINS ns/ref within bounds, no direct points (baseline kept)"
+  echo "   held: $LRU refs/s, fifo $FIFO ns/ref, random $RANDOM_NS ns/ref, twins $TWINS ns/ref within bounds, no direct points (baseline kept)"
 fi
 
 echo "== integrity: manifest + verify + supervised fault injection =="
@@ -176,12 +197,13 @@ echo "$LOCK_ERR" | grep -qi "lock" \
   || { echo "FAIL: lock contention diagnostic missing: $LOCK_ERR"; exit 1; }
 rm -f "$INT_DIR/.checkpoint/LOCK"
 
-echo "== policy gate: FIFO Table 7 rides the one-pass engines end to end =="
+echo "== policy gate: FIFO and Random Table 7 ride the one-pass engines end to end =="
 # A full Table 7 run down the FIFO axis must compute every point on a
 # slice engine — zero direct-simulator fallbacks — and the same run with
-# the FIFO engine kill-switched must take the direct path instead. Both
-# facts come from the RUN_METRICS.prom sidecar through occache-top's
-# strict exposition parser, not from greps over JSON.
+# the FIFO engine kill-switched must take the direct path instead; then
+# the same pair of runs down the Random axis. Both facts come from the
+# RUN_METRICS.prom sidecar through occache-top's strict exposition
+# parser, not from greps over JSON.
 cargo build --release -q -p occache-top --bin occache-top
 POL_DIR=target/ci-policy
 POL_OFF_DIR=target/ci-policy-direct
@@ -210,6 +232,33 @@ for F in "$POL_DIR"/*.csv "$POL_DIR/MANIFEST.json"; do
     || { echo "FAIL: $(basename "$F") differs between FIFO engine and direct runs"; exit 1; }
 done
 echo "   FIFO table7: $POL_FIFO engine points, 0 direct; kill-switched run went direct and matched byte-for-byte"
+# Random: the same gate, with the Random engine alone kill-switched in
+# the control run. Both runs use the default seed, so the direct path
+# must reproduce the engine's draws bit for bit.
+POL_RND_DIR=target/ci-policy-random
+POL_RND_OFF_DIR=target/ci-policy-random-direct
+rm -rf "$POL_RND_DIR" "$POL_RND_OFF_DIR"
+OCCACHE_RESULTS="$POL_RND_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_REPLACEMENT=random \
+  ./target/release/table7
+POL_RND_DIRECT=$(./target/release/occache-top --parse-metrics "$POL_RND_DIR/RUN_METRICS.prom" \
+                   --get occache_run_points_direct_total)
+[ "$POL_RND_DIRECT" = "0" ] \
+  || { echo "FAIL: Random Table 7 fell back to direct simulation for $POL_RND_DIRECT points"; exit 1; }
+POL_RANDOM=$(./target/release/occache-top --parse-metrics "$POL_RND_DIR/RUN_METRICS.prom" \
+               --get occache_run_points_engine_random_total)
+[ -n "$POL_RANDOM" ] && [ "$POL_RANDOM" -ge 1 ] \
+  || { echo "FAIL: Random Table 7 recorded no Random-engine points (got '$POL_RANDOM')"; exit 1; }
+OCCACHE_RESULTS="$POL_RND_OFF_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_REPLACEMENT=random \
+  OCCACHE_NO_MULTISIM=random ./target/release/table7
+POL_RND_OFF_DIRECT=$(./target/release/occache-top --parse-metrics "$POL_RND_OFF_DIR/RUN_METRICS.prom" \
+                       --get occache_run_points_direct_total)
+[ -n "$POL_RND_OFF_DIRECT" ] && [ "$POL_RND_OFF_DIRECT" -ge 1 ] \
+  || { echo "FAIL: OCCACHE_NO_MULTISIM=random did not force the direct path"; exit 1; }
+for F in "$POL_RND_DIR"/*.csv "$POL_RND_DIR/MANIFEST.json"; do
+  cmp "$F" "$POL_RND_OFF_DIR/$(basename "$F")" \
+    || { echo "FAIL: $(basename "$F") differs between Random engine and direct runs"; exit 1; }
+done
+echo "   Random table7: $POL_RANDOM engine points, 0 direct; kill-switched run went direct and matched byte-for-byte"
 
 echo "== serving-mode gate: occache-serve driven by occache-loadgen =="
 # The root package does not depend on the serve or cli crates, so the

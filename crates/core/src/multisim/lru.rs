@@ -3,7 +3,7 @@
 
 use occache_trace::MemRef;
 
-use super::{ClassState, CounterBank, EngineCore, SpecCtx};
+use super::{ClassState, CounterBank, EngineCore, Lru, SpecCtx};
 
 /// One side of a [`run_quad_spec`] call: an adjacent class pair of one
 /// engine, that engine's decoded chunk, and its counter bank.
@@ -39,10 +39,10 @@ fn run_quad_spec<const WAYS: usize, const MA: usize, const MB: usize, const EXT:
         // All-ones for data writes (lane 0), zero for counted refs.
         let wa = u64::from(lanes_a[i] & 1).wrapping_sub(1);
         let wb = u64::from(lanes_b[i] & 1).wrapping_sub(1);
-        ca1.visit::<WAYS, false>(aa, wa);
-        cb1.visit::<WAYS, false>(ab, wb);
-        ca2.visit::<WAYS, false>(aa, wa);
-        cb2.visit::<WAYS, false>(ab, wb);
+        ca1.visit::<WAYS>(aa, wa);
+        cb1.visit::<WAYS>(ab, wb);
+        ca2.visit::<WAYS>(aa, wa);
+        cb2.visit::<WAYS>(ab, wb);
     }
     ca1.flush(bank_a);
     ca2.flush(bank_a);
@@ -122,8 +122,8 @@ pub(super) fn run_pair(
                 }
             }
         }
-        classes_a[i].run::<false>(addrs_a, lanes_a, bank_a);
-        classes_b[i].run::<false>(addrs_b, lanes_b, bank_b);
+        classes_a[i].run(&mut Lru, addrs_a, lanes_a, bank_a);
+        classes_b[i].run(&mut Lru, addrs_b, lanes_b, bank_b);
         i += 1;
     }
 }

@@ -16,20 +16,16 @@
 //!
 //! * **LRU** — the Mattson-style stack simulation, permutation-packed
 //!   recency per set.
-//! * **FIFO** — fill-order queues. FIFO has no inclusion property across
-//!   associativities (CIPARSim's intersection property degenerates to
-//!   exact class sharing), but configurations with equal block size, set
-//!   count and associativity still make identical fill and eviction
-//!   decisions, since hits never disturb the queue. FIFO therefore runs
-//!   the LRU reference step with one compile-time flag set: hits update
-//!   only the hit way's sub-block mask — no block rotation, no
-//!   permutation promotion — while misses are the identical
-//!   shift-and-fill at the back of the queue. Sentinel-filled ways sink
-//!   to the back and are consumed in fill order, which is exactly the
-//!   direct simulator's fill-the-first-empty-frame rule.
-//! * **Random** — deterministic seeded replication of the direct
-//!   simulator's per-cache RNG, one generator per residency class (the
-//!   `random` module).
+//! * **FIFO** and **Random** — one fixed-way runner (the `random`
+//!   module): blocks keep the physical way they were filled into, a hit
+//!   touches only that way's sub-block masks, and a miss fills the
+//!   victim way in place. The two policies differ only in the victim.
+//!   FIFO has no inclusion property across associativities (CIPARSim's
+//!   intersection property degenerates to exact class sharing), but
+//!   hits never disturb its queue, so with fixed ways the queue is a
+//!   per-set round-robin pointer. Random replicates the direct
+//!   simulator's per-cache RNG exactly, one seeded generator per
+//!   residency class, drawn only on a full-set miss.
 //!
 //! [`simulate_many`] runs consecutive traces two at a time. Two
 //! equal-length chunks of an LRU slice go through one four-way
@@ -43,9 +39,11 @@
 //! victim decisions under LRU *and* FIFO, and share one RNG draw
 //! sequence under Random, so they share block-level state), the
 //! shape-specialised reference loops (`SpecCtx`, const-generic over
-//! way count, a `FIFO` flag so hit promotion compiles out, and an `EXT`
-//! flag selecting the sub-block rule), and the flat per-configuration
-//! counter bank from which full [`Metrics`] are reconstructed exactly.
+//! way count and member count, with an `EXT` flag selecting the
+//! sub-block rule), the chunk schedulers every policy's `Step` plugs
+//! into (single classes and interleaved 4-way class pairs), and the flat
+//! per-configuration counter bank from which full [`Metrics`] are
+//! reconstructed exactly.
 //!
 //! Sub-block bitmasks are kept **per configuration** for each resident
 //! way, because evictions (which clear them) happen at different times
@@ -70,9 +68,9 @@
 //!
 //! Empty ways hold a sentinel block number (`u64::MAX`, which no real
 //! block can equal once blocks span at least two bytes), so sets are
-//! always structurally full and the insert path is one unified
-//! shift-and-fill with eviction statistics gated on the victim being
-//! real.
+//! always structurally full: the fill path is the eviction path with
+//! its statistics gated on the victim being real, and the number of
+//! non-sentinel ways is a set's fill count.
 //!
 //! What the engine cannot express (callers fall back to [`simulate`]):
 //! the prefetch fetch policies (their pollution statistics need a
@@ -154,6 +152,8 @@ macro_rules! pair_shapes {
 mod lru;
 mod random;
 
+use random::Fifo;
+
 /// Maximum configurations one engine instance simulates per pass.
 ///
 /// Deduplicated residency classes make the residency cost per pass
@@ -210,9 +210,9 @@ impl Error for MultiSimError {}
 pub enum EngineKind {
     /// The permutation-packed LRU stack runner.
     Lru,
-    /// The fill-order-queue FIFO runner.
+    /// The fixed-way runner with a round-robin FIFO victim.
     Fifo,
-    /// The seeded deterministic Random runner.
+    /// The fixed-way runner with a seeded deterministic Random victim.
     Random,
 }
 
@@ -466,8 +466,8 @@ fn ext_touch(
 
 /// Presents address `a` to every member's masks of one way — the mask
 /// row at `mrow` — through the class's sub-block rule, counting into
-/// the bank: the per-member step of the generic runners
-/// ([`ClassState::one`] and the Random runner). `keep` is as for
+/// the bank: the per-member step of the generic per-reference steps
+/// (LRU's [`ClassState::one`] and the fixed-way one). `keep` is as for
 /// [`ext_touch`]; `lane` is 1 for counted references, 0 for data writes.
 #[inline(always)]
 fn touch_members<const EXT: bool>(
@@ -541,21 +541,20 @@ const EMPTY_WAY: u64 = u64::MAX;
 ///
 /// `data` packs each set as `[block_0 .. block_{A-1},
 /// masks_0 .. masks_{A-1}]` — the `A` resident block numbers
-/// contiguous (so the probe reads one cache line) and in stack order
-/// (LRU: recency, most recent first; FIFO: fill order, newest first),
-/// followed by `A` rows of member-configuration mask words (one per
-/// member in a plain class, [`EXT_WORDS`] per member in an extended
-/// one) in **physical** order. Mask rows never move: moving a block
-/// rotates only the block words, and the per-set entry of `perm` —
-/// sixteen 4-bit fields mapping stack rank to physical mask row — is
-/// updated instead. Rotating the mask rows too would make every
-/// promotion copy every mask word through a store-to-load-forwarding
-/// chain; one packed-permutation word update replaces all of that
-/// traffic. Unoccupied ways hold [`EMPTY_WAY`] with zero masks, so
+/// contiguous (so the probe reads one cache line), followed by `A` rows
+/// of member-configuration mask words (one per member in a plain
+/// class, [`EXT_WORDS`] per member in an extended one) in **physical**
+/// order. Under LRU the block words are in recency order, most recent
+/// first. Mask rows never move: moving a block rotates only the block
+/// words, and the per-set entry of `perm` — sixteen 4-bit fields
+/// mapping stack rank to physical mask row — is updated instead.
+/// Rotating the mask rows too would make every promotion copy every
+/// mask word through a store-to-load-forwarding chain; one
+/// packed-permutation word update replaces all of that traffic. Under
+/// FIFO and Random block word `w` simply belongs to mask row `w` (see
+/// [`random`]). Unoccupied ways hold [`EMPTY_WAY`] with zero masks, so
 /// every set is structurally full and the hot path never consults an
-/// occupancy count. (Random reuses the same layout with
-/// blocks at fixed physical positions and the permutation left at
-/// identity; see [`random`].)
+/// occupancy count.
 #[derive(Debug, Clone)]
 struct ClassState {
     /// log2 of the block size: addresses shift down by this to become
@@ -573,8 +572,10 @@ struct ClassState {
     /// `num_sets * assoc * (1 + mask_words())` words of per-set state
     /// (see the struct docs for the layout).
     data: Vec<u64>,
-    /// Per-set rank→physical-mask-row permutation, 4 bits per rank
-    /// (which is why the engine caps associativity at 16 ways).
+    /// One word per set. LRU: the rank→physical-mask-row permutation,
+    /// 4 bits per rank (which is why the engine caps associativity at
+    /// 16 ways). FIFO: the next victim way, a round-robin pointer.
+    /// Random: unused.
     perm: Vec<u64>,
 }
 
@@ -592,41 +593,44 @@ fn promote(perm: u64, pos: usize) -> u64 {
 }
 
 /// Chunk-loop context for one class in a shape-specialised runner:
-/// per-chunk tables, borrowed set state, and chunk-local counters.
+/// per-chunk geometry, borrowed set state, and the chunk-local member
+/// tables and counters ([`Members`]).
 ///
-/// Chunk-local miss counters, flushed once by [`SpecCtx::flush`]: the
-/// shared bank's slots are the same few addresses every reference, and
-/// a read-modify-write there each iteration serialises the loop on
-/// store-to-load forwarding. Total and write-lane-only counts (plain
-/// arrays, no per-reference lane indexing) let the register allocator
-/// keep them live.
-///
-/// Factoring the per-reference step into [`SpecCtx::visit`] lets one
-/// reference loop drive either a single class ([`ClassState::run_spec`])
-/// or two classes interleaved ([`run_pair_spec`]); see the latter for
-/// why interleaving pays. `visit` is const-generic over a `FIFO` flag:
-/// with it set, hits update only the hit way's mask row — no block
-/// rotation, no permutation update — which is exactly the direct
-/// simulator's "hits do not disturb the queue" FIFO semantics, and the
-/// miss path (shift-and-fill at the back) is shared with LRU. The
-/// context's `EXT` flag selects the class's sub-block rule; with it
+/// Factoring the per-reference step into a method lets one reference
+/// loop drive either a single class ([`ClassState::run_spec`]) or two
+/// classes interleaved ([`run_pair_spec`]); see the latter for why
+/// interleaving pays. [`SpecCtx::visit`] is the LRU stack step; the
+/// fixed-way step FIFO and Random share lives in the `random` module.
+/// The context's `EXT` flag selects the class's sub-block rule; with it
 /// clear, the extended tables and counters are never touched and the
-/// step is the plain demand/write-through one.
+/// member step is the plain demand/write-through one.
 struct SpecCtx<'a, const M: usize, const EXT: bool> {
     shift: u32,
     set_mask: u64,
     /// Finest member sub-block granularity; block offsets are taken at
-    /// this grain when indexing `bit_table`.
+    /// this grain when indexing the member tables.
     min_shift: u32,
     off_mask: u64,
+    data: &'a mut [u64],
+    perms: &'a mut [u64],
+    members: Members<M, EXT>,
+}
+
+/// The member side of a [`SpecCtx`]: per-offset tables and chunk-local
+/// counters, flushed once by [`Members::flush`].
+///
+/// The shared bank's slots are the same few addresses every reference,
+/// and a read-modify-write there each iteration serialises the loop on
+/// store-to-load forwarding. Total and write-lane-only counts (plain
+/// arrays, no per-reference lane indexing) let the register allocator
+/// keep them live.
+struct Members<const M: usize, const EXT: bool> {
     /// Per-offset sub-block bit per member; see [`SpecCtx::new`].
     bit_table: [[u64; M]; 32],
     /// `EXT` only: per-offset [`SizeMeta::fill`] of each member's bit.
     fill_table: [[u64; M]; 32],
     /// `EXT` only: each member's [`SizeMeta::refetch`].
     refetch: [u64; M],
-    data: &'a mut [u64],
-    perms: &'a mut [u64],
     /// Member slice indices, pre-masked so the flush indexes unchecked.
     si: [usize; M],
     miss_total: [u64; M],
@@ -639,9 +643,74 @@ struct SpecCtx<'a, const M: usize, const EXT: bool> {
     evd: [u64; M],
 }
 
-impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
+impl<const M: usize, const EXT: bool> Members<M, EXT> {
     /// Mask words per member in a way's mask row.
     const WORDS: usize = if EXT { EXT_WORDS } else { 1 };
+
+    /// The member step for the way whose mask row starts at `mrow`, for
+    /// a reference at block offset `off`: the plain demand/write-through
+    /// rule, or [`ext_touch`]. `keep` is all-ones when that way's block
+    /// was resident and zero when it is being (re)filled; `wmask` is
+    /// all-ones for a data write.
+    #[inline(always)]
+    fn touch(&mut self, row: &mut [u64], mrow: usize, off: usize, keep: u64, wmask: u64) {
+        let bits = &self.bit_table[off];
+        if EXT {
+            let fills = &self.fill_table[off];
+            for w in 0..M {
+                let at = mrow + EXT_WORDS * w;
+                let t = ext_touch(row, at, bits[w], fills[w], self.refetch[w], keep, wmask);
+                self.miss_total[w] += t.missed;
+                self.miss_write[w] += t.missed & wmask;
+                self.loads[w] += t.loads;
+                self.redundant[w] += t.redundant;
+            }
+        } else {
+            for w in 0..M {
+                let bit = bits[w];
+                let old = row[mrow + w] & keep;
+                let missed = u64::from(old & bit == 0);
+                self.miss_total[w] += missed;
+                self.miss_write[w] += missed & wmask;
+                row[mrow + w] = old | bit;
+            }
+        }
+    }
+
+    /// Charges the eviction of the real block whose masks start at
+    /// `mrow`, read before the refill overwrites them.
+    #[inline(always)]
+    fn evict(&mut self, row: &[u64], mrow: usize) {
+        self.evb += 1;
+        for w in 0..M {
+            let at = mrow + Self::WORDS * w;
+            self.evr[w] += u64::from(row[at].count_ones());
+            if EXT {
+                self.evd[w] += u64::from(row[at + 2].count_ones());
+            }
+        }
+    }
+
+    /// Folds the chunk-local counters into the shared bank.
+    fn flush(self, bank: &mut CounterBank) {
+        for w in 0..M {
+            let si = self.si[w];
+            bank.miss[1][si] += self.miss_total[w] - self.miss_write[w];
+            bank.miss[0][si] += self.miss_write[w];
+            bank.evicted_blocks[si] += self.evb;
+            bank.evicted_referenced[si] += self.evr[w];
+            if EXT {
+                bank.loads[si] += self.loads[w];
+                bank.redundant[si] += self.redundant[w];
+                bank.evicted_dirty[si] += self.evd[w];
+            }
+        }
+    }
+}
+
+impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
+    /// Mask words per member in a way's mask row.
+    const WORDS: usize = Members::<M, EXT>::WORDS;
 
     #[inline(always)]
     fn new<const WAYS: usize>(class: &'a mut ClassState) -> Self {
@@ -672,7 +741,7 @@ impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
         let off_bits = shift - min_shift;
         debug_assert!(
             class.fits_bit_table(),
-            "callers route wider classes to `one`"
+            "callers route wider classes to the generic step"
         );
         let off_mask = (1u64 << off_bits) - 1;
         let mut bit_table = [[0u64; M]; 32];
@@ -690,10 +759,10 @@ impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
         let data = &mut class.data[..];
         let perms = &mut class.perm[..];
         // Two length proofs ahead of the reference loop: every set
-        // index in `visit` is `block & set_mask`, so `base + row_words`
+        // index in a step is `block & set_mask`, so `base + row_words`
         // never exceeds `(set_mask + 1) * row_words` — with the
         // equalities pinned here the per-reference row slicing and
-        // permutation access compile without bounds checks.
+        // per-set word access compile without bounds checks.
         assert_eq!(
             data.len(),
             (set_mask as usize + 1) * (WAYS * (1 + M * Self::WORDS))
@@ -704,28 +773,28 @@ impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
             set_mask,
             min_shift,
             off_mask,
-            bit_table,
-            fill_table,
-            refetch,
             data,
             perms,
-            si,
-            miss_total: [0u64; M],
-            miss_write: [0u64; M],
-            evb: 0,
-            evr: [0u64; M],
-            loads: [0u64; M],
-            redundant: [0u64; M],
-            evd: [0u64; M],
+            members: Members {
+                bit_table,
+                fill_table,
+                refetch,
+                si,
+                miss_total: [0u64; M],
+                miss_write: [0u64; M],
+                evb: 0,
+                evr: [0u64; M],
+                loads: [0u64; M],
+                redundant: [0u64; M],
+                evd: [0u64; M],
+            },
         }
     }
 
-    /// Presents one reference to this class: the entire per-reference
-    /// step of the specialised runners. With `FIFO` set, hits touch
-    /// only the hit way's mask row; the queue and permutation move on
-    /// misses alone.
+    /// Presents one reference to this class under LRU: the entire
+    /// per-reference step of the specialised LRU runners.
     #[inline(always)]
-    fn visit<const WAYS: usize, const FIFO: bool>(&mut self, a: u64, wmask: u64) {
+    fn visit<const WAYS: usize>(&mut self, a: u64, wmask: u64) {
         let row_words = WAYS * (1 + M * Self::WORDS);
         let block = a >> self.shift;
         let set = (block & self.set_mask) as usize;
@@ -734,35 +803,6 @@ impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
         let perms = &mut *self.perms;
         let row = &mut data[base..base + row_words];
         let off = ((a >> self.min_shift) & self.off_mask) as usize;
-        let bits = &self.bit_table[off];
-        // The member step for the way whose mask row starts at `$mrow`,
-        // with `$keep` all-ones when that way's block was resident:
-        // the plain demand/write-through rule, or `ext_touch`.
-        macro_rules! update_masks {
-            ($mrow:expr, $keep:expr) => {
-                if EXT {
-                    let fills = &self.fill_table[off];
-                    for w in 0..M {
-                        let at = $mrow + EXT_WORDS * w;
-                        let t =
-                            ext_touch(row, at, bits[w], fills[w], self.refetch[w], $keep, wmask);
-                        self.miss_total[w] += t.missed;
-                        self.miss_write[w] += t.missed & wmask;
-                        self.loads[w] += t.loads;
-                        self.redundant[w] += t.redundant;
-                    }
-                } else {
-                    for w in 0..M {
-                        let bit = bits[w];
-                        let old = row[$mrow + w] & $keep;
-                        let missed = u64::from(old & bit == 0);
-                        self.miss_total[w] += missed;
-                        self.miss_write[w] += missed & wmask;
-                        row[$mrow + w] = old | bit;
-                    }
-                }
-            };
-        }
         // Top-two fast path: hits on the two newest ways cover both
         // straight-line reuse and the in-set ping-pong of two
         // interleaved streams (instruction fetches alternating with
@@ -770,9 +810,8 @@ impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
         // a front-way-only check — and which of the two ways hit is
         // resolved with selects, not a second branch. Mask rows are
         // physical: only the hit way's row is touched, found through
-        // the permutation word. Under LRU a way-1 hit swaps the two
-        // front permutation fields instead of moving any masks; under
-        // FIFO hits move nothing at all.
+        // the permutation word. A way-1 hit swaps the two front
+        // permutation fields instead of moving any masks.
         let p = perms[set];
         if WAYS >= 2 {
             let h1 = row[1] == block;
@@ -780,18 +819,16 @@ impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
                 let phys0 = (p as usize) & (WAYS - 1);
                 let phys1 = ((p >> 4) as usize) & (WAYS - 1);
                 let mrow = WAYS + if h1 { phys1 } else { phys0 } * M * Self::WORDS;
-                if !FIFO {
-                    let b0 = row[0];
-                    row[0] = block;
-                    row[1] = if h1 { b0 } else { row[1] };
-                    let swapped = (p & !0xFF) | (((p & 15) << 4) | ((p >> 4) & 15));
-                    perms[set] = if h1 { swapped } else { p };
-                }
-                update_masks!(mrow, u64::MAX);
+                let b0 = row[0];
+                row[0] = block;
+                row[1] = if h1 { b0 } else { row[1] };
+                let swapped = (p & !0xFF) | (((p & 15) << 4) | ((p >> 4) & 15));
+                perms[set] = if h1 { swapped } else { p };
+                self.members.touch(row, mrow, off, u64::MAX, wmask);
                 return;
             }
         } else if row[0] == block {
-            update_masks!(WAYS, u64::MAX);
+            self.members.touch(row, WAYS, off, u64::MAX, wmask);
             return;
         }
         // Ways 0 and 1 were just probed (way 0 alone when WAYS is
@@ -811,28 +848,14 @@ impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
         // its statistics behind a branch spares the common paths
         // the victim-mask loads and counter read-modify-writes. The
         // victim's masks live in the row about to be refilled, read
-        // here before the update loop overwrites them.
+        // here before the update overwrites them.
         if !hit && row[WAYS - 1] != EMPTY_WAY {
-            self.evb += 1;
-            for w in 0..M {
-                let at = mrow + Self::WORDS * w;
-                self.evr[w] += u64::from(row[at].count_ones());
-                if EXT {
-                    self.evd[w] += u64::from(row[at + 2].count_ones());
-                }
-            }
+            self.members.evict(row, mrow);
         }
         // All-ones when hit: masks the old way's words so the miss
         // case sees zeros without a separate arm.
         let keep = u64::from(hit).wrapping_neg();
-        update_masks!(mrow, keep);
-        // FIFO hits leave the queue untouched — only misses shift the
-        // block words and rotate the permutation (and for FIFO a miss
-        // always has pos == WAYS - 1: pure shift-and-fill at the back,
-        // consuming sentinels in fill order while any remain).
-        if FIFO && hit {
-            return;
-        }
+        self.members.touch(row, mrow, off, keep, wmask);
         // Shift block words right where their slot index is ≤ pos,
         // leave the rest: with const bounds this unrolls to pure
         // load/select/store, no branch on `pos`. The mask rows stay
@@ -849,41 +872,79 @@ impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
 
     /// Folds the chunk-local counters into the shared bank.
     fn flush(self, bank: &mut CounterBank) {
-        for w in 0..M {
-            let si = self.si[w];
-            bank.miss[1][si] += self.miss_total[w] - self.miss_write[w];
-            bank.miss[0][si] += self.miss_write[w];
-            bank.evicted_blocks[si] += self.evb;
-            bank.evicted_referenced[si] += self.evr[w];
-            if EXT {
-                bank.loads[si] += self.loads[w];
-                bank.redundant[si] += self.redundant[w];
-                bank.evicted_dirty[si] += self.evd[w];
-            }
-        }
+        self.members.flush(bank);
+    }
+}
+
+/// A replacement policy's per-reference step over one residency class:
+/// the one thing the chunk schedulers ([`run_classes`],
+/// [`run_pair_spec`], [`ClassState::run`]) are generic over. An
+/// implementor carries the per-class state its policy needs — none for
+/// LRU and FIFO, the class's generator for Random — and the schedulers
+/// hand each class its own.
+trait Step {
+    /// The shape-specialised step: one reference through `ctx`.
+    fn visit<const WAYS: usize, const M: usize, const EXT: bool>(
+        &mut self,
+        ctx: &mut SpecCtx<'_, M, EXT>,
+        a: u64,
+        wmask: u64,
+    );
+
+    /// The generic step, for shapes without a specialisation: one
+    /// reference (`lane` 1 = counted, 0 = data write) through `class`.
+    fn one<const EXT: bool>(
+        &mut self,
+        class: &mut ClassState,
+        a: u64,
+        lane: usize,
+        bank: &mut CounterBank,
+    );
+}
+
+/// LRU's [`Step`]: the permutation-packed stack update.
+#[derive(Debug, Clone, Copy)]
+struct Lru;
+
+impl Step for Lru {
+    #[inline(always)]
+    fn visit<const WAYS: usize, const M: usize, const EXT: bool>(
+        &mut self,
+        ctx: &mut SpecCtx<'_, M, EXT>,
+        a: u64,
+        wmask: u64,
+    ) {
+        ctx.visit::<WAYS>(a, wmask);
+    }
+
+    #[inline(always)]
+    fn one<const EXT: bool>(
+        &mut self,
+        class: &mut ClassState,
+        a: u64,
+        lane: usize,
+        bank: &mut CounterBank,
+    ) {
+        class.one::<EXT>(a, lane, bank);
     }
 }
 
 /// Runs one pre-decoded chunk through two same-shape classes with
-/// their per-reference steps interleaved in a single loop.
+/// their per-reference steps interleaved in a single loop, each class
+/// under its own step state (so two Random classes draw from their own
+/// generators).
 ///
 /// A class's step for reference `i+1` frequently chains on its step
 /// for reference `i` through store-to-load forwarding — sequential
-/// code keeps hitting the same set, so the permutation word and the
+/// code keeps hitting the same set, so the per-set word and the
 /// front block words are stored and immediately reloaded. Interleaving
 /// two classes puts a second, fully independent dependency chain in
 /// the out-of-order window, overlapping those stalls (and sharing the
 /// one address load per reference); measured on the Table 7 grid this
-/// is worth roughly a third of the pass.
-fn run_pair_spec<
-    const WAYS: usize,
-    const MA: usize,
-    const MB: usize,
-    const FIFO: bool,
-    const EXT: bool,
->(
-    first: &mut ClassState,
-    second: &mut ClassState,
+/// is worth roughly a third of the LRU pass.
+fn run_pair_spec<const WAYS: usize, const MA: usize, const MB: usize, const EXT: bool, S: Step>(
+    (first, first_step): (&mut ClassState, &mut S),
+    (second, second_step): (&mut ClassState, &mut S),
     addrs: &[u64],
     lanes: &[u8],
     bank: &mut CounterBank,
@@ -893,8 +954,8 @@ fn run_pair_spec<
     for (&a, &lane) in addrs.iter().zip(lanes) {
         // All-ones for data writes (lane 0), zero for counted refs.
         let wmask = u64::from(lane & 1).wrapping_sub(1);
-        ca.visit::<WAYS, FIFO>(a, wmask);
-        cb.visit::<WAYS, FIFO>(a, wmask);
+        first_step.visit::<WAYS, MA, EXT>(&mut ca, a, wmask);
+        second_step.visit::<WAYS, MB, EXT>(&mut cb, a, wmask);
     }
     ca.flush(bank);
     cb.flush(bank);
@@ -903,56 +964,60 @@ fn run_pair_spec<
 /// Runs a chunk through two adjacent 4-way classes of one sub-block
 /// rule with their loops interleaved, when a [`run_pair_spec`]
 /// specialisation exists for their shape; returns whether it ran.
-fn run_pair<const FIFO: bool>(
-    a: &mut ClassState,
-    b: &mut ClassState,
+fn run_pair<S: Step>(
+    a: (&mut ClassState, &mut S),
+    b: (&mut ClassState, &mut S),
     addrs: &[u64],
     lanes: &[u8],
     bank: &mut CounterBank,
 ) -> bool {
     macro_rules! plain {
         ($ma:literal, $mb:literal) => {{
-            run_pair_spec::<4, $ma, $mb, FIFO, false>(a, b, addrs, lanes, bank);
+            run_pair_spec::<4, $ma, $mb, false, S>(a, b, addrs, lanes, bank);
             true
         }};
     }
     macro_rules! extended {
         ($ma:literal, $mb:literal) => {{
-            run_pair_spec::<4, $ma, $mb, FIFO, true>(a, b, addrs, lanes, bank);
+            run_pair_spec::<4, $ma, $mb, true, S>(a, b, addrs, lanes, bank);
             true
         }};
     }
-    debug_assert_eq!(a.ext, b.ext);
-    pair_shapes!(a.ext, (a.meta.len(), b.meta.len()), plain, extended)
+    debug_assert_eq!(a.0.ext, b.0.ext);
+    let counts = (a.0.meta.len(), b.0.meta.len());
+    pair_shapes!(a.0.ext, counts, plain, extended)
 }
 
-/// Runs a chunk through every class, pairing adjacent 4-way classes of
-/// one sub-block rule so their loops interleave (see
-/// [`run_pair_spec`]); classes that cannot pair — odd one out, non-4-way,
-/// the other rule, or too many members for a specialisation — run alone
-/// via [`ClassState::run`].
+/// Runs a chunk through every class, `steps[i]` driving `classes[i]`,
+/// pairing adjacent 4-way classes of one sub-block rule so their loops
+/// interleave (see [`run_pair_spec`]); classes that cannot pair — odd
+/// one out, non-4-way, the other rule, or too many members for a
+/// specialisation — run alone via [`ClassState::run`].
 ///
 /// Pairing never changes results (classes are independent); it only
-/// changes how their per-reference steps are scheduled. Policy comes in
-/// through the const `FIFO` flag — LRU and FIFO share this scheduler.
-fn run_classes<const FIFO: bool>(
+/// changes how their per-reference steps are scheduled. Every policy
+/// shares this scheduler through its [`Step`].
+fn run_classes<S: Step>(
     classes: &mut [ClassState],
+    steps: &mut [S],
     addrs: &[u64],
     lanes: &[u8],
     bank: &mut CounterBank,
 ) {
+    debug_assert_eq!(classes.len(), steps.len());
     let mut i = 0;
     while i < classes.len() {
         if i + 1 < classes.len() {
             let (head, tail) = classes.split_at_mut(i + 1);
-            let a = &mut head[i];
-            let b = &mut tail[0];
-            if a.pairs_with(b) && run_pair::<FIFO>(a, b, addrs, lanes, bank) {
+            let (step_head, step_tail) = steps.split_at_mut(i + 1);
+            let a = (&mut head[i], &mut step_head[i]);
+            let b = (&mut tail[0], &mut step_tail[0]);
+            if a.0.pairs_with(b.0) && run_pair(a, b, addrs, lanes, bank) {
                 i += 2;
                 continue;
             }
         }
-        classes[i].run::<FIFO>(addrs, lanes, bank);
+        classes[i].run(&mut steps[i], addrs, lanes, bank);
         i += 1;
     }
 }
@@ -967,7 +1032,7 @@ impl ClassState {
     /// Whether the block offsets at the finest member's sub-block grain
     /// fit [`SpecCtx`]'s 32-entry tables: at most 32 sub-blocks per
     /// block, as in every Table 1 geometry. Wider classes (up to the 64
-    /// sub-blocks a config allows) run on the generic [`ClassState::one`]
+    /// sub-blocks a config allows) run on the generic [`Step::one`]
     /// path.
     fn fits_bit_table(&self) -> bool {
         let min_sub_shift = self.meta.iter().map(|sm| sm.sub_shift).min();
@@ -986,15 +1051,10 @@ impl ClassState {
     }
 
     /// Presents one reference (`lane` 1 = counted, 0 = data write) to
-    /// this class and its member configurations. Generic fallback for
-    /// shapes [`ClassState::run`] has no specialisation for, and the
-    /// single-reference `access` paths.
-    fn one<const FIFO: bool, const EXT: bool>(
-        &mut self,
-        a: u64,
-        lane: usize,
-        bank: &mut CounterBank,
-    ) {
+    /// this class and its member configurations under LRU. Generic
+    /// fallback for shapes [`ClassState::run`] has no specialisation
+    /// for.
+    fn one<const EXT: bool>(&mut self, a: u64, lane: usize, bank: &mut CounterBank) {
         debug_assert_eq!(self.ext, EXT);
         let block = a >> self.shift;
         let ways = self.assoc;
@@ -1019,12 +1079,6 @@ impl ClassState {
         // The mask row of the touched way never moves; the permutation
         // names it and is rotated in its stead below.
         let mrow = ways + (((*perm >> (4 * pos)) & 15) as usize) * words;
-        if FIFO && hit {
-            // FIFO hits leave the queue and permutation untouched;
-            // only the hit way's mask rows pick up the sub-block.
-            touch_members::<EXT>(&self.meta, row, mrow, a, u64::MAX, lane, bank);
-            return;
-        }
         if !hit && row[ways - 1] != EMPTY_WAY {
             charge_eviction::<EXT>(&self.meta, row, mrow, bank);
         }
@@ -1039,23 +1093,23 @@ impl ClassState {
     }
 
     /// Runs a whole pre-decoded chunk of references through this class
-    /// under its sub-block rule, dispatching to a shape-specialised
-    /// inner loop when one exists.
+    /// under its sub-block rule and `step`'s policy, dispatching to a
+    /// shape-specialised inner loop when one exists.
     ///
     /// The plain specialisations cover every (associativity,
     /// member-count) shape the paper grids produce, the extended ones
     /// the one- and two-member classes the load-forward and copy-back
     /// configs form; anything else falls back to the generic
-    /// per-reference path, which is exact but branchier.
-    fn run<const FIFO: bool>(&mut self, addrs: &[u64], lanes: &[u8], bank: &mut CounterBank) {
+    /// per-reference [`Step::one`], which is exact but branchier.
+    fn run<S: Step>(&mut self, step: &mut S, addrs: &[u64], lanes: &[u8], bank: &mut CounterBank) {
         macro_rules! plain {
             ($w:literal, $m:literal) => {
-                self.run_spec::<$w, $m, FIFO, false>(addrs, lanes, bank)
+                self.run_spec::<$w, $m, false, S>(step, addrs, lanes, bank)
             };
         }
         macro_rules! extended {
             ($w:literal, $m:literal) => {
-                self.run_spec::<$w, $m, FIFO, true>(addrs, lanes, bank)
+                self.run_spec::<$w, $m, true, S>(step, addrs, lanes, bank)
             };
         }
         let shape = if self.fits_bit_table() {
@@ -1094,12 +1148,12 @@ impl ClassState {
             (true, 8, 2) => extended!(8, 2),
             (true, ..) => {
                 for (&a, &lane) in addrs.iter().zip(lanes) {
-                    self.one::<FIFO, true>(a, usize::from(lane), bank);
+                    step.one::<true>(self, a, usize::from(lane), bank);
                 }
             }
             (false, ..) => {
                 for (&a, &lane) in addrs.iter().zip(lanes) {
-                    self.one::<FIFO, false>(a, usize::from(lane), bank);
+                    step.one::<false>(self, a, usize::from(lane), bank);
                 }
             }
         }
@@ -1107,14 +1161,15 @@ impl ClassState {
 
     /// The shape-specialised inner loop: `WAYS`-way sets with `M`
     /// member configurations, both const so every way-loop and
-    /// size-loop in [`SpecCtx::visit`] fully unrolls and the hit/miss
-    /// arms collapse to straight-line selects.
+    /// size-loop in the step fully unrolls and the hit/miss arms
+    /// collapse to straight-line selects.
     ///
-    /// Must be exactly equivalent to calling [`ClassState::one`] per
+    /// Must be exactly equivalent to calling [`Step::one`] per
     /// reference; `access_run_matches_per_reference_access` and the
     /// equivalence proptests enforce this.
-    fn run_spec<const WAYS: usize, const M: usize, const FIFO: bool, const EXT: bool>(
+    fn run_spec<const WAYS: usize, const M: usize, const EXT: bool, S: Step>(
         &mut self,
+        step: &mut S,
         addrs: &[u64],
         lanes: &[u8],
         bank: &mut CounterBank,
@@ -1123,7 +1178,7 @@ impl ClassState {
         for (&a, &lane) in addrs.iter().zip(lanes) {
             // All-ones for data writes (lane 0), zero for counted refs.
             let wmask = u64::from(lane & 1).wrapping_sub(1);
-            ctx.visit::<WAYS, FIFO>(a, wmask);
+            step.visit::<WAYS, M, EXT>(&mut ctx, a, wmask);
         }
         ctx.flush(bank);
     }
@@ -1203,6 +1258,13 @@ impl EngineCore {
         // Set state is sized once membership is final: per way, one
         // block word plus the member configurations' mask words, the
         // block words leading each set and initialised to the sentinel.
+        // The per-set word starts as LRU's identity permutation, or as
+        // FIFO's pointer at way 0 (Random leaves it alone).
+        let per_set = if policy == ReplacementPolicy::Lru {
+            IDENT_PERM
+        } else {
+            0
+        };
         for class in &mut classes {
             let sets = (class.mask + 1) as usize;
             let set_words = class.assoc * (1 + class.mask_words());
@@ -1210,7 +1272,7 @@ impl EngineCore {
             for set in class.data.chunks_exact_mut(set_words) {
                 set[..class.assoc].fill(EMPTY_WAY);
             }
-            class.perm = vec![IDENT_PERM; sets];
+            class.perm = vec![per_set; sets];
         }
         Ok(EngineCore {
             configs: configs.to_vec(),
@@ -1280,14 +1342,9 @@ impl EngineCore {
 enum Policy {
     Lru,
     Fifo,
-    Random {
-        /// Per class: occupied-way count per set (the direct simulator's
-        /// `filled`), driving the first-empty-frame fill rule.
-        filled: Vec<Vec<u16>>,
-        /// Per class: the replacement generator every member cache of
-        /// that class would have drawn from.
-        rngs: Vec<StdRng>,
-    },
+    /// Per class: the replacement generator every member cache of that
+    /// class would have drawn from.
+    Random(Vec<StdRng>),
 }
 
 /// The one-pass engine: one slice's residency classes, counter bank and
@@ -1310,18 +1367,12 @@ impl Engine {
         let policy = match replacement {
             ReplacementPolicy::Lru => Policy::Lru,
             ReplacementPolicy::Fifo => Policy::Fifo,
-            ReplacementPolicy::Random => Policy::Random {
-                filled: core
-                    .classes
-                    .iter()
-                    .map(|c| vec![0u16; (c.mask + 1) as usize])
-                    .collect(),
-                rngs: core
-                    .classes
+            ReplacementPolicy::Random => Policy::Random(
+                core.classes
                     .iter()
                     .map(|_| StdRng::seed_from_u64(seed))
                     .collect(),
-            },
+            ),
         };
         Ok(Engine { core, policy })
     }
@@ -1344,14 +1395,13 @@ impl Engine {
             scratch_lane: lanes,
             ..
         } = &mut self.core;
+        // LRU and FIFO steps are zero-sized, so their per-class vectors
+        // never allocate.
+        let n = classes.len();
         match &mut self.policy {
-            Policy::Lru => run_classes::<false>(classes, addrs, lanes, bank),
-            Policy::Fifo => run_classes::<true>(classes, addrs, lanes, bank),
-            Policy::Random { filled, rngs } => {
-                for ((class, filled), rng) in classes.iter_mut().zip(filled).zip(rngs) {
-                    random::run_class(class, filled, rng, addrs, lanes, bank);
-                }
-            }
+            Policy::Lru => run_classes(classes, &mut vec![Lru; n], addrs, lanes, bank),
+            Policy::Fifo => run_classes(classes, &mut vec![Fifo; n], addrs, lanes, bank),
+            Policy::Random(rngs) => run_classes(classes, rngs, addrs, lanes, bank),
         }
     }
 
@@ -1363,8 +1413,8 @@ impl Engine {
     /// tail of two traces of different lengths — runs back to back.
     /// Results are exactly what two separate
     /// [`access_run`](Engine::access_run) calls produce. Pairing stays
-    /// LRU-only because a FIFO quad measured slower than two FIFO
-    /// passes back to back.
+    /// LRU-only because a quad of the fixed-way runner measured slower
+    /// than two FIFO or Random passes back to back.
     fn run_pair(&mut self, refs: &[MemRef], other: &mut Engine, other_refs: &[MemRef]) {
         if matches!(self.policy, Policy::Lru) && refs.len() == other_refs.len() {
             lru::run_pair(&mut self.core, refs, &mut other.core, other_refs);
@@ -1563,21 +1613,32 @@ mod tests {
         }
     }
 
-    /// Presents one reference through the generic per-reference path
-    /// (`ClassState::one`), bypassing the shape-specialised runners.
+    /// Presents one reference through the generic per-reference step
+    /// (`Step::one`), bypassing the shape-specialised runners.
     fn access_one(engine: &mut Engine, r: MemRef) {
-        let fifo = matches!(engine.policy, Policy::Fifo);
+        fn one<S: Step>(
+            step: &mut S,
+            class: &mut ClassState,
+            a: u64,
+            lane: usize,
+            bank: &mut CounterBank,
+        ) {
+            if class.ext {
+                step.one::<true>(class, a, lane, bank);
+            } else {
+                step.one::<false>(class, a, lane, bank);
+            }
+        }
         let core = &mut engine.core;
         let counted = u64::from(r.kind().is_counted());
         core.bank.accesses += counted;
         core.bank.write_accesses += 1 - counted;
         let (a, lane, bank) = (r.address().value(), counted as usize, &mut core.bank);
-        for class in &mut core.classes {
-            match (fifo, class.ext) {
-                (false, false) => class.one::<false, false>(a, lane, bank),
-                (false, true) => class.one::<false, true>(a, lane, bank),
-                (true, false) => class.one::<true, false>(a, lane, bank),
-                (true, true) => class.one::<true, true>(a, lane, bank),
+        for (i, class) in core.classes.iter_mut().enumerate() {
+            match &mut engine.policy {
+                Policy::Lru => one(&mut Lru, class, a, lane, bank),
+                Policy::Fifo => one(&mut Fifo, class, a, lane, bank),
+                Policy::Random(rngs) => one(&mut rngs[i], class, a, lane, bank),
             }
         }
     }
@@ -1688,7 +1749,7 @@ mod tests {
             let built = match engine.policy {
                 Policy::Lru => ReplacementPolicy::Lru,
                 Policy::Fifo => ReplacementPolicy::Fifo,
-                Policy::Random { .. } => ReplacementPolicy::Random,
+                Policy::Random(_) => ReplacementPolicy::Random,
             };
             assert_eq!(built, policy);
         }
@@ -1994,7 +2055,7 @@ mod tests {
     #[test]
     fn access_run_matches_per_reference_access() {
         let trace = mixed_trace(10_000, 2048);
-        for policy in [ReplacementPolicy::Lru, ReplacementPolicy::Fifo] {
+        for policy in POLICIES {
             let mut configs = vec![
                 cfg_policy(64, 16, 8, policy),
                 cfg_policy(256, 16, 8, policy),
@@ -2010,6 +2071,133 @@ mod tests {
             }
             assert_eq!(chunked.core.metrics(), one.core.metrics(), "{policy:?}");
         }
+    }
+
+    /// A one-set, 4-way engine of `policy` (8-byte blocks, so block `b`
+    /// sits at address `8 * b`).
+    fn one_set_engine(policy: ReplacementPolicy, seed: u64) -> Engine {
+        let config = CacheConfig::builder()
+            .net_size(32)
+            .block_size(8)
+            .sub_block_size(8)
+            .associativity(4)
+            .word_size(2)
+            .replacement(policy)
+            .build()
+            .unwrap();
+        Engine::new(&[config], seed).unwrap()
+    }
+
+    /// Drives a [`one_set_engine`] one reference at a time — through the
+    /// specialised runner (`access_run` on one-reference chunks) or the
+    /// generic step — beside the direct simulator's `CacheSet` seeded
+    /// alike, over a block stream full of hits and misses. Asserts every
+    /// miss fills the way `CacheSet::choose_victim` picks and every hit
+    /// leaves the set alone; returns the filled ways in miss order.
+    fn fixed_way_victims(policy: ReplacementPolicy, specialised: bool, seed: u64) -> Vec<usize> {
+        use crate::set::CacheSet;
+        use rand::Rng;
+        let mut engine = one_set_engine(policy, seed);
+        let mut set = CacheSet::new(4);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut victims = Vec::new();
+        for i in 0..400u64 {
+            // Mostly re-references of a few hot blocks, with a cold one
+            // every few steps, so hits fall on every way between misses.
+            let block = if i % 5 == 4 { 100 + i } else { (i * 7) % 6 };
+            match set.find(block) {
+                Some(idx) => set.touch(idx, policy),
+                None => {
+                    let v = set.choose_victim(policy, &mut rng);
+                    set.frame_mut(v).install(block);
+                    victims.push(v);
+                }
+            }
+            let before = engine.core.classes[0].data[..4].to_vec();
+            let r = MemRef::read(8 * block);
+            if specialised {
+                engine.access_run(&[r]);
+            } else {
+                access_one(&mut engine, r);
+            }
+            let ways = &engine.core.classes[0].data[..4];
+            match set.find(block) {
+                Some(idx) if before.contains(&block) => {
+                    assert_eq!(
+                        ways,
+                        &before[..],
+                        "{policy:?} hit on block {block} moved a way"
+                    );
+                    assert_eq!(ways[idx], block);
+                }
+                Some(idx) => assert_eq!(
+                    ways.iter().position(|&b| b == block),
+                    Some(idx),
+                    "{policy:?} miss {} on block {block}: engine {ways:?}",
+                    victims.len()
+                ),
+                None => unreachable!("the block was just installed"),
+            }
+            if policy == ReplacementPolicy::Random && victims.len() == 4 {
+                // The set has just filled: no draw may have been taken
+                // yet, so the class generator is still fresh.
+                let Policy::Random(rngs) = &engine.policy else {
+                    unreachable!()
+                };
+                let fresh = StdRng::seed_from_u64(seed).gen::<u64>();
+                assert_eq!(
+                    rngs[0].clone().gen::<u64>(),
+                    fresh,
+                    "a draw before the set filled"
+                );
+            }
+        }
+        victims
+    }
+
+    #[test]
+    fn fifo_victims_cycle_through_the_ways_whatever_the_hits() {
+        for specialised in [true, false] {
+            let victims = fixed_way_victims(ReplacementPolicy::Fifo, specialised, 0);
+            assert!(victims.len() > 40, "the stream must keep missing");
+            for (k, &v) in victims.iter().enumerate() {
+                assert_eq!(v, k % 4, "miss {k} (specialised: {specialised})");
+            }
+        }
+    }
+
+    #[test]
+    fn random_victims_follow_the_direct_draw_sequence() {
+        for seed in [0, 7, DEFAULT_RANDOM_SEED] {
+            for specialised in [true, false] {
+                let victims = fixed_way_victims(ReplacementPolicy::Random, specialised, seed);
+                assert_eq!(victims[..4], [0, 1, 2, 3], "fills take the first empty way");
+                assert!(victims.len() > 40, "the stream must keep missing");
+            }
+        }
+    }
+
+    #[test]
+    fn paired_random_classes_draw_from_their_own_generators() {
+        // Four 4-way classes of 16-byte blocks (1, 4, 16 and 8 sets),
+        // which the scheduler runs as two interleaved pairs, over a
+        // trace that keeps every set full and missing: sharing one
+        // generator between the two classes of a pair would interleave
+        // their draws and move every later victim.
+        let random = |net, block| cfg_policy(net, block, 8, ReplacementPolicy::Random);
+        let configs = [
+            random(64, 16),
+            random(256, 16),
+            random(1024, 16),
+            random(1024, 32),
+        ];
+        let engine = Engine::new(&configs, 0).unwrap();
+        assert!(engine.core.classes[0].pairs_with(&engine.core.classes[1]));
+        assert!(engine.core.classes[2].pairs_with(&engine.core.classes[3]));
+        let trace = mixed_trace(20_000, 1 << 14);
+        assert_matches_direct(&configs, &trace, 0);
+        let all = simulate_many(&configs, [trace.iter().copied()], 0, DEFAULT_RANDOM_SEED).unwrap();
+        assert!(all[0].iter().all(|m| m.evicted_blocks() > 1_000));
     }
 
     #[test]

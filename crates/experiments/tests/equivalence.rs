@@ -5,8 +5,8 @@
 //! `OCCACHE_REPLACEMENT=fifo` with only the FIFO engine disabled on the
 //! reference side (`OCCACHE_NO_MULTISIM=fifo,random`). Beside the
 //! journalled Table 7 and Figure 2, the mixed grids of the ablations and
-//! Table 8 cover all three engines, direct load-forward units and two
-//! warm-ups in one pooled call each.
+//! Table 8 cover all three engines, load-forward configs on those
+//! engines, and two warm-ups in one pooled call each.
 //!
 //! This file holds exactly one test because it mutates process-global
 //! environment variables; sibling tests in the same binary would race.

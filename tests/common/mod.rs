@@ -63,6 +63,92 @@ pub fn arb_slice(policy: ReplacementPolicy) -> impl Strategy<Value = Vec<CacheCo
         )
 }
 
+/// Ways a drawn residency class may have: every specialised width plus
+/// 16 (generic only), with 4 weighted up so adjacent 4-way classes —
+/// the interleaved pairs — come up often.
+const CLASS_WAYS: [u64; 7] = [1, 2, 4, 4, 4, 8, 16];
+
+/// The fetch and write policies an extended member may draw: every
+/// engine combination except plain demand + write-through.
+const EXTENDED_RULES: [(FetchPolicy, WritePolicy); 5] = [
+    (FetchPolicy::Demand, WritePolicy::CopyBack),
+    (FetchPolicy::LOAD_FORWARD, WritePolicy::WriteThrough),
+    (FetchPolicy::LOAD_FORWARD, WritePolicy::CopyBack),
+    (
+        FetchPolicy::LoadForward {
+            remember_valid: true,
+        },
+        WritePolicy::WriteThrough,
+    ),
+    (
+        FetchPolicy::LoadForward {
+            remember_valid: true,
+        },
+        WritePolicy::CopyBack,
+    ),
+];
+
+/// An arbitrary slice of the given replacement policy built class by
+/// class, so that every shape the engine's runners dispatch on is in the
+/// net: one block size of 2 to 128 bytes (up to 64 sub-blocks per block,
+/// past the specialised runners' 32) and one to three residency classes.
+/// Each class has 1, 2, 4, 8 or 16 ways over 1 to 16 sets, and either 1
+/// to 7 plain members (demand fetch, write-through) or 1 to 3 extended
+/// ones (load-forward or copy-back); members differ in sub-block and
+/// word size. That reaches every specialised (ways, members) shape, the
+/// interleaved 4-way class pairs, and the generic fallback for 16 ways,
+/// 64 sub-blocks and member counts past the shape table.
+pub fn arb_shaped_slice(policy: ReplacementPolicy) -> impl Strategy<Value = Vec<CacheConfig>> {
+    (
+        0u32..=6, // block 2..128
+        proptest::collection::vec(
+            (
+                0usize..CLASS_WAYS.len(),
+                0u32..=4,   // sets 1..16
+                0usize..2,  // plain or extended
+                1usize..=7, // members
+                proptest::collection::vec((0u32..=6, 0u32..=1, 0usize..EXTENDED_RULES.len()), 7),
+            ),
+            3,
+        ),
+        1usize..=3, // how many of the three classes to keep
+    )
+        .prop_map(move |(block_exp, classes, take)| {
+            let block = 2u64 << block_exp;
+            let mut configs = Vec::new();
+            for (ways, sets_exp, extended, members, specs) in classes.into_iter().take(take) {
+                let ways = CLASS_WAYS[ways];
+                let members = if extended == 1 {
+                    1 + (members - 1) % 3
+                } else {
+                    members
+                };
+                for (sub_exp, word_exp, rule) in specs.into_iter().take(members) {
+                    let sub = (2u64 << sub_exp).min(block);
+                    let (fetch, write) = if extended == 1 {
+                        EXTENDED_RULES[rule]
+                    } else {
+                        (FetchPolicy::Demand, WritePolicy::WriteThrough)
+                    };
+                    let config = CacheConfig::builder()
+                        .net_size((block * ways) << sets_exp)
+                        .block_size(block)
+                        .sub_block_size(sub)
+                        .associativity(ways)
+                        .word_size((2u64 << word_exp).min(sub))
+                        .replacement(policy)
+                        .fetch(fetch)
+                        .write_policy(write)
+                        .build()
+                        .expect("drawn geometries are valid");
+                    assert!(occache::core::engine_supports(&config), "{config}");
+                    configs.push(config);
+                }
+            }
+            configs
+        })
+}
+
 /// An arbitrary 2-byte-aligned reference stream over a 32 KB space, of
 /// arbitrary length in `0..=MAX_TRACE_LEN`.
 fn arb_trace() -> impl Strategy<Value = Vec<MemRef>> {

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use occache::core::{ReplacementPolicy, DEFAULT_RANDOM_SEED};
 
-use common::{arb_slice, arb_traces, assert_engine_matches_direct};
+use common::{arb_shaped_slice, arb_slice, arb_traces, assert_engine_matches_direct};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -32,6 +32,18 @@ proptest! {
     #[test]
     fn engine_equals_direct_simulation_with_warmup(
         configs in arb_slice(ReplacementPolicy::Lru),
+        traces in arb_traces(),
+        warmup in 0usize..=5_000,
+    ) {
+        assert_engine_matches_direct(&configs, &traces, warmup, DEFAULT_RANDOM_SEED);
+    }
+
+    /// The same equality over slices built class by class (see
+    /// `arb_shaped_slice`): every specialised shape, the interleaved
+    /// 4-way class pairs and the generic fallback.
+    #[test]
+    fn engine_equals_direct_simulation_on_every_shape(
+        configs in arb_shaped_slice(ReplacementPolicy::Lru),
         traces in arb_traces(),
         warmup in 0usize..=5_000,
     ) {
