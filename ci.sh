@@ -259,6 +259,28 @@ for F in "$POL_RND_DIR"/*.csv "$POL_RND_DIR/MANIFEST.json"; do
     || { echo "FAIL: $(basename "$F") differs between Random engine and direct runs"; exit 1; }
 done
 echo "   Random table7: $POL_RANDOM engine points, 0 direct; kill-switched run went direct and matched byte-for-byte"
+# The per-trace Metrics pool: table6 and writes read counters a design
+# point does not carry, so they take per-trace rows from
+# evaluate_metrics. Each runs once by default and once with every engine
+# kill-switched; the CSVs (and MANIFEST.json, where the bin writes one)
+# must match byte for byte.
+cargo build --release -q -p occache-experiments --bin table6 --bin writes
+MET_DIR=target/ci-metrics
+MET_OFF_DIR=target/ci-metrics-direct
+for BIN in table6 writes; do
+  rm -rf "$MET_DIR" "$MET_OFF_DIR"
+  OCCACHE_RESULTS="$MET_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/$BIN > /dev/null
+  OCCACHE_RESULTS="$MET_OFF_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_NO_MULTISIM=all \
+    ./target/release/$BIN > /dev/null
+  MET_FILES=("$MET_DIR"/*.csv)
+  [ -e "${MET_FILES[0]}" ] || { echo "FAIL: $BIN wrote no CSV"; exit 1; }
+  [ -f "$MET_DIR/MANIFEST.json" ] && MET_FILES+=("$MET_DIR/MANIFEST.json")
+  for F in "${MET_FILES[@]}"; do
+    cmp "$F" "$MET_OFF_DIR/$(basename "$F")" \
+      || { echo "FAIL: $BIN $(basename "$F") differs between engine and direct runs"; exit 1; }
+  done
+  echo "   $BIN: ${#MET_FILES[@]} file(s) byte-identical with OCCACHE_NO_MULTISIM=all"
+done
 
 echo "== serving-mode gate: occache-serve driven by occache-loadgen =="
 # The root package does not depend on the serve or cli crates, so the

@@ -4,7 +4,7 @@ use std::fmt::Write as _;
 
 use occache_experiments::report::{points_to_csv, write_result_in};
 use occache_experiments::sweep::{
-    evaluate_points_isolated, failure_note, materialize, standard_config, table1_pairs,
+    evaluate_results_sliced, failure_note, materialize, standard_config, table1_pairs, SweepOutcome,
 };
 use occache_workloads::{Architecture, WorkloadSpec};
 
@@ -97,7 +97,9 @@ pub fn run<S: AsRef<str>>(argv: &[S]) -> Result<String, CliError> {
             .into_iter()
             .map(|(block, sub)| standard_config(arch, net, block, sub))
             .collect();
-        let outcome = evaluate_points_isolated(&configs, &traces, warmup);
+        let outcome: SweepOutcome = evaluate_results_sliced(&configs, &traces, warmup)
+            .into_iter()
+            .collect();
         points.extend(outcome.points);
         failures.extend(outcome.failures);
     }

@@ -264,10 +264,10 @@ fn restore_point(config: CacheConfig, e: &Entry) -> DesignPoint {
 /// `eval` takes the whole pending batch at once (so the production path
 /// can share trace passes across configs — see
 /// [`crate::sweep::evaluate_results_sliced`]) and must return exactly one
-/// result per pending config, in order. Per-point evaluation functions
-/// adapt via [`crate::sweep::batch_of`]. Journal keys stay per-point
-/// either way, so resume semantics do not depend on how points were
-/// batched.
+/// result per pending config, in order. Tests wrap the pool in a closure
+/// here to inject faults or count evaluations. Journal keys stay
+/// per-point either way, so resume semantics do not depend on how
+/// points were batched.
 ///
 /// Journalled points are restored without re-simulation
 /// ([`SweepOutcome::resumed`] counts them); quarantined points (those
@@ -504,18 +504,14 @@ where
 
     progress.seal(occache_runtime::interrupt::requested());
 
-    let mut outcome = SweepOutcome {
+    Ok(SweepOutcome {
         resumed,
         journal: scan.health(),
-        ..SweepOutcome::default()
-    };
-    for slot in slots {
-        match slot.expect("every config restored, quarantined or evaluated") {
-            Ok(p) => outcome.points.push(p),
-            Err(e) => outcome.failures.push(e),
-        }
-    }
-    Ok(outcome)
+        ..slots
+            .into_iter()
+            .map(|slot| slot.expect("every config restored, quarantined or evaluated"))
+            .collect()
+    })
 }
 
 /// Per-process registry of journal paths already freshened, so a bin that
@@ -633,14 +629,7 @@ pub fn evaluate_checkpointed(
             eprintln!("{artifact}: checkpoint journal unavailable ({e}); running without resume");
             let (results, _) =
                 evaluate_results_supervised_with(&policy, configs, traces, warmup, None, |_, _| {});
-            let mut outcome = SweepOutcome::default();
-            for result in results {
-                match result {
-                    Ok(p) => outcome.points.push(p),
-                    Err(err) => outcome.failures.push(err),
-                }
-            }
-            outcome
+            results.into_iter().collect()
         }
     }
 }
@@ -649,7 +638,7 @@ pub fn evaluate_checkpointed(
 mod tests {
     use super::*;
     use crate::sweep::{
-        batch_of, evaluate_point, materialize, standard_config, table1_pairs, JournalHealth,
+        evaluate_results_sliced, materialize, standard_config, table1_pairs, JournalHealth,
         PointFault,
     };
     use occache_workloads::{Architecture, WorkloadSpec};
@@ -757,13 +746,15 @@ mod tests {
         let dir = temp_dir("nonfinite");
         let (configs, traces) = test_grid();
         let poisoned = configs[1];
-        let eval = batch_of(|c: CacheConfig, t: &[Trace], w: usize| {
-            let mut p = evaluate_point(c, t, w);
-            if c == poisoned {
-                p.miss_ratio = f64::NAN;
+        let eval = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+            let mut results = evaluate_results_sliced(cs, ts, w);
+            for p in results.iter_mut().flatten() {
+                if p.config == poisoned {
+                    p.miss_ratio = f64::NAN;
+                }
             }
-            p
-        });
+            results
+        };
         let outcome =
             evaluate_checkpointed_in(&dir, "t", &configs, &traces, 0, false, eval).unwrap();
         assert_eq!(outcome.failures.len(), 1);
@@ -778,7 +769,7 @@ mod tests {
             &traces,
             0,
             false,
-            batch_of(evaluate_point),
+            evaluate_results_sliced,
         )
         .unwrap();
         assert!(second.is_complete());
@@ -824,7 +815,7 @@ mod tests {
             &traces,
             0,
             false,
-            batch_of(evaluate_point),
+            evaluate_results_sliced,
         )
         .unwrap();
         assert_eq!(first.resumed, 0);
@@ -838,7 +829,9 @@ mod tests {
             &traces,
             0,
             false,
-            batch_of(|_, _, _| -> DesignPoint { panic!("should not re-simulate") }),
+            |_: &[CacheConfig], _: &[Trace], _: usize| -> Vec<Result<DesignPoint, PointError>> {
+                panic!("should not re-simulate")
+            },
         )
         .unwrap();
         assert_eq!(second.resumed, configs.len());
@@ -862,7 +855,7 @@ mod tests {
             &traces,
             0,
             false,
-            batch_of(evaluate_point),
+            evaluate_results_sliced,
         )
         .unwrap();
         let again = evaluate_checkpointed_in(
@@ -872,7 +865,7 @@ mod tests {
             &traces,
             0,
             true,
-            batch_of(evaluate_point),
+            evaluate_results_sliced,
         )
         .unwrap();
         assert_eq!(again.resumed, 0, "--fresh must re-simulate");
@@ -884,31 +877,33 @@ mod tests {
         let dir = temp_dir("quarantine");
         let (configs, traces) = test_grid();
         let bad = configs[3];
-        let faulty = || {
-            batch_of(move |c: CacheConfig, t: &[Trace], w: usize| {
-                if c == bad {
-                    panic!("injected fault");
+        // The pool, with the bad cell failing as a panic on every run.
+        let faulty = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+            let mut results = evaluate_results_sliced(cs, ts, w);
+            for (c, r) in cs.iter().zip(results.iter_mut()) {
+                if *c == bad {
+                    *r = Err(PointError::panicked(bad, "injected fault"));
                 }
-                evaluate_point(c, t, w)
-            })
+            }
+            results
         };
         let first =
-            evaluate_checkpointed_in(&dir, "t", &configs, &traces, 0, false, faulty()).unwrap();
+            evaluate_checkpointed_in(&dir, "t", &configs, &traces, 0, false, faulty).unwrap();
         assert_eq!(first.failures.len(), 1);
         assert_eq!(first.failures[0].fault, PointFault::Panic);
         // Second failing run: the point is retried (1 < QUARANTINE_AFTER)
         // and fails again, reaching the quarantine threshold.
         let second =
-            evaluate_checkpointed_in(&dir, "t", &configs, &traces, 0, false, faulty()).unwrap();
+            evaluate_checkpointed_in(&dir, "t", &configs, &traces, 0, false, faulty).unwrap();
         assert_eq!(second.failures.len(), 1);
         assert_eq!(second.failures[0].fault, PointFault::Panic);
         assert_eq!(second.resumed, configs.len() - 1);
         // Third run: quarantined — a counting eval proves it never runs.
         let evals = std::sync::atomic::AtomicUsize::new(0);
-        let counting = batch_of(|c: CacheConfig, t: &[Trace], w: usize| {
-            evals.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            evaluate_point(c, t, w)
-        });
+        let counting = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+            evals.fetch_add(cs.len(), std::sync::atomic::Ordering::SeqCst);
+            evaluate_results_sliced(cs, ts, w)
+        };
         let third =
             evaluate_checkpointed_in(&dir, "t", &configs, &traces, 0, false, counting).unwrap();
         assert_eq!(evals.load(std::sync::atomic::Ordering::SeqCst), 0);
@@ -927,7 +922,7 @@ mod tests {
             &traces,
             0,
             true,
-            batch_of(evaluate_point),
+            evaluate_results_sliced,
         )
         .unwrap();
         assert!(fresh.is_complete());
@@ -945,7 +940,7 @@ mod tests {
             &traces,
             0,
             false,
-            batch_of(evaluate_point),
+            evaluate_results_sliced,
         )
         .unwrap();
         let longer = materialize(&[WorkloadSpec::pdp11_ed()], 2_000);
@@ -956,7 +951,7 @@ mod tests {
             &longer,
             0,
             false,
-            batch_of(evaluate_point),
+            evaluate_results_sliced,
         )
         .unwrap();
         assert_eq!(outcome.resumed, 0, "different traces must not resume");
@@ -974,7 +969,7 @@ mod tests {
             &traces,
             0,
             false,
-            batch_of(evaluate_point),
+            evaluate_results_sliced,
         )
         .unwrap();
         let path = journal_path(&dir, "t");
@@ -992,7 +987,7 @@ mod tests {
             &traces,
             0,
             false,
-            batch_of(evaluate_point),
+            evaluate_results_sliced,
         )
         .unwrap();
         assert_eq!(outcome.journal.bad_lines, 1, "{:?}", outcome.journal);
@@ -1018,7 +1013,7 @@ mod tests {
             &traces,
             0,
             false,
-            batch_of(evaluate_point),
+            evaluate_results_sliced,
         )
         .unwrap();
         let path = journal_path(&dir, "t");
@@ -1100,7 +1095,7 @@ mod tests {
             &traces,
             0,
             false,
-            batch_of(evaluate_point),
+            evaluate_results_sliced,
         )
         .expect_err("held lock must fail the run");
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock);

@@ -47,6 +47,6 @@ pub mod sweep;
 pub mod verify;
 
 pub use sweep::{
-    evaluate_point, evaluate_points, evaluate_points_isolated, load_forward_config, materialize,
-    standard_config, table1_pairs, DesignPoint, PointError, PointFault, SweepOutcome, Trace,
+    evaluate_point, evaluate_points, load_forward_config, materialize, standard_config,
+    table1_pairs, DesignPoint, PointError, PointFault, SweepOutcome, Trace,
 };

@@ -8,7 +8,8 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use occache_core::{simulate, CacheConfig, FetchPolicy, Metrics, ReplacementPolicy};
+use occache_core::{CacheConfig, FetchPolicy, Metrics, ReplacementPolicy};
+use occache_runtime::executor::evaluate_metrics;
 use occache_workloads::{m85_mix, riscii_instruction_workload, Architecture, WorkloadSpec};
 
 use crate::paper;
@@ -531,17 +532,31 @@ pub fn run_table6(bench: &mut Workbench) -> Artifact {
     );
 
     let mut csv = String::from("organisation,miss_ratio,relative_to_sector,paper_miss\n");
-    // The sector row stays on the direct simulator: it also reads the
-    // unreferenced-sub-block fraction, which a `DesignPoint` does not carry.
-    let mut sector_miss = 0.0;
-    let mut unref = 0.0;
-    for trace in traces {
-        let m: Metrics = simulate(sector, trace.iter(), 0);
-        sector_miss += m.miss_ratio();
-        unref += m.unreferenced_sub_block_fraction();
-    }
-    sector_miss /= traces.len() as f64;
-    unref /= traces.len() as f64;
+    let rows = [
+        (4u64, paper::table6::SET_ASSOC_4WAY),
+        (8, paper::table6::SET_ASSOC_8WAY),
+        (16, paper::table6::SET_ASSOC_16WAY),
+    ];
+    let mut configs = vec![sector];
+    configs.extend(rows.iter().map(|&(ways, _)| {
+        CacheConfig::builder()
+            .net_size(NET)
+            .block_size(64)
+            .sub_block_size(64)
+            .associativity(ways)
+            .word_size(4)
+            .build()
+            .expect("set-associative geometry is valid")
+    }));
+    // One pooled call; the sector row also reads the unreferenced-sub-block
+    // fraction, which a `DesignPoint` does not carry.
+    let metrics = evaluate_metrics(&configs, traces, 0);
+    let sector_miss = DesignPoint::from_metrics(sector, &metrics[0]).miss_ratio;
+    let unref = metrics[0]
+        .iter()
+        .map(Metrics::unreferenced_sub_block_fraction)
+        .sum::<f64>()
+        / traces.len() as f64;
     let _ = writeln!(
         report,
         "{:<28} {:>9.4} {:>9.3} {:>9.4} {:>9.3}",
@@ -557,22 +572,10 @@ pub fn run_table6(bench: &mut Workbench) -> Artifact {
         paper::table6::SECTOR_360_85
     );
 
-    let rows = [
-        (4u64, paper::table6::SET_ASSOC_4WAY),
-        (8, paper::table6::SET_ASSOC_8WAY),
-        (16, paper::table6::SET_ASSOC_16WAY),
-    ];
-    for ((ways, paper_miss), p) in evaluate_each(&rows, traces, 0, |(ways, _)| {
-        CacheConfig::builder()
-            .net_size(NET)
-            .block_size(64)
-            .sub_block_size(64)
-            .associativity(ways)
-            .word_size(4)
-            .build()
-            .expect("set-associative geometry is valid")
-    }) {
-        let miss = p.miss_ratio;
+    for (((ways, paper_miss), &config), per_trace) in
+        rows.into_iter().zip(&configs[1..]).zip(&metrics[1..])
+    {
+        let miss = DesignPoint::from_metrics(config, per_trace).miss_ratio;
         let _ = writeln!(
             report,
             "{:<28} {:>9.4} {:>9.3} {:>9.4} {:>9.3}",

@@ -4,10 +4,13 @@
 //!
 //! The evaluation machinery itself — [`Trace`], [`DesignPoint`], the
 //! direct and one-pass engine paths, the slice planner, fault types and
-//! the supervised worker pool — lives in `occache-runtime` (shared with
-//! the serving layer). The names the experiment binaries, the CLI and the
-//! checkpoint layer call are re-exported here, so a sweep needs one
-//! import path. This module adds only what needs the workload crate:
+//! the one supervised evaluation pool — lives in `occache-runtime`
+//! (shared with the serving layer). The names the experiment binaries,
+//! the CLI and the checkpoint layer call are re-exported here, so a
+//! sweep needs one import path: [`evaluate_point`] for one design
+//! point, [`evaluate_points`] for a complete grid, and
+//! [`evaluate_results_sliced`] for per-point results, which collect
+//! into a [`SweepOutcome`]. This module adds only what needs the workload crate:
 //! turning [`WorkloadSpec`]s into traces and building the paper's
 //! standard configurations.
 
@@ -22,8 +25,7 @@ pub use occache_runtime::eval::{
     evaluate_point, plan_units, DesignPoint, PointError, PointFault, SweepUnit, Trace,
 };
 pub use occache_runtime::executor::{
-    batch_of, evaluate_points, evaluate_points_isolated, evaluate_results_sliced, failure_note,
-    SweepOutcome,
+    evaluate_points, evaluate_results_sliced, failure_note, SweepOutcome,
 };
 pub use occache_runtime::journal::JournalHealth;
 
@@ -128,7 +130,10 @@ mod tests {
     use occache_core::{engine_supports, MAX_MULTISIM_CONFIGS};
     use occache_runtime::config::DisabledEngines;
     use occache_runtime::eval::plan_units_disabling;
-    use occache_runtime::executor::evaluate_points_isolated_with;
+    use occache_runtime::executor::{
+        evaluate_results_supervised_with, FaultPlan, SupervisorPolicy,
+    };
+    use std::time::Duration;
 
     #[test]
     fn table1_pairs_match_table7_row_sets() {
@@ -188,25 +193,26 @@ mod tests {
     }
 
     #[test]
-    fn isolated_sweep_survives_a_panicking_point() {
+    fn isolated_sweep_survives_a_hung_point() {
         let traces = materialize(&[WorkloadSpec::pdp11_ed()], 1_000);
         let configs: Vec<_> = table1_pairs(64, 2)
             .into_iter()
             .map(|(b, s)| standard_config(Architecture::Pdp11, 64, b, s))
             .collect();
-        // Inject a panic for exactly one cell of the grid.
-        let outcome = evaluate_points_isolated_with(&configs, &traces, 0, |c, t, w| {
-            if c.block_size() == 8 && c.sub_block_size() == 4 {
-                panic!("injected fault for testing");
-            }
-            evaluate_point(c, t, w)
-        });
+        // Hang exactly one cell of the grid past the point deadline.
+        let mut policy = SupervisorPolicy::disabled();
+        policy.timeout = Some(Duration::from_millis(200));
+        policy.fault = FaultPlan::hang(8, 4, Duration::from_secs(5));
+        let (results, _) =
+            evaluate_results_supervised_with(&policy, &configs, &traces, 0, None, |_, _| {});
+        let outcome: SweepOutcome = results.into_iter().collect();
         assert_eq!(outcome.points.len(), configs.len() - 1);
         assert_eq!(outcome.failures.len(), 1);
         assert!(!outcome.is_complete());
+        assert_eq!(outcome.timed_out(), 1);
         let failure = &outcome.failures[0];
         assert_eq!(failure.config.block_size(), 8);
-        assert!(failure.message.contains("injected fault"), "{failure}");
+        assert!(failure.message.contains("deadline"), "{failure}");
         // The failure note names the cell for the artifact report.
         let note = outcome.failure_note().unwrap();
         assert!(note.contains("FAILED"), "{note}");
@@ -223,7 +229,9 @@ mod tests {
             .into_iter()
             .map(|(b, s)| standard_config(Architecture::Pdp11, 64, b, s))
             .collect();
-        let outcome = evaluate_points_isolated(&configs, &traces, 0);
+        let outcome: SweepOutcome = evaluate_results_sliced(&configs, &traces, 0)
+            .into_iter()
+            .collect();
         assert!(outcome.is_complete());
         assert_eq!(outcome.resumed, 0);
         for (cfg, p) in configs.iter().zip(&outcome.points) {

@@ -15,11 +15,11 @@ use occache_experiments::checkpoint::evaluate_checkpointed_in;
 use occache_experiments::manifest::{self, ManifestEntry};
 use occache_experiments::report::{points_to_csv, write_result_in};
 use occache_experiments::sweep::{
-    batch_of, evaluate_point, materialize, standard_config, table1_pairs,
+    evaluate_results_sliced, materialize, standard_config, table1_pairs,
 };
 use occache_experiments::verify::{verify_dir, VerifyOptions};
-use occache_experiments::{PointFault, Trace};
-use occache_runtime::executor::{evaluate_results_supervised, FaultPlan, SupervisorPolicy};
+use occache_experiments::{PointError, PointFault, Trace};
+use occache_runtime::executor::{evaluate_results_supervised_with, FaultPlan, SupervisorPolicy};
 use occache_trace::fault::{FaultMode, FaultyReader};
 use occache_trace::io::{parse_trace, write_trace, ParseTraceError};
 use occache_workloads::{Architecture, WorkloadSpec};
@@ -63,7 +63,7 @@ fn kill_and_resume_matches_clean_run() {
         &traces,
         0,
         false,
-        batch_of(evaluate_point),
+        evaluate_results_sliced,
     )
     .unwrap();
     assert_eq!(partial.points.len(), k);
@@ -74,10 +74,10 @@ fn kill_and_resume_matches_clean_run() {
     // rest are computed.
     let mut fresh_evals = 0usize;
     let fresh_counter = std::sync::atomic::AtomicUsize::new(0);
-    let counting_eval = batch_of(|c: CacheConfig, t: &[Trace], w: usize| {
-        fresh_counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        evaluate_point(c, t, w)
-    });
+    let counting_eval = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+        fresh_counter.fetch_add(cs.len(), std::sync::atomic::Ordering::SeqCst);
+        evaluate_results_sliced(cs, ts, w)
+    };
     let resumed =
         evaluate_checkpointed_in(&dir, "grid", &configs, &traces, 0, false, counting_eval).unwrap();
     fresh_evals += fresh_counter.load(std::sync::atomic::Ordering::SeqCst);
@@ -94,7 +94,7 @@ fn kill_and_resume_matches_clean_run() {
         &traces,
         0,
         false,
-        batch_of(evaluate_point),
+        evaluate_results_sliced,
     )
     .unwrap();
     assert_eq!(resumed.points.len(), clean.points.len());
@@ -140,12 +140,15 @@ fn faulty_sweep_completes_reports_and_resumes() {
 
     // --- Injected panicking design point, over the surviving trace set.
     let bad = configs[2];
-    let faulty_eval = batch_of(|c: CacheConfig, t: &[Trace], w: usize| {
-        if c == bad {
-            panic!("injected point fault");
+    let faulty_eval = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+        let mut results = evaluate_results_sliced(cs, ts, w);
+        for (c, r) in cs.iter().zip(results.iter_mut()) {
+            if *c == bad {
+                *r = Err(PointError::panicked(bad, "injected point fault"));
+            }
         }
-        evaluate_point(c, t, w)
-    });
+        results
+    };
     let outcome =
         evaluate_checkpointed_in(&dir, "faulty", &configs, &survivors, 0, false, faulty_eval)
             .unwrap();
@@ -181,10 +184,10 @@ fn faulty_sweep_completes_reports_and_resumes() {
     // Second invocation: every surviving point resumes from the journal
     // (the always-panicking eval proves nothing is re-simulated), and the
     // previously failed cell is retried — this time successfully.
-    let retry_eval = batch_of(|c: CacheConfig, t: &[Trace], w: usize| {
-        assert_eq!(c, bad, "only the failed cell may re-run");
-        evaluate_point(c, t, w)
-    });
+    let retry_eval = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+        assert_eq!(cs, [bad], "only the failed cell may re-run");
+        evaluate_results_sliced(cs, ts, w)
+    };
     let second =
         evaluate_checkpointed_in(&dir, "faulty", &configs, &survivors, 0, false, retry_eval)
             .unwrap();
@@ -215,7 +218,7 @@ fn hung_point_times_out_twice_then_quarantines() {
         ),
     };
     let supervised = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
-        evaluate_results_supervised(&policy, cs, ts, w).0
+        evaluate_results_supervised_with(&policy, cs, ts, w, None, |_, _| {}).0
     };
 
     // Runs 1 and 2: the hung cell times out, everything else completes.
@@ -246,7 +249,7 @@ fn hung_point_times_out_twice_then_quarantines() {
             !cs.contains(&bad),
             "quarantined cell must not be re-evaluated"
         );
-        evaluate_results_supervised(&SupervisorPolicy::disabled(), cs, ts, w).0
+        evaluate_results_sliced(cs, ts, w)
     };
     let third =
         evaluate_checkpointed_in(&dir, "hang", &configs, &traces, 0, false, must_not_run).unwrap();
@@ -258,10 +261,16 @@ fn hung_point_times_out_twice_then_quarantines() {
 
     // --fresh lifts the quarantine: with the fault gone the cell finally
     // computes and the grid completes.
-    let clean = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
-        evaluate_results_supervised(&SupervisorPolicy::disabled(), cs, ts, w).0
-    };
-    let fourth = evaluate_checkpointed_in(&dir, "hang", &configs, &traces, 0, true, clean).unwrap();
+    let fourth = evaluate_checkpointed_in(
+        &dir,
+        "hang",
+        &configs,
+        &traces,
+        0,
+        true,
+        evaluate_results_sliced,
+    )
+    .unwrap();
     assert!(fourth.is_complete(), "{:?}", fourth.failure_note());
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -283,7 +292,8 @@ fn transient_panic_is_retried_within_a_single_run() {
     };
     let retries = std::sync::Mutex::new(0usize);
     let supervised = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
-        let (results, stats) = evaluate_results_supervised(&policy, cs, ts, w);
+        let (results, stats) =
+            evaluate_results_supervised_with(&policy, cs, ts, w, None, |_, _| {});
         *retries.lock().unwrap() += stats.retries;
         results
     };
@@ -325,7 +335,7 @@ fn verify_catches_a_single_flipped_byte_anywhere() {
         &traces,
         0,
         false,
-        batch_of(evaluate_point),
+        evaluate_results_sliced,
     )
     .unwrap();
     let csv = points_to_csv("PDP-11", &outcome.points);

@@ -1,25 +1,28 @@
-//! Design-point evaluation: the direct simulator path, the one-pass
-//! engine path, the slice planner, and structured point faults.
+//! Design-point evaluation: traces, the one averaging function, the
+//! direct simulator and one-pass engine paths, the slice planner, and
+//! structured point faults.
 //!
 //! Evaluation averages ratios across traces exactly as the paper does
 //! ("Multiple-trace miss and traffic ratios are the unweighted average
-//! of the miss and traffic ratios of individual runs", §3.3). Sweeps do
-//! not simulate every point independently: [`plan_units`] groups a grid
+//! of the miss and traffic ratios of individual runs", §3.3), in one
+//! place: [`DesignPoint::from_metrics`]. Every path — [`evaluate_point`]
+//! and the evaluation pool in [`crate::executor`] — produces each
+//! config's per-trace [`Metrics`] and hands them to it. Sweeps do not
+//! simulate every point independently: [`plan_units`] groups a grid
 //! into one-pass-compatible slices per replacement policy (power-of-two
 //! sets — geometry, demand or load-forward fetch and write-through or
-//! copy-back may differ freely per member) and [`evaluate_slice`] runs
-//! each through the matching [`occache_core::multisim`] engine (LRU,
+//! copy-back may differ freely per member), and the pool runs each
+//! slice through the matching [`occache_core::multisim`] engine (LRU,
 //! FIFO or Random), which yields every cache size's metrics from a
 //! single trace pass — bit-identical to [`occache_core::simulate`].
 //! Only points no engine can express (prefetch, non-power-of-two sets,
 //! more than 16 ways, 1-byte blocks) fall back to the direct simulator,
-//! and
-//! `OCCACHE_NO_MULTISIM=<list>` forces the direct path for the listed
-//! engines — or all of them with `OCCACHE_NO_MULTISIM=all` — (used by
-//! equivalence tests and timing comparisons; see
+//! and `OCCACHE_NO_MULTISIM=<list>` forces the direct path for the
+//! listed engines — or all of them with `OCCACHE_NO_MULTISIM=all` —
+//! (used by equivalence tests and timing comparisons; see
 //! [`crate::config::multisim_disabled`]).
 
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::Arc;
 use std::thread;
 
@@ -177,89 +180,65 @@ pub struct DesignPoint {
     pub gross_size: u64,
 }
 
+impl DesignPoint {
+    /// Averages one configuration's per-trace metrics into a design
+    /// point: the paper's unweighted §3.3 mean. Each ratio is summed in
+    /// trace order and then divided by the trace count, so every
+    /// evaluation path that hands over the same per-trace metrics gets
+    /// the same bits.
+    pub fn from_metrics(config: CacheConfig, per_trace: &[Metrics]) -> DesignPoint {
+        let nibble = BusModel::paper_nibble();
+        let mut miss = 0.0;
+        let mut traffic = 0.0;
+        let mut scaled = 0.0;
+        let mut redundant = 0.0;
+        for metrics in per_trace {
+            miss += metrics.miss_ratio();
+            traffic += metrics.traffic_ratio();
+            scaled += metrics.scaled_traffic_ratio(nibble);
+            if metrics.sub_loads() > 0 {
+                redundant += metrics.redundant_sub_loads() as f64 / metrics.sub_loads() as f64;
+            }
+        }
+        let n = per_trace.len().max(1) as f64;
+        DesignPoint {
+            config,
+            miss_ratio: miss / n,
+            traffic_ratio: traffic / n,
+            nibble_traffic_ratio: scaled / n,
+            redundant_load_fraction: redundant / n,
+            gross_size: config.gross_size(),
+        }
+    }
+}
+
+/// Simulates one configuration against every trace on the direct
+/// simulator, returning each trace's metrics in trace order.
+pub(crate) fn direct_metrics(config: CacheConfig, traces: &[Trace], warmup: usize) -> Vec<Metrics> {
+    traces
+        .iter()
+        .map(|trace| simulate(config, trace.iter(), warmup))
+        .collect()
+}
+
 /// Evaluates one configuration against every trace, averaging the ratios.
 ///
 /// `warmup` references at the head of each trace prime the cache without
 /// being counted (the paper's warm-start discipline; pass 0 for cold).
 pub fn evaluate_point(config: CacheConfig, traces: &[Trace], warmup: usize) -> DesignPoint {
-    let nibble = BusModel::paper_nibble();
-    let mut miss = 0.0;
-    let mut traffic = 0.0;
-    let mut scaled = 0.0;
-    let mut redundant = 0.0;
-    for trace in traces {
-        let metrics: Metrics = simulate(config, trace.iter(), warmup);
-        miss += metrics.miss_ratio();
-        traffic += metrics.traffic_ratio();
-        scaled += metrics.scaled_traffic_ratio(nibble);
-        if metrics.sub_loads() > 0 {
-            redundant += metrics.redundant_sub_loads() as f64 / metrics.sub_loads() as f64;
-        }
-    }
-    let n = traces.len().max(1) as f64;
-    DesignPoint {
-        config,
-        miss_ratio: miss / n,
-        traffic_ratio: traffic / n,
-        nibble_traffic_ratio: scaled / n,
-        redundant_load_fraction: redundant / n,
-        gross_size: config.gross_size(),
-    }
+    DesignPoint::from_metrics(config, &direct_metrics(config, traces, warmup))
 }
 
-/// Evaluates a one-pass-compatible slice of configurations with a single
-/// engine pass per trace, averaging exactly as [`evaluate_point`] does.
+/// Runs a one-pass-compatible slice over every trace, returning each
+/// trace's per-configuration metrics in trace order.
 ///
 /// `shards` spreads the traces over that many threads (capped at the
 /// trace count; 0 and 1 both mean serial): the trace list splits into
 /// contiguous groups of near-equal count, the calling thread runs the
 /// first group and scoped threads run the rest. Each trace's engine pass
-/// is independent, and the per-trace metrics are folded in trace order
-/// whatever the shard count, so the accumulation order per configuration
-/// is identical to the per-point path (outer loop over traces, then the
-/// division by the trace count) and the resulting floats are
-/// bit-identical, not merely close. A panic on a shard thread resumes on
-/// the calling thread with its original payload.
-pub fn evaluate_slice(
-    configs: &[CacheConfig],
-    traces: &[Trace],
-    warmup: usize,
-    shards: usize,
-) -> Vec<DesignPoint> {
-    let per_trace = slice_metrics(configs, traces, warmup, shards);
-    let nibble = BusModel::paper_nibble();
-    let mut miss = vec![0.0; configs.len()];
-    let mut traffic = vec![0.0; configs.len()];
-    let mut scaled = vec![0.0; configs.len()];
-    let mut redundant = vec![0.0; configs.len()];
-    for all in &per_trace {
-        for (i, metrics) in all.iter().enumerate() {
-            miss[i] += metrics.miss_ratio();
-            traffic[i] += metrics.traffic_ratio();
-            scaled[i] += metrics.scaled_traffic_ratio(nibble);
-            if metrics.sub_loads() > 0 {
-                redundant[i] += metrics.redundant_sub_loads() as f64 / metrics.sub_loads() as f64;
-            }
-        }
-    }
-    let n = traces.len().max(1) as f64;
-    configs
-        .iter()
-        .enumerate()
-        .map(|(i, &config)| DesignPoint {
-            config,
-            miss_ratio: miss[i] / n,
-            traffic_ratio: traffic[i] / n,
-            nibble_traffic_ratio: scaled[i] / n,
-            redundant_load_fraction: redundant[i] / n,
-            gross_size: config.gross_size(),
-        })
-        .collect()
-}
-
-/// Runs a one-pass-compatible slice over every trace, sharded as
-/// [`evaluate_slice`] describes, returning each trace's
-/// per-configuration metrics in trace order.
+/// is independent and the groups are joined in trace order, so the
+/// result does not depend on the shard count. A panic on a shard thread
+/// resumes on the calling thread with its original payload.
 pub(crate) fn slice_metrics(
     configs: &[CacheConfig],
     traces: &[Trace],
@@ -493,128 +472,34 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Evaluates one configuration with panic containment: a panic inside
-/// `eval` becomes an `Err(PointError)` instead of unwinding the sweep.
-fn evaluate_contained<F>(
-    config: CacheConfig,
-    traces: &[Trace],
-    warmup: usize,
-    eval: &F,
-) -> Result<DesignPoint, PointError>
-where
-    F: Fn(CacheConfig, &[Trace], usize) -> DesignPoint,
-{
-    panic::catch_unwind(AssertUnwindSafe(|| eval(config, traces, warmup)))
-        .map_err(|payload| PointError::panicked(config, panic_message(payload)))
-}
-
-/// Fault-isolated parallel sweep returning one result per config, in
-/// input order. The building block under the isolated-sweep entry points
-/// and the checkpointed sweeps, which need the per-index mapping.
-pub fn evaluate_results_with<F>(
-    configs: &[CacheConfig],
-    traces: &[Trace],
-    warmup: usize,
-    eval: F,
-) -> Vec<Result<DesignPoint, PointError>>
-where
-    F: Fn(CacheConfig, &[Trace], usize) -> DesignPoint + Sync,
-{
-    let workers = pool_workers(configs.len());
-    let chunk = configs.len().div_ceil(workers.max(1)).max(1);
-    let mut slots: Vec<Option<Result<DesignPoint, PointError>>> = vec![None; configs.len()];
-    let eval = &eval;
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, block) in configs.chunks(chunk).enumerate() {
-            handles.push((
-                i * chunk,
-                block,
-                scope.spawn(move || {
-                    block
-                        .iter()
-                        .map(|&c| evaluate_contained(c, traces, warmup, eval))
-                        .collect::<Vec<_>>()
-                }),
-            ));
-        }
-        for (start, block, h) in handles {
-            match h.join() {
-                Ok(results) => {
-                    for (j, r) in results.into_iter().enumerate() {
-                        slots[start + j] = Some(r);
-                    }
-                }
-                // With per-point containment a worker should never die, but
-                // if one does, name every config it was carrying rather
-                // than poisoning the whole sweep.
-                Err(payload) => {
-                    let message = format!(
-                        "sweep worker thread died outside point isolation: {}",
-                        panic_message(payload)
-                    );
-                    for (j, &c) in block.iter().enumerate() {
-                        slots[start + j] = Some(Err(PointError::worker_loss(c, message.clone())));
-                    }
-                }
-            }
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every chunk filled its slots"))
-        .collect()
-}
-
-/// The worker count a sweep pool should use for `units` schedulable
-/// units: the `OCCACHE_JOBS` override when set (malformed values fall
-/// back silently — bins validate via [`crate::config::try_jobs`] at
-/// startup), otherwise the hardware parallelism, never more workers than
-/// units and never zero.
-pub fn pool_workers(units: usize) -> usize {
-    let hardware = thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    crate::config::try_jobs()
-        .unwrap_or(None)
-        .unwrap_or(hardware)
-        .min(units.max(1))
-}
-
-/// How a slice-level sweep spreads its planned units over threads: the
+/// How the evaluation pool spreads its planned units over threads: the
 /// worker count, and how many threads each engine unit splits its
-/// traces across (see [`evaluate_slice`]).
+/// traces across (see [`slice_metrics`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlicePool {
+pub(crate) struct SlicePool {
     /// Workers draining the unit queue.
-    pub workers: usize,
+    pub(crate) workers: usize,
     /// Trace shards per engine unit, the calling worker included.
-    pub shards: usize,
-}
-
-impl SlicePool {
-    /// Engine threads the pool runs at most at once.
-    pub fn threads(&self) -> usize {
-        self.workers * self.shards
-    }
+    pub(crate) shards: usize,
 }
 
 /// Sizes the pool for `units` planned units over `traces` traces. The
 /// width is `width` when given, else `OCCACHE_SLICE_THREADS` when set (so
 /// an operator can pin sweep concurrency without resizing the serving
-/// pools), else [`pool_workers`]'s `OCCACHE_JOBS` / hardware-parallelism
-/// fallback. At most one worker per unit runs; when there are fewer
-/// units than the width, the spare workers shard each engine unit's
-/// traces (`width / units` shards, capped at the trace count), so the
-/// width bounds the total number of engine threads either way. Binaries
-/// validate the variable strictly at startup via
-/// [`crate::config::try_slice_threads`]; by the time a pool is being
-/// sized, a malformed value falls back to the default rather than
-/// aborting mid-sweep.
-pub fn slice_pool(units: usize, traces: usize, width: Option<usize>) -> SlicePool {
+/// pools), else `OCCACHE_JOBS` when set, else the hardware parallelism.
+/// At most one worker per unit runs; when there are fewer units than the
+/// width, the spare workers shard each engine unit's traces
+/// (`width / units` shards, capped at the trace count), so the width
+/// bounds the total number of engine threads either way. Binaries
+/// validate both variables strictly at startup via
+/// [`crate::config::try_slice_threads`] and [`crate::config::try_jobs`];
+/// by the time a pool is being sized, a malformed value falls back to
+/// the default rather than aborting mid-sweep.
+pub(crate) fn slice_pool(units: usize, traces: usize, width: Option<usize>) -> SlicePool {
     let width = width
         .or_else(|| crate::config::try_slice_threads().unwrap_or(None))
-        .unwrap_or_else(|| pool_workers(usize::MAX))
+        .or_else(|| crate::config::try_jobs().unwrap_or(None))
+        .unwrap_or_else(|| thread::available_parallelism().map_or(4, |n| n.get()))
         .max(1);
     let units = units.max(1);
     SlicePool {

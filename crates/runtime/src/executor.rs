@@ -1,10 +1,15 @@
-//! The supervised executor: per-point wall-clock deadlines, bounded
-//! retries with capped backoff, deterministic fault injection, and the
-//! interrupt-aware worker pool over planned sweep units. This is the
-//! *static grid* job source — batch sweeps hand it a config list and
-//! stream results out through a hook; the serving layer's live-queue
-//! source ([`crate::queue`]) coalesces submissions into grids and runs
-//! them through the same pool.
+//! The evaluation pool and its supervisor: the one worker pool that runs
+//! design points. A config grid is planned into sweep units and drained
+//! from a shared queue with per-unit wall-clock deadlines, bounded
+//! retries with capped backoff, deterministic fault injection and
+//! interrupt awareness. Each unit yields its configs' per-trace
+//! [`Metrics`]; [`evaluate_results_supervised_with`] averages them with
+//! [`DesignPoint::from_metrics`], and [`evaluate_metrics`] returns them
+//! as they are. Batch sweeps hand the pool a static grid through those
+//! two calls (or the thin [`evaluate_results_sliced`] and
+//! [`evaluate_points`]); the serving layer's live queue
+//! ([`crate::queue`]) coalesces submissions into grids and runs them
+//! through the same pool.
 //!
 //! Under a deadline, each design point (or engine slice) runs on a named
 //! watchdog thread and the supervisor waits with a timeout; a point that
@@ -31,12 +36,12 @@ use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-use occache_core::{simulate, CacheConfig, Metrics};
+use occache_core::{CacheConfig, Metrics};
 
 use crate::config::parse_timeout;
 use crate::eval::{
-    evaluate_point, evaluate_results_with, evaluate_slice, panic_message, plan_units_disabling,
-    slice_metrics, slice_pool, DesignPoint, PointError, SlicePool, SweepUnit, Trace,
+    direct_metrics, panic_message, plan_units_disabling, slice_metrics, slice_pool, DesignPoint,
+    PointError, SlicePool, SweepUnit, Trace,
 };
 use crate::journal::JournalHealth;
 
@@ -372,16 +377,17 @@ fn run_with_deadline<T: Send + 'static>(
     }
 }
 
-/// Evaluates one design point under the policy: deadline per attempt,
-/// bounded retries with doubling backoff after panics, no retry after a
-/// timeout (a hung point would hang again and leak another thread).
+/// Simulates one design point's traces on the direct simulator under the
+/// policy: deadline per attempt, bounded retries with doubling backoff
+/// after panics, no retry after a timeout (a hung point would hang again
+/// and leak another thread).
 fn supervise_point(
     policy: &SupervisorPolicy,
     config: CacheConfig,
     traces: &[Trace],
     warmup: usize,
     stats: &mut SuperviseStats,
-) -> Result<DesignPoint, PointError> {
+) -> Result<Vec<Metrics>, PointError> {
     let mut backoff = policy.backoff;
     let mut attempt: u32 = 0;
     loop {
@@ -389,10 +395,10 @@ fn supervise_point(
         let owned = traces.to_vec();
         let run = run_with_deadline(policy.timeout, move || {
             fault.trip(&config);
-            evaluate_point(config, &owned, warmup)
+            direct_metrics(config, &owned, warmup)
         });
         match run {
-            Deadline::Finished(Ok(point)) => return Ok(point),
+            Deadline::Finished(Ok(metrics)) => return Ok(metrics),
             Deadline::Finished(Err(payload)) => {
                 let message = panic_message(payload);
                 if attempt < policy.retries {
@@ -419,75 +425,51 @@ fn supervise_point(
     }
 }
 
-/// Supervised fault-isolated parallel sweep: the engine-sliced worker
-/// pool of the plain sweep, with every unit run under the policy's
-/// deadline and retry budget. Returns one result per config in input
-/// order, plus the supervision stats.
+/// The evaluation pool. Plans `configs` into [`SweepUnit`]s (honouring
+/// `OCCACHE_NO_MULTISIM`), drains them from a shared queue under the
+/// policy, and turns each config's per-trace metrics into a result with
+/// `finish` on the worker thread, calling `on_point` there as each
+/// unit's points land. Returns one result per config, in input order.
 ///
 /// An engine slice that panics or overruns its deadline does not fail
 /// its sibling configs: each member is re-run alone on the direct
 /// simulator under its own deadline, so only the genuinely broken or
 /// hung cell fails and fault attribution stays per-point.
-pub fn evaluate_results_supervised(
-    policy: &SupervisorPolicy,
-    configs: &[CacheConfig],
-    traces: &[Trace],
-    warmup: usize,
-) -> (Vec<Result<DesignPoint, PointError>>, SuperviseStats) {
-    evaluate_results_supervised_with(policy, configs, traces, warmup, None, |_, _| {})
-}
-
-/// [`evaluate_results_supervised`] with the pool knobs exposed: an
-/// explicit pool width (`None` honours `OCCACHE_SLICE_THREADS`, then
-/// `OCCACHE_JOBS` / hardware parallelism) and an `on_point` hook called
-/// exactly once per config — from worker threads, as each result lands —
-/// which the checkpoint layer uses to stream journal appends to its
-/// single writer thread and the serving layer uses to publish results as
-/// they complete.
-///
-/// The pool is interrupt-aware: once [`crate::interrupt::requested`]
-/// turns true, workers finish their current unit and stop claiming new
-/// ones; unclaimed configs come back as
-/// [`PointFault::Interrupted`](crate::eval::PointFault::Interrupted)
-/// failures (for which `on_point` is *not* called — nothing was
-/// evaluated).
-///
-/// The width bounds the total number of engine threads, sized by
-/// [`slice_pool`]: one worker per unit at most, and when the grid plans
-/// fewer units than the width, each engine unit's traces are sharded
-/// over the spare workers inside the unit's deadline-bounded attempt.
-/// Fault trips, deadlines, retries and the per-member direct fallback
-/// therefore still apply once per unit attempt, and results stay
-/// bit-identical at every width.
-pub fn evaluate_results_supervised_with<H>(
+fn drain_units<T, F, H>(
     policy: &SupervisorPolicy,
     configs: &[CacheConfig],
     traces: &[Trace],
     warmup: usize,
     width: Option<usize>,
+    finish: F,
     on_point: H,
-) -> (Vec<Result<DesignPoint, PointError>>, SuperviseStats)
+) -> (Vec<Result<T, PointError>>, SuperviseStats)
 where
-    H: Fn(usize, &Result<DesignPoint, PointError>) + Sync,
+    T: Send,
+    F: Fn(CacheConfig, Vec<Metrics>) -> T + Sync,
+    H: Fn(usize, &Result<T, PointError>) + Sync,
 {
     // Per-policy escape hatch: disabled engines' configs become direct
     // units; the planner already routes engine-inexpressible configs
     // there unconditionally.
     let units = plan_units_disabling(configs, crate::config::multisim_disabled());
     let SlicePool { workers, shards } = slice_pool(units.len(), traces.len(), width);
-    let mut slots: Vec<Option<Result<DesignPoint, PointError>>> = vec![None; configs.len()];
+    let mut slots: Vec<Option<Result<T, PointError>>> = std::iter::repeat_with(|| None)
+        .take(configs.len())
+        .collect();
     let mut stats = SuperviseStats::default();
     let mut died: Vec<String> = Vec::new();
     let next = AtomicUsize::new(0);
-    let (units, next, on_point) = (&units, &next, &on_point);
+    let (units, next, finish, on_point) = (&units, &next, &finish, &on_point);
     thread::scope(|scope| {
         let mut handles = Vec::new();
         for _ in 0..workers {
             handles.push(scope.spawn(move || {
-                let mut done: Vec<(usize, Result<DesignPoint, PointError>)> = Vec::new();
-                let emit = |done: &mut Vec<(usize, Result<DesignPoint, PointError>)>,
+                let mut done: Vec<(usize, Result<T, PointError>)> = Vec::new();
+                let emit = |done: &mut Vec<(usize, Result<T, PointError>)>,
                             i: usize,
-                            r: Result<DesignPoint, PointError>| {
+                            r: Result<Vec<Metrics>, PointError>| {
+                    let r = r.map(|metrics| finish(configs[i], metrics));
                     on_point(i, &r);
                     done.push((i, r));
                 };
@@ -514,13 +496,14 @@ where
                                 for config in &slice {
                                     fault.trip(config);
                                 }
-                                evaluate_slice(&slice, &owned, warmup, shards)
+                                slice_metrics(&slice, &owned, warmup, shards)
                             });
                             match run {
-                                Deadline::Finished(Ok(points)) => {
+                                Deadline::Finished(Ok(per_trace)) => {
                                     local.engine_points[kind.index()] += members.len();
-                                    for (&i, p) in members.iter().zip(points) {
-                                        emit(&mut done, i, Ok(p));
+                                    for (k, &i) in members.iter().enumerate() {
+                                        let metrics = per_trace.iter().map(|m| m[k]).collect();
+                                        emit(&mut done, i, Ok(metrics));
                                     }
                                 }
                                 // A slice panic or overrun must not take
@@ -584,39 +567,68 @@ where
     (results, stats)
 }
 
+/// Supervised fault-isolated parallel sweep: every planned unit runs
+/// under the policy's deadline and retry budget, and each config's
+/// per-trace metrics are averaged by [`DesignPoint::from_metrics`].
+/// Returns one result per config in input order, plus the supervision
+/// stats.
+///
+/// `width` sets the pool width (`None` honours `OCCACHE_SLICE_THREADS`,
+/// then `OCCACHE_JOBS` / hardware parallelism). `on_point` is called
+/// exactly once per evaluated config — from worker threads, as each
+/// unit's points land — which the checkpoint layer uses to stream
+/// journal appends to its single writer thread and the serving layer
+/// uses to publish results as they complete.
+///
+/// The pool is interrupt-aware: once [`crate::interrupt::requested`]
+/// turns true, workers finish their current unit and stop claiming new
+/// ones; unclaimed configs come back as
+/// [`PointFault::Interrupted`](crate::eval::PointFault::Interrupted)
+/// failures (for which `on_point` is *not* called — nothing was
+/// evaluated).
+///
+/// The width bounds the total number of engine threads: one worker per
+/// unit at most, and when the grid plans fewer units than the width,
+/// each engine unit's traces are sharded over the spare workers inside
+/// the unit's deadline-bounded attempt. Fault trips, deadlines, retries
+/// and the per-member direct fallback therefore still apply once per
+/// unit attempt, and results stay bit-identical at every width.
+pub fn evaluate_results_supervised_with<H>(
+    policy: &SupervisorPolicy,
+    configs: &[CacheConfig],
+    traces: &[Trace],
+    warmup: usize,
+    width: Option<usize>,
+    on_point: H,
+) -> (Vec<Result<DesignPoint, PointError>>, SuperviseStats)
+where
+    H: Fn(usize, &Result<DesignPoint, PointError>) + Sync,
+{
+    drain_units(
+        policy,
+        configs,
+        traces,
+        warmup,
+        width,
+        |config, metrics| DesignPoint::from_metrics(config, &metrics),
+        on_point,
+    )
+}
+
 /// Fault-isolated parallel sweep that shares trace passes across
 /// one-pass-compatible slices, returning one result per config in input
-/// order.
-///
-/// The grid is planned into [`SweepUnit`]s and the units drained from a
-/// shared queue by the supervised worker pool (see
-/// [`evaluate_results_supervised`], of which this is the no-deadline,
-/// no-retry special case). A panic inside an engine slice does not fail
-/// its sibling configs: each member is retried alone on the direct
-/// simulator, so fault isolation stays per-point exactly as in
-/// [`crate::eval::evaluate_results_with`].
+/// order: [`evaluate_results_supervised_with`] with no deadline, no
+/// retries and the default pool width. A panic inside an engine slice
+/// does not fail its sibling configs: each member is retried alone on
+/// the direct simulator, so fault isolation stays per-point. Collect
+/// the results into a [`SweepOutcome`] to split points from failures.
 pub fn evaluate_results_sliced(
     configs: &[CacheConfig],
     traces: &[Trace],
     warmup: usize,
 ) -> Vec<Result<DesignPoint, PointError>> {
     let policy = SupervisorPolicy::disabled();
-    evaluate_results_supervised(&policy, configs, traces, warmup).0
-}
-
-/// Adapts a per-point evaluation function to the batch shape the
-/// checkpointed sweeps consume, keeping per-point fault isolation.
-/// Production sweeps pass [`evaluate_results_sliced`] instead; tests use
-/// this to inject point-level faults into batch APIs.
-pub fn batch_of<F>(
-    eval: F,
-) -> impl Fn(&[CacheConfig], &[Trace], usize) -> Vec<Result<DesignPoint, PointError>> + Sync
-where
-    F: Fn(CacheConfig, &[Trace], usize) -> DesignPoint + Sync,
-{
-    move |configs: &[CacheConfig], traces: &[Trace], warmup: usize| {
-        evaluate_results_with(configs, traces, warmup, &eval)
-    }
+    evaluate_results_supervised_with(&policy, configs, traces, warmup, None, |_, _| {}).0
 }
 
 /// The outcome of a fault-isolated (and possibly resumed) sweep.
@@ -633,6 +645,21 @@ pub struct SweepOutcome {
     pub retries: usize,
     /// Checkpoint-journal health observed while resuming.
     pub journal: JournalHealth,
+}
+
+/// Splits per-config results into points and failures, each in input
+/// order; every other field starts at its default.
+impl FromIterator<Result<DesignPoint, PointError>> for SweepOutcome {
+    fn from_iter<I: IntoIterator<Item = Result<DesignPoint, PointError>>>(results: I) -> Self {
+        let mut outcome = SweepOutcome::default();
+        for result in results {
+            match result {
+                Ok(p) => outcome.points.push(p),
+                Err(e) => outcome.failures.push(e),
+            }
+        }
+        outcome
+    }
 }
 
 impl SweepOutcome {
@@ -685,80 +712,72 @@ pub fn failure_note(failures: &[PointError]) -> Option<String> {
     Some(note)
 }
 
-/// Fault-isolated parallel sweep with a custom evaluation function.
-///
-/// Each point runs under `catch_unwind`: a panicking point is reported in
-/// [`SweepOutcome::failures`] (named by its config) and the rest of the
-/// grid still completes. `eval` is a parameter so tests can inject faults;
-/// production callers use [`evaluate_points_isolated`].
-pub fn evaluate_points_isolated_with<F>(
-    configs: &[CacheConfig],
-    traces: &[Trace],
-    warmup: usize,
-    eval: F,
-) -> SweepOutcome
-where
-    F: Fn(CacheConfig, &[Trace], usize) -> DesignPoint + Sync,
-{
-    let mut outcome = SweepOutcome::default();
-    for result in evaluate_results_with(configs, traces, warmup, eval) {
-        match result {
-            Ok(p) => outcome.points.push(p),
-            Err(e) => outcome.failures.push(e),
-        }
-    }
-    outcome
-}
-
-/// Fault-isolated parallel sweep using the one-pass engine where the grid
-/// allows it and [`evaluate_point`] elsewhere (see
-/// [`evaluate_results_sliced`]).
-pub fn evaluate_points_isolated(
-    configs: &[CacheConfig],
-    traces: &[Trace],
-    warmup: usize,
-) -> SweepOutcome {
-    let mut outcome = SweepOutcome::default();
-    for result in evaluate_results_sliced(configs, traces, warmup) {
-        match result {
-            Ok(p) => outcome.points.push(p),
-            Err(e) => outcome.failures.push(e),
-        }
-    }
-    outcome
-}
-
-/// Evaluates many configurations, spreading work across threads, and
-/// returns one point per config in input order.
-///
-/// An interrupt does not cut the result short: configs the pool skipped
-/// once [`crate::interrupt::requested`] turned true (the
-/// [`PointFault::Interrupted`](crate::eval::PointFault::Interrupted)
-/// failures) are evaluated here on the direct path with
-/// [`evaluate_point`], so a caller that is running when SIGINT arrives
-/// still gets the complete, bit-identical grid and can finish its
-/// artifact before the binary stops.
+/// Evaluates many configurations on the pool and returns one point per
+/// config in input order: the [`evaluate_metrics`] rows, each averaged
+/// by [`DesignPoint::from_metrics`].
 ///
 /// # Panics
 ///
-/// Panics on any other failure, naming the failing configuration. Use
-/// [`evaluate_points_isolated`] to get partial results instead.
+/// As [`evaluate_metrics`]. Use [`evaluate_results_sliced`] to get
+/// partial results instead.
 pub fn evaluate_points(
     configs: &[CacheConfig],
     traces: &[Trace],
     warmup: usize,
 ) -> Vec<DesignPoint> {
-    let mut points = Vec::with_capacity(configs.len());
+    configs
+        .iter()
+        .zip(evaluate_metrics(configs, traces, warmup))
+        .map(|(&config, per_trace)| DesignPoint::from_metrics(config, &per_trace))
+        .collect()
+}
+
+/// Every configuration's per-trace [`Metrics`], `result[config][trace]`,
+/// from the pool under [`SupervisorPolicy::disabled`]. Nothing is
+/// averaged, so an artifact can report counters a [`DesignPoint`] does
+/// not carry, such as write-through and write-back traffic or the
+/// unreferenced-sub-block fraction. Each entry is bit-identical to
+/// [`occache_core::simulate`] of that config and trace.
+///
+/// An interrupt does not cut the result short: configs the pool skipped
+/// once [`crate::interrupt::requested`] turned true (the
+/// [`PointFault::Interrupted`](crate::eval::PointFault::Interrupted)
+/// failures) are simulated here on the direct path, so a caller that is
+/// running when SIGINT arrives still gets the complete, bit-identical
+/// grid and can finish its artifact before the binary stops.
+///
+/// # Panics
+///
+/// Panics on any other failure, naming the failing configuration.
+pub fn evaluate_metrics(
+    configs: &[CacheConfig],
+    traces: &[Trace],
+    warmup: usize,
+) -> Vec<Vec<Metrics>> {
+    let policy = SupervisorPolicy::disabled();
+    let (results, _) = drain_units(
+        &policy,
+        configs,
+        traces,
+        warmup,
+        None,
+        |_, metrics| metrics,
+        |_, _| {},
+    );
     let mut failures = Vec::new();
-    for result in evaluate_results_sliced(configs, traces, warmup) {
-        match result {
-            Ok(p) => points.push(p),
+    let rows = results
+        .into_iter()
+        .map(|result| match result {
+            Ok(metrics) => metrics,
             Err(e) if e.fault == crate::eval::PointFault::Interrupted => {
-                points.push(evaluate_point(e.config, traces, warmup));
+                direct_metrics(e.config, traces, warmup)
             }
-            Err(e) => failures.push(e),
-        }
-    }
+            Err(e) => {
+                failures.push(e);
+                Vec::new()
+            }
+        })
+        .collect();
     if let Some(first) = failures.first() {
         panic!(
             "sweep failed at {} of {} design point(s); first failure: {first}",
@@ -766,66 +785,7 @@ pub fn evaluate_points(
             configs.len()
         );
     }
-    points
-}
-
-/// Every configuration's per-trace [`Metrics`], `result[config][trace]`,
-/// from one pooled call: the grid is planned into engine slices and
-/// direct units (honouring `OCCACHE_NO_MULTISIM`) and drained by the
-/// same worker pool shape as [`evaluate_points`], but nothing is
-/// averaged, so an artifact can report counters a [`DesignPoint`] does
-/// not carry, such as write-through and write-back traffic. Each entry
-/// is bit-identical to [`occache_core::simulate`] of that config and
-/// trace. Unsupervised: a panic in any unit propagates to the caller.
-pub fn evaluate_metrics(
-    configs: &[CacheConfig],
-    traces: &[Trace],
-    warmup: usize,
-) -> Vec<Vec<Metrics>> {
-    let units = plan_units_disabling(configs, crate::config::multisim_disabled());
-    let SlicePool { workers, shards } = slice_pool(units.len(), traces.len(), None);
-    let next = AtomicUsize::new(0);
-    let (units, next) = (&units, &next);
-    let mut out = vec![Vec::new(); configs.len()];
-    thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, Vec<Metrics>)> = Vec::new();
-                    while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
-                        match unit {
-                            SweepUnit::Direct(i) => {
-                                let config = configs[*i];
-                                let per_trace =
-                                    traces.iter().map(|t| simulate(config, t.iter(), warmup));
-                                done.push((*i, per_trace.collect()));
-                            }
-                            SweepUnit::Engine { members, .. } => {
-                                let slice: Vec<CacheConfig> =
-                                    members.iter().map(|&i| configs[i]).collect();
-                                let per_trace = slice_metrics(&slice, traces, warmup, shards);
-                                for (k, &i) in members.iter().enumerate() {
-                                    done.push((i, per_trace.iter().map(|m| m[k]).collect()));
-                                }
-                            }
-                        }
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(done) => {
-                    for (i, metrics) in done {
-                        out[i] = metrics;
-                    }
-                }
-                Err(payload) => panic::resume_unwind(payload),
-            }
-        }
-    });
-    out
+    rows
 }
 
 #[cfg(test)]
@@ -860,6 +820,15 @@ mod tests {
             block /= 2;
         }
         (configs, traces)
+    }
+
+    /// The pool under `policy` at the default width, with no hook.
+    fn supervised(
+        policy: &SupervisorPolicy,
+        configs: &[CacheConfig],
+        traces: &[Trace],
+    ) -> (Vec<Result<DesignPoint, PointError>>, SuperviseStats) {
+        evaluate_results_supervised_with(policy, configs, traces, 0, None, |_, _| {})
     }
 
     #[test]
@@ -907,7 +876,11 @@ mod tests {
         for (config, per_trace) in configs.iter().zip(&all) {
             assert_eq!(per_trace.len(), traces.len());
             for (trace, metrics) in traces.iter().zip(per_trace) {
-                assert_eq!(*metrics, simulate(*config, trace.iter(), 100), "{config}");
+                assert_eq!(
+                    *metrics,
+                    occache_core::simulate(*config, trace.iter(), 100),
+                    "{config}"
+                );
             }
         }
     }
@@ -935,7 +908,7 @@ mod tests {
     fn disabled_policy_matches_the_plain_sweep() {
         let (configs, traces) = small_grid();
         let policy = SupervisorPolicy::disabled();
-        let (supervised, stats) = evaluate_results_supervised(&policy, &configs, &traces, 0);
+        let (results, stats) = supervised(&policy, &configs, &traces);
         assert_eq!(stats.retries, 0);
         assert_eq!(stats.abandoned_threads, 0);
         // The whole LRU grid rides the LRU engine; nothing is direct.
@@ -944,12 +917,23 @@ mod tests {
             configs.len()
         );
         assert_eq!(stats.direct_points, 0);
-        let plain = evaluate_results_with(&configs, &traces, 0, evaluate_point);
-        for (s, p) in supervised.iter().zip(&plain) {
-            let (s, p) = (s.as_ref().unwrap(), p.as_ref().unwrap());
+        for (config, result) in configs.iter().zip(&results) {
+            let (s, p) = (
+                result.as_ref().unwrap(),
+                crate::eval::evaluate_point(*config, &traces, 0),
+            );
             assert_eq!(s.config, p.config);
             assert_eq!(s.miss_ratio.to_bits(), p.miss_ratio.to_bits());
             assert_eq!(s.traffic_ratio.to_bits(), p.traffic_ratio.to_bits());
+            assert_eq!(
+                s.nibble_traffic_ratio.to_bits(),
+                p.nibble_traffic_ratio.to_bits()
+            );
+            assert_eq!(
+                s.redundant_load_fraction.to_bits(),
+                p.redundant_load_fraction.to_bits()
+            );
+            assert_eq!(s.gross_size, p.gross_size);
         }
     }
 
@@ -959,7 +943,7 @@ mod tests {
         let mut policy = SupervisorPolicy::disabled();
         policy.timeout = Some(Duration::from_millis(200));
         policy.fault = FaultPlan::hang(8, 4, Duration::from_secs(60));
-        let (results, stats) = evaluate_results_supervised(&policy, &configs, &traces, 0);
+        let (results, stats) = supervised(&policy, &configs, &traces);
         let mut timeouts = 0;
         for (config, result) in configs.iter().zip(&results) {
             let hung = config.block_size() == 8 && config.sub_block_size() == 4;
@@ -984,7 +968,7 @@ mod tests {
         policy.retries = 1;
         policy.backoff = Duration::from_millis(1);
         policy.fault = FaultPlan::panic_once(8, 4);
-        let (results, stats) = evaluate_results_supervised(&policy, &configs, &traces, 0);
+        let (results, stats) = supervised(&policy, &configs, &traces);
         assert!(results.iter().all(Result::is_ok), "retry must recover");
         assert!(stats.retries >= 1);
     }
@@ -1093,7 +1077,23 @@ mod tests {
         let mut policy = SupervisorPolicy::disabled();
         policy.fault = FaultPlan::hang(8, 4, Duration::ZERO);
         // A zero-length hang never fails: the sweep completes.
-        let (results, _) = evaluate_results_supervised(&policy, &configs, &traces, 0);
+        let (results, _) = supervised(&policy, &configs, &traces);
         assert!(results.iter().all(Result::is_ok));
+
+        // A panic on every evaluation outlasts a one-retry budget: the
+        // slice attempt fails, then each member's direct re-run panics
+        // on both of its attempts.
+        policy.retries = 1;
+        policy.backoff = Duration::from_millis(1);
+        policy.fault = FaultPlan::panic_every(1);
+        let (results, stats) = supervised(&policy, &configs, &traces);
+        for result in &results {
+            let e = result.as_ref().unwrap_err();
+            assert_eq!(e.fault, PointFault::Panic);
+            assert!(e.message.contains("(after 2 attempt(s))"), "{e}");
+        }
+        // One retry for the failed slice, one per member re-run.
+        assert_eq!(stats.retries, configs.len() + 1);
+        assert_eq!(stats.direct_points, configs.len());
     }
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use occache_core::CacheConfig;
 use occache_runtime::eval::Trace;
-use occache_runtime::executor::{evaluate_points_isolated, SupervisorPolicy};
+use occache_runtime::executor::{evaluate_results_sliced, SupervisorPolicy, SweepOutcome};
 use occache_runtime::keys::{point_key, trace_fingerprint};
 use occache_runtime::queue::{Job, JobResult, Priority, Scheduler, TraceSet};
 use occache_workloads::WorkloadSpec;
@@ -44,7 +44,9 @@ fn batch_executor_and_live_queue_agree_bit_for_bit() {
 
     // Batch front-end: the static-grid path every experiment binary uses
     // (engine-slice planning included).
-    let batch = evaluate_points_isolated(&configs, &traces, 0);
+    let batch: SweepOutcome = evaluate_results_sliced(&configs, &traces, 0)
+        .into_iter()
+        .collect();
     assert!(batch.failures.is_empty(), "{:?}", batch.failures);
 
     // Serving front-end: the same points submitted as live jobs through

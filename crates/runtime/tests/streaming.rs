@@ -7,10 +7,22 @@
 //! generation into simulation without touching any committed artifact.
 
 use occache_core::{simulate, CacheConfig};
-use occache_runtime::eval::{evaluate_point, evaluate_slice, Trace};
+use occache_runtime::eval::{evaluate_point, DesignPoint, Trace};
+use occache_runtime::executor::{evaluate_results_supervised_with, SupervisorPolicy};
 use occache_runtime::keys::{point_key, trace_fingerprint};
 use occache_workloads::{Architecture, Profile, ProgramGenerator};
 use proptest::prelude::*;
+
+/// The pool at width 1, so the one engine unit runs both traces in one
+/// paired (interleaved) pass instead of sharding them.
+fn sliced(configs: &[CacheConfig], traces: &[Trace], warmup: usize) -> Vec<DesignPoint> {
+    let policy = SupervisorPolicy::disabled();
+    evaluate_results_supervised_with(&policy, configs, traces, warmup, Some(1), |_, _| {})
+        .0
+        .into_iter()
+        .map(|r| r.expect("no faults injected"))
+        .collect()
+}
 
 fn config(net: u64, block: u64, sub: u64) -> CacheConfig {
     CacheConfig::builder()
@@ -81,13 +93,12 @@ proptest! {
 
         // And through the sliced one-pass path, with two traces so the
         // paired (interleaved) engine run is what actually executes.
-        let sliced_mat = evaluate_slice(
+        let sliced_mat = sliced(
             &configs,
             &[materialized.clone(), materialized.clone()],
             warmup,
-            1,
         );
-        let sliced_str = evaluate_slice(&configs, &[streamed.clone(), streamed], warmup, 1);
+        let sliced_str = sliced(&configs, &[streamed.clone(), streamed], warmup);
         for (m, s) in sliced_mat.iter().zip(&sliced_str) {
             prop_assert_eq!(m.config, s.config);
             prop_assert!(
