@@ -590,11 +590,14 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 # Warm the node so the latency quantiles exist, then start a sweep that
-# flushes the progress feed after every point.
+# flushes the progress feed after every point. The engines are switched
+# off so every config is its own unit and points land one by one: on the
+# engine path each architecture's grid is one unit that lands all at
+# once, and on a small box the phase can seal between two polls.
 curl -s -X POST "http://127.0.0.1:$OBS_PORT/v1/simulate" \
   -d '{"model":"pdp11","refs":2000,"config":{"net":256,"block":16,"sub":8}}' > /dev/null
 OCCACHE_RESULTS="$OBS_DIR" OCCACHE_REFS=100000 OCCACHE_PROGRESS_EVERY=1 \
-  ./target/release/table7 > /dev/null 2>&1 &
+  OCCACHE_NO_MULTISIM=all ./target/release/table7 > /dev/null 2>&1 &
 OBS_SWEEP_PID=$!
 OBS_LIVE=
 for _ in $(seq 1 300); do

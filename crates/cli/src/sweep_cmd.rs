@@ -75,11 +75,9 @@ pub fn run<S: AsRef<str>>(argv: &[S]) -> Result<String, CliError> {
     if parsed.switch("help") {
         return Ok(USAGE.to_string());
     }
-    // Reject a malformed OCCACHE_JOBS / OCCACHE_SLICE_THREADS up front;
-    // the sweep pool itself is lenient and would silently fall back to
-    // hardware parallelism.
-    occache_experiments::sweep::try_jobs().map_err(CliError::Usage)?;
-    occache_experiments::sweep::try_slice_threads().map_err(CliError::Usage)?;
+    // Reject a malformed batch variable up front; the sweep pool and the
+    // grid builder are lenient and would silently fall back to defaults.
+    occache_runtime::config::check_batch_env().map_err(CliError::Usage)?;
     let arch = parse_arch(
         parsed
             .value("arch")

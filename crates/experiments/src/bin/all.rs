@@ -53,33 +53,11 @@ fn run_all(bench: &mut Workbench) -> std::io::Result<()> {
 
 fn main() -> ExitCode {
     occache_runtime::interrupt::install();
-    if let Err(e) = occache_runtime::executor::SupervisorPolicy::try_from_env() {
+    if let Err(e) = occache_runtime::config::check_batch_env() {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
-    if let Err(e) = occache_experiments::sweep::try_jobs() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = occache_experiments::sweep::try_slice_threads() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = occache_experiments::sweep::try_multisim_disabled() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = occache_experiments::sweep::try_replacement_override() {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    let mut bench = match Workbench::try_from_env() {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let mut bench = Workbench::from_env();
     eprintln!("regenerating all artifacts at {} refs/trace", bench.len());
     match run_all(&mut bench).and_then(|()| {
         occache_experiments::run_report::write(&occache_experiments::report::results_dir())

@@ -14,8 +14,8 @@
 //! scanning and the key derivation — lives in [`occache_runtime::journal`]
 //! and [`occache_runtime::keys`], shared with `occache-serve`'s result
 //! cache so a cache entry in the server means exactly what a journal line
-//! means here. Those items are re-exported below under their historical
-//! paths. This module owns the *policy* around the codec: quarantine
+//! means here; callers import them from `occache_runtime` directly. This
+//! module owns the *policy* around the codec: quarantine
 //! tallies, the advisory lock, atomic compaction, and the checkpointed
 //! sweep entry points.
 //!
@@ -53,12 +53,9 @@ use occache_runtime::executor::{
     evaluate_results_supervised_with, SuperviseStats, SupervisorPolicy,
 };
 
-pub use occache_runtime::config::fresh_requested;
-pub use occache_runtime::journal::{
-    journal_path, lock_path, parse_line, scan_journal, Entry, JournalScan, LineIssue, Record,
-    JOURNAL_VERSION,
-};
-pub use occache_runtime::keys::{config_fingerprint, fnv1a, point_key, trace_fingerprint};
+use occache_runtime::config::fresh_requested;
+use occache_runtime::journal::{journal_path, scan_journal, Entry, JournalScan};
+use occache_runtime::keys::{config_fingerprint, point_key, trace_fingerprint};
 
 /// How many failed runs put a design point into quarantine: the point is
 /// skipped (with a structured failure) instead of retried forever on
@@ -330,7 +327,8 @@ pub type JournalSink<'a> = dyn Fn(usize, &Result<DesignPoint, PointError>) + Syn
 /// completes, so a crash or interrupt mid-batch loses only in-flight
 /// points, not the whole batch. All appends go through one writer
 /// thread fed by a channel, keeping the journal single-writer no matter
-/// how many sweep workers complete points concurrently (`OCCACHE_JOBS`).
+/// how many sweep workers complete points concurrently
+/// (`OCCACHE_SLICE_THREADS`).
 ///
 /// Lines land in completion order; journal keys are per-point, so resume
 /// semantics are identical to the batch form. Interrupted points
@@ -532,9 +530,9 @@ fn fresh_effective(path: &Path) -> bool {
 
 /// Checkpointed sweep for an artifact under the standard results
 /// directory, honouring `--fresh` / `OCCACHE_FRESH` and the supervisor
-/// environment (`OCCACHE_POINT_TIMEOUT`, `OCCACHE_POINT_RETRIES`,
-/// `OCCACHE_FAULT_POINT`). Every evaluation runs under the supervisor:
-/// per-point deadlines, bounded retries, quarantine on repeat offenders.
+/// environment (`OCCACHE_POINT_TIMEOUT`, `OCCACHE_FAULT_POINT`). Every
+/// evaluation runs under the supervisor: per-point deadlines, bounded
+/// retries, quarantine on repeat offenders.
 /// The phase is recorded into the in-process run report
 /// ([`crate::run_report`]) for RUN_REPORT.json.
 ///
@@ -641,6 +639,7 @@ mod tests {
         evaluate_results_sliced, materialize, standard_config, table1_pairs, JournalHealth,
         PointFault,
     };
+    use occache_runtime::journal::{lock_path, parse_line, LineIssue, Record};
     use occache_workloads::{Architecture, WorkloadSpec};
 
     fn test_grid() -> (Vec<CacheConfig>, Vec<Trace>) {

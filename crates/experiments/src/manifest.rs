@@ -16,7 +16,8 @@
 use std::io;
 use std::path::Path;
 
-use crate::checkpoint::{fnv1a, JournalLock};
+use crate::checkpoint::JournalLock;
+use occache_runtime::keys::fnv1a;
 
 /// The manifest file name under the results directory.
 pub const MANIFEST_FILE: &str = "MANIFEST.json";

@@ -75,51 +75,29 @@ fn artifact_fingerprints(artifact: &str) -> (u64, u64) {
                 for p in many {
                     bytes.extend_from_slice(&pick(p).to_le_bytes());
                 }
-                crate::checkpoint::fnv1a(&bytes)
+                occache_runtime::keys::fnv1a(&bytes)
             };
             (fold(|p| p.trace_fp), fold(|p| p.config_fp))
         }
     }
 }
 
-/// The shared `main` of the experiment binaries: validates the
-/// supervisor environment (`OCCACHE_POINT_TIMEOUT`, `OCCACHE_POINT_RETRIES`,
-/// `OCCACHE_FAULT_POINT`), builds a workbench, runs `build`, emits the
-/// artifact, and writes the run report (`RUN_REPORT.json`). Failures
-/// (malformed env vars, unwritable results) map to a nonzero exit code
-/// with a message instead of a panic.
+/// The shared `main` of the experiment binaries: checks every batch
+/// variable ([`occache_runtime::config::check_batch_env`]), builds a
+/// workbench, runs `build`, emits the artifact, and writes the run
+/// report (`RUN_REPORT.json`). Failures (malformed env vars, unwritable
+/// results) map to a nonzero exit code with a message instead of a
+/// panic.
 pub fn emit_main<F>(build: F) -> std::process::ExitCode
 where
     F: FnOnce(&mut Workbench) -> Artifact,
 {
     occache_runtime::interrupt::install();
-    if let Err(e) = occache_runtime::executor::SupervisorPolicy::try_from_env() {
+    if let Err(e) = occache_runtime::config::check_batch_env() {
         eprintln!("error: {e}");
         return std::process::ExitCode::FAILURE;
     }
-    if let Err(e) = crate::sweep::try_jobs() {
-        eprintln!("error: {e}");
-        return std::process::ExitCode::FAILURE;
-    }
-    if let Err(e) = crate::sweep::try_slice_threads() {
-        eprintln!("error: {e}");
-        return std::process::ExitCode::FAILURE;
-    }
-    if let Err(e) = crate::sweep::try_multisim_disabled() {
-        eprintln!("error: {e}");
-        return std::process::ExitCode::FAILURE;
-    }
-    if let Err(e) = crate::sweep::try_replacement_override() {
-        eprintln!("error: {e}");
-        return std::process::ExitCode::FAILURE;
-    }
-    let mut bench = match Workbench::try_from_env() {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return std::process::ExitCode::FAILURE;
-        }
-    };
+    let mut bench = Workbench::from_env();
     match build(&mut bench).emit() {
         Ok(()) => match crate::run_report::write(&crate::report::results_dir()) {
             Ok(path) => {

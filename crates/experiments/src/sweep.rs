@@ -1,6 +1,6 @@
 //! Design-space sweeps at the workload layer: trace materialisation, the
-//! paper's Table 1 grid helpers, and the `OCCACHE_REFS`/`OCCACHE_WARMUP`
-//! knobs with their paper defaults.
+//! paper's Table 1 grid helpers, and the `OCCACHE_REFS` knob with its
+//! paper default.
 //!
 //! The evaluation machinery itself — [`Trace`], [`DesignPoint`], the
 //! direct and one-pass engine paths, the slice planner, fault types and
@@ -18,9 +18,6 @@ use occache_core::{CacheConfig, FetchPolicy};
 use occache_runtime::config::replacement_override;
 use occache_workloads::{Architecture, WorkloadSpec};
 
-pub use occache_runtime::config::{
-    try_jobs, try_multisim_disabled, try_replacement_override, try_slice_threads,
-};
 pub use occache_runtime::eval::{
     evaluate_point, plan_units, DesignPoint, PointError, PointFault, SweepUnit, Trace,
 };
@@ -107,21 +104,6 @@ pub fn try_trace_len() -> Result<usize, String> {
 /// binaries so typos fail fast.
 pub fn trace_len() -> usize {
     try_trace_len().unwrap_or(occache_workloads::PAPER_TRACE_LEN)
-}
-
-/// Warm-up references per run: `OCCACHE_WARMUP` env var, defaulting to 0.
-///
-/// # Errors
-///
-/// Returns a message naming the variable when it is set but malformed.
-pub fn try_warmup_len() -> Result<usize, String> {
-    occache_runtime::config::env_usize("OCCACHE_WARMUP", 0)
-}
-
-/// Warm-up references per run, tolerating a malformed `OCCACHE_WARMUP`
-/// (falls back to 0). Prefer [`try_warmup_len`] in binaries.
-pub fn warmup_len() -> usize {
-    try_warmup_len().unwrap_or(0)
 }
 
 #[cfg(test)]

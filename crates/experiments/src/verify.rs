@@ -23,10 +23,12 @@
 use std::io;
 use std::path::Path;
 
-use crate::checkpoint::{scan_journal, trace_fingerprint, JournalLock};
+use crate::checkpoint::JournalLock;
 use crate::manifest::{self, MANIFEST_FILE};
 use crate::runs::{journalled_grid, Workbench};
 use crate::sweep::{evaluate_point, trace_len};
+use occache_runtime::journal::scan_journal;
+use occache_runtime::keys::{fnv1a, point_key, trace_fingerprint};
 
 /// Tuning for a verification pass.
 #[derive(Debug, Clone)]
@@ -138,9 +140,7 @@ pub fn verify_dir(dir: &Path, opts: &VerifyOptions) -> io::Result<VerifyReport> 
         for entry in manifest::load(dir)? {
             match std::fs::read(dir.join(&entry.name)) {
                 Ok(bytes) => {
-                    if bytes.len() as u64 != entry.bytes
-                        || crate::checkpoint::fnv1a(&bytes) != entry.fnv
-                    {
+                    if bytes.len() as u64 != entry.bytes || fnv1a(&bytes) != entry.fnv {
                         report.files_mismatched.push(format!(
                             "{} (manifest says {} byte(s), fnv {:016x})",
                             entry.name, entry.bytes, entry.fnv
@@ -209,7 +209,7 @@ pub fn verify_dir(dir: &Path, opts: &VerifyOptions) -> io::Result<VerifyReport> 
         for (gi, group) in groups.iter().enumerate() {
             let fp = trace_fingerprint(&group.traces);
             for &config in &group.configs {
-                let key = crate::checkpoint::point_key(&config, fp, group.warmup);
+                let key = point_key(&config, fp, group.warmup);
                 if let Some(&entry) = scan.points.get(&key) {
                     candidates.push((key, config, gi, entry));
                 }

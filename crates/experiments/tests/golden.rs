@@ -12,20 +12,20 @@
 //! a resumable journal or silently shift an artifact.
 //!
 //! One `#[test]` only: the run depends on process-global environment
-//! (`OCCACHE_RESULTS`, `OCCACHE_JOBS`), so this file must not gain a
-//! second test that could run concurrently in the same process.
+//! (`OCCACHE_RESULTS`, `OCCACHE_SLICE_THREADS`), so this file must not
+//! gain a second test that could run concurrently in the same process.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use occache_experiments::characterize::{run_bus_contention, run_workload_stats};
-use occache_experiments::checkpoint::fnv1a;
 use occache_experiments::extensions::run_split;
 use occache_experiments::runs::{
     journalled_artifacts, run_ablations, run_fig9, run_figure, run_headline, run_risc2, run_table6,
     run_table7, run_table8, Artifact, Workbench,
 };
+use occache_runtime::keys::fnv1a;
 
 /// References per trace: small enough for a debug-profile test run,
 /// large enough that every Table 1 pair sees real misses.
@@ -55,13 +55,11 @@ fn regenerate() -> BTreeMap<String, u64> {
     // sealed journal bytes are deterministic; the scratch results dir
     // keeps the run away from any real `results/`.
     std::env::set_var("OCCACHE_RESULTS", &scratch);
-    std::env::set_var("OCCACHE_JOBS", "1");
+    std::env::set_var("OCCACHE_SLICE_THREADS", "1");
     std::env::remove_var("OCCACHE_NO_MULTISIM");
     std::env::remove_var("OCCACHE_REPLACEMENT");
     std::env::remove_var("OCCACHE_REFS");
-    std::env::remove_var("OCCACHE_WARMUP");
     std::env::remove_var("OCCACHE_POINT_TIMEOUT");
-    std::env::remove_var("OCCACHE_POINT_RETRIES");
     std::env::remove_var("OCCACHE_FAULT_POINT");
     std::env::remove_var("OCCACHE_FRESH");
 

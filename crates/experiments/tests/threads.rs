@@ -7,9 +7,8 @@
 //! committed byte.
 //!
 //! One `#[test]` only: the run depends on process-global environment
-//! (`OCCACHE_RESULTS`, `OCCACHE_JOBS`, `OCCACHE_SLICE_THREADS`), so
-//! this file must not gain a second test that could run concurrently in
-//! the same process.
+//! (`OCCACHE_RESULTS`, `OCCACHE_SLICE_THREADS`), so this file must not
+//! gain a second test that could run concurrently in the same process.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -30,14 +29,11 @@ fn emit_table7(threads: &str) -> BTreeMap<String, Vec<u8>> {
     let _ = std::fs::remove_dir_all(&scratch);
     std::fs::create_dir_all(&scratch).expect("create scratch results dir");
     std::env::set_var("OCCACHE_RESULTS", &scratch);
-    std::env::set_var("OCCACHE_JOBS", "1");
     std::env::set_var("OCCACHE_SLICE_THREADS", threads);
     std::env::remove_var("OCCACHE_NO_MULTISIM");
     std::env::remove_var("OCCACHE_REPLACEMENT");
     std::env::remove_var("OCCACHE_REFS");
-    std::env::remove_var("OCCACHE_WARMUP");
     std::env::remove_var("OCCACHE_POINT_TIMEOUT");
-    std::env::remove_var("OCCACHE_POINT_RETRIES");
     std::env::remove_var("OCCACHE_FAULT_POINT");
     std::env::remove_var("OCCACHE_FRESH");
     // Manifest fingerprints fold over the in-process phase registry;

@@ -1,37 +1,36 @@
 //! Every `OCCACHE_*` environment variable, parsed in one place.
 //!
-//! Before the runtime crate existed the parsing was scattered across
-//! the batch harness (`sweep.rs`, `supervisor.rs`, `checkpoint.rs`,
-//! `report.rs`) and the serving layer's `service.rs`, each with its own
-//! strictness. The rule here is uniform: an *absent* variable means its
-//! documented default, a *present but malformed* value is an error
-//! naming the variable — a typo in `OCCACHE_REFS` must refuse to start,
-//! not silently run the paper-size sweep. Binaries validate at startup
-//! via the `try_*` accessors; the `*_lenient` forms exist only for
-//! mid-run contexts where aborting would waste completed work.
+//! The rule is uniform: an *absent* variable means its documented
+//! default, a *present but malformed* value is an error naming the
+//! variable — a typo in `OCCACHE_REFS` must refuse to start, not
+//! silently run the paper-size sweep. Binaries validate at startup (the
+//! batch ones through [`check_batch_env`], the servers through their
+//! `try_from_env` configs); the lenient forms exist only for mid-run
+//! contexts where aborting would waste completed work.
 //!
-//! The variables (see the EXPERIMENTS.md table for the operator view):
+//! The variables (see the EXPERIMENTS.md table for the operator view;
+//! `tests/env_surface.rs` keeps the two tables, the code and the gates
+//! that set each variable in step):
 //!
 //! | variable | parsed by | default |
 //! |---|---|---|
 //! | `OCCACHE_REFS` | [`env_usize`] | caller-supplied (paper: 1 M) |
-//! | `OCCACHE_WARMUP` | [`env_usize`] | 0 |
-//! | `OCCACHE_JOBS` | [`try_jobs`] | hardware parallelism |
-//! | `OCCACHE_SLICE_THREADS` | [`try_slice_threads`] | `OCCACHE_JOBS`, else hardware |
+//! | `OCCACHE_SLICE_THREADS` | [`try_slice_threads`] | hardware parallelism |
 //! | `OCCACHE_NO_MULTISIM` | [`try_multisim_disabled`] | none disabled |
 //! | `OCCACHE_REPLACEMENT` | [`try_replacement_override`] | grid default (LRU) |
 //! | `OCCACHE_FRESH` | [`fresh_requested`] | off |
 //! | `OCCACHE_RESULTS` | [`results_dir`] | `results/` |
 //! | `OCCACHE_POINT_TIMEOUT` | [`parse_timeout`] | 300 s |
-//! | `OCCACHE_POINT_RETRIES` | `SupervisorPolicy::try_from_env` | 1 |
 //! | `OCCACHE_FAULT_POINT` | `FaultPlan::parse` | none |
-//! | `OCCACHE_SERVE_CONN_TIMEOUT` | [`env_timeout`] | 5 s |
+//! | `OCCACHE_PROGRESS_EVERY` | [`try_progress_every`] | 16 points |
+//! | `OCCACHE_SERVE_ADDR` | `ServiceConfig::try_from_env` | `127.0.0.1:7807` |
+//! | `OCCACHE_SERVE_WORKERS` | [`env_usize`] | hardware parallelism |
+//! | `OCCACHE_SERVE_JOURNAL` | `ServiceConfig::try_from_env` | none |
 //! | `OCCACHE_SERVE_FAULT` | `occache-serve::fault` | none |
-//! | `OCCACHE_SERVE_*` | [`env_usize_opt`] | see `ServiceConfig` |
 //! | `OCCACHE_PEERS` | [`try_peers`] | none (single-node) |
 //! | `OCCACHE_SELF` | [`try_self_addr`] | none |
-//! | `OCCACHE_PEER_TIMEOUT` | [`try_peer_timeout`] | 2 s |
-//! | `OCCACHE_PEER_RETRIES` | [`try_peer_retries`] | 1 |
+//! | `OCCACHE_ROUTE_ADDR` | `RouterConfig::try_from_env` | `127.0.0.1:7806` |
+//! | `OCCACHE_GOLDEN_REGEN` | the golden tests only | unset |
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -44,49 +43,21 @@ use std::time::Duration;
 ///
 /// Returns a message naming the variable when it is set but malformed.
 pub fn env_usize(var: &str, default: usize) -> Result<usize, String> {
-    env_usize_opt(var).map(|v| v.unwrap_or(default))
-}
-
-/// Like [`env_usize`] but distinguishes "absent" from any default:
-/// `Ok(None)` when the variable is unset, so callers with computed
-/// defaults (hardware parallelism, derived capacities) can fall back
-/// themselves.
-///
-/// # Errors
-///
-/// Returns a message naming the variable when it is set but malformed.
-pub fn env_usize_opt(var: &str) -> Result<Option<usize>, String> {
     match std::env::var(var) {
         Ok(v) => v
             .trim()
             .parse()
-            .map(Some)
             .map_err(|_| format!("{var}={v:?} is not a non-negative integer")),
-        Err(std::env::VarError::NotPresent) => Ok(None),
+        Err(std::env::VarError::NotPresent) => Ok(default),
         Err(std::env::VarError::NotUnicode(_)) => Err(format!("{var} is not valid UTF-8")),
     }
 }
 
-/// Worker-thread override for the sweep pools: `OCCACHE_JOBS` env var.
-/// `Ok(None)` (unset or `0`) means "use the hardware parallelism";
-/// `OCCACHE_JOBS=1` forces a serial pool, which preserves byte-identical
-/// artifact and journal-append order.
-///
-/// # Errors
-///
-/// Returns a message naming the variable when it is set but malformed.
-pub fn try_jobs() -> Result<Option<usize>, String> {
-    env_usize("OCCACHE_JOBS", 0).map(|n| if n == 0 { None } else { Some(n) })
-}
-
-/// Worker-thread override specific to sweep-slice execution:
-/// `OCCACHE_SLICE_THREADS` env var. `Ok(None)` (unset or `0`) means
-/// "defer" — callers fall through to [`try_jobs`] and then to the
-/// hardware parallelism; `OCCACHE_SLICE_THREADS=1` forces slices to run
-/// serially. Unlike `OCCACHE_JOBS` it does not touch the serving
-/// layer's pools, so an operator can pin slice concurrency without
-/// resizing everything else. Malformed values are an error naming the
-/// variable — same strictness as every other `OCCACHE_*` knob.
+/// Worker-thread override for the sweep pool: `OCCACHE_SLICE_THREADS`
+/// env var. `Ok(None)` (unset or `0`) means "use the hardware
+/// parallelism"; `OCCACHE_SLICE_THREADS=1` forces a serial pool, which
+/// preserves byte-identical artifact and journal-append order. The
+/// serving layer sizes its own pool from `OCCACHE_SERVE_WORKERS`.
 ///
 /// # Errors
 ///
@@ -105,17 +76,6 @@ pub fn try_slice_threads() -> Result<Option<usize>, String> {
 /// Returns a message naming the variable when it is set but malformed.
 pub fn try_progress_every() -> Result<usize, String> {
     env_usize("OCCACHE_PROGRESS_EVERY", 0).map(|n| if n == 0 { 16 } else { n })
-}
-
-/// Dashboard refresh interval for `occache-top`: `OCCACHE_TOP_TICK`
-/// milliseconds (default 1000, minimum 100 — a faster redraw than that
-/// only burns CPU the sweeps need).
-///
-/// # Errors
-///
-/// Returns a message naming the variable when it is set but malformed.
-pub fn try_top_tick_ms() -> Result<u64, String> {
-    env_usize("OCCACHE_TOP_TICK", 1000).map(|n| (n as u64).max(100))
 }
 
 /// Which one-pass engines `OCCACHE_NO_MULTISIM` forces off, routing
@@ -291,52 +251,20 @@ pub fn results_dir() -> PathBuf {
 /// Returns a message naming the variable for non-numeric, non-finite or
 /// non-positive values.
 pub fn parse_timeout(raw: &str) -> Result<Option<Duration>, String> {
-    parse_timeout_var("OCCACHE_POINT_TIMEOUT", raw)
-}
-
-/// Parses a seconds-as-float deadline value for any named variable:
-/// `0`, `off` or the empty string disable the deadline
-/// (`OCCACHE_POINT_TIMEOUT`, `OCCACHE_SERVE_CONN_TIMEOUT`).
-///
-/// # Errors
-///
-/// Returns a message naming `var` for non-numeric, non-finite or
-/// non-positive values.
-pub fn parse_timeout_var(var: &str, raw: &str) -> Result<Option<Duration>, String> {
     let raw = raw.trim();
     if raw.is_empty() || raw == "0" || raw.eq_ignore_ascii_case("off") {
         return Ok(None);
     }
     let secs: f64 = raw
         .parse()
-        .map_err(|_| format!("{var} `{raw}` is not a number of seconds"))?;
+        .map_err(|_| format!("OCCACHE_POINT_TIMEOUT `{raw}` is not a number of seconds"))?;
     if !secs.is_finite() || secs <= 0.0 {
         return Err(format!(
-            "{var} `{raw}` must be a positive number of seconds"
+            "OCCACHE_POINT_TIMEOUT `{raw}` must be a positive number of seconds"
         ));
     }
     Ok(Some(Duration::from_secs_f64(secs)))
 }
-
-/// Reads and parses a seconds-as-float deadline env var: unset means
-/// `default`, `0`/`off`/empty disables, anything else must parse.
-///
-/// # Errors
-///
-/// Returns a message naming the variable when it is set but malformed.
-pub fn env_timeout(var: &str, default: Option<Duration>) -> Result<Option<Duration>, String> {
-    match std::env::var(var) {
-        Ok(raw) => parse_timeout_var(var, &raw),
-        Err(std::env::VarError::NotPresent) => Ok(default),
-        Err(std::env::VarError::NotUnicode(_)) => Err(format!("{var} is not valid UTF-8")),
-    }
-}
-
-/// Default deadline for one peer HTTP call (`OCCACHE_PEER_TIMEOUT`).
-pub const DEFAULT_PEER_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Default bounded retry count for peer calls (`OCCACHE_PEER_RETRIES`).
-pub const DEFAULT_PEER_RETRIES: usize = 1;
 
 /// Validates one `host:port` peer address: non-empty host, numeric port
 /// in `1..=65535`. Kept to syntax only — resolution happens at connect
@@ -415,35 +343,24 @@ pub fn try_self_addr(peers: &[String]) -> Result<String, String> {
     Ok(addr)
 }
 
-/// Parses `OCCACHE_PEER_TIMEOUT`: the strict per-call deadline on peer
-/// fill/probe requests, seconds as a float (default 2 s). Unlike the
-/// connection timeouts this one cannot be disabled — a peer call with no
-/// deadline would couple one node's latency to another's failure, which
-/// is the exact coupling the breaker exists to cut.
+/// The one startup check of the batch binaries (`emit_main`, `all`,
+/// `occache-sweep`): strictly parses every batch-side variable —
+/// `OCCACHE_REFS`, `OCCACHE_SLICE_THREADS`, `OCCACHE_NO_MULTISIM`,
+/// `OCCACHE_REPLACEMENT`, `OCCACHE_PROGRESS_EVERY`,
+/// `OCCACHE_POINT_TIMEOUT` and `OCCACHE_FAULT_POINT` — so a typo refuses
+/// to start instead of reaching a lenient mid-run reader.
+/// (`OCCACHE_RESULTS` and `OCCACHE_FRESH` accept any value.)
 ///
 /// # Errors
 ///
-/// Returns a message naming the variable when set but malformed or `off`.
-pub fn try_peer_timeout() -> Result<Duration, String> {
-    match env_timeout("OCCACHE_PEER_TIMEOUT", Some(DEFAULT_PEER_TIMEOUT))? {
-        Some(d) => Ok(d),
-        None => Err(
-            "OCCACHE_PEER_TIMEOUT must be a positive deadline (peer calls cannot run unbounded)"
-                .into(),
-        ),
-    }
-}
-
-/// Parses `OCCACHE_PEER_RETRIES`: how many times a failed peer call is
-/// retried (with deterministic backoff) before the node gives up and
-/// computes locally. Default 1; `0` disables retries but still falls
-/// back to local computation.
-///
-/// # Errors
-///
-/// Returns a message naming the variable when set but malformed.
-pub fn try_peer_retries() -> Result<usize, String> {
-    env_usize("OCCACHE_PEER_RETRIES", DEFAULT_PEER_RETRIES)
+/// Returns the first malformed variable's message, which names it.
+pub fn check_batch_env() -> Result<(), String> {
+    env_usize("OCCACHE_REFS", 0)?;
+    try_slice_threads()?;
+    try_multisim_disabled()?;
+    try_replacement_override()?;
+    try_progress_every()?;
+    crate::executor::SupervisorPolicy::try_from_env().map(drop)
 }
 
 #[cfg(test)]
@@ -460,7 +377,6 @@ mod tests {
         assert_eq!(env_usize("OCCACHE_TEST_ENV_USIZE", 5), Ok(42));
         std::env::remove_var("OCCACHE_TEST_ENV_USIZE");
         assert_eq!(env_usize("OCCACHE_TEST_ENV_USIZE", 5), Ok(5));
-        assert_eq!(env_usize_opt("OCCACHE_TEST_ENV_USIZE"), Ok(None));
     }
 
     #[test]
@@ -494,13 +410,8 @@ mod tests {
     }
 
     #[test]
-    fn peer_env_vars_parse_strictly() {
-        // One test covers all three peer variables so no parallel test
-        // observes a transient set_var (tests share the process env).
+    fn peer_list_parses_strictly() {
         assert_eq!(try_peers(), Ok(None));
-        assert_eq!(try_peer_timeout(), Ok(DEFAULT_PEER_TIMEOUT));
-        assert_eq!(try_peer_retries(), Ok(DEFAULT_PEER_RETRIES));
-
         std::env::set_var("OCCACHE_PEERS", "a:1,b:2,a:1");
         assert!(try_peers().unwrap_err().contains("twice"));
         std::env::set_var("OCCACHE_PEERS", "a:1,,b:2");
@@ -513,23 +424,6 @@ mod tests {
             Ok(Some(vec!["a:1".to_string(), "b:2".to_string()]))
         );
         std::env::remove_var("OCCACHE_PEERS");
-
-        std::env::set_var("OCCACHE_PEER_TIMEOUT", "soon");
-        assert!(try_peer_timeout().is_err());
-        std::env::set_var("OCCACHE_PEER_TIMEOUT", "off");
-        assert!(
-            try_peer_timeout().is_err(),
-            "peer deadline cannot be disabled"
-        );
-        std::env::set_var("OCCACHE_PEER_TIMEOUT", "0.5");
-        assert_eq!(try_peer_timeout(), Ok(Duration::from_millis(500)));
-        std::env::remove_var("OCCACHE_PEER_TIMEOUT");
-
-        std::env::set_var("OCCACHE_PEER_RETRIES", "-1");
-        assert!(try_peer_retries().is_err());
-        std::env::set_var("OCCACHE_PEER_RETRIES", "3");
-        assert_eq!(try_peer_retries(), Ok(3));
-        std::env::remove_var("OCCACHE_PEER_RETRIES");
     }
 
     #[test]

@@ -484,21 +484,18 @@ pub(crate) struct SlicePool {
 }
 
 /// Sizes the pool for `units` planned units over `traces` traces. The
-/// width is `width` when given, else `OCCACHE_SLICE_THREADS` when set (so
-/// an operator can pin sweep concurrency without resizing the serving
-/// pools), else `OCCACHE_JOBS` when set, else the hardware parallelism.
-/// At most one worker per unit runs; when there are fewer units than the
-/// width, the spare workers shard each engine unit's traces
-/// (`width / units` shards, capped at the trace count), so the width
-/// bounds the total number of engine threads either way. Binaries
-/// validate both variables strictly at startup via
-/// [`crate::config::try_slice_threads`] and [`crate::config::try_jobs`];
-/// by the time a pool is being sized, a malformed value falls back to
-/// the default rather than aborting mid-sweep.
+/// width is `width` when given, else `OCCACHE_SLICE_THREADS` when set,
+/// else the hardware parallelism. At most one worker per unit runs;
+/// when there are fewer units than the width, the spare workers shard
+/// each engine unit's traces (`width / units` shards, capped at the
+/// trace count), so the width bounds the total number of engine threads
+/// either way. Binaries validate the variable strictly at startup
+/// ([`crate::config::check_batch_env`]); by the time a pool is being
+/// sized, a malformed value falls back to the default rather than
+/// aborting mid-sweep.
 pub(crate) fn slice_pool(units: usize, traces: usize, width: Option<usize>) -> SlicePool {
     let width = width
         .or_else(|| crate::config::try_slice_threads().unwrap_or(None))
-        .or_else(|| crate::config::try_jobs().unwrap_or(None))
         .unwrap_or_else(|| thread::available_parallelism().map_or(4, |n| n.get()))
         .max(1);
     let units = units.max(1);

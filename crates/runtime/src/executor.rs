@@ -26,7 +26,6 @@
 //! * `OCCACHE_POINT_TIMEOUT` — per-point deadline in seconds (float).
 //!   `0`, `off` or empty disables the deadline; unset means the
 //!   [`DEFAULT_POINT_TIMEOUT`] of 300 s.
-//! * `OCCACHE_POINT_RETRIES` — extra attempts after a panic (default 1).
 //! * `OCCACHE_FAULT_POINT` — fault injection for tests and CI smoke
 //!   runs: `hang:B,S[:secs]` or `panic-once:B,S` (see [`FaultPlan`]).
 
@@ -243,10 +242,10 @@ impl SupervisorPolicy {
         }
     }
 
-    /// Builds the policy from `OCCACHE_POINT_TIMEOUT`,
-    /// `OCCACHE_POINT_RETRIES` and `OCCACHE_FAULT_POINT`, rejecting
-    /// malformed values so bins can refuse to start instead of running
-    /// a long sweep under a misread policy.
+    /// Builds the policy from `OCCACHE_POINT_TIMEOUT` and
+    /// `OCCACHE_FAULT_POINT` (the retry budget stays the production 1),
+    /// rejecting malformed values so bins can refuse to start instead of
+    /// running a long sweep under a misread policy.
     ///
     /// # Errors
     ///
@@ -255,12 +254,6 @@ impl SupervisorPolicy {
         let mut policy = SupervisorPolicy::production();
         if let Ok(raw) = std::env::var("OCCACHE_POINT_TIMEOUT") {
             policy.timeout = parse_timeout(&raw)?;
-        }
-        if let Ok(raw) = std::env::var("OCCACHE_POINT_RETRIES") {
-            policy.retries = raw
-                .trim()
-                .parse()
-                .map_err(|_| format!("OCCACHE_POINT_RETRIES `{raw}` is not a whole number"))?;
         }
         if let Ok(raw) = std::env::var("OCCACHE_FAULT_POINT") {
             if !raw.trim().is_empty() {
@@ -574,7 +567,7 @@ where
 /// stats.
 ///
 /// `width` sets the pool width (`None` honours `OCCACHE_SLICE_THREADS`,
-/// then `OCCACHE_JOBS` / hardware parallelism). `on_point` is called
+/// then the hardware parallelism). `on_point` is called
 /// exactly once per evaluated config — from worker threads, as each
 /// unit's points land — which the checkpoint layer uses to stream
 /// journal appends to its single writer thread and the serving layer

@@ -229,6 +229,9 @@ pub struct ProgressWriter {
     every: usize,
     started: Instant,
     state: Mutex<ProgressSnapshot>,
+    /// Completion events since the last flush. Held across every
+    /// flush, so concurrent workers never share the temp file and the
+    /// last snapshot rendered is the last one written — the seal.
     since_flush: Mutex<usize>,
     broken: AtomicBool,
 }
@@ -267,11 +270,14 @@ impl ProgressWriter {
             since_flush: Mutex::new(0),
             broken: AtomicBool::new(false),
         };
-        writer.flush();
+        writer.flush(&mut writer.since_flush.lock().expect("progress flush lock"));
         writer
     }
 
-    fn flush(&self) {
+    /// Renders and writes the snapshot; the caller holds the
+    /// `since_flush` lock, which this resets.
+    fn flush(&self, since_flush: &mut usize) {
+        *since_flush = 0;
         if self.broken.load(Ordering::Relaxed) {
             return;
         }
@@ -292,18 +298,10 @@ impl ProgressWriter {
 
     fn event(&self, update: impl FnOnce(&mut ProgressSnapshot)) {
         update(&mut self.state.lock().expect("progress state lock"));
-        let due = {
-            let mut since = self.since_flush.lock().expect("progress flush lock");
-            *since += 1;
-            if *since >= self.every {
-                *since = 0;
-                true
-            } else {
-                false
-            }
-        };
-        if due {
-            self.flush();
+        let mut since = self.since_flush.lock().expect("progress flush lock");
+        *since += 1;
+        if *since >= self.every {
+            self.flush(&mut since);
         }
     }
 
@@ -358,7 +356,7 @@ impl ProgressWriter {
             state.sealed = true;
             state.interrupted = interrupted;
         }
-        self.flush();
+        self.flush(&mut self.since_flush.lock().expect("progress flush lock"));
     }
 }
 
@@ -458,6 +456,32 @@ mod tests {
         assert_eq!((last.computed, last.retries), (2, 1));
         assert_eq!(last.engine_points, [2, 1, 0]);
         assert_eq!(last.direct_points, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_completions_still_seal_the_feed() {
+        // Every worker flushing on every completion, as a direct-path
+        // sweep under `OCCACHE_PROGRESS_EVERY=1` does: flushes must not
+        // trip over each other, and the seal must be the snapshot that
+        // lands last.
+        let dir = std::env::temp_dir().join(format!("occache-progress-mt-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (workers, per_worker) = (4, 50);
+        let w = ProgressWriter::start(&dir, "t", workers * per_worker, 0, 0, 1);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    for _ in 0..per_worker {
+                        w.completed();
+                    }
+                });
+            }
+        });
+        w.seal(false);
+        let last = read_progress(&progress_path(&dir)).expect("sealed snapshot");
+        assert!(last.sealed, "{last:?}");
+        assert_eq!(last.computed, workers * per_worker);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

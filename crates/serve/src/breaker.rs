@@ -16,8 +16,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Consecutive failures that trip the breaker, matching the journal's
-/// quarantine-after-2 tombstone policy (`OCCACHE_SERVE_BREAKER`
-/// overrides; 0 disables).
+/// quarantine-after-2 tombstone policy (a `ServiceConfig` field of 0
+/// disables the breaker).
 pub const DEFAULT_THRESHOLD: u32 = 2;
 
 /// Bound on tracked keys; beyond it the failure counts reset rather

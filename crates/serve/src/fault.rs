@@ -39,7 +39,8 @@ use occache_runtime::executor::FaultPlan;
 const DEFAULT_STALL: Duration = Duration::from_secs(6);
 
 /// Default stall for `slow-peer` when the spec gives no seconds —
-/// longer than the default `OCCACHE_PEER_TIMEOUT` so the call times out.
+/// longer than the default peer-call deadline (`PeerPolicy::timeout`, 2 s)
+/// so the call times out.
 const DEFAULT_PEER_STALL: Duration = Duration::from_secs(3);
 
 /// The parsed fault plan plus its per-kind event counters.

@@ -14,8 +14,8 @@
 //! recovered one re-admitted even when no traffic is flowing.
 //!
 //! Every outbound call carries a strict deadline
-//! (`OCCACHE_PEER_TIMEOUT`) spanning connect, write and read, and is
-//! retried at most `OCCACHE_PEER_RETRIES` times with deterministic
+//! ([`PeerPolicy::timeout`]) spanning connect, write and read, and is
+//! retried at most [`PeerPolicy::retries`] times with deterministic
 //! (FNV-jittered, not random) backoff. Callers treat exhaustion as "peer
 //! unavailable" and fall back — the router re-ranks to a survivor, a
 //! node computes locally — so a peer failure is never surfaced to a
@@ -31,6 +31,14 @@ use occache_runtime::keys::fnv1a;
 
 use crate::fault::ServeFault;
 
+/// Deadline for one peer call, connect included. It cannot be disabled:
+/// a peer call with no deadline would couple one node's latency to
+/// another's failure, the exact coupling the breaker exists to cut.
+const DEFAULT_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Retries after a failed peer call before the caller falls back.
+const DEFAULT_RETRIES: usize = 1;
+
 /// Consecutive failures before a peer's breaker opens.
 const DEFAULT_FAILURE_THRESHOLD: u32 = 3;
 
@@ -43,14 +51,15 @@ const DEFAULT_PROBE_INTERVAL: Duration = Duration::from_millis(500);
 /// Cap on one deterministic backoff step between peer-call retries.
 const BACKOFF_CAP: Duration = Duration::from_millis(250);
 
-/// Tuning for peer calls and the per-peer breaker.
+/// Tuning for peer calls and the per-peer breaker: fixed policy, not
+/// environment knobs ([`PeerPolicy::default`] in production).
 #[derive(Debug, Clone)]
 pub struct PeerPolicy {
     /// Strict wall-clock deadline for one peer call, connect included
-    /// (`OCCACHE_PEER_TIMEOUT`, default 2 s, cannot be disabled).
+    /// (default 2 s).
     pub timeout: Duration,
     /// Retries after a failed peer call before the caller falls back
-    /// (`OCCACHE_PEER_RETRIES`, default 1).
+    /// (default 1).
     pub retries: usize,
     /// Consecutive failures that trip the breaker (default 3).
     pub failure_threshold: u32,
@@ -62,20 +71,6 @@ pub struct PeerPolicy {
 }
 
 impl PeerPolicy {
-    /// Reads `OCCACHE_PEER_TIMEOUT` / `OCCACHE_PEER_RETRIES`; breaker
-    /// thresholds are fixed policy, not knobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the malformed variable.
-    pub fn try_from_env() -> Result<PeerPolicy, String> {
-        Ok(PeerPolicy {
-            timeout: occache_runtime::config::try_peer_timeout()?,
-            retries: occache_runtime::config::try_peer_retries()?,
-            ..PeerPolicy::default()
-        })
-    }
-
     /// A fast-cycling policy for tests: short deadline, short cooldown.
     pub fn for_tests() -> PeerPolicy {
         PeerPolicy {
@@ -91,8 +86,8 @@ impl PeerPolicy {
 impl Default for PeerPolicy {
     fn default() -> PeerPolicy {
         PeerPolicy {
-            timeout: occache_runtime::config::DEFAULT_PEER_TIMEOUT,
-            retries: occache_runtime::config::DEFAULT_PEER_RETRIES,
+            timeout: DEFAULT_TIMEOUT,
+            retries: DEFAULT_RETRIES,
             failure_threshold: DEFAULT_FAILURE_THRESHOLD,
             cooldown: DEFAULT_COOLDOWN,
             probe_interval: DEFAULT_PROBE_INTERVAL,

@@ -1,13 +1,12 @@
 //! The write-behind result journal: crash recovery for served points.
 //!
-//! The warm-start path (PR 4) could *read* batch checkpoints, but a
-//! point computed by the service itself lived only in the in-memory
-//! cache — a crash threw it away. With `OCCACHE_SERVE_JOURNAL=dir` set,
-//! every computed point is also appended (off the request path, by a
-//! single writer thread) to `dir/.checkpoint/serve.jsonl` in the exact
-//! sealed v2 record format of `occache_runtime::journal`, so a
-//! killed-and-restarted server warm-starts from its own journal and
-//! answers previously computed points bit-identically from disk.
+//! With `OCCACHE_SERVE_JOURNAL=dir` set, every computed point is
+//! appended (off the request path, by a single writer thread) to
+//! `dir/.checkpoint/serve.jsonl` in the exact sealed v2 record format of
+//! `occache_runtime::journal`, so a killed-and-restarted server — whose
+//! cache warm-starts from every journal in `dir/.checkpoint/`
+//! ([`crate::cache::ResultCache::warm_start`]) — answers previously
+//! computed points bit-identically from disk.
 //!
 //! Properties:
 //!
@@ -41,17 +40,17 @@ pub struct WriteBehind {
 }
 
 impl WriteBehind {
-    /// Opens (creating as needed) the serve journal under `dir`,
-    /// returning the writer handle and every intact point already on
-    /// disk — the crash-recovery warm start. Torn tails and corrupt
+    /// Opens (creating as needed) the serve journal under `dir`. The
+    /// keys already on disk seed the dedup set; torn tails and corrupt
     /// lines are reported to stderr and skipped, exactly like the batch
-    /// resume path.
+    /// resume path, and a torn tail is fenced off with a newline so the
+    /// next append starts a fresh record.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures creating the directory, scanning, or
     /// opening the journal for append.
-    pub fn open(dir: &Path) -> io::Result<(WriteBehind, Vec<(u64, Entry)>)> {
+    pub fn open(dir: &Path) -> io::Result<WriteBehind> {
         let path = journal_path(dir, ARTIFACT);
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
@@ -65,7 +64,6 @@ impl WriteBehind {
                 scan.torn_tail_bytes,
             );
         }
-        let recovered: Vec<(u64, Entry)> = scan.points.iter().map(|(&k, &e)| (k, e)).collect();
         let mut seen: HashSet<u64> = scan.points.keys().copied().collect();
         let mut file = fs::OpenOptions::new()
             .create(true)
@@ -103,13 +101,10 @@ impl WriteBehind {
                 let _ = file.sync_all();
                 appended
             })?;
-        Ok((
-            WriteBehind {
-                tx: Some(tx),
-                writer: Some(writer),
-            },
-            recovered,
-        ))
+        Ok(WriteBehind {
+            tx: Some(tx),
+            writer: Some(writer),
+        })
     }
 
     /// Queues one computed point for append. Never blocks the caller.
@@ -154,8 +149,7 @@ mod tests {
     fn appends_dedups_and_recovers_across_reopen() {
         let dir = std::env::temp_dir().join(format!("occache-wb-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let (wb, recovered) = WriteBehind::open(&dir).unwrap();
-        assert!(recovered.is_empty());
+        let wb = WriteBehind::open(&dir).unwrap();
         wb.record(1, entry(0.25));
         wb.record(2, entry(0.5));
         wb.record(1, entry(0.25)); // dedup
@@ -167,21 +161,21 @@ mod tests {
         file.write_all(b"{\"v\":2,\"key\":\"00000000000").unwrap();
         drop(file);
 
-        let (wb, recovered) = WriteBehind::open(&dir).unwrap();
-        let mut keys: Vec<u64> = recovered.iter().map(|(k, _)| *k).collect();
-        keys.sort_unstable();
-        assert_eq!(keys, [1, 2], "intact records survive the torn tail");
-        let e1 = recovered.iter().find(|(k, _)| *k == 1).unwrap().1;
-        assert_eq!(
-            e1.miss.to_bits(),
-            0.25f64.to_bits(),
-            "bit-identical restore"
-        );
-        // New appends after the torn tail still parse.
+        let wb = WriteBehind::open(&dir).unwrap();
+        // Keys already on disk are not appended again; new appends after
+        // the torn tail still parse.
+        wb.record(2, entry(0.5));
         wb.record(3, entry(0.75));
         assert_eq!(wb.shutdown(), 1);
         let scan = scan_journal(&path).unwrap();
-        assert_eq!(scan.points.len(), 3);
+        let mut keys: Vec<u64> = scan.points.keys().copied().collect();
+        keys.sort_unstable();
+        assert_eq!(keys, [1, 2, 3], "intact records survive the torn tail");
+        assert_eq!(
+            scan.points[&1].miss.to_bits(),
+            0.25f64.to_bits(),
+            "bit-identical restore"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -37,7 +37,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use occache_core::CacheConfig;
-use occache_runtime::config::env_timeout;
 use occache_runtime::instrument::{Counter, Registry};
 use occache_runtime::keys::fnv1a;
 
@@ -45,7 +44,7 @@ use crate::fault::ServeFault;
 use crate::http::{Connection, ParseError, ReadOutcome, Request};
 use crate::json::{escape, ErrorBody, Json};
 use crate::peer::{PeerPolicy, PeerSet};
-use crate::service::parse_point_request;
+use crate::service::{parse_point_request, CONN_TIMEOUT};
 
 /// Default bind address for the router.
 const DEFAULT_ROUTE_ADDR: &str = "127.0.0.1:7806";
@@ -181,10 +180,11 @@ pub struct RouterConfig {
     pub peers: Vec<String>,
     /// Default references when a request omits `refs` (`OCCACHE_REFS`).
     pub default_refs: usize,
-    /// Peer call deadline/retry/breaker policy.
+    /// Peer call deadline/retry/breaker policy ([`PeerPolicy::default`]
+    /// in production).
     pub policy: PeerPolicy,
-    /// Per-connection wall-clock deadline
-    /// (`OCCACHE_SERVE_CONN_TIMEOUT`, default 5 s).
+    /// Per-connection wall-clock deadline ([`CONN_TIMEOUT`] in
+    /// production; `None` disables).
     pub conn_timeout: Option<Duration>,
     /// Deterministic chaos injection (`OCCACHE_SERVE_FAULT`).
     pub fault: Option<Arc<ServeFault>>,
@@ -205,8 +205,8 @@ impl RouterConfig {
                 .unwrap_or_else(|_| DEFAULT_ROUTE_ADDR.to_string()),
             peers,
             default_refs: occache_experiments::sweep::try_trace_len()?,
-            policy: PeerPolicy::try_from_env()?,
-            conn_timeout: env_timeout("OCCACHE_SERVE_CONN_TIMEOUT", Some(Duration::from_secs(5)))?,
+            policy: PeerPolicy::default(),
+            conn_timeout: Some(CONN_TIMEOUT),
             fault: ServeFault::try_from_env()?.map(Arc::new),
         })
     }
@@ -218,7 +218,7 @@ impl RouterConfig {
             peers,
             default_refs: 2_000,
             policy: PeerPolicy::for_tests(),
-            conn_timeout: Some(Duration::from_secs(5)),
+            conn_timeout: Some(CONN_TIMEOUT),
             fault: None,
         }
     }
@@ -694,8 +694,7 @@ fn accept_loop(
 fn serve_connection(stream: TcpStream, router: &Router, stop: &AtomicBool) -> io::Result<()> {
     let read_timeout = router
         .conn_timeout
-        .unwrap_or(Duration::from_secs(5))
-        .min(Duration::from_secs(5));
+        .map_or(CONN_TIMEOUT, |t| t.min(CONN_TIMEOUT));
     stream.set_read_timeout(Some(read_timeout))?;
     let mut conn = Connection::new(stream);
     loop {

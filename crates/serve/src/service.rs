@@ -11,19 +11,19 @@
 //!   them into multisim engine slices.
 //! * `GET /v1/status` — one JSON object for humans and health checks.
 //! * `GET /v1/health` — liveness: 200 whenever the process can answer.
-//! * `GET /v1/ready` — readiness: 503 until the warm start finishes and
-//!   again once draining begins.
+//! * `GET /v1/ready` — readiness: 503 once draining begins.
 //! * `GET /metrics` — Prometheus-style text exposition.
 //!
 //! Failure model (DESIGN.md §10): every connection runs under a
-//! wall-clock deadline (`OCCACHE_SERVE_CONN_TIMEOUT`) so a slow-loris
+//! wall-clock deadline ([`CONN_TIMEOUT`]) so a slow-loris
 //! client gets a 408 and a close, never a parked thread; admission
 //! control sheds bulk (grid) work at half the queue capacity and
 //! interactive points only when it is full, with a queue-depth-derived
 //! `Retry-After`; a per-point circuit breaker ([`crate::breaker`])
 //! quarantines keys that keep failing; computed points stream to a
 //! write-behind journal ([`crate::persist`]) so a crashed-and-restarted
-//! server answers them from disk bit-identically; and every error is a
+//! server answers them from disk bit-identically (with any batch
+//! journal in the same directory); and every error is a
 //! structured [`ErrorBody`] with fault attribution.
 //!
 //! Shutdown: the accept loop watches both [`Server::stop`] and the
@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use occache_core::CacheConfig;
 use occache_experiments::sweep::materialize;
-use occache_runtime::config::{env_timeout, env_usize_opt};
+use occache_runtime::config::env_usize;
 use occache_runtime::eval::{DesignPoint, PointError, PointFault};
 use occache_runtime::executor::SupervisorPolicy;
 use occache_runtime::fmt::fmt_f64_exact;
@@ -60,9 +60,19 @@ use crate::persist::WriteBehind;
 use crate::router::{ranked, render_peer_request, route_key};
 use occache_runtime::queue::{Job, Priority, Scheduler, SubmitError, TraceSet};
 
-/// How long a connection may sit idle (or mid-read) before the server
-/// gives up on it.
-const READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// The per-connection wall-clock deadline of the service and the
+/// router, and the bound on each socket read: how long a connection may
+/// sit idle (or mid-read) before the server gives up on it.
+pub const CONN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Bounded scheduler queue capacity.
+const QUEUE_CAPACITY: usize = 256;
+
+/// Max design points coalesced per evaluation.
+const MAX_BATCH: usize = 64;
+
+/// Result-cache capacity in entries.
+const CACHE_CAPACITY: usize = 65_536;
 
 /// How long a request handler waits for the scheduler to answer before
 /// returning 503. Generous: the supervisor's own per-point deadline
@@ -81,35 +91,32 @@ pub struct ServiceConfig {
     /// Bind address (`OCCACHE_SERVE_ADDR`, default `127.0.0.1:7807`;
     /// port 0 picks an ephemeral port).
     pub addr: String,
-    /// Scheduler worker threads (`OCCACHE_SERVE_WORKERS`, falling back
-    /// to `OCCACHE_JOBS`, then hardware parallelism).
+    /// Scheduler worker threads (`OCCACHE_SERVE_WORKERS`; unset or `0`
+    /// ⇒ hardware parallelism).
     pub workers: usize,
-    /// Bounded queue capacity (`OCCACHE_SERVE_QUEUE`, default 256).
+    /// Bounded queue capacity (256 in production).
     pub queue_capacity: usize,
-    /// Max design points coalesced per evaluation
-    /// (`OCCACHE_SERVE_BATCH`, default 64).
+    /// Max design points coalesced per evaluation (64 in production).
     pub max_batch: usize,
-    /// Result-cache capacity in entries (`OCCACHE_SERVE_CACHE`, default
-    /// 65536).
+    /// Result-cache capacity in entries (65 536 in production).
     pub cache_capacity: usize,
     /// Default references per trace when a request omits `refs`
     /// (`OCCACHE_REFS`, default the paper's 1 million).
     pub default_refs: usize,
-    /// Results directory whose `.checkpoint/` journals warm-start the
-    /// cache (`OCCACHE_SERVE_WARM`; unset ⇒ no warm start).
-    pub warm_start: Option<String>,
     /// Supervisor policy for evaluations (deadline, retries).
     pub policy: SupervisorPolicy,
-    /// Per-connection wall-clock deadline
-    /// (`OCCACHE_SERVE_CONN_TIMEOUT`, default 5 s; `0`/`off` disables).
+    /// Per-connection wall-clock deadline ([`CONN_TIMEOUT`] in
+    /// production; `None` disables).
     pub conn_timeout: Option<Duration>,
     /// Directory for the write-behind result journal
-    /// (`OCCACHE_SERVE_JOURNAL`; unset ⇒ no journalling, no crash
-    /// recovery). The journal lands at `<dir>/.checkpoint/serve.jsonl`
-    /// and also warm-starts the cache on restart.
+    /// (`OCCACHE_SERVE_JOURNAL`; unset ⇒ no journalling, no warm start).
+    /// The journal lands at `<dir>/.checkpoint/serve.jsonl`. At startup
+    /// every intact point of every `<dir>/.checkpoint/*.jsonl` — this
+    /// journal and any batch sweep's — warm-starts the cache, so a
+    /// results directory can be served directly.
     pub journal_dir: Option<String>,
     /// Consecutive failures per point key before the circuit breaker
-    /// quarantines it (`OCCACHE_SERVE_BREAKER`, default 2; 0 disables).
+    /// quarantines it ([`DEFAULT_THRESHOLD`] in production; 0 disables).
     pub breaker_threshold: u32,
     /// Deterministic chaos injection (`OCCACHE_SERVE_FAULT`; unset ⇒
     /// none).
@@ -121,7 +128,7 @@ pub struct ServiceConfig {
     /// `peers` is set).
     pub self_addr: Option<String>,
     /// Deadline/retry/breaker policy for outbound peer calls
-    /// (`OCCACHE_PEER_TIMEOUT`, `OCCACHE_PEER_RETRIES`).
+    /// ([`PeerPolicy::default`] in production).
     pub peer_policy: PeerPolicy,
 }
 
@@ -133,46 +140,36 @@ impl ServiceConfig {
     /// Returns a message naming the malformed variable.
     pub fn try_from_env() -> Result<ServiceConfig, String> {
         let peers = occache_runtime::config::try_peers()?;
-        let workers = match env_usize_opt("OCCACHE_SERVE_WORKERS")? {
-            Some(n) if n > 0 => n,
-            Some(_) | None => occache_runtime::config::try_jobs()?.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            }),
+        let workers = match env_usize("OCCACHE_SERVE_WORKERS", 0)? {
+            0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+            n => n,
         };
         Ok(ServiceConfig {
             addr: std::env::var("OCCACHE_SERVE_ADDR")
                 .unwrap_or_else(|_| "127.0.0.1:7807".to_string()),
             workers,
-            queue_capacity: env_usize_opt("OCCACHE_SERVE_QUEUE")?.unwrap_or(256).max(1),
-            max_batch: env_usize_opt("OCCACHE_SERVE_BATCH")?.unwrap_or(64).max(1),
-            cache_capacity: env_usize_opt("OCCACHE_SERVE_CACHE")?
-                .unwrap_or(65_536)
-                .max(1),
+            queue_capacity: QUEUE_CAPACITY,
+            max_batch: MAX_BATCH,
+            cache_capacity: CACHE_CAPACITY,
             default_refs: occache_experiments::sweep::try_trace_len()?,
-            warm_start: std::env::var("OCCACHE_SERVE_WARM")
-                .ok()
-                .filter(|s| !s.is_empty()),
             policy: SupervisorPolicy::try_from_env()?,
-            conn_timeout: env_timeout("OCCACHE_SERVE_CONN_TIMEOUT", Some(READ_TIMEOUT))?,
+            conn_timeout: Some(CONN_TIMEOUT),
             journal_dir: std::env::var("OCCACHE_SERVE_JOURNAL")
                 .ok()
                 .filter(|s| !s.is_empty()),
-            breaker_threshold: env_usize_opt("OCCACHE_SERVE_BREAKER")?
-                .map_or(DEFAULT_THRESHOLD, |n| n.min(u32::MAX as usize) as u32),
+            breaker_threshold: DEFAULT_THRESHOLD,
             fault: ServeFault::try_from_env()?.map(Arc::new),
             self_addr: match &peers {
                 Some(list) => Some(occache_runtime::config::try_self_addr(list)?),
                 None => None,
             },
             peers,
-            peer_policy: PeerPolicy::try_from_env()?,
+            peer_policy: PeerPolicy::default(),
         })
     }
 
     /// A small configuration for tests: ephemeral port, tiny defaults,
-    /// no deadline, no warm start.
+    /// no deadline, no journal.
     pub fn for_tests() -> ServiceConfig {
         ServiceConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -181,9 +178,8 @@ impl ServiceConfig {
             max_batch: 64,
             cache_capacity: 1024,
             default_refs: 2_000,
-            warm_start: None,
             policy: SupervisorPolicy::disabled(),
-            conn_timeout: Some(Duration::from_secs(5)),
+            conn_timeout: Some(CONN_TIMEOUT),
             journal_dir: None,
             breaker_threshold: DEFAULT_THRESHOLD,
             fault: None,
@@ -208,17 +204,15 @@ pub struct Service {
     peers: Option<Arc<PeerSet>>,
     fault: Option<Arc<ServeFault>>,
     conn_timeout: Option<Duration>,
-    warm_dir: Option<String>,
-    ready: AtomicBool,
     draining: AtomicBool,
     journal_replayed: usize,
 }
 
 impl Service {
     /// Builds the service: starts the worker pool, opens the
-    /// write-behind journal (recovering previously computed points into
-    /// the cache), and remembers the warm-start directory for
-    /// [`Service::warm_load`].
+    /// write-behind journal, and warm-starts the cache from every
+    /// journal in its `.checkpoint/` directory — the service's own
+    /// (crash recovery) and any batch sweep's.
     pub fn new(config: &ServiceConfig) -> Service {
         let mut policy = config.policy.clone();
         if let Some(plan) = config.fault.as_ref().and_then(|f| f.worker_fault()) {
@@ -228,21 +222,21 @@ impl Service {
         let mut journal_replayed = 0;
         let cache = ResultCache::new(config.cache_capacity);
         if let Some(dir) = &config.journal_dir {
-            match WriteBehind::open(std::path::Path::new(dir)) {
-                Ok((wb, recovered)) => {
-                    let n = recovered.len();
-                    journal_replayed = n;
-                    for (key, entry) in recovered {
-                        cache.insert(key, entry);
-                    }
-                    if n > 0 {
-                        eprintln!("crash recovery: {n} point(s) restored from {dir} journal");
-                    }
-                    persist = Some(wb);
-                }
+            let dir_path = std::path::Path::new(dir);
+            match WriteBehind::open(dir_path) {
+                Ok(wb) => persist = Some(wb),
                 Err(e) => {
                     eprintln!("write-behind journal in {dir} unavailable ({e}); serving without");
                 }
+            }
+            match cache.warm_start(dir_path) {
+                Ok(n) => {
+                    journal_replayed = n;
+                    if n > 0 {
+                        eprintln!("crash recovery: {n} point(s) restored from {dir}/.checkpoint");
+                    }
+                }
+                Err(e) => eprintln!("warm start from {dir} failed ({e}); starting cold"),
             }
         }
         Service {
@@ -269,31 +263,14 @@ impl Service {
             }),
             fault: config.fault.clone(),
             conn_timeout: config.conn_timeout,
-            warm_dir: config.warm_start.clone(),
-            ready: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             journal_replayed,
         }
     }
 
-    /// Runs the (possibly slow) warm start from checkpoint journals and
-    /// flips the readiness flag. [`Server::start`] calls this on a
-    /// background thread so `/v1/health` answers while the cache warms.
-    pub fn warm_load(&self) {
-        if let Some(dir) = &self.warm_dir {
-            match self.cache.warm_start(std::path::Path::new(dir)) {
-                Ok(n) => eprintln!("warm start: loaded {n} point(s) from {dir}/.checkpoint"),
-                Err(e) => eprintln!("warm start from {dir} failed ({e}); starting cold"),
-            }
-        }
-        self.ready.store(true, Ordering::SeqCst);
-    }
-
     /// Whether the service would answer `/v1/ready` with 200.
     pub fn ready(&self) -> bool {
-        self.ready.load(Ordering::SeqCst)
-            && !self.draining.load(Ordering::SeqCst)
-            && !occache_runtime::interrupt::requested()
+        !self.draining.load(Ordering::SeqCst) && !occache_runtime::interrupt::requested()
     }
 
     /// Marks the service as draining: `/v1/ready` flips to 503 so a
@@ -378,12 +355,8 @@ impl Service {
             ("GET", "/v1/ready") => {
                 if self.ready() {
                     (200, "{\"ready\":true}".to_string())
-                } else if self.draining.load(Ordering::SeqCst)
-                    || occache_runtime::interrupt::requested()
-                {
-                    (503, err("draining", "service is draining", false))
                 } else {
-                    (503, err("warm-starting", "warm start in progress", true))
+                    (503, err("draining", "service is draining", false))
                 }
             }
             ("GET", "/metrics") => {
@@ -1076,14 +1049,6 @@ impl Server {
                 .name("occache-accept".to_string())
                 .spawn(move || accept_loop(&listener, &service, &stop))?
         };
-        {
-            // Warm start off the accept path: /v1/health answers
-            // immediately, /v1/ready flips once the cache is loaded.
-            let service = Arc::clone(&service);
-            std::thread::Builder::new()
-                .name("occache-warm".to_string())
-                .spawn(move || service.warm_load())?;
-        }
         Ok(Server {
             addr,
             service,
@@ -1179,7 +1144,7 @@ fn serve_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) -> 
     // per-read bound too, so the deadline overshoots by at most itself.
     let read_timeout = service
         .conn_timeout
-        .map_or(READ_TIMEOUT, |t| t.min(READ_TIMEOUT));
+        .map_or(CONN_TIMEOUT, |t| t.min(CONN_TIMEOUT));
     stream.set_read_timeout(Some(read_timeout))?;
     let fault = service.fault.as_deref();
     let mut conn = Connection::new(stream);

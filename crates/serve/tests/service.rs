@@ -9,10 +9,12 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use occache_core::CacheConfig;
-use occache_experiments::sweep::{evaluate_point, materialize};
+use occache_experiments::checkpoint::evaluate_checkpointed_in;
+use occache_experiments::runs::{journalled_grid, Workbench};
+use occache_experiments::sweep::{evaluate_point, evaluate_results_sliced, materialize};
 use occache_serve::fault::ServeFault;
 use occache_serve::json::{ErrorBody, Json};
 use occache_serve::service::{Server, ServiceConfig};
@@ -224,27 +226,17 @@ fn routing_and_input_validation() {
     server.stop().expect("clean shutdown");
 }
 
-/// Polls `/v1/ready` until it answers 200 or the deadline passes.
-fn wait_ready(addr: &std::net::SocketAddr) {
-    let deadline = Instant::now() + Duration::from_secs(5);
-    loop {
-        if http(addr, "GET", "/v1/ready", "").0 == 200 {
-            return;
-        }
-        assert!(Instant::now() < deadline, "server never became ready");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 #[test]
-fn health_is_liveness_and_ready_tracks_warmup_and_drain() {
+fn health_is_liveness_and_ready_tracks_drain() {
     let server = Server::start(&ServiceConfig::for_tests()).expect("start");
     let addr = server.addr();
 
-    // Liveness answers from the very first accept.
+    // Liveness and readiness answer from the very first accept: the
+    // warm start finished inside `Server::start`.
     let (status, body) = http(&addr, "GET", "/v1/health", "");
     assert_eq!(status, 200, "{body}");
-    wait_ready(&addr);
+    let (status, body) = http(&addr, "GET", "/v1/ready", "");
+    assert_eq!(status, 200, "{body}");
 
     // Draining: readiness flips to an attributed 503, liveness stays up.
     server.service().begin_drain();
@@ -418,6 +410,66 @@ fn restart_serves_journaled_points_bit_identically() {
     assert_eq!(
         json(&stat).get("journal_replayed").and_then(Json::as_u64),
         Some(1),
+        "{stat}"
+    );
+    server.stop().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_batch_table7_journal_is_served_without_recomputing() {
+    const REFS: usize = 1_000;
+    let dir = std::env::temp_dir().join(format!("occache-serve-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Seal the PDP-11 slice of Table 7 exactly as the batch binary does:
+    // same grid, traces, warm-up and journal name.
+    let mut bench = Workbench::new(REFS);
+    let groups = journalled_grid(&mut bench, "table7").expect("table7 keeps a journal");
+    let pdp11 = &groups[0];
+    let sealed = evaluate_checkpointed_in(
+        &dir,
+        "table7",
+        &pdp11.configs,
+        &pdp11.traces,
+        pdp11.warmup,
+        true,
+        evaluate_results_sliced,
+    )
+    .expect("seal the table7 journal");
+    assert_eq!(sealed.points.len(), pdp11.configs.len());
+
+    let mut config = ServiceConfig::for_tests();
+    config.journal_dir = Some(dir.to_string_lossy().into_owned());
+    // Room for the whole grid, so a cold cache would compute it rather
+    // than shed it.
+    config.queue_capacity = 256;
+    let server = Server::start(&config).expect("start");
+    let addr = server.addr();
+    let sweep = format!(r#"{{"model":"pdp11","refs":{REFS},"grid":{{"nets":[64,256,1024]}}}}"#);
+    let (status, text) = http(&addr, "POST", "/v1/sweep", &sweep);
+    assert_eq!(status, 200, "{text}");
+    let doc = json(&text);
+    assert_eq!(
+        doc.get("total").and_then(Json::as_u64),
+        Some(pdp11.configs.len() as u64),
+        "{text}"
+    );
+    assert_eq!(
+        doc.get("computed").and_then(Json::as_u64),
+        Some(0),
+        "cached {:?} of the grid",
+        doc.get("cached").and_then(Json::as_u64)
+    );
+
+    let (_, metrics) = http(&addr, "GET", "/metrics", "");
+    assert!(
+        metrics.contains("occache_points_computed_total 0\n"),
+        "every point must come from the batch journal:\n{metrics}"
+    );
+    let (_, stat) = http(&addr, "GET", "/v1/status", "");
+    assert_eq!(
+        json(&stat).get("journal_replayed").and_then(Json::as_u64),
+        Some(pdp11.configs.len() as u64),
         "{stat}"
     );
     server.stop().expect("clean shutdown");

@@ -9,8 +9,8 @@
 //! dashboard entirely and runs one file through the strict Prometheus
 //! text parser, replacing fragile `grep`s over `/metrics` dumps.
 //!
-//! Environment: `OCCACHE_RESULTS` (results directory), `OCCACHE_TOP_TICK`
-//! (tick interval ms, min 100), `COLUMNS` (frame width).
+//! Environment: `OCCACHE_RESULTS` (results directory), `COLUMNS` (frame
+//! width).
 
 use std::io::Write as _;
 use std::path::PathBuf;
@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use occache_runtime::instrument::Exposition;
-use occache_runtime::{config, interrupt};
+use occache_runtime::interrupt;
 use occache_top::render::render;
 use occache_top::sources::{collect, CollectConfig};
 
@@ -38,7 +38,7 @@ OPTIONS:
     --plain               no ANSI escapes (implies no alternate screen)
     --results DIR         results directory [default: $OCCACHE_RESULTS or results]
     --metrics ADDRS       comma-separated host:port list to scrape
-    --tick MS             redraw interval [default: $OCCACHE_TOP_TICK or 1000]
+    --tick MS             redraw interval, at least 100 [default: 1000]
     --width COLS          frame width [default: $COLUMNS or 100]
     --no-bench            skip the benchmark-trajectory pane (no git walks)
     --parse-metrics FILE  parse FILE as Prometheus text, then exit
@@ -68,7 +68,6 @@ fn env_or<T>(name: &str, parse: impl Fn(&str) -> Option<T>, default: T) -> T {
 }
 
 fn parse_options() -> Result<Options, String> {
-    let tick_ms = config::try_top_tick_ms()?;
     let mut opts = Options {
         once: false,
         plain: false,
@@ -78,7 +77,7 @@ fn parse_options() -> Result<Options, String> {
             "results".into(),
         )),
         metrics: Vec::new(),
-        tick: Duration::from_millis(tick_ms),
+        tick: Duration::from_millis(1000),
         width: env_or("COLUMNS", |v| v.parse().ok(), 100),
         bench: true,
         parse_metrics: None,
