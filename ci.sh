@@ -26,15 +26,20 @@ cargo test -q
 echo "== full workspace tests =="
 cargo test --workspace -q
 
-echo "== engine equivalence proptests under a rotating seed =="
+echo "== proptests under a rotating seed =="
 # The proptest shim seeds every test from its name, so the runs above
-# replay the same cases each time. One more pass of the engine
-# equivalence suites under a seed taken from the date explores new
-# cases; a failure prints the PROPTEST_SEED and PROPTEST_CASES that
-# replay it.
+# replay the same cases each time. One more pass of all eleven proptest
+# suites under a seed taken from the date explores new cases; a failure
+# prints the PROPTEST_SEED and PROPTEST_CASES that replay it.
 PT_SEED=$(date -u +%Y%m%d)
 echo "   PROPTEST_SEED=$PT_SEED"
-PROPTEST_SEED="$PT_SEED" cargo test -q --test policy_equiv --test multisim_equiv
+PROPTEST_SEED="$PT_SEED" cargo test -q --test policy_equiv --test multisim_equiv --test properties
+PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-runtime --test streaming --test progress_feed \
+  --test metrics_roundtrip --test random_determinism
+PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-runtime --lib fmt::
+PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --test http_parser
+PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --lib router::
+PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-cli --test client_torn
 
 echo "== perf gate: perfbench sweep records vs the committed trajectory =="
 # The repository benchmark (perfbench/, its own cargo workspace) times
@@ -196,6 +201,42 @@ fi
 echo "$LOCK_ERR" | grep -qi "lock" \
   || { echo "FAIL: lock contention diagnostic missing: $LOCK_ERR"; exit 1; }
 rm -f "$INT_DIR/.checkpoint/LOCK"
+
+echo "-- a results dir computes each design point once: Figures 2 and 8 reuse Table 7 --"
+# Figures 2 and 8 plot Table 7's PDP-11 grid. Run into Table 7's results
+# dir, each must compute nothing (0 engine and 0 direct points in its
+# RUN_METRICS.prom) yet write the bytes a standalone run in a fresh dir
+# writes: CSV, journal and MANIFEST line. The serial pool keeps journal
+# line order deterministic on both sides.
+cargo build --release -q -p occache-experiments --bin fig2 --bin fig8
+cargo build --release -q -p occache-top --bin occache-top
+REUSE_DIR=target/ci-reuse
+rm -rf "$REUSE_DIR"
+OCCACHE_RESULTS="$REUSE_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_SLICE_THREADS=1 \
+  ./target/release/table7 > /dev/null
+for FIG in fig2 fig8; do
+  ALONE_DIR="target/ci-reuse-$FIG"
+  rm -rf "$ALONE_DIR"
+  OCCACHE_RESULTS="$REUSE_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_SLICE_THREADS=1 \
+    ./target/release/$FIG > /dev/null
+  for M in engine_lru engine_fifo engine_random direct; do
+    N=$(./target/release/occache-top --parse-metrics "$REUSE_DIR/RUN_METRICS.prom" \
+          --get "occache_run_points_${M}_total")
+    [ "$N" = "0" ] \
+      || { echo "FAIL: $FIG after table7 computed $N point(s) on the $M path"; exit 1; }
+  done
+  OCCACHE_RESULTS="$ALONE_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_SLICE_THREADS=1 \
+    ./target/release/$FIG > /dev/null
+  cmp "$REUSE_DIR/$FIG.csv" "$ALONE_DIR/$FIG.csv" \
+    || { echo "FAIL: $FIG.csv differs from a standalone run"; exit 1; }
+  cmp "$REUSE_DIR/.checkpoint/$FIG.jsonl" "$ALONE_DIR/.checkpoint/$FIG.jsonl" \
+    || { echo "FAIL: the $FIG journal differs from a standalone run"; exit 1; }
+  REUSE_LINE=$(grep "\"artifact\":\"$FIG\"" "$REUSE_DIR/MANIFEST.json" | sed 's/,$//')
+  ALONE_LINE=$(grep "\"artifact\":\"$FIG\"" "$ALONE_DIR/MANIFEST.json" | sed 's/,$//')
+  [ -n "$REUSE_LINE" ] && [ "$REUSE_LINE" = "$ALONE_LINE" ] \
+    || { echo "FAIL: the $FIG MANIFEST line differs from a standalone run"; exit 1; }
+done
+echo "   fig2, fig8: 0 points computed after table7; CSV, journal and MANIFEST line match standalone runs"
 
 echo "== policy gate: FIFO and Random Table 7 ride the one-pass engines end to end =="
 # A full Table 7 run down the FIFO axis must compute every point on a

@@ -33,10 +33,25 @@
 //! detection makes each results directory single-writer, so two
 //! concurrent runs cannot interleave appends.
 //!
+//! A results directory computes each point key once. The key does not
+//! name an artifact, so before a sweep evaluates its pending points it
+//! looks their keys up in the intact points of every other journal in
+//! the same `.checkpoint/` store: Figures 2 and 4–6 restore Table 7's
+//! points, Figure 7 restores Figure 1's and Figure 8 Figure 2's. A
+//! reused point counts as restored, and its sealed line is appended to
+//! the borrower's own journal, so every journal stays self-contained for
+//! resume and `occache-verify`. Sibling journals are read-only sources:
+//! never compacted, repaired or counted into the borrower's
+//! [`SweepOutcome::journal`], and their tombstones do not cross over, so
+//! quarantine stays per artifact.
+//!
 //! Pass `--fresh` (or set `OCCACHE_FRESH=1`) to discard the journal
-//! (tombstones included) and recompute everything.
+//! (tombstones included) and recompute everything. Under a fresh run a
+//! sibling is a source only if this process freshened it, so `all
+//! --fresh` still computes each point once while a standalone `fig2
+//! --fresh` never restores a stale point.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
@@ -54,7 +69,7 @@ use occache_runtime::executor::{
 };
 
 use occache_runtime::config::fresh_requested;
-use occache_runtime::journal::{journal_path, scan_journal, Entry, JournalScan};
+use occache_runtime::journal::{journal_path, scan_journal, store_journals, Entry, JournalScan};
 use occache_runtime::keys::{config_fingerprint, point_key, trace_fingerprint};
 
 /// How many failed runs put a design point into quarantine: the point is
@@ -243,6 +258,61 @@ fn warn_once(path: &Path, scan: &JournalScan) {
     );
 }
 
+/// Per-process registry of journal paths discarded under `--fresh`. It
+/// makes a bin that sweeps one artifact in several calls (e.g. `table7`,
+/// once per architecture) discard the journal on the *first* call only,
+/// and it names the siblings a fresh run may restore points from.
+fn freshened() -> &'static Mutex<HashSet<PathBuf>> {
+    static FRESHENED: OnceLock<Mutex<HashSet<PathBuf>>> = OnceLock::new();
+    FRESHENED.get_or_init(|| Mutex::new(HashSet::new()))
+}
+
+/// The intact points that other journals of `dir`'s store hold for the
+/// `wanted` keys, each with the file name of the journal it came from
+/// (the first in path order). Siblings are read-only sources: they are
+/// never repaired or counted into this sweep's journal health, and their
+/// tombstones are ignored, so quarantine stays per artifact. An
+/// unreadable sibling is skipped. Under a fresh run (`fresh`, or
+/// `--fresh` for the process) only siblings this process freshened
+/// qualify, so stale points never cross over.
+fn sibling_points(
+    dir: &Path,
+    own: &Path,
+    fresh: bool,
+    mut wanted: HashSet<u64>,
+) -> HashMap<u64, (Entry, String)> {
+    let mut found = HashMap::new();
+    let Ok(journals) = store_journals(dir) else {
+        return found;
+    };
+    let fresh_run = fresh || fresh_requested();
+    let freshened = freshened()
+        .lock()
+        .expect("freshened journal registry lock")
+        .clone();
+    for path in journals {
+        if wanted.is_empty() {
+            break;
+        }
+        if path == own || (fresh_run && !freshened.contains(&path)) {
+            continue;
+        }
+        let Ok(scan) = scan_journal(&path) else {
+            continue;
+        };
+        let name = path
+            .file_name()
+            .map(|n| n.to_string_lossy().into_owned())
+            .unwrap_or_default();
+        for (key, entry) in scan.points {
+            if wanted.remove(&key) {
+                found.insert(key, (entry, name.clone()));
+            }
+        }
+    }
+    found
+}
+
 fn restore_point(config: CacheConfig, e: &Entry) -> DesignPoint {
     DesignPoint {
         config,
@@ -267,7 +337,10 @@ fn restore_point(config: CacheConfig, e: &Entry) -> DesignPoint {
 /// points were batched.
 ///
 /// Journalled points are restored without re-simulation
-/// ([`SweepOutcome::resumed`] counts them); quarantined points (those
+/// ([`SweepOutcome::resumed`] counts them), including pending points a
+/// sibling journal in the same store already holds, whose lines are
+/// appended to this journal first (see the module docs); quarantined
+/// points (those
 /// with [`QUARANTINE_AFTER`] or more journalled failures) are skipped
 /// with a structured failure; the rest run through `eval`. Each success
 /// with finite metrics is appended to the journal before returning; a
@@ -374,6 +447,10 @@ where
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
+        freshened()
+            .lock()
+            .expect("freshened journal registry lock")
+            .insert(path.clone());
     }
     let scan = scan_journal(&path)?;
     warn_once(&path, &scan);
@@ -390,7 +467,6 @@ where
     // original indices.
     let mut slots: Vec<Option<Result<DesignPoint, PointError>>> = vec![None; configs.len()];
     let mut pending_idx = Vec::new();
-    let mut pending_cfg = Vec::new();
     let mut resumed = 0;
     let mut quarantined = 0;
     for (i, (&config, &key)) in configs.iter().zip(&keys).enumerate() {
@@ -402,9 +478,51 @@ where
             quarantined += 1;
         } else {
             pending_idx.push(i);
-            pending_cfg.push(config);
         }
     }
+
+    // A results directory computes each point key once: a pending point
+    // another artifact already journalled here is restored from that
+    // journal, and its sealed line is appended to this one (in config
+    // order, before any evaluation) so this journal stays self-contained
+    // for resume and verification.
+    let mut borrowed = String::new();
+    let mut sources: BTreeMap<String, usize> = BTreeMap::new();
+    if !pending_idx.is_empty() {
+        let wanted = pending_idx.iter().map(|&i| keys[i]).collect();
+        let found = sibling_points(dir, &path, fresh, wanted);
+        pending_idx.retain(|&i| {
+            let Some((entry, source)) = found.get(&keys[i]) else {
+                return true;
+            };
+            slots[i] = Some(Ok(restore_point(configs[i], entry)));
+            borrowed.push_str(&seal(&point_body(keys[i], entry)));
+            borrowed.push('\n');
+            *sources.entry(source.clone()).or_insert(0) += 1;
+            false
+        });
+        resumed += sources.values().sum::<usize>();
+        if !borrowed.is_empty() {
+            let mut out = OpenOptions::new().create(true).append(true).open(&path)?;
+            out.write_all(borrowed.as_bytes())?;
+            out.sync_all()?;
+        }
+    }
+    if resumed > 0 {
+        let mut line = format!(
+            "{artifact}: resumed {resumed} of {} design point(s) from checkpoint",
+            configs.len()
+        );
+        if !sources.is_empty() {
+            let from: Vec<String> = sources
+                .iter()
+                .map(|(s, n)| format!("{n} from {s}"))
+                .collect();
+            line.push_str(&format!(" ({})", from.join(", ")));
+        }
+        eprintln!("{line}");
+    }
+    let pending_cfg: Vec<CacheConfig> = pending_idx.iter().map(|&i| configs[i]).collect();
 
     // The live progress feed starts once resume has settled what is
     // already done, and is sealed before this call returns — so a
@@ -418,9 +536,6 @@ where
     let progress = ProgressWriter::start(dir, artifact, configs.len(), resumed, quarantined, every);
 
     if !pending_cfg.is_empty() {
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent)?;
-        }
         let out = OpenOptions::new().create(true).append(true).open(&path)?;
         // Single-writer journal: every completion, from any sweep worker,
         // funnels through this channel to one thread owning the file, so
@@ -512,20 +627,15 @@ where
     })
 }
 
-/// Per-process registry of journal paths already freshened, so a bin that
-/// sweeps one artifact in several calls (e.g. `table7`, once per
-/// architecture) discards the journal on the *first* call only instead of
-/// wiping its own earlier appends.
+/// Whether this call should discard `path` under `--fresh`: only the
+/// first call per journal in this process does, so a bin that sweeps one
+/// artifact in several calls keeps its own earlier appends.
 fn fresh_effective(path: &Path) -> bool {
-    if !fresh_requested() {
-        return false;
-    }
-    static FRESHENED: OnceLock<Mutex<HashSet<PathBuf>>> = OnceLock::new();
-    let freshened = FRESHENED.get_or_init(|| Mutex::new(HashSet::new()));
-    freshened
-        .lock()
-        .expect("freshened journal registry lock")
-        .insert(path.to_path_buf())
+    fresh_requested()
+        && freshened()
+            .lock()
+            .expect("freshened journal registry lock")
+            .insert(path.to_path_buf())
 }
 
 /// Checkpointed sweep for an artifact under the standard results
@@ -537,8 +647,8 @@ fn fresh_effective(path: &Path) -> bool {
 /// ([`crate::run_report`]) for RUN_REPORT.json.
 ///
 /// Journal I/O trouble degrades gracefully: the sweep still runs (without
-/// resumability) and the problem is reported on stderr, because losing
-/// checkpointing must never lose the science. The one exception is lock
+/// resumability, its phase still recorded) and the problem is reported on
+/// stderr, because losing checkpointing must never lose the science. The one exception is lock
 /// contention — another live run writing the same results directory —
 /// where continuing would interleave appends; the process prints a
 /// diagnostic and exits with [`EXIT_LOCKED`].
@@ -571,49 +681,10 @@ pub fn evaluate_checkpointed(
         stats.lock().expect("supervisor stats lock").merge(s);
         results
     };
-    match evaluate_checkpointed_in_streamed(
+    let mut outcome = match evaluate_checkpointed_in_streamed(
         &dir, artifact, configs, traces, warmup, fresh, supervised,
     ) {
-        Ok(mut outcome) => {
-            let stats = *stats.lock().expect("supervisor stats lock");
-            outcome.retries = stats.retries;
-            if outcome.resumed > 0 {
-                eprintln!(
-                    "{artifact}: resumed {} of {} design point(s) from checkpoint",
-                    outcome.resumed,
-                    configs.len()
-                );
-            }
-            crate::run_report::record_phase(PhaseReport {
-                artifact: artifact.to_string(),
-                computed: outcome.points.len().saturating_sub(outcome.resumed),
-                restored: outcome.resumed,
-                failed: outcome.failures.len(),
-                timed_out: outcome.timed_out(),
-                quarantined: outcome.quarantined(),
-                non_finite: outcome.non_finite(),
-                retries: stats.retries,
-                abandoned_threads: stats.abandoned_threads,
-                engine_points: stats.engine_points,
-                direct_points: stats.direct_points,
-                bad_journal_lines: outcome.journal.bad_lines,
-                repaired_tail_bytes: outcome.journal.repaired_tail_bytes,
-                wall_ms: started.elapsed().as_millis(),
-                trace_fp: trace_fingerprint(traces),
-                config_fp: config_fingerprint(configs),
-            });
-            // Phase boundary: flush the report accumulated so far as an
-            // in-flight snapshot, so RUN_REPORT.json is readable mid-run
-            // (marked `"in_progress": true` until the binary's final
-            // sealed write). Failure to flush must not fail the science.
-            if let Err(e) = crate::run_report::flush(&dir) {
-                eprintln!(
-                    "warning: could not flush {}: {e}",
-                    crate::run_report::RUN_REPORT_FILE
-                );
-            }
-            outcome
-        }
+        Ok(outcome) => outcome,
         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
             eprintln!("{artifact}: {e}");
             eprintln!(
@@ -625,22 +696,56 @@ pub fn evaluate_checkpointed(
         }
         Err(e) => {
             eprintln!("{artifact}: checkpoint journal unavailable ({e}); running without resume");
-            let (results, _) =
+            let (results, s) =
                 evaluate_results_supervised_with(&policy, configs, traces, warmup, None, |_, _| {});
+            stats.lock().expect("supervisor stats lock").merge(s);
             results.into_iter().collect()
         }
+    };
+    let stats = *stats.lock().expect("supervisor stats lock");
+    outcome.retries = stats.retries;
+    crate::run_report::record_phase(PhaseReport {
+        artifact: artifact.to_string(),
+        computed: outcome.points.len().saturating_sub(outcome.resumed),
+        restored: outcome.resumed,
+        failed: outcome.failures.len(),
+        timed_out: outcome.timed_out(),
+        quarantined: outcome.quarantined(),
+        non_finite: outcome.non_finite(),
+        retries: stats.retries,
+        abandoned_threads: stats.abandoned_threads,
+        engine_points: stats.engine_points,
+        direct_points: stats.direct_points,
+        bad_journal_lines: outcome.journal.bad_lines,
+        repaired_tail_bytes: outcome.journal.repaired_tail_bytes,
+        wall_ms: started.elapsed().as_millis(),
+        trace_fp: trace_fingerprint(traces),
+        config_fp: config_fingerprint(configs),
+    });
+    // Phase boundary: flush the report accumulated so far as an
+    // in-flight snapshot, so RUN_REPORT.json is readable mid-run
+    // (marked `"in_progress": true` until the binary's final sealed
+    // write). Failure to flush must not fail the science.
+    if let Err(e) = crate::run_report::flush(&dir) {
+        eprintln!(
+            "warning: could not flush {}: {e}",
+            crate::run_report::RUN_REPORT_FILE
+        );
     }
+    outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runs::{journalled_grid, Workbench};
     use crate::sweep::{
         evaluate_results_sliced, materialize, standard_config, table1_pairs, JournalHealth,
         PointFault,
     };
     use occache_runtime::journal::{lock_path, parse_line, LineIssue, Record};
     use occache_workloads::{Architecture, WorkloadSpec};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn test_grid() -> (Vec<CacheConfig>, Vec<Trace>) {
         let traces = materialize(&[WorkloadSpec::pdp11_ed()], 1_000);
@@ -1056,6 +1161,187 @@ mod tests {
         assert_eq!(scan.torn_tail_bytes, 0);
         compact_journal(&path, &scan).unwrap();
         assert!(!scan_journal(&path).unwrap().needs_repair());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The production pool at width 1: a serial pool appends journal
+    /// lines in planning order, so journal bytes are deterministic.
+    fn serial(cs: &[CacheConfig], ts: &[Trace], w: usize) -> Vec<Result<DesignPoint, PointError>> {
+        let policy = SupervisorPolicy::disabled();
+        evaluate_results_supervised_with(&policy, cs, ts, w, Some(1), |_, _| {}).0
+    }
+
+    #[test]
+    fn a_results_dir_computes_each_point_key_once() {
+        let mut bench = Workbench::new(1_000);
+        let table7 = journalled_grid(&mut bench, "table7").unwrap();
+        let fig2 = journalled_grid(&mut bench, "fig2").unwrap().remove(0);
+        let shared = temp_dir("reuse");
+        for g in &table7 {
+            evaluate_checkpointed_in(
+                &shared, "table7", &g.configs, &g.traces, g.warmup, false, serial,
+            )
+            .unwrap();
+        }
+        let table7_bytes = fs::read(journal_path(&shared, "table7")).unwrap();
+        let evals = AtomicUsize::new(0);
+        let counting = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+            evals.fetch_add(cs.len(), Ordering::SeqCst);
+            serial(cs, ts, w)
+        };
+        let reused = evaluate_checkpointed_in(
+            &shared,
+            "fig2",
+            &fig2.configs,
+            &fig2.traces,
+            fig2.warmup,
+            false,
+            counting,
+        )
+        .unwrap();
+        assert_eq!(
+            evals.load(Ordering::SeqCst),
+            0,
+            "Table 7 already holds every point"
+        );
+        assert_eq!(reused.resumed, fig2.configs.len());
+        assert!(reused.is_complete());
+
+        // The borrower's journal is self-contained and byte-equal to a
+        // standalone run's; the source journal is untouched.
+        let alone = temp_dir("reuse-alone");
+        let standalone = evaluate_checkpointed_in(
+            &alone,
+            "fig2",
+            &fig2.configs,
+            &fig2.traces,
+            fig2.warmup,
+            false,
+            serial,
+        )
+        .unwrap();
+        assert_eq!(standalone.resumed, 0);
+        assert_eq!(
+            fs::read(journal_path(&shared, "fig2")).unwrap(),
+            fs::read(journal_path(&alone, "fig2")).unwrap()
+        );
+        assert_eq!(
+            fs::read(journal_path(&shared, "table7")).unwrap(),
+            table7_bytes
+        );
+        for (a, b) in reused.points.iter().zip(&standalone.points) {
+            assert_eq!(a.config, b.config);
+            assert_eq!(Entry::of(a), Entry::of(b));
+        }
+        fs::remove_dir_all(&shared).unwrap();
+        fs::remove_dir_all(&alone).unwrap();
+    }
+
+    #[test]
+    fn fresh_borrows_only_from_siblings_this_process_freshened() {
+        let dir = temp_dir("reuse-fresh");
+        let (configs, traces) = test_grid();
+        let run = |artifact: &str, fresh: bool| {
+            let evals = AtomicUsize::new(0);
+            let counting = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+                evals.fetch_add(cs.len(), Ordering::SeqCst);
+                serial(cs, ts, w)
+            };
+            let outcome =
+                evaluate_checkpointed_in(&dir, artifact, &configs, &traces, 0, fresh, counting)
+                    .unwrap();
+            assert!(outcome.is_complete());
+            evals.into_inner()
+        };
+        // A journal from an earlier, non-fresh run may be stale: a fresh
+        // run recomputes rather than borrow it.
+        assert_eq!(run("old", false), configs.len());
+        assert_eq!(
+            run("a", true),
+            configs.len(),
+            "fresh must not borrow stale points"
+        );
+        // A sibling this process freshened is current, so a later fresh
+        // artifact restores from it.
+        assert_eq!(run("b", true), 0, "fresh borrows from a freshened sibling");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_sibling_keeps_its_bytes_and_its_intact_points_serve() {
+        let dir = temp_dir("reuse-damaged");
+        let (configs, traces) = test_grid();
+        evaluate_checkpointed_in(&dir, "a", &configs, &traces, 0, false, serial).unwrap();
+        let sibling = journal_path(&dir, "a");
+        // Flip a byte in the middle of the second line and tear the tail.
+        let mut bytes = fs::read(&sibling).unwrap();
+        let first_nl = bytes.iter().position(|&b| b == b'\n').unwrap();
+        bytes[first_nl + 10] = bytes[first_nl + 10].wrapping_add(1);
+        bytes.extend_from_slice(b"{\"v\":2,\"key\":\"00");
+        fs::write(&sibling, &bytes).unwrap();
+
+        let evals = AtomicUsize::new(0);
+        let counting = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+            evals.fetch_add(cs.len(), Ordering::SeqCst);
+            serial(cs, ts, w)
+        };
+        let outcome =
+            evaluate_checkpointed_in(&dir, "b", &configs, &traces, 0, false, counting).unwrap();
+        assert_eq!(
+            evals.load(Ordering::SeqCst),
+            1,
+            "only the damaged point runs"
+        );
+        assert_eq!(outcome.resumed, configs.len() - 1);
+        assert!(outcome.is_complete());
+        assert_eq!(
+            outcome.journal,
+            JournalHealth::default(),
+            "a sibling's damage is not the borrower's"
+        );
+        assert_eq!(fs::read(&sibling).unwrap(), bytes, "siblings are read-only");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_sibling_tombstone_does_not_quarantine_the_borrower() {
+        let dir = temp_dir("reuse-tombstone");
+        let (configs, traces) = test_grid();
+        let bad = configs[3];
+        let faulty = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+            let mut results = serial(cs, ts, w);
+            for (c, r) in cs.iter().zip(results.iter_mut()) {
+                if *c == bad {
+                    *r = Err(PointError::panicked(bad, "injected fault"));
+                }
+            }
+            results
+        };
+        for _ in 0..QUARANTINE_AFTER {
+            evaluate_checkpointed_in(&dir, "a", &configs, &traces, 0, false, faulty).unwrap();
+        }
+        let quarantined =
+            evaluate_checkpointed_in(&dir, "a", &configs, &traces, 0, false, faulty).unwrap();
+        assert_eq!(
+            quarantined.quarantined(),
+            1,
+            "the point is quarantined for its own artifact"
+        );
+
+        let evals = AtomicUsize::new(0);
+        let counting = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+            evals.fetch_add(cs.len(), Ordering::SeqCst);
+            serial(cs, ts, w)
+        };
+        let outcome =
+            evaluate_checkpointed_in(&dir, "b", &configs, &traces, 0, false, counting).unwrap();
+        assert_eq!(
+            evals.load(Ordering::SeqCst),
+            1,
+            "the failed point runs for the borrower"
+        );
+        assert!(outcome.is_complete(), "{:?}", outcome.failures);
+        assert_eq!(outcome.resumed, configs.len() - 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 

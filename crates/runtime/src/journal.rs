@@ -90,6 +90,32 @@ pub fn journal_path(dir: &Path, artifact: &str) -> PathBuf {
     dir.join(".checkpoint").join(format!("{artifact}.jsonl"))
 }
 
+/// Every journal of a results directory's checkpoint store
+/// (`<dir>/.checkpoint/*.jsonl`), sorted by path; a missing store lists
+/// none. The serving layer warm-starts its cache from all of them, and a
+/// batch sweep restores points its sibling artifacts already journalled.
+///
+/// # Errors
+///
+/// Propagates filesystem errors other than the store not existing.
+pub fn store_journals(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let entries = match fs::read_dir(dir.join(".checkpoint")) {
+        Ok(e) => e,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let mut paths = Vec::new();
+    for dirent in entries {
+        let path = dirent?.path();
+        // LOCK, PROGRESS.json and temp files are not journals.
+        if path.extension().and_then(|e| e.to_str()) == Some("jsonl") {
+            paths.push(path);
+        }
+    }
+    paths.sort();
+    Ok(paths)
+}
+
 /// The advisory lockfile path for a results directory.
 pub fn lock_path(dir: &Path) -> PathBuf {
     dir.join(".checkpoint").join("LOCK")

@@ -13,7 +13,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use occache_runtime::journal::{scan_journal, Entry};
+use occache_runtime::journal::{scan_journal, store_journals, Entry};
 
 #[derive(Debug, Default)]
 struct Inner {
@@ -124,20 +124,9 @@ impl ResultCache {
     /// Propagates filesystem errors other than the directory not
     /// existing.
     pub fn warm_start(&self, results_dir: &Path) -> io::Result<usize> {
-        let checkpoint = results_dir.join(".checkpoint");
-        let entries = match std::fs::read_dir(&checkpoint) {
-            Ok(e) => e,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
         let mut loaded = 0usize;
-        for dirent in entries {
-            let path = dirent?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("jsonl") {
-                continue; // LOCK, temp files, ...
-            }
-            let scan = scan_journal(&path)?;
-            for (key, entry) in scan.points {
+        for path in store_journals(results_dir)? {
+            for (key, entry) in scan_journal(&path)?.points {
                 if self.insert(key, entry) {
                     loaded += 1;
                 }
