@@ -157,9 +157,9 @@ echo "== integrity: manifest + verify + supervised fault injection =="
 INT_DIR=target/ci-integrity
 INT_REFS=20000
 rm -rf "$INT_DIR"
-cargo build --release -q -p occache-experiments --bin table7
+cargo build --release -q -p occache-experiments --bin all
 cargo build --release -q -p occache-cli --bin occache-verify
-OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/table7
+OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/all table7
 test -f "$INT_DIR/MANIFEST.json" || { echo "FAIL: no MANIFEST.json"; exit 1; }
 test -f "$INT_DIR/RUN_REPORT.json" || { echo "FAIL: no RUN_REPORT.json"; exit 1; }
 ./target/release/occache-verify --dir "$INT_DIR" --refs "$INT_REFS" --sample 2
@@ -171,7 +171,7 @@ if ./target/release/occache-verify --dir "$INT_DIR" --refs "$INT_REFS" --sample 
   echo "FAIL: verify passed on a corrupted CSV"; exit 1
 fi
 # A re-emit regenerates the CSV from the intact journal and heals it.
-OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/table7
+OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/all table7
 ./target/release/occache-verify --dir "$INT_DIR" --refs "$INT_REFS" --sample 2
 
 echo "-- a flipped journal byte must fail verify, and a re-run must repair it --"
@@ -180,19 +180,19 @@ printf 'X' | dd of="$JOURNAL" bs=1 seek=12 count=1 conv=notrunc status=none
 if ./target/release/occache-verify --dir "$INT_DIR" --refs "$INT_REFS" --sample 2 >/dev/null; then
   echo "FAIL: verify passed on a corrupted journal"; exit 1
 fi
-OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/table7
+OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/all table7
 ./target/release/occache-verify --dir "$INT_DIR" --refs "$INT_REFS" --sample 2
 
 echo "-- an injected hang must be reported as a timeout --"
 OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_FRESH=1 \
-  OCCACHE_POINT_TIMEOUT=0.5 OCCACHE_FAULT_POINT=hang:8,4 ./target/release/table7
+  OCCACHE_POINT_TIMEOUT=0.5 OCCACHE_FAULT_POINT=hang:8,4 ./target/release/all table7
 grep -Eq '"timed_out": [1-9]' "$INT_DIR/RUN_REPORT.json" \
   || { echo "FAIL: hang not reported as a timeout in RUN_REPORT.json"; exit 1; }
 
 echo "-- a held checkpoint lock must fail fast with a diagnostic --"
 echo "garbage-holder" > "$INT_DIR/.checkpoint/LOCK"
 set +e
-LOCK_ERR=$(OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/table7 2>&1)
+LOCK_ERR=$(OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/all table7 2>&1)
 LOCK_RC=$?
 set -e
 if [ "$LOCK_RC" -eq 0 ]; then
@@ -208,17 +208,17 @@ echo "-- a results dir computes each design point once: Figures 2 and 8 reuse Ta
 # RUN_METRICS.prom) yet write the bytes a standalone run in a fresh dir
 # writes: CSV, journal and MANIFEST line. The serial pool keeps journal
 # line order deterministic on both sides.
-cargo build --release -q -p occache-experiments --bin fig2 --bin fig8
+cargo build --release -q -p occache-experiments --bin all
 cargo build --release -q -p occache-top --bin occache-top
 REUSE_DIR=target/ci-reuse
 rm -rf "$REUSE_DIR"
 OCCACHE_RESULTS="$REUSE_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_SLICE_THREADS=1 \
-  ./target/release/table7 > /dev/null
+  ./target/release/all table7 > /dev/null
 for FIG in fig2 fig8; do
   ALONE_DIR="target/ci-reuse-$FIG"
   rm -rf "$ALONE_DIR"
   OCCACHE_RESULTS="$REUSE_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_SLICE_THREADS=1 \
-    ./target/release/$FIG > /dev/null
+    ./target/release/all $FIG > /dev/null
   for M in engine_lru engine_fifo engine_random direct; do
     N=$(./target/release/occache-top --parse-metrics "$REUSE_DIR/RUN_METRICS.prom" \
           --get "occache_run_points_${M}_total")
@@ -226,7 +226,7 @@ for FIG in fig2 fig8; do
       || { echo "FAIL: $FIG after table7 computed $N point(s) on the $M path"; exit 1; }
   done
   OCCACHE_RESULTS="$ALONE_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_SLICE_THREADS=1 \
-    ./target/release/$FIG > /dev/null
+    ./target/release/all $FIG > /dev/null
   cmp "$REUSE_DIR/$FIG.csv" "$ALONE_DIR/$FIG.csv" \
     || { echo "FAIL: $FIG.csv differs from a standalone run"; exit 1; }
   cmp "$REUSE_DIR/.checkpoint/$FIG.jsonl" "$ALONE_DIR/.checkpoint/$FIG.jsonl" \
@@ -250,7 +250,7 @@ POL_DIR=target/ci-policy
 POL_OFF_DIR=target/ci-policy-direct
 rm -rf "$POL_DIR" "$POL_OFF_DIR"
 OCCACHE_RESULTS="$POL_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_REPLACEMENT=fifo \
-  ./target/release/table7
+  ./target/release/all table7
 POL_DIRECT=$(./target/release/occache-top --parse-metrics "$POL_DIR/RUN_METRICS.prom" \
                --get occache_run_points_direct_total)
 [ "$POL_DIRECT" = "0" ] \
@@ -263,7 +263,7 @@ POL_FIFO=$(./target/release/occache-top --parse-metrics "$POL_DIR/RUN_METRICS.pr
 # disabled the identical run must go direct, and the artifacts must
 # still come out byte-identical.
 OCCACHE_RESULTS="$POL_OFF_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_REPLACEMENT=fifo \
-  OCCACHE_NO_MULTISIM=fifo,random ./target/release/table7
+  OCCACHE_NO_MULTISIM=fifo,random ./target/release/all table7
 POL_OFF_DIRECT=$(./target/release/occache-top --parse-metrics "$POL_OFF_DIR/RUN_METRICS.prom" \
                    --get occache_run_points_direct_total)
 [ -n "$POL_OFF_DIRECT" ] && [ "$POL_OFF_DIRECT" -ge 1 ] \
@@ -280,7 +280,7 @@ POL_RND_DIR=target/ci-policy-random
 POL_RND_OFF_DIR=target/ci-policy-random-direct
 rm -rf "$POL_RND_DIR" "$POL_RND_OFF_DIR"
 OCCACHE_RESULTS="$POL_RND_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_REPLACEMENT=random \
-  ./target/release/table7
+  ./target/release/all table7
 POL_RND_DIRECT=$(./target/release/occache-top --parse-metrics "$POL_RND_DIR/RUN_METRICS.prom" \
                    --get occache_run_points_direct_total)
 [ "$POL_RND_DIRECT" = "0" ] \
@@ -290,7 +290,7 @@ POL_RANDOM=$(./target/release/occache-top --parse-metrics "$POL_RND_DIR/RUN_METR
 [ -n "$POL_RANDOM" ] && [ "$POL_RANDOM" -ge 1 ] \
   || { echo "FAIL: Random Table 7 recorded no Random-engine points (got '$POL_RANDOM')"; exit 1; }
 OCCACHE_RESULTS="$POL_RND_OFF_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_REPLACEMENT=random \
-  OCCACHE_NO_MULTISIM=random ./target/release/table7
+  OCCACHE_NO_MULTISIM=random ./target/release/all table7
 POL_RND_OFF_DIRECT=$(./target/release/occache-top --parse-metrics "$POL_RND_OFF_DIR/RUN_METRICS.prom" \
                        --get occache_run_points_direct_total)
 [ -n "$POL_RND_OFF_DIRECT" ] && [ "$POL_RND_OFF_DIRECT" -ge 1 ] \
@@ -303,16 +303,16 @@ echo "   Random table7: $POL_RANDOM engine points, 0 direct; kill-switched run w
 # The per-trace Metrics pool: table6 and writes read counters a design
 # point does not carry, so they take per-trace rows from
 # evaluate_metrics. Each runs once by default and once with every engine
-# kill-switched; the CSVs (and MANIFEST.json, where the bin writes one)
+# kill-switched; the CSVs (and MANIFEST.json, where the artifact writes one)
 # must match byte for byte.
-cargo build --release -q -p occache-experiments --bin table6 --bin writes
+cargo build --release -q -p occache-experiments --bin all
 MET_DIR=target/ci-metrics
 MET_OFF_DIR=target/ci-metrics-direct
 for BIN in table6 writes; do
   rm -rf "$MET_DIR" "$MET_OFF_DIR"
-  OCCACHE_RESULTS="$MET_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/$BIN > /dev/null
+  OCCACHE_RESULTS="$MET_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/all $BIN > /dev/null
   OCCACHE_RESULTS="$MET_OFF_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_NO_MULTISIM=all \
-    ./target/release/$BIN > /dev/null
+    ./target/release/all $BIN > /dev/null
   MET_FILES=("$MET_DIR"/*.csv)
   [ -e "${MET_FILES[0]}" ] || { echo "FAIL: $BIN wrote no CSV"; exit 1; }
   [ -f "$MET_DIR/MANIFEST.json" ] && MET_FILES+=("$MET_DIR/MANIFEST.json")
@@ -365,7 +365,7 @@ echo "-- dual front-end bit-identity: batch journal vs served sweep --"
 DUAL_DIR=target/ci-dual
 DUAL_REFS=2000
 rm -rf "$DUAL_DIR"
-OCCACHE_RESULTS="$DUAL_DIR" OCCACHE_REFS="$DUAL_REFS" ./target/release/table7
+OCCACHE_RESULTS="$DUAL_DIR" OCCACHE_REFS="$DUAL_REFS" ./target/release/all table7
 sed -nE 's/.*"key":"([0-9a-f]{16})","miss":([^,]*),"traffic":([^,]*),"nibble":([^,]*),"redundant":([^,}]*).*/\1 \2 \3 \4 \5/p' \
   "$DUAL_DIR/.checkpoint/table7.jsonl" | sort > target/ci-dual-batch.txt
 curl -s -X POST "http://$SERVE_ADDR/v1/sweep" \
@@ -638,7 +638,7 @@ done
 curl -s -X POST "http://127.0.0.1:$OBS_PORT/v1/simulate" \
   -d '{"model":"pdp11","refs":2000,"config":{"net":256,"block":16,"sub":8}}' > /dev/null
 OCCACHE_RESULTS="$OBS_DIR" OCCACHE_REFS=100000 OCCACHE_PROGRESS_EVERY=1 \
-  OCCACHE_NO_MULTISIM=all ./target/release/table7 > /dev/null 2>&1 &
+  OCCACHE_NO_MULTISIM=all ./target/release/all table7 > /dev/null 2>&1 &
 OBS_SWEEP_PID=$!
 OBS_LIVE=
 for _ in $(seq 1 300); do

@@ -1,5 +1,11 @@
-//! Regenerates every table and figure in one run, sharing materialised
-//! traces across artifacts. Writes all CSVs under `results/`.
+//! The one experiment binary: regenerates the paper's tables and figures,
+//! and the extension studies, sharing materialised traces across
+//! artifacts. Writes every CSV under `results/`.
+//!
+//! `all` runs every paper artifact in order; `all table7 fig2` runs the
+//! named artifacts in argument order, and only a name runs the
+//! `prefetch`, `task_switch` and `assoc_curves` studies. An unknown name
+//! is refused before any work.
 //!
 //! Grid sweeps (Table 7, Figures 1–8) checkpoint completed design points
 //! under `results/.checkpoint/`; an interrupted run resumes where it left
@@ -7,39 +13,9 @@
 
 use std::process::ExitCode;
 
-use occache_experiments::buffers::run_buffers;
-use occache_experiments::characterize::{run_bus_contention, run_workload_stats};
-use occache_experiments::extensions::{run_risc2_chip, run_split, run_writes};
-use occache_experiments::runs::{
-    run_ablations, run_fig9, run_figure, run_headline, run_risc2, run_table6, run_table7,
-    run_table8, Workbench,
-};
+use occache_experiments::runs::{select, Runner, Workbench, ARTIFACTS};
 
-fn run_all(bench: &mut Workbench) -> std::io::Result<()> {
-    type Runner = fn(&mut Workbench) -> occache_experiments::runs::Artifact;
-    let runners: &[Runner] = &[
-        run_headline,
-        run_table6,
-        run_table7,
-        run_table8,
-        |b| run_figure(b, 1),
-        |b| run_figure(b, 2),
-        |b| run_figure(b, 3),
-        |b| run_figure(b, 4),
-        |b| run_figure(b, 5),
-        |b| run_figure(b, 6),
-        |b| run_figure(b, 7),
-        |b| run_figure(b, 8),
-        run_fig9,
-        run_risc2,
-        run_risc2_chip,
-        run_ablations,
-        run_writes,
-        run_split,
-        run_workload_stats,
-        run_bus_contention,
-        run_buffers,
-    ];
+fn run_all(bench: &mut Workbench, runners: &[Runner]) -> std::io::Result<()> {
     for run in runners {
         // Stop starting new artifacts once an interrupt arrives: what is
         // already journalled is sealed, and a resume picks up from here.
@@ -53,13 +29,32 @@ fn run_all(bench: &mut Workbench) -> std::io::Result<()> {
 
 fn main() -> ExitCode {
     occache_runtime::interrupt::install();
+    let names: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|arg| arg != "--fresh")
+        .collect();
+    let runners = match select(&names) {
+        Ok(runners) => runners,
+        Err(unknown) => {
+            let valid: Vec<&str> = ARTIFACTS.iter().map(|&(name, _)| name).collect();
+            eprintln!(
+                "error: unknown artifact {unknown:?}; valid names: {}",
+                valid.join(" ")
+            );
+            return ExitCode::from(2);
+        }
+    };
     if let Err(e) = occache_runtime::config::check_batch_env() {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;
     }
     let mut bench = Workbench::from_env();
-    eprintln!("regenerating all artifacts at {} refs/trace", bench.len());
-    match run_all(&mut bench).and_then(|()| {
+    eprintln!(
+        "regenerating {} artifact(s) at {} refs/trace",
+        runners.len(),
+        bench.len()
+    );
+    match run_all(&mut bench, &runners).and_then(|()| {
         occache_experiments::run_report::write(&occache_experiments::report::results_dir())
     }) {
         Ok(path) => {

@@ -2,8 +2,9 @@
 
 //! # occache-experiments — regenerating the paper's tables and figures
 //!
-//! Harness code shared by the experiment binaries (one per table/figure of
-//! Hill & Smith, ISCA 1984 — see `DESIGN.md` §5 for the index):
+//! Harness code behind the `all` experiment binary, which regenerates
+//! every table and figure of Hill & Smith, ISCA 1984 (see `DESIGN.md` §5
+//! for the index).
 //!
 //! The execution machinery itself — supervised worker pools, the slice
 //! planner, watchdog/retry, the journal codec, instrumentation and
@@ -29,9 +30,10 @@
 //! * [`report`] — paper-style text tables, CSV output, atomic writes.
 //!
 //! Run `cargo run --release -p occache-experiments --bin all` to regenerate
-//! everything into `results/`. Individual binaries (`table7`, `fig1`, …)
-//! regenerate one artifact each. `OCCACHE_REFS` shortens traces for quick
-//! runs (default: the paper's 1 million references).
+//! everything into `results/`; `--bin all -- table7 fig1` regenerates the
+//! named artifacts ([`runs::ARTIFACTS`] lists them). `OCCACHE_REFS`
+//! shortens traces for quick runs (default: the paper's 1 million
+//! references).
 
 pub mod buffers;
 pub mod characterize;
@@ -45,8 +47,3 @@ pub mod run_report;
 pub mod runs;
 pub mod sweep;
 pub mod verify;
-
-pub use sweep::{
-    evaluate_point, evaluate_points, load_forward_config, materialize, standard_config,
-    table1_pairs, DesignPoint, PointError, PointFault, SweepOutcome, Trace,
-};

@@ -2,8 +2,9 @@
 //!
 //! Each `run_*` function produces an [`Artifact`]: a human-readable report
 //! (with the paper's published values alongside, where available) plus CSV
-//! files for downstream plotting. The experiment binaries are thin wrappers
-//! that print the report and write the CSVs under `results/`.
+//! files for downstream plotting. [`ARTIFACTS`] registers every runner
+//! under its artifact name; the `all` binary runs them from there, prints
+//! each report and writes the CSVs under `results/`.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -82,46 +83,63 @@ fn artifact_fingerprints(artifact: &str) -> (u64, u64) {
     }
 }
 
-/// The shared `main` of the experiment binaries: checks every batch
-/// variable ([`occache_runtime::config::check_batch_env`]), builds a
-/// workbench, runs `build`, emits the artifact, and writes the run
-/// report (`RUN_REPORT.json`). Failures (malformed env vars, unwritable
-/// results) map to a nonzero exit code with a message instead of a
-/// panic.
-pub fn emit_main<F>(build: F) -> std::process::ExitCode
-where
-    F: FnOnce(&mut Workbench) -> Artifact,
-{
-    occache_runtime::interrupt::install();
-    if let Err(e) = occache_runtime::config::check_batch_env() {
-        eprintln!("error: {e}");
-        return std::process::ExitCode::FAILURE;
+/// An artifact's runner: simulates, renders and returns it unwritten.
+pub type Runner = fn(&mut Workbench) -> Artifact;
+
+/// Every artifact the `all` binary can run, keyed by its
+/// [`Artifact::name`]: the paper set a bare `all` runs, in that order,
+/// then three extension studies, which run only when named.
+pub const ARTIFACTS: &[(&str, Runner)] = &[
+    ("headline", run_headline),
+    ("table6", run_table6),
+    ("table7", run_table7),
+    ("table8", run_table8),
+    ("fig1", |b| run_figure(b, 1)),
+    ("fig2", |b| run_figure(b, 2)),
+    ("fig3", |b| run_figure(b, 3)),
+    ("fig4", |b| run_figure(b, 4)),
+    ("fig5", |b| run_figure(b, 5)),
+    ("fig6", |b| run_figure(b, 6)),
+    ("fig7", |b| run_figure(b, 7)),
+    ("fig8", |b| run_figure(b, 8)),
+    ("fig9", run_fig9),
+    ("risc2", run_risc2),
+    ("risc2_chip", crate::extensions::run_risc2_chip),
+    ("ablations", run_ablations),
+    ("writes", crate::extensions::run_writes),
+    ("split", crate::extensions::run_split),
+    ("workload_stats", crate::characterize::run_workload_stats),
+    ("bus_contention", crate::characterize::run_bus_contention),
+    ("buffers", crate::buffers::run_buffers),
+    ("prefetch", crate::extensions::run_prefetch),
+    ("task_switch", crate::extensions::run_task_switch),
+    ("assoc_curves", crate::extensions::run_assoc_curves),
+];
+
+/// How many entries at the end of [`ARTIFACTS`] run only when named.
+const STUDIES: usize = 3;
+
+/// The runners of `names`, in argument order, or the paper set when
+/// `names` is empty.
+///
+/// # Errors
+///
+/// Returns the first name [`ARTIFACTS`] does not register.
+pub fn select(names: &[String]) -> Result<Vec<Runner>, &str> {
+    if names.is_empty() {
+        let paper = &ARTIFACTS[..ARTIFACTS.len() - STUDIES];
+        return Ok(paper.iter().map(|&(_, run)| run).collect());
     }
-    let mut bench = Workbench::from_env();
-    match build(&mut bench).emit() {
-        Ok(()) => match crate::run_report::write(&crate::report::results_dir()) {
-            Ok(path) => {
-                eprintln!("wrote {}", path.display());
-                if occache_runtime::interrupt::requested() {
-                    eprintln!(
-                        "run interrupted; journal sealed and report marked — rerun to resume"
-                    );
-                    return std::process::ExitCode::from(
-                        occache_runtime::interrupt::EXIT_INTERRUPTED,
-                    );
-                }
-                std::process::ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: failed to write the run report: {e}");
-                std::process::ExitCode::FAILURE
-            }
-        },
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::ExitCode::FAILURE
-        }
-    }
+    names
+        .iter()
+        .map(|name| {
+            ARTIFACTS
+                .iter()
+                .find(|&&(key, _)| key == name)
+                .map(|&(_, run)| run)
+                .ok_or(name.as_str())
+        })
+        .collect()
 }
 
 /// Materialised trace sets, built lazily and shared across artifacts.
@@ -151,21 +169,11 @@ impl Workbench {
     }
 
     /// Creates a workbench with the length from `OCCACHE_REFS` (default:
-    /// the paper's 1 million), tolerating a malformed value. Prefer
-    /// [`Workbench::try_from_env`] in binaries.
+    /// the paper's 1 million), tolerating a malformed value; binaries
+    /// reject one first through
+    /// [`occache_runtime::config::check_batch_env`].
     pub fn from_env() -> Self {
         Workbench::new(trace_len())
-    }
-
-    /// Creates a workbench from the environment, rejecting malformed
-    /// `OCCACHE_REFS` values instead of silently running the default
-    /// paper-size sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending variable.
-    pub fn try_from_env() -> Result<Self, String> {
-        crate::sweep::try_trace_len().map(Workbench::new)
     }
 
     /// References per trace.
@@ -1027,6 +1035,15 @@ mod tests {
         let b = small_bench();
         assert_eq!(b.warmup_for(Architecture::Pdp11), 0);
         assert!(b.warmup_for(Architecture::Z8000) > 0);
+    }
+
+    #[test]
+    fn select_defaults_to_the_paper_set_and_refuses_unknown_names() {
+        assert_eq!(select(&[]).map(|r| r.len()), Ok(21));
+        let named = ["assoc_curves".to_string(), "table7".to_string()];
+        assert_eq!(select(&named).map(|r| r.len()), Ok(2));
+        let unknown = ["table7".to_string(), "fig10".to_string()];
+        assert_eq!(select(&unknown).map(|r| r.len()), Err("fig10"));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! The evaluation machinery itself — [`Trace`], [`DesignPoint`], the
 //! direct and one-pass engine paths, the slice planner, fault types and
 //! the one supervised evaluation pool — lives in `occache-runtime`
-//! (shared with the serving layer). The names the experiment binaries,
+//! (shared with the serving layer). The names the experiment binary,
 //! the CLI and the checkpoint layer call are re-exported here, so a
 //! sweep needs one import path: [`evaluate_point`] for one design
 //! point, [`evaluate_points`] for a complete grid, and

@@ -1,10 +1,9 @@
-//! Golden regression over the paper artifacts: the report text and
-//! every CSV payload of the journalled Table 7 and Figures 1–8 plus the
-//! unjournalled headline, Table 6, Table 8, Figure 9, risc2, ablations,
-//! bus contention, split and workload statistics, and the sealed
-//! checkpoint journal of each journalled one — regenerated at a small
-//! reference count with a serial worker pool — must hash exactly to the
-//! values committed in `golden_hashes.txt`.
+//! Golden regression over every registered artifact: the report text
+//! and every CSV payload of each entry of `runs::ARTIFACTS` — the paper
+//! set and the extension studies — and the sealed checkpoint journal of
+//! each journalled one, regenerated at a small reference count with a
+//! serial worker pool, must hash exactly to the values committed in
+//! `golden_hashes.txt`.
 //!
 //! The committed hashes were produced by this same test (run with
 //! `OCCACHE_GOLDEN_REGEN=1`), so any refactor of the execution path
@@ -19,12 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use occache_experiments::characterize::{run_bus_contention, run_workload_stats};
-use occache_experiments::extensions::run_split;
-use occache_experiments::runs::{
-    journalled_artifacts, run_ablations, run_fig9, run_figure, run_headline, run_risc2, run_table6,
-    run_table7, run_table8, Artifact, Workbench,
-};
+use occache_experiments::runs::{journalled_artifacts, Artifact, Workbench, ARTIFACTS};
 use occache_runtime::keys::fnv1a;
 
 /// References per trace: small enough for a debug-profile test run,
@@ -65,38 +59,16 @@ fn regenerate() -> BTreeMap<String, u64> {
 
     let mut bench = Workbench::new(GOLDEN_REFS);
     let mut hashes = BTreeMap::new();
-    for &name in journalled_artifacts() {
-        let artifact = match name {
-            "table7" => run_table7(&mut bench),
-            _ => {
-                let figure: u8 = name
-                    .strip_prefix("fig")
-                    .and_then(|n| n.parse().ok())
-                    .unwrap_or_else(|| panic!("unexpected journalled artifact {name:?}"));
-                run_figure(&mut bench, figure)
-            }
-        };
-        assert_eq!(artifact.name, name);
+    for &(name, run) in ARTIFACTS {
+        let artifact = run(&mut bench);
+        assert_eq!(artifact.name, name, "registered under another name");
         record(&mut hashes, &artifact);
-        let journal = scratch.join(".checkpoint").join(format!("{name}.jsonl"));
-        let bytes = std::fs::read(&journal)
-            .unwrap_or_else(|e| panic!("missing journal {}: {e}", journal.display()));
-        hashes.insert(format!("{name}/journal"), fnv1a(&bytes));
-    }
-    type Runner = fn(&mut Workbench) -> Artifact;
-    let unjournalled: [Runner; 9] = [
-        run_headline,
-        run_table6,
-        run_table8,
-        run_fig9,
-        run_risc2,
-        run_ablations,
-        run_bus_contention,
-        run_split,
-        run_workload_stats,
-    ];
-    for run in unjournalled {
-        record(&mut hashes, &run(&mut bench));
+        if journalled_artifacts().contains(&name) {
+            let journal = scratch.join(".checkpoint").join(format!("{name}.jsonl"));
+            let bytes = std::fs::read(&journal)
+                .unwrap_or_else(|e| panic!("missing journal {}: {e}", journal.display()));
+            hashes.insert(format!("{name}/journal"), fnv1a(&bytes));
+        }
     }
     let _ = std::fs::remove_dir_all(&scratch);
     hashes

@@ -11,12 +11,13 @@ fn an_unavailable_journal_still_records_its_phase() {
     let dir = std::env::temp_dir().join(format!("occache-unavailable-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(dir.join(".checkpoint").join("fig2.jsonl")).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_fig2"))
+    let out = Command::new(env!("CARGO_BIN_EXE_all"))
+        .arg("fig2")
         .env("OCCACHE_RESULTS", &dir)
         .env("OCCACHE_REFS", "1000")
         .env_remove("OCCACHE_FRESH")
         .output()
-        .expect("run fig2");
+        .expect("run all fig2");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
     assert!(

@@ -15,10 +15,10 @@ use occache_experiments::checkpoint::evaluate_checkpointed_in;
 use occache_experiments::manifest::{self, ManifestEntry};
 use occache_experiments::report::{points_to_csv, write_result_in};
 use occache_experiments::sweep::{
-    evaluate_results_sliced, materialize, standard_config, table1_pairs,
+    evaluate_results_sliced, materialize, standard_config, table1_pairs, PointError, PointFault,
+    Trace,
 };
 use occache_experiments::verify::{verify_dir, VerifyOptions};
-use occache_experiments::{PointError, PointFault, Trace};
 use occache_runtime::executor::{evaluate_results_supervised_with, FaultPlan, SupervisorPolicy};
 use occache_trace::fault::{FaultMode, FaultyReader};
 use occache_trace::io::{parse_trace, write_trace, ParseTraceError};

@@ -343,7 +343,7 @@ pub fn try_self_addr(peers: &[String]) -> Result<String, String> {
     Ok(addr)
 }
 
-/// The one startup check of the batch binaries (`emit_main`, `all`,
+/// The one startup check of the batch binaries (`all` and
 /// `occache-sweep`): strictly parses every batch-side variable —
 /// `OCCACHE_REFS`, `OCCACHE_SLICE_THREADS`, `OCCACHE_NO_MULTISIM`,
 /// `OCCACHE_REPLACEMENT`, `OCCACHE_PROGRESS_EVERY`,

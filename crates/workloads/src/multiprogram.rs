@@ -6,7 +6,7 @@
 //! testable: [`Multiprogram`] interleaves several generators with a fixed
 //! quantum, exactly the structure a time-shared 1984 system imposed, so
 //! experiments can measure the degradation directly (see the
-//! `task_switch` experiment binary).
+//! `task_switch` artifact, `all task_switch`).
 
 use occache_trace::{Address, MemRef};
 

@@ -3,8 +3,8 @@
 //! and rough factors — not absolute numbers, which depend on the (lost)
 //! 1983 trace tapes.
 //!
-//! Trace lengths here are reduced for test speed; the experiment binaries
-//! rerun everything at the paper's 1 million references.
+//! Trace lengths here are reduced for test speed; the experiment binary
+//! reruns everything at the paper's 1 million references.
 
 use occache::core::{simulate, CacheConfig, FetchPolicy};
 use occache::workloads::{m85_mix, Architecture, WorkloadSpec};

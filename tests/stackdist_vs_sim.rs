@@ -143,3 +143,10 @@ fn set_associative_triangle_z8000_4_byte_blocks() {
 fn set_associative_triangle_vax_32_byte_blocks() {
     check_set_associative(Architecture::Vax11, 32, 20_000);
 }
+
+/// The associativity study's geometry: 64 blocks of 16 bytes split into
+/// sets × ways.
+#[test]
+fn set_associative_triangle_s370_16_byte_blocks() {
+    check_set_associative(Architecture::S370, 16, 20_000);
+}
