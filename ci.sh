@@ -41,111 +41,6 @@ PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --test http_parser
 PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --lib router::
 PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-cli --test client_torn
 
-echo "== perf gate: perfbench sweep records vs the committed trajectory =="
-# The repository benchmark (perfbench/, its own cargo workspace) times
-# the paper's Table 7 sweeps and checks the outputs it timed: perfbench
-# exits non-zero when any sampled point differs from the direct
-# simulator or a repeated pass changes a bit, and `set -e` fails CI on
-# that. Two runs feed the gate: `sweep-lru` end to end (the streamed LRU
-# engine at 2 threads) and `sweep-policies` traced (per-layer FIFO
-# and Random engine costs, and the LRU engine's cost on the
-# load-forward and copy-back twins). Each run's `# record` object,
-# which names the box (nproc, threads, rustc, commit), becomes one key
-# of BENCH_sweep.json.
-#
-# An offline build of perfbench rewrites perfbench/Cargo.lock whenever
-# the workspace's crate graph has moved on from it. The lock belongs to
-# perfbench, so CI snapshots it and puts it back after the build,
-# leaving the tree as it found it.
-PB_DIR=target/ci-perfbench
-rm -rf "$PB_DIR"
-mkdir -p "$PB_DIR"
-cp perfbench/Cargo.lock "$PB_DIR/Cargo.lock"
-PB_BUILT=0
-cargo build --release --offline -q --manifest-path perfbench/Cargo.toml && PB_BUILT=1
-cp "$PB_DIR/Cargo.lock" perfbench/Cargo.lock
-[ "$PB_BUILT" = 1 ] || { echo "FAIL: perfbench did not build"; exit 1; }
-# perfbench_record WORKLOAD TRACE: one short run; its record line lands
-# in $PB_DIR/WORKLOAD.record.
-perfbench_record() {
-  perfbench/target/release/perfbench --workload "$1" --seed 0 --seconds 5 --trace "$2" \
-    > "$PB_DIR/$1.out" \
-    || { echo "FAIL: perfbench --workload $1 exited non-zero (an output check failed)"; exit 1; }
-  sed -n 's/^# record //p' "$PB_DIR/$1.out" > "$PB_DIR/$1.record"
-  [ -s "$PB_DIR/$1.record" ] || { echo "FAIL: perfbench --workload $1 printed no record"; exit 1; }
-}
-perfbench_record sweep-lru 0
-perfbench_record sweep-policies 1
-printf '{\n"sweep-lru": %s,\n"sweep-policies": %s\n}\n' \
-  "$(cat "$PB_DIR/sweep-lru.record")" "$(cat "$PB_DIR/sweep-policies.record")" > BENCH_sweep.json
-git show HEAD:BENCH_sweep.json > "$PB_DIR/committed.json" 2>/dev/null || true
-# metric FILE WORKLOAD NAME: one metric's value from a workload's record.
-metric() {
-  sed -n "/^\"$2\": /s/.*\"$3\": {\"value\": \([^,}]*\).*/\1/p" "$1"
-}
-LRU=$(metric BENCH_sweep.json sweep-lru sim_refs_per_s)
-FIFO=$(metric BENCH_sweep.json sweep-policies core.multisim.fifo_ns_per_ref)
-RANDOM_NS=$(metric BENCH_sweep.json sweep-policies core.multisim.random_ns_per_ref)
-TWINS=$(metric BENCH_sweep.json sweep-policies core.multisim.lru_ns_per_ref)
-DIRECT_POINTS=$(metric BENCH_sweep.json sweep-policies runtime.direct_points)
-DIRECT_UNITS=$(metric BENCH_sweep.json sweep-policies runtime.units.direct)
-LRU_BASE=$(metric "$PB_DIR/committed.json" sweep-lru sim_refs_per_s)
-FIFO_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.fifo_ns_per_ref)
-RANDOM_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.random_ns_per_ref)
-TWINS_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.lru_ns_per_ref)
-for pair in "sim_refs_per_s:$LRU" "core.multisim.fifo_ns_per_ref:$FIFO" \
-            "core.multisim.random_ns_per_ref:$RANDOM_NS" \
-            "core.multisim.lru_ns_per_ref:$TWINS" "runtime.direct_points:$DIRECT_POINTS" \
-            "runtime.units.direct:$DIRECT_UNITS"; do
-  [ -n "${pair#*:}" ] || { echo "FAIL: no ${pair%%:*} in the perfbench records"; exit 1; }
-done
-# Every sweep-policies config, the load-forward and copy-back twins
-# included, must ride a one-pass engine: any slide back onto the direct
-# simulator fails here.
-awk -v p="$DIRECT_POINTS" -v u="$DIRECT_UNITS" 'BEGIN { exit (p == 0 && u == 0) ? 0 : 1 }' \
-  || { echo "FAIL: sweep-policies ran $DIRECT_POINTS point(s) in $DIRECT_UNITS unit(s) on the direct simulator; every config must ride an engine"; exit 1; }
-# A real perf regression must fail loudly: LRU throughput may not fall
-# more than 25% below its committed value, nor FIFO ns/ref, Random
-# ns/ref or the twins' LRU ns/ref rise past committed / 0.75 (the same
-# 25% throughput bound).
-# A committed value of 0 means that engine did not run in the committed
-# record, so there is nothing to ratchet against yet.
-if [ -n "$LRU_BASE" ]; then
-  awk -v c="$LRU" -v b="$LRU_BASE" 'BEGIN { exit (c >= 0.75 * b) ? 0 : 1 }' \
-    || { echo "FAIL: sweep-lru sim_refs_per_s $LRU regressed >25% below baseline $LRU_BASE"; exit 1; }
-fi
-if [ -n "$FIFO_BASE" ]; then
-  awk -v c="$FIFO" -v b="$FIFO_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
-    || { echo "FAIL: sweep-policies core.multisim.fifo_ns_per_ref $FIFO regressed >25% above baseline $FIFO_BASE"; exit 1; }
-fi
-if [ -n "$RANDOM_BASE" ] && awk -v b="$RANDOM_BASE" 'BEGIN { exit (b > 0) ? 0 : 1 }'; then
-  awk -v c="$RANDOM_NS" -v b="$RANDOM_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
-    || { echo "FAIL: sweep-policies core.multisim.random_ns_per_ref $RANDOM_NS regressed >25% above baseline $RANDOM_BASE"; exit 1; }
-else
-  RANDOM_BASE=
-fi
-if [ -n "$TWINS_BASE" ] && awk -v b="$TWINS_BASE" 'BEGIN { exit (b > 0) ? 0 : 1 }'; then
-  awk -v c="$TWINS" -v b="$TWINS_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
-    || { echo "FAIL: sweep-policies core.multisim.lru_ns_per_ref $TWINS regressed >25% above baseline $TWINS_BASE"; exit 1; }
-else
-  TWINS_BASE=
-fi
-# An improvement on every ratcheted metric rewrites the committed
-# trajectory point; anything short of that restores the committed file
-# so noise never erodes the bar. A committed record without the Random
-# or twins' figure takes its first one with the next rewrite that
-# improves the others.
-if [ -z "$LRU_BASE" ] || [ -z "$FIFO_BASE" ]; then
-  echo "   no complete committed baseline; keeping fresh measurement ($LRU refs/s, fifo $FIFO ns/ref, random $RANDOM_NS ns/ref, twins $TWINS ns/ref)"
-elif awk -v c="$LRU" -v b="$LRU_BASE" -v fc="$FIFO" -v fb="$FIFO_BASE" -v rc="$RANDOM_NS" -v rb="$RANDOM_BASE" \
-       -v tc="$TWINS" -v tb="$TWINS_BASE" \
-       'BEGIN { exit (c > b && fc < fb && (rb == "" || rc < rb) && (tb == "" || tc < tb)) ? 0 : 1 }'; then
-  echo "   improved: $LRU_BASE -> $LRU refs/s, fifo $FIFO_BASE -> $FIFO ns/ref, random ${RANDOM_BASE:-none} -> $RANDOM_NS ns/ref, twins ${TWINS_BASE:-none} -> $TWINS ns/ref (baseline rewritten)"
-else
-  git checkout -- BENCH_sweep.json
-  echo "   held: $LRU refs/s, fifo $FIFO ns/ref, random $RANDOM_NS ns/ref, twins $TWINS ns/ref within bounds, no direct points (baseline kept)"
-fi
-
 echo "== integrity: manifest + verify + supervised fault injection =="
 # A real Table 7 run into a scratch results dir, then occache-verify on
 # it: manifest hashes, strict journal scan, and sampled bit-exact
@@ -300,15 +195,16 @@ for F in "$POL_RND_DIR"/*.csv "$POL_RND_DIR/MANIFEST.json"; do
     || { echo "FAIL: $(basename "$F") differs between Random engine and direct runs"; exit 1; }
 done
 echo "   Random table7: $POL_RANDOM engine points, 0 direct; kill-switched run went direct and matched byte-for-byte"
-# The per-trace Metrics pool: table6 and writes read counters a design
-# point does not carry, so they take per-trace rows from
-# evaluate_metrics. Each runs once by default and once with every engine
+# The per-trace Metrics pool: table6, writes and split read counters a
+# design point does not carry, so they take per-trace rows from
+# evaluate_metrics (split over each trace's instruction-only and
+# data-only views). Each runs once by default and once with every engine
 # kill-switched; the CSVs (and MANIFEST.json, where the artifact writes one)
 # must match byte for byte.
 cargo build --release -q -p occache-experiments --bin all
 MET_DIR=target/ci-metrics
 MET_OFF_DIR=target/ci-metrics-direct
-for BIN in table6 writes; do
+for BIN in table6 writes split; do
   rm -rf "$MET_DIR" "$MET_OFF_DIR"
   OCCACHE_RESULTS="$MET_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/all $BIN > /dev/null
   OCCACHE_RESULTS="$MET_OFF_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_NO_MULTISIM=all \
@@ -680,5 +576,110 @@ set +e; wait "$OBS_PID"; OBS_RC=$?; set -e
 [ "$OBS_RC" -eq 0 ] \
   || { echo "FAIL: observability node did not shut down cleanly"; cat "$OBS_LOG"; exit 1; }
 echo "   live frame asserted: sweep progress, ops fields, sealed run browser"
+
+echo "== perf gate: perfbench sweep records vs the committed trajectory =="
+# The repository benchmark (perfbench/, its own cargo workspace) times
+# the paper's Table 7 sweeps and checks the outputs it timed: perfbench
+# exits non-zero when any sampled point differs from the direct
+# simulator or a repeated pass changes a bit, and `set -e` fails CI on
+# that. Two runs feed the gate: `sweep-lru` end to end (the streamed LRU
+# engine at 2 threads) and `sweep-policies` traced (per-layer FIFO
+# and Random engine costs, and the LRU engine's cost on the
+# load-forward and copy-back twins). Each run's `# record` object,
+# which names the box (nproc, threads, rustc, commit), becomes one key
+# of BENCH_sweep.json.
+#
+# An offline build of perfbench rewrites perfbench/Cargo.lock whenever
+# the workspace's crate graph has moved on from it. The lock belongs to
+# perfbench, so CI snapshots it and puts it back after the build,
+# leaving the tree as it found it.
+PB_DIR=target/ci-perfbench
+rm -rf "$PB_DIR"
+mkdir -p "$PB_DIR"
+cp perfbench/Cargo.lock "$PB_DIR/Cargo.lock"
+PB_BUILT=0
+cargo build --release --offline -q --manifest-path perfbench/Cargo.toml && PB_BUILT=1
+cp "$PB_DIR/Cargo.lock" perfbench/Cargo.lock
+[ "$PB_BUILT" = 1 ] || { echo "FAIL: perfbench did not build"; exit 1; }
+# perfbench_record WORKLOAD TRACE: one short run; its record line lands
+# in $PB_DIR/WORKLOAD.record.
+perfbench_record() {
+  perfbench/target/release/perfbench --workload "$1" --seed 0 --seconds 5 --trace "$2" \
+    > "$PB_DIR/$1.out" \
+    || { echo "FAIL: perfbench --workload $1 exited non-zero (an output check failed)"; exit 1; }
+  sed -n 's/^# record //p' "$PB_DIR/$1.out" > "$PB_DIR/$1.record"
+  [ -s "$PB_DIR/$1.record" ] || { echo "FAIL: perfbench --workload $1 printed no record"; exit 1; }
+}
+perfbench_record sweep-lru 0
+perfbench_record sweep-policies 1
+printf '{\n"sweep-lru": %s,\n"sweep-policies": %s\n}\n' \
+  "$(cat "$PB_DIR/sweep-lru.record")" "$(cat "$PB_DIR/sweep-policies.record")" > BENCH_sweep.json
+git show HEAD:BENCH_sweep.json > "$PB_DIR/committed.json" 2>/dev/null || true
+# metric FILE WORKLOAD NAME: one metric's value from a workload's record.
+metric() {
+  sed -n "/^\"$2\": /s/.*\"$3\": {\"value\": \([^,}]*\).*/\1/p" "$1"
+}
+LRU=$(metric BENCH_sweep.json sweep-lru sim_refs_per_s)
+FIFO=$(metric BENCH_sweep.json sweep-policies core.multisim.fifo_ns_per_ref)
+RANDOM_NS=$(metric BENCH_sweep.json sweep-policies core.multisim.random_ns_per_ref)
+TWINS=$(metric BENCH_sweep.json sweep-policies core.multisim.lru_ns_per_ref)
+DIRECT_POINTS=$(metric BENCH_sweep.json sweep-policies runtime.direct_points)
+DIRECT_UNITS=$(metric BENCH_sweep.json sweep-policies runtime.units.direct)
+LRU_BASE=$(metric "$PB_DIR/committed.json" sweep-lru sim_refs_per_s)
+FIFO_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.fifo_ns_per_ref)
+RANDOM_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.random_ns_per_ref)
+TWINS_BASE=$(metric "$PB_DIR/committed.json" sweep-policies core.multisim.lru_ns_per_ref)
+for pair in "sim_refs_per_s:$LRU" "core.multisim.fifo_ns_per_ref:$FIFO" \
+            "core.multisim.random_ns_per_ref:$RANDOM_NS" \
+            "core.multisim.lru_ns_per_ref:$TWINS" "runtime.direct_points:$DIRECT_POINTS" \
+            "runtime.units.direct:$DIRECT_UNITS"; do
+  [ -n "${pair#*:}" ] || { echo "FAIL: no ${pair%%:*} in the perfbench records"; exit 1; }
+done
+# Every sweep-policies config, the load-forward and copy-back twins
+# included, must ride a one-pass engine: any slide back onto the direct
+# simulator fails here.
+awk -v p="$DIRECT_POINTS" -v u="$DIRECT_UNITS" 'BEGIN { exit (p == 0 && u == 0) ? 0 : 1 }' \
+  || { echo "FAIL: sweep-policies ran $DIRECT_POINTS point(s) in $DIRECT_UNITS unit(s) on the direct simulator; every config must ride an engine"; exit 1; }
+# A real perf regression must fail loudly: LRU throughput may not fall
+# more than 25% below its committed value, nor FIFO ns/ref, Random
+# ns/ref or the twins' LRU ns/ref rise past committed / 0.75 (the same
+# 25% throughput bound).
+# A committed value of 0 means that engine did not run in the committed
+# record, so there is nothing to ratchet against yet.
+if [ -n "$LRU_BASE" ]; then
+  awk -v c="$LRU" -v b="$LRU_BASE" 'BEGIN { exit (c >= 0.75 * b) ? 0 : 1 }' \
+    || { echo "FAIL: sweep-lru sim_refs_per_s $LRU regressed >25% below baseline $LRU_BASE"; exit 1; }
+fi
+if [ -n "$FIFO_BASE" ]; then
+  awk -v c="$FIFO" -v b="$FIFO_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
+    || { echo "FAIL: sweep-policies core.multisim.fifo_ns_per_ref $FIFO regressed >25% above baseline $FIFO_BASE"; exit 1; }
+fi
+if [ -n "$RANDOM_BASE" ] && awk -v b="$RANDOM_BASE" 'BEGIN { exit (b > 0) ? 0 : 1 }'; then
+  awk -v c="$RANDOM_NS" -v b="$RANDOM_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
+    || { echo "FAIL: sweep-policies core.multisim.random_ns_per_ref $RANDOM_NS regressed >25% above baseline $RANDOM_BASE"; exit 1; }
+else
+  RANDOM_BASE=
+fi
+if [ -n "$TWINS_BASE" ] && awk -v b="$TWINS_BASE" 'BEGIN { exit (b > 0) ? 0 : 1 }'; then
+  awk -v c="$TWINS" -v b="$TWINS_BASE" 'BEGIN { exit (c <= b / 0.75) ? 0 : 1 }' \
+    || { echo "FAIL: sweep-policies core.multisim.lru_ns_per_ref $TWINS regressed >25% above baseline $TWINS_BASE"; exit 1; }
+else
+  TWINS_BASE=
+fi
+# An improvement on every ratcheted metric rewrites the committed
+# trajectory point; anything short of that restores the committed file
+# so noise never erodes the bar. A committed record without the Random
+# or twins' figure takes its first one with the next rewrite that
+# improves the others.
+if [ -z "$LRU_BASE" ] || [ -z "$FIFO_BASE" ]; then
+  echo "   no complete committed baseline; keeping fresh measurement ($LRU refs/s, fifo $FIFO ns/ref, random $RANDOM_NS ns/ref, twins $TWINS ns/ref)"
+elif awk -v c="$LRU" -v b="$LRU_BASE" -v fc="$FIFO" -v fb="$FIFO_BASE" -v rc="$RANDOM_NS" -v rb="$RANDOM_BASE" \
+       -v tc="$TWINS" -v tb="$TWINS_BASE" \
+       'BEGIN { exit (c > b && fc < fb && (rb == "" || rc < rb) && (tb == "" || tc < tb)) ? 0 : 1 }'; then
+  echo "   improved: $LRU_BASE -> $LRU refs/s, fifo $FIFO_BASE -> $FIFO ns/ref, random ${RANDOM_BASE:-none} -> $RANDOM_NS ns/ref, twins ${TWINS_BASE:-none} -> $TWINS ns/ref (baseline rewritten)"
+else
+  git checkout -- BENCH_sweep.json
+  echo "   held: $LRU refs/s, fifo $FIFO ns/ref, random $RANDOM_NS ns/ref, twins $TWINS ns/ref within bounds, no direct points (baseline kept)"
+fi
 
 echo "ci.sh: all gates passed"

@@ -719,6 +719,8 @@ pub fn evaluate_checkpointed(
         bad_journal_lines: outcome.journal.bad_lines,
         repaired_tail_bytes: outcome.journal.repaired_tail_bytes,
         wall_ms: started.elapsed().as_millis(),
+        // The memoized value the point keys were derived from: no second
+        // pass over the references.
         trace_fp: trace_fingerprint(traces),
         config_fp: config_fingerprint(configs),
     });

@@ -8,11 +8,11 @@
 use std::fmt::Write as _;
 
 use occache_core::{
-    CacheConfig, FetchPolicy, Metrics, SetAssocLruAnalyzer, SplitCache, SubBlockCache, WritePolicy,
+    CacheConfig, FetchPolicy, Metrics, SetAssocLruAnalyzer, SubBlockCache, WritePolicy,
 };
 use occache_riscii::{compact_profile, ChipTiming, RiscIiCache};
 use occache_runtime::executor::evaluate_metrics;
-use occache_trace::{MemRef, TraceSource};
+use occache_trace::{AccessKind, MemRef, TraceSource};
 use occache_workloads::{
     riscii_instruction_workload, Architecture, Multiprogram, ProgramGenerator, WorkloadSpec,
 };
@@ -116,10 +116,10 @@ pub fn run_split(bench: &mut Workbench) -> Artifact {
         "architecture", "net", "unified", "split I/D", "winner"
     );
     let mut csv = String::from("arch,net,unified_miss,split_miss\n");
+    let nets = [512u64, 1024];
     for arch in Architecture::ALL {
         let word = arch.word_size();
-        let traces = bench.arch_traces(arch);
-        let unified = evaluate_each(&[512u64, 1024], traces, 0, |net| {
+        let config = |net| {
             CacheConfig::builder()
                 .net_size(net)
                 .block_size(16)
@@ -127,23 +127,12 @@ pub fn run_split(bench: &mut Workbench) -> Artifact {
                 .word_size(word)
                 .build()
                 .expect("valid geometry")
-        });
-        for (net, unified) in unified {
-            let half_config = CacheConfig::builder()
-                .net_size(net / 2)
-                .block_size(16)
-                .sub_block_size(8)
-                .word_size(word)
-                .build()
-                .expect("valid geometry");
+        };
+        let traces = bench.arch_traces(arch);
+        let unified = evaluate_each(&nets, traces, 0, config);
+        let split = split_miss_ratios(&nets.map(|net| config(net / 2)), traces);
+        for ((net, unified), split_miss) in unified.into_iter().zip(split) {
             let unified_miss = unified.miss_ratio;
-            let mut split_miss = 0.0;
-            for trace in traces {
-                let mut split = SplitCache::new(half_config, half_config);
-                split.run(trace.iter());
-                split_miss += split.miss_ratio();
-            }
-            split_miss /= traces.len() as f64;
             let winner = if unified_miss <= split_miss {
                 "unified"
             } else {
@@ -176,6 +165,44 @@ pub fn run_split(bench: &mut Workbench) -> Artifact {
         report,
         csv: vec![("split.csv".into(), csv)],
     }
+}
+
+/// Cold-start miss ratio of a split I/D cache, per half config: both
+/// halves use the config, each trace's instruction fetches go to one
+/// and its data references to the other, and the trace's ratio is
+/// combined misses over combined accesses (0 when it has none), as
+/// [`occache_core::SplitCache::miss_ratio`] computes it. Returns the
+/// trace-order mean per config. The halves never interfere, so each is
+/// its own trace: every trace's instruction-only and data-only views
+/// ride one pool call.
+pub(crate) fn split_miss_ratios(halves: &[CacheConfig], traces: &[Trace]) -> Vec<f64> {
+    let views: Vec<Trace> = traces
+        .iter()
+        .flat_map(|t| {
+            [
+                t.filtered(format!("{}/I", t.name), |k| !k.is_data()),
+                t.filtered(format!("{}/D", t.name), AccessKind::is_data),
+            ]
+        })
+        .collect();
+    evaluate_metrics(halves, &views, 0)
+        .iter()
+        .map(|per_view| {
+            let sum: f64 = per_view
+                .chunks(2)
+                .map(|pair| {
+                    let accesses: u64 = pair.iter().map(Metrics::accesses).sum();
+                    let misses: u64 = pair.iter().map(Metrics::misses).sum();
+                    if accesses == 0 {
+                        0.0
+                    } else {
+                        misses as f64 / accesses as f64
+                    }
+                })
+                .sum();
+            sum / traces.len() as f64
+        })
+        .collect()
 }
 
 /// The full RISC II chip study (§2.3): size curve with the chip model,
@@ -550,5 +577,83 @@ mod tests {
     fn split_never_panics_on_tiny_traces() {
         let mut bench = Workbench::new(500);
         let _ = run_split(&mut bench);
+    }
+
+    /// The oracle for the pooled split column: one direct
+    /// [`occache_core::SplitCache`] per trace, averaged in trace order.
+    fn split_cache_miss(half: CacheConfig, traces: &[Trace]) -> f64 {
+        let mut sum = 0.0;
+        for trace in traces {
+            let mut split = occache_core::SplitCache::new(half, half);
+            split.run(trace.iter());
+            sum += split.miss_ratio();
+        }
+        sum / traces.len() as f64
+    }
+
+    fn geometry(net: u64, word: u64) -> CacheConfig {
+        CacheConfig::builder()
+            .net_size(net)
+            .block_size(16)
+            .sub_block_size(8)
+            .word_size(word)
+            .build()
+            .expect("valid geometry")
+    }
+
+    #[test]
+    fn split_csv_matches_the_split_cache_oracle_bit_for_bit() {
+        let mut bench = Workbench::new(4_000);
+        let artifact = run_split(&mut bench);
+        let mut expected = String::from("arch,net,unified_miss,split_miss\n");
+        for arch in Architecture::ALL {
+            let word = arch.word_size();
+            let traces = bench.arch_traces(arch);
+            let pooled = split_miss_ratios(&[geometry(256, word), geometry(512, word)], traces);
+            for (net, pooled) in [512u64, 1024].into_iter().zip(pooled) {
+                let oracle = split_cache_miss(geometry(net / 2, word), traces);
+                assert_eq!(pooled.to_bits(), oracle.to_bits(), "{} {net}", arch.name());
+                let unified =
+                    crate::sweep::evaluate_point(geometry(net, word), traces, 0).miss_ratio;
+                let _ = writeln!(expected, "{},{net},{unified:.6},{oracle:.6}", arch.name());
+            }
+        }
+        assert_eq!(artifact.csv[0].1, expected);
+    }
+
+    #[test]
+    fn split_handles_an_empty_half() {
+        let half = geometry(128, 2);
+        let instr = Trace::new("instr", (0..300u64).map(|i| MemRef::ifetch(i * 6 % 700)));
+        let data = Trace::new(
+            "data",
+            (0..300u64).map(|i| match i % 3 {
+                0 => MemRef::write(i * 10 % 900),
+                _ => MemRef::read(i * 14 % 1100),
+            }),
+        );
+        let empty = Trace::new("empty", std::iter::empty());
+        let mixed = Trace::new(
+            "mixed",
+            (0..300u64).map(|i| {
+                if i % 2 == 0 {
+                    MemRef::ifetch(i)
+                } else {
+                    MemRef::read(i * 4)
+                }
+            }),
+        );
+        let sets = [
+            vec![instr.clone()],
+            vec![data.clone()],
+            vec![empty.clone()],
+            vec![instr, empty, data, mixed],
+        ];
+        for set in &sets {
+            let pooled = split_miss_ratios(&[half], set)[0];
+            assert_eq!(pooled.to_bits(), split_cache_miss(half, set).to_bits());
+        }
+        // SplitCache's rule: a trace with no accesses contributes 0.
+        assert_eq!(split_miss_ratios(&[half], &sets[2])[0], 0.0);
     }
 }

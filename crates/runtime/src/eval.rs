@@ -23,14 +23,14 @@
 //! [`crate::config::multisim_disabled`]).
 
 use std::panic;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread;
 
 use occache_core::{
     simulate, simulate_many, BusModel, CacheConfig, EngineKind, Metrics, DEFAULT_RANDOM_SEED,
     MAX_MULTISIM_CONFIGS,
 };
-use occache_trace::{MemRef, PackedTrace};
+use occache_trace::{AccessKind, MemRef, PackedTrace};
 
 /// A named reference stream, reusable across configurations.
 ///
@@ -52,15 +52,34 @@ pub struct Trace {
     source: TraceBacking,
 }
 
+/// A replayable stream factory: every call starts the stream afresh.
+type MakeStream = dyn Fn() -> Box<dyn Iterator<Item = MemRef> + Send> + Send + Sync;
+
 #[derive(Clone)]
 enum TraceBacking {
     /// Fully materialised, shared by reference across workers.
     Packed(Arc<PackedTrace>),
     /// Regenerated on every iteration from a replayable factory.
-    Streamed {
-        len: usize,
-        make: Arc<dyn Fn() -> Box<dyn Iterator<Item = MemRef> + Send> + Send + Sync>,
-    },
+    Streamed { len: usize, make: Arc<MakeStream> },
+}
+
+/// A non-owning handle on a trace's backing store, for memos keyed by
+/// trace identity (see [`crate::keys::trace_fingerprint`]). It keeps
+/// the allocation's address reserved, so no later backing can reuse it,
+/// without keeping the references alive.
+pub(crate) enum WeakBacking {
+    Packed(Weak<PackedTrace>),
+    Streamed(Weak<MakeStream>),
+}
+
+impl WeakBacking {
+    /// Whether the backing it names is still held by some trace.
+    pub(crate) fn is_live(&self) -> bool {
+        match self {
+            WeakBacking::Packed(w) => w.strong_count() > 0,
+            WeakBacking::Streamed(w) => w.strong_count() > 0,
+        }
+    }
 }
 
 impl std::fmt::Debug for Trace {
@@ -131,6 +150,39 @@ impl Trace {
         }
     }
 
+    /// A streamed view of this trace that keeps only the references
+    /// whose kind `keep` accepts, in order: e.g. the instruction or the
+    /// data half of a split I/D study. The view replays the same backing
+    /// (a packed buffer is shared, not copied); its length comes from one
+    /// counting pass here.
+    pub fn filtered<F>(&self, name: impl Into<String>, keep: F) -> Trace
+    where
+        F: Fn(AccessKind) -> bool + Copy + Send + Sync + 'static,
+    {
+        let len = self.iter().filter(|r| keep(r.kind())).count();
+        let make: Arc<MakeStream> = match &self.source {
+            TraceBacking::Packed(refs) => {
+                let refs = Arc::clone(refs);
+                Arc::new(move || {
+                    let refs = Arc::clone(&refs);
+                    Box::new(
+                        (0..refs.len())
+                            .filter_map(move |i| refs.get(i))
+                            .filter(move |r| keep(r.kind())),
+                    )
+                })
+            }
+            TraceBacking::Streamed { len, make } => {
+                let (len, make) = (*len, Arc::clone(make));
+                Arc::new(move || Box::new(make().take(len).filter(move |r| keep(r.kind()))))
+            }
+        };
+        Trace {
+            name: name.into(),
+            source: TraceBacking::Streamed { len, make },
+        }
+    }
+
     /// Whether two traces share the same backing store (packed buffer or
     /// stream factory) — i.e. cloning one of them produced the other.
     pub fn shares_backing(&self, other: &Trace) -> bool {
@@ -138,6 +190,27 @@ impl Trace {
             (TraceBacking::Packed(a), TraceBacking::Packed(b)) => Arc::ptr_eq(a, b),
             (TraceBacking::Streamed { make: a, .. }, TraceBacking::Streamed { make: b, .. }) => {
                 Arc::ptr_eq(a, b)
+            }
+            _ => false,
+        }
+    }
+
+    /// A non-owning handle on this trace's backing store.
+    pub(crate) fn downgrade(&self) -> WeakBacking {
+        match &self.source {
+            TraceBacking::Packed(refs) => WeakBacking::Packed(Arc::downgrade(refs)),
+            TraceBacking::Streamed { make, .. } => WeakBacking::Streamed(Arc::downgrade(make)),
+        }
+    }
+
+    /// Whether `weak` names this trace's backing store.
+    pub(crate) fn is_backed_by(&self, weak: &WeakBacking) -> bool {
+        match (&self.source, weak) {
+            (TraceBacking::Packed(refs), WeakBacking::Packed(w)) => {
+                std::ptr::addr_eq(Arc::as_ptr(refs), w.as_ptr())
+            }
+            (TraceBacking::Streamed { make, .. }, WeakBacking::Streamed(w)) => {
+                std::ptr::addr_eq(Arc::as_ptr(make), w.as_ptr())
             }
             _ => false,
         }

@@ -8,9 +8,11 @@
 //! run, which is what lets a `results/.checkpoint/` directory warm-start
 //! the service.
 
+use std::sync::{Mutex, PoisonError};
+
 use occache_core::CacheConfig;
 
-use crate::eval::Trace;
+use crate::eval::{Trace, WeakBacking};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -48,7 +50,73 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// A stable fingerprint of a trace set: names, lengths and every
 /// reference. Two sweeps resume from each other's journals only when they
 /// saw byte-identical traces.
+///
+/// The value is computed once per trace set per process: later calls
+/// with the same traces (clones sharing each backing store, under the
+/// same names and lengths) return it from a memo without re-reading a
+/// reference. The memo holds each backing only weakly, so it keeps no
+/// trace alive, and a weak handle reserves its backing's address: a set
+/// rebuilt after the old one was dropped can never match a stale entry.
+/// Entries whose traces are gone are pruned on insert.
 pub fn trace_fingerprint(traces: &[Trace]) -> u64 {
+    // Every entry is complete once pushed, so a guard poisoned by a
+    // panicking caller still holds a valid memo.
+    static MEMO: Mutex<Vec<MemoEntry>> = Mutex::new(Vec::new());
+    let hit = MEMO
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .iter()
+        .find(|entry| entry.matches(traces))
+        .map(|entry| entry.fingerprint);
+    if let Some(fingerprint) = hit {
+        return fingerprint;
+    }
+    // Hash outside the lock: callers on other sets need not wait, and
+    // two racing callers on one set compute the same value.
+    let fingerprint = hash_traces(traces);
+    let mut memo = MEMO.lock().unwrap_or_else(PoisonError::into_inner);
+    if memo.iter().any(|entry| entry.matches(traces)) {
+        return fingerprint;
+    }
+    memo.retain(MemoEntry::is_live);
+    memo.push(MemoEntry {
+        members: traces
+            .iter()
+            .map(|t| (t.downgrade(), t.name.clone(), t.len()))
+            .collect(),
+        fingerprint,
+    });
+    fingerprint
+}
+
+/// One memoized trace-set fingerprint: each member's backing (weakly),
+/// name and length, in set order.
+struct MemoEntry {
+    members: Vec<(WeakBacking, String, usize)>,
+    fingerprint: u64,
+}
+
+impl MemoEntry {
+    fn matches(&self, traces: &[Trace]) -> bool {
+        self.members.len() == traces.len()
+            && self
+                .members
+                .iter()
+                .zip(traces)
+                .all(|((backing, name, len), t)| {
+                    t.is_backed_by(backing) && *name == t.name && *len == t.len()
+                })
+    }
+
+    fn is_live(&self) -> bool {
+        self.members.iter().all(|(backing, _, _)| backing.is_live())
+    }
+}
+
+/// The FNV-1a stream behind [`trace_fingerprint`]: per trace its name, a
+/// 0xff separator, its length (u64 LE), then each reference's din label
+/// byte and address (u64 LE).
+fn hash_traces(traces: &[Trace]) -> u64 {
     let mut h = Fnv::new();
     for trace in traces {
         h.write(trace.name.as_bytes());

@@ -10,6 +10,7 @@ use occache_core::{simulate, CacheConfig};
 use occache_runtime::eval::{evaluate_point, DesignPoint, Trace};
 use occache_runtime::executor::{evaluate_results_supervised_with, SupervisorPolicy};
 use occache_runtime::keys::{point_key, trace_fingerprint};
+use occache_trace::AccessKind;
 use occache_workloads::{Architecture, Profile, ProgramGenerator};
 use proptest::prelude::*;
 
@@ -116,5 +117,43 @@ proptest! {
             warmup,
         );
         prop_assert!(point.miss_ratio == sliced_str[0].miss_ratio);
+    }
+}
+
+/// A filtered view replays exactly the kept references of its source,
+/// in order, under the declared length — from a packed source or a
+/// streamed one — and so fingerprints like a packed copy of them.
+#[test]
+fn filtered_views_replay_the_kept_references() {
+    let p = Profile::baseline(Architecture::Z8000);
+    let len = 3_000;
+    let refs: Vec<_> = ProgramGenerator::new(p.clone(), 7).take(len).collect();
+    let sources = [
+        Trace::new("src", refs.clone()),
+        Trace::streamed("src", len, move || ProgramGenerator::new(p.clone(), 7)),
+    ];
+    for source in &sources {
+        for data in [false, true] {
+            let keep: fn(AccessKind) -> bool = if data {
+                AccessKind::is_data
+            } else {
+                |k| !k.is_data()
+            };
+            let view = source.filtered("view", keep);
+            let kept: Vec<_> = refs
+                .iter()
+                .copied()
+                .filter(|r| r.kind().is_data() == data)
+                .collect();
+            assert!(view.is_streamed());
+            assert_eq!(view.len(), kept.len());
+            assert_eq!(view.iter().collect::<Vec<_>>(), kept);
+            // Replayable: a second pass yields the same stream.
+            assert_eq!(view.iter().count(), kept.len());
+            assert_eq!(
+                trace_fingerprint(&[view]),
+                trace_fingerprint(&[Trace::new("view", kept)])
+            );
+        }
     }
 }
