@@ -28,7 +28,7 @@ cargo test --workspace -q
 
 echo "== proptests under a rotating seed =="
 # The proptest shim seeds every test from its name, so the runs above
-# replay the same cases each time. One more pass of all eleven proptest
+# replay the same cases each time. One more pass of all twelve proptest
 # suites under a seed taken from the date explores new cases; a failure
 # prints the PROPTEST_SEED and PROPTEST_CASES that replay it.
 PT_SEED=$(date -u +%Y%m%d)
@@ -40,6 +40,7 @@ PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-runtime --lib fmt::
 PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --test http_parser
 PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --lib router::
 PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-cli --test client_torn
+PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-trace --test hasher_oracle
 
 echo "== integrity: manifest + verify + supervised fault injection =="
 # A real Table 7 run into a scratch results dir, then occache-verify on
@@ -195,16 +196,18 @@ for F in "$POL_RND_DIR"/*.csv "$POL_RND_DIR/MANIFEST.json"; do
     || { echo "FAIL: $(basename "$F") differs between Random engine and direct runs"; exit 1; }
 done
 echo "   Random table7: $POL_RANDOM engine points, 0 direct; kill-switched run went direct and matched byte-for-byte"
-# The per-trace Metrics pool: table6, writes and split read counters a
-# design point does not carry, so they take per-trace rows from
-# evaluate_metrics (split over each trace's instruction-only and
-# data-only views). Each runs once by default and once with every engine
+# The per-trace Metrics pool: table6, writes, split, buffers and
+# risc2_chip read counters a design point does not carry, so they take
+# per-trace rows from evaluate_metrics (split over each trace's
+# instruction-only and data-only views, buffers over its
+# instruction-only view, risc2_chip over the standard and compacted
+# RISC II programs). Each runs once by default and once with every engine
 # kill-switched; the CSVs (and MANIFEST.json, where the artifact writes one)
 # must match byte for byte.
 cargo build --release -q -p occache-experiments --bin all
 MET_DIR=target/ci-metrics
 MET_OFF_DIR=target/ci-metrics-direct
-for BIN in table6 writes split; do
+for BIN in table6 writes split buffers risc2_chip; do
   rm -rf "$MET_DIR" "$MET_OFF_DIR"
   OCCACHE_RESULTS="$MET_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/all $BIN > /dev/null
   OCCACHE_RESULTS="$MET_OFF_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_NO_MULTISIM=all \

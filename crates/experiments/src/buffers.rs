@@ -9,9 +9,9 @@
 
 use std::fmt::Write as _;
 
-use occache_core::{InstructionBuffer, SubBlockCache};
+use occache_core::InstructionBuffer;
+use occache_runtime::executor::evaluate_metrics;
 use occache_trace::AccessKind;
-use occache_workloads::Architecture;
 
 use crate::runs::{Artifact, Workbench};
 use crate::sweep::standard_config;
@@ -36,51 +36,54 @@ pub fn run_buffers(bench: &mut Workbench) -> Artifact {
         "architecture", "stall", "traffic", "stall", "traffic", "miss", "traffic"
     );
     let mut csv = String::from("arch,design,stall_or_miss_ratio,traffic_ratio\n");
-    for arch in Architecture::ALL {
+    // Both buffer models in one pass per trace on the pool; each trace
+    // also yields its instruction-only view for the minimum cache.
+    let buffered = bench.map_arch_traces(|arch, trace| {
         let word = arch.word_size();
-        let traces = bench.arch_traces(arch);
-
-        let mut vax_stall = 0.0;
-        let mut vax_traffic = 0.0;
-        let mut cray_stall = 0.0;
-        let mut cray_traffic = 0.0;
-        let mut cache_miss = 0.0;
-        let mut cache_traffic = 0.0;
-        for trace in traces {
-            let mut vax = InstructionBuffer::vax780();
-            let mut cray = InstructionBuffer::cray_style(16, 8);
-            let mut cache = SubBlockCache::new(standard_config(arch, 64, 2 * word, word));
-            for r in trace.iter() {
-                if r.kind() != AccessKind::InstrFetch {
-                    continue;
-                }
-                vax.fetch(r.address());
-                cray.fetch(r.address());
-                cache.access(r.address(), r.kind());
-            }
-            vax_stall += vax.stall_ratio();
-            vax_traffic += vax.traffic_ratio(word);
-            cray_stall += cray.stall_ratio();
-            cray_traffic += cray.traffic_ratio(word);
-            cache_miss += cache.metrics().miss_ratio();
-            cache_traffic += cache.metrics().traffic_ratio();
+        let mut vax = InstructionBuffer::vax780();
+        let mut cray = InstructionBuffer::cray_style(16, 8);
+        for r in trace.iter().filter(|r| r.kind() == AccessKind::InstrFetch) {
+            vax.fetch(r.address());
+            cray.fetch(r.address());
         }
-        let n = traces.len() as f64;
+        let ratios = [
+            vax.stall_ratio(),
+            vax.traffic_ratio(word),
+            cray.stall_ratio(),
+            cray.traffic_ratio(word),
+        ];
+        let view = trace.filtered(format!("{}/I", trace.name), |k| k == AccessKind::InstrFetch);
+        (ratios, view)
+    });
+    for (arch, rows) in buffered {
+        let word = arch.word_size();
+        let n = rows.len() as f64;
+        // Each column is summed in trace order, then divided.
+        let mut sums = [0.0; 6];
+        let mut views = Vec::with_capacity(rows.len());
+        for (ratios, view) in rows {
+            for (sum, ratio) in sums.iter_mut().zip(ratios) {
+                *sum += ratio;
+            }
+            views.push(view);
+        }
+        let cache = standard_config(arch, 64, 2 * word, word);
+        for m in &evaluate_metrics(&[cache], &views, 0)[0] {
+            sums[4] += m.miss_ratio();
+            sums[5] += m.traffic_ratio();
+        }
+        let [vax_stall, vax_traffic, cray_stall, cray_traffic, cache_miss, cache_traffic] =
+            sums.map(|sum| sum / n);
         let _ = writeln!(
             report,
-            "{:<16} {:>10.4} {:>11.4} {:>10.4} {:>11.4} {:>10.4} {:>11.4}",
+            "{:<16} {vax_stall:>10.4} {vax_traffic:>11.4} {cray_stall:>10.4} \
+             {cray_traffic:>11.4} {cache_miss:>10.4} {cache_traffic:>11.4}",
             arch.name(),
-            vax_stall / n,
-            vax_traffic / n,
-            cray_stall / n,
-            cray_traffic / n,
-            cache_miss / n,
-            cache_traffic / n,
         );
         for (design, stall, traffic) in [
-            ("vax780_buffer", vax_stall / n, vax_traffic / n),
-            ("cray_buffers", cray_stall / n, cray_traffic / n),
-            ("minimum_cache", cache_miss / n, cache_traffic / n),
+            ("vax780_buffer", vax_stall, vax_traffic),
+            ("cray_buffers", cray_stall, cray_traffic),
+            ("minimum_cache", cache_miss, cache_traffic),
         ] {
             let _ = writeln!(csv, "{},{design},{stall:.6},{traffic:.6}", arch.name());
         }
@@ -101,6 +104,7 @@ pub fn run_buffers(bench: &mut Workbench) -> Artifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use occache_workloads::Architecture;
 
     #[test]
     fn buffers_artifact_shows_the_section_2_2_claim() {
@@ -123,6 +127,37 @@ mod tests {
         for (v, c) in vax.iter().zip(&cray) {
             assert!(*v > 0.9, "VAX buffer moves every byte: {v}");
             assert!(c < v, "CRAY buffers cut traffic: {c} vs {v}");
+        }
+    }
+
+    /// The pooled minimum-cache column against its oracle: one direct
+    /// `SubBlockCache` per trace fed only the instruction fetches,
+    /// summed in trace order and divided by the trace count.
+    #[test]
+    fn minimum_cache_column_matches_the_sub_block_cache_oracle() {
+        let mut bench = Workbench::new(6_000);
+        let a = run_buffers(&mut bench);
+        for arch in Architecture::ALL {
+            let word = arch.word_size();
+            let traces = bench.arch_traces(arch);
+            let (mut miss, mut traffic) = (0.0, 0.0);
+            for trace in traces {
+                let mut cache =
+                    occache_core::SubBlockCache::new(standard_config(arch, 64, 2 * word, word));
+                for r in trace.iter().filter(|r| r.kind() == AccessKind::InstrFetch) {
+                    cache.access(r.address(), r.kind());
+                }
+                miss += cache.metrics().miss_ratio();
+                traffic += cache.metrics().traffic_ratio();
+            }
+            let n = traces.len() as f64;
+            let row = format!(
+                "{},minimum_cache,{:.6},{:.6}\n",
+                arch.name(),
+                miss / n,
+                traffic / n
+            );
+            assert!(a.csv[0].1.contains(&row), "{row}");
         }
     }
 }

@@ -15,8 +15,8 @@ use occache_core::SharedBus;
 use occache_trace::{TraceStats, WorkingSetCurve};
 use occache_workloads::Architecture;
 
-use crate::runs::{evaluate_each, Artifact, Workbench};
-use crate::sweep::standard_config;
+use crate::runs::{Artifact, Workbench};
+use crate::sweep::{standard_config, Trace};
 
 /// Per-trace characterisation: reference mix, footprint, sequential-run
 /// structure and the Denning working-set curve.
@@ -33,43 +33,11 @@ pub fn run_workload_stats(bench: &mut Workbench) -> Artifact {
         "trace,arch,ifetch_fraction,write_fraction,footprint_bytes,mean_run,\
          ws_1k_blocks,ws_10k_blocks,ws_100k_blocks\n",
     );
-    for arch in Architecture::ALL {
-        for trace in bench.arch_traces(arch) {
-            let word = arch.word_size();
-            let mut stats = TraceStats::new(word);
-            let mut ws = WorkingSetCurve::new(16);
-            for r in trace.iter() {
-                stats.observe(r);
-                ws.observe(r);
-            }
-            let write_frac = stats.writes() as f64 / stats.total().max(1) as f64;
-            let curve = ws.curve(&[1_000, 10_000, 100_000]);
-            let _ = writeln!(
-                report,
-                "{:<10} {:<8} {:>6.1}% {:>6.1}% {:>8}B {:>6.1} | {:>8.0} {:>8.0} {:>8.0}",
-                trace.name,
-                arch.name().split(' ').next_back().unwrap_or(""),
-                stats.ifetch_fraction() * 100.0,
-                write_frac * 100.0,
-                stats.footprint_bytes(),
-                stats.mean_ifetch_run(),
-                curve[0].1,
-                curve[1].1,
-                curve[2].1,
-            );
-            let _ = writeln!(
-                csv,
-                "{},{},{:.4},{:.4},{},{:.2},{:.1},{:.1},{:.1}",
-                trace.name,
-                arch.name(),
-                stats.ifetch_fraction(),
-                write_frac,
-                stats.footprint_bytes(),
-                stats.mean_ifetch_run(),
-                curve[0].1,
-                curve[1].1,
-                curve[2].1,
-            );
+    // One pass per trace on the pool; the rows come back in trace order.
+    for (_, rows) in bench.map_arch_traces(characterize) {
+        for (line, record) in rows {
+            report.push_str(&line);
+            csv.push_str(&record);
         }
         let _ = writeln!(report);
     }
@@ -84,6 +52,43 @@ pub fn run_workload_stats(bench: &mut Workbench) -> Artifact {
         report,
         csv: vec![("workload_stats.csv".into(), csv)],
     }
+}
+
+/// One trace's report line and CSV record for [`run_workload_stats`].
+fn characterize(arch: Architecture, trace: &Trace) -> (String, String) {
+    let mut stats = TraceStats::new(arch.word_size());
+    let mut ws = WorkingSetCurve::new(16);
+    for r in trace.iter() {
+        stats.observe(r);
+        ws.observe(r);
+    }
+    let write_frac = stats.writes() as f64 / stats.total().max(1) as f64;
+    let curve = ws.curve(&[1_000, 10_000, 100_000]);
+    let line = format!(
+        "{:<10} {:<8} {:>6.1}% {:>6.1}% {:>8}B {:>6.1} | {:>8.0} {:>8.0} {:>8.0}\n",
+        trace.name,
+        arch.name().split(' ').next_back().unwrap_or(""),
+        stats.ifetch_fraction() * 100.0,
+        write_frac * 100.0,
+        stats.footprint_bytes(),
+        stats.mean_ifetch_run(),
+        curve[0].1,
+        curve[1].1,
+        curve[2].1,
+    );
+    let record = format!(
+        "{},{},{:.4},{:.4},{},{:.2},{:.1},{:.1},{:.1}\n",
+        trace.name,
+        arch.name(),
+        stats.ifetch_fraction(),
+        write_frac,
+        stats.footprint_bytes(),
+        stats.mean_ifetch_run(),
+        curve[0].1,
+        curve[1].1,
+        curve[2].1,
+    );
+    (line, record)
 }
 
 /// Shared-bus sizing: processors per bus at 70% utilisation, by cache
@@ -112,7 +117,7 @@ pub fn run_bus_contention(bench: &mut Workbench) -> Artifact {
     for arch in Architecture::ALL {
         let word = arch.word_size();
         let warmup = bench.warmup_for(arch);
-        let traces = bench.arch_traces(arch);
+        let traces = bench.arch_traces(arch).to_vec();
         let mut row = format!(
             "{:<16} {:>10}",
             arch.name(),
@@ -129,9 +134,12 @@ pub fn run_bus_contention(bench: &mut Workbench) -> Artifact {
             ("1024B (16,16)", 1024, 16, 16),
             ("1024B (16,2)", 1024, 16, word.max(2)),
         ];
-        for ((label, ..), p) in evaluate_each(&designs, traces, warmup, |(_, net, block, sub)| {
-            standard_config(arch, net, block, sub)
-        }) {
+        // Every design is a Table 7 cell, recalled when Table 7 ran.
+        for ((label, ..), p) in
+            bench.evaluate_each(&designs, &traces, warmup, |(_, net, block, sub)| {
+                standard_config(arch, net, block, sub)
+            })
+        {
             let traffic = p.traffic_ratio;
             let processors = bus.max_processors(traffic, TARGET);
             let _ = write!(row, " {processors:>12}");
@@ -171,10 +179,35 @@ mod tests {
         let mut bench = Workbench::new(20_000);
         let a = run_bus_contention(&mut bench);
         assert!(a.report.contains("PDP-11"));
-        // Every row of the CSV has a processor count.
+        // Every row of the CSV has a processor count; per architecture,
+        // the "no cache" row comes first and every cached design sustains
+        // at least as many processors. Some design must do better:
+        // ties are possible (S/370's 64 B row ties at 1M refs), but not
+        // for all three designs of an architecture.
+        let mut rows: Vec<(&str, &str, u32)> = Vec::new();
         for line in a.csv[0].1.lines().skip(1) {
-            let count: u32 = line.rsplit(',').next().unwrap().parse().unwrap();
-            let _ = count;
+            // The design labels hold unquoted commas ("64B (4,2)"), so
+            // the arch is the first field and the count the last.
+            let (arch, rest) = line.split_once(',').expect("an arch field");
+            let (rest, count) = rest.rsplit_once(',').expect("a count field");
+            let (design, _traffic) = rest.rsplit_once(',').expect("a traffic field");
+            let count = count
+                .parse()
+                .unwrap_or_else(|e| panic!("count in {line:?}: {e}"));
+            rows.push((arch, design, count));
+        }
+        assert_eq!(rows.len(), 4 * Architecture::ALL.len());
+        for (arch, per_arch) in Architecture::ALL.into_iter().zip(rows.chunks(4)) {
+            let (name, design, bare) = per_arch[0];
+            assert_eq!((name, design), (arch.name(), "no cache"));
+            for &(name, design, count) in &per_arch[1..] {
+                assert_eq!(name, arch.name());
+                assert!(count >= bare, "{name} {design}: {count} < {bare}");
+            }
+            assert!(
+                per_arch[1..].iter().any(|&(.., count)| count > bare),
+                "no cached design helps {name}: {per_arch:?}"
+            );
         }
     }
 }

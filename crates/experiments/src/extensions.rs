@@ -7,17 +7,15 @@
 
 use std::fmt::Write as _;
 
-use occache_core::{
-    CacheConfig, FetchPolicy, Metrics, SetAssocLruAnalyzer, SubBlockCache, WritePolicy,
-};
+use occache_core::{CacheConfig, FetchPolicy, Metrics, SetAssocLruAnalyzer, WritePolicy};
 use occache_riscii::{compact_profile, ChipTiming, RiscIiCache};
-use occache_runtime::executor::evaluate_metrics;
-use occache_trace::{AccessKind, MemRef, TraceSource};
+use occache_runtime::executor::{evaluate_metrics, pool_map};
+use occache_trace::{AccessKind, TraceSource};
 use occache_workloads::{
     riscii_instruction_workload, Architecture, Multiprogram, ProgramGenerator, WorkloadSpec,
 };
 
-use crate::runs::{evaluate_each, Artifact, Workbench};
+use crate::runs::{Artifact, Workbench};
 use crate::sweep::Trace;
 
 /// Write-policy study: total bus traffic — fills *plus* write traffic —
@@ -128,9 +126,9 @@ pub fn run_split(bench: &mut Workbench) -> Artifact {
                 .build()
                 .expect("valid geometry")
         };
-        let traces = bench.arch_traces(arch);
-        let unified = evaluate_each(&nets, traces, 0, config);
-        let split = split_miss_ratios(&nets.map(|net| config(net / 2)), traces);
+        let traces = bench.arch_traces(arch).to_vec();
+        let unified = bench.evaluate_each(&nets, &traces, 0, config);
+        let split = split_miss_ratios(&nets.map(|net| config(net / 2)), &traces);
         for ((net, unified), split_miss) in unified.into_iter().zip(split) {
             let unified_miss = unified.miss_ratio;
             let winner = if unified_miss <= split_miss {
@@ -216,13 +214,24 @@ pub fn run_risc2_chip(bench: &mut Workbench) -> Artifact {
         "RISC II instruction-cache chip (§2.3), {len} refs\n"
     );
 
+    let trace = bench.riscii_traces()[0].clone();
+    // The paper chip and the four store sizes of the curve, one chip
+    // model per pool thread.
+    let stores = [None, Some(512u64), Some(1024), Some(2048), Some(4096)];
+    let chips = pool_map(&stores, |&store| {
+        let mut chip = match store {
+            None => RiscIiCache::paper_chip(),
+            Some(size) => RiscIiCache::with_store(size, ChipTiming::paper()),
+        }
+        .expect("valid geometry");
+        for r in trace.iter() {
+            chip.fetch(r.address());
+        }
+        chip
+    });
+
     // --- Remote program counter + access time, on the paper chip.
-    let spec = riscii_instruction_workload();
-    let trace: Vec<MemRef> = spec.generator(0).take(len).collect();
-    let mut chip = RiscIiCache::paper_chip().expect("paper geometry is valid");
-    for r in &trace {
-        chip.fetch(r.address());
-    }
+    let chip = &chips[0];
     let _ = writeln!(report, "paper chip (512 B, direct-mapped, 8 B blocks):");
     let _ = writeln!(
         report,
@@ -245,9 +254,12 @@ pub fn run_risc2_chip(bench: &mut Workbench) -> Artifact {
         chip.mean_access_time()
     );
 
-    // --- Code compaction at the paper's operating point.
-    let base_profile = spec.profile().clone();
-    let compacted = compact_profile(&base_profile, 0.4);
+    // --- Code compaction at the paper's operating point: the standard
+    // and compacted programs share one pooled call.
+    let compacted = compact_profile(riscii_instruction_workload().profile(), 0.4);
+    let compacted_trace = Trace::streamed("compacted", len, move || {
+        ProgramGenerator::new(compacted.clone(), 0x52_01)
+    });
     let config = CacheConfig::builder()
         .net_size(512)
         .block_size(8)
@@ -256,19 +268,8 @@ pub fn run_risc2_chip(bench: &mut Workbench) -> Artifact {
         .word_size(4)
         .build()
         .expect("valid geometry");
-    let standard_miss = {
-        let mut cache = SubBlockCache::new(config);
-        cache.run(trace.iter().copied());
-        cache.metrics().miss_ratio()
-    };
-    let compacted_trace: Vec<MemRef> = ProgramGenerator::new(compacted, 0x52_01)
-        .take(len)
-        .collect();
-    let compacted_miss = {
-        let mut cache = SubBlockCache::new(config);
-        cache.run(compacted_trace.iter().copied());
-        cache.metrics().miss_ratio()
-    };
+    let per_trace = &evaluate_metrics(&[config], &[trace, compacted_trace], 0)[0];
+    let [standard_miss, compacted_miss] = [0, 1].map(|t| per_trace[t].miss_ratio());
     let improvement = 1.0 - compacted_miss / standard_miss;
     let _ = writeln!(
         report,
@@ -285,20 +286,16 @@ pub fn run_risc2_chip(bench: &mut Workbench) -> Artifact {
     // --- Size curve with the chip model (matches the risc2 artifact).
     let _ = writeln!(report, "\nstore-size curve (miss ratio):");
     let mut csv = String::from("store_bytes,miss_ratio,prediction_accuracy\n");
-    for size in [512u64, 1024, 2048, 4096] {
-        let mut chip = RiscIiCache::with_store(size, ChipTiming::paper()).expect("valid geometry");
-        for r in &trace {
-            chip.fetch(r.address());
-        }
+    for (store, chip) in stores.iter().flatten().zip(&chips[1..]) {
         let _ = writeln!(
             report,
-            "  {size:>5} B : miss {:.4}, prediction {:.1}%",
+            "  {store:>5} B : miss {:.4}, prediction {:.1}%",
             chip.miss_ratio(),
             chip.prediction_accuracy() * 100.0
         );
         let _ = writeln!(
             csv,
-            "{size},{:.6},{:.6}",
+            "{store},{:.6},{:.6}",
             chip.miss_ratio(),
             chip.prediction_accuracy()
         );
@@ -543,6 +540,7 @@ pub fn run_assoc_curves(bench: &mut Workbench) -> Artifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use occache_trace::MemRef;
 
     #[test]
     fn writes_artifact_covers_architectures() {
@@ -571,6 +569,60 @@ mod tests {
         assert!(a.report.contains("prediction accuracy"));
         assert!(a.report.contains("access-time reduction"));
         assert!(a.report.contains("compaction"));
+    }
+
+    /// The pooled chip models and compaction pair against their serial
+    /// oracles: one `RiscIiCache` per store size and one `SubBlockCache`
+    /// per program, over the same references.
+    #[test]
+    fn risc2_chip_matches_its_serial_oracles() {
+        let len = 6_000;
+        let mut bench = Workbench::new(len);
+        let a = run_risc2_chip(&mut bench);
+        let spec = riscii_instruction_workload();
+        let trace: Vec<MemRef> = spec.generator(0).take(len).collect();
+        let mut csv = String::from("store_bytes,miss_ratio,prediction_accuracy\n");
+        for size in [512u64, 1024, 2048, 4096] {
+            let mut chip = RiscIiCache::with_store(size, ChipTiming::paper()).expect("valid");
+            for r in &trace {
+                chip.fetch(r.address());
+            }
+            let _ = writeln!(
+                csv,
+                "{size},{:.6},{:.6}",
+                chip.miss_ratio(),
+                chip.prediction_accuracy()
+            );
+        }
+        assert_eq!(a.csv[0].1, csv);
+        let config = CacheConfig::builder()
+            .net_size(512)
+            .block_size(8)
+            .sub_block_size(8)
+            .associativity(1)
+            .word_size(4)
+            .build()
+            .expect("valid geometry");
+        let compacted = compact_profile(spec.profile(), 0.4);
+        let programs = [
+            ("standard", trace),
+            (
+                "compacted",
+                ProgramGenerator::new(compacted, 0x52_01)
+                    .take(len)
+                    .collect(),
+            ),
+        ];
+        for (label, refs) in programs {
+            let mut cache = occache_core::SubBlockCache::new(config);
+            cache.run(refs);
+            let line = format!(
+                "  {label} code miss ratio{} : {:.4}",
+                if label == "standard" { " " } else { "" },
+                cache.metrics().miss_ratio()
+            );
+            assert!(a.report.contains(&line), "{line}\n{}", a.report);
+        }
     }
 
     #[test]

@@ -10,13 +10,16 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use occache_core::{CacheConfig, FetchPolicy, Metrics, ReplacementPolicy};
-use occache_runtime::executor::evaluate_metrics;
+use occache_runtime::executor::{evaluate_metrics, pool_map};
+use occache_runtime::keys::{point_key, trace_fingerprint};
 use occache_workloads::{m85_mix, riscii_instruction_workload, Architecture, WorkloadSpec};
 
 use crate::paper;
 use crate::plot::{ScatterPlot, Series};
 use crate::report::{points_to_csv, relative_error, table7_block};
-use crate::sweep::{evaluate_points, standard_config, table1_pairs, trace_len, DesignPoint, Trace};
+use crate::sweep::{
+    evaluate_points, standard_config, table1_pairs, trace_len, DesignPoint, SweepOutcome, Trace,
+};
 
 /// A regenerated artifact: report text plus named CSV payloads.
 #[derive(Debug, Clone)]
@@ -142,13 +145,20 @@ pub fn select(names: &[String]) -> Result<Vec<Runner>, &str> {
         .collect()
 }
 
-/// Materialised trace sets, built lazily and shared across artifacts.
+/// Materialised trace sets, built lazily and shared across artifacts,
+/// and the design points evaluated over them.
 ///
 /// Generation is memoized per workload spec (by its name, which is unique
 /// across all sets; the seed is always 0 and the length fixed per
 /// workbench), so `--bin all` and any artifacts whose trace sets overlap
 /// generate each trace exactly once. A recalled [`Trace`] is an `Arc`
 /// clone, not a copy of the stream.
+///
+/// Evaluation is memoized per point key — config, trace-set fingerprint
+/// and warm-up, the identity a journal line has — so a design point two
+/// artifacts share is simulated once per workbench. The unjournalled
+/// artifacts read and feed the memo; the journalled sweeps (Table 7,
+/// Figures 1–8) only feed it, so their journals never depend on it.
 #[derive(Debug, Default)]
 pub struct Workbench {
     store: HashMap<&'static str, Trace>,
@@ -157,6 +167,9 @@ pub struct Workbench {
     m85: Option<Vec<Trace>>,
     riscii: Option<Vec<Trace>>,
     len: usize,
+    points: HashMap<u64, DesignPoint>,
+    /// Points [`Workbench::evaluate_each`] sent to the pool.
+    computed: usize,
 }
 
 impl Workbench {
@@ -244,6 +257,94 @@ impl Workbench {
         }
         self.riscii.as_deref().expect("just populated")
     }
+
+    /// Runs `f` on every trace of the four architecture sets, one trace
+    /// per [`pool_map`] item, and returns each architecture's results in
+    /// trace order.
+    pub(crate) fn map_arch_traces<R: Send>(
+        &mut self,
+        f: impl Fn(Architecture, &Trace) -> R + Sync,
+    ) -> Vec<(Architecture, Vec<R>)> {
+        let sets: Vec<(Architecture, Vec<Trace>)> = Architecture::ALL
+            .into_iter()
+            .map(|arch| (arch, self.arch_traces(arch).to_vec()))
+            .collect();
+        let items: Vec<(Architecture, &Trace)> = sets
+            .iter()
+            .flat_map(|(arch, set)| set.iter().map(move |trace| (*arch, trace)))
+            .collect();
+        let mut results = pool_map(&items, |&(arch, trace)| f(arch, trace)).into_iter();
+        sets.iter()
+            .map(|(arch, set)| (*arch, results.by_ref().take(set.len()).collect()))
+            .collect()
+    }
+
+    /// Stores points evaluated over the trace set with `fingerprint`
+    /// under `warmup`, by point key.
+    fn remember(&mut self, fingerprint: u64, warmup: usize, points: &[DesignPoint]) {
+        for p in points {
+            self.points
+                .insert(point_key(&p.config, fingerprint, warmup), *p);
+        }
+    }
+
+    /// Builds one config per item and pairs each item with its design
+    /// point over `traces`, in item order. Points the memo holds for this
+    /// trace set and warm-up are recalled; the rest go to the sliced
+    /// worker pool ([`evaluate_points`]) in one call and are remembered.
+    /// Either way a point is the pool's trace-order mean, the unweighted
+    /// §3.3 average the artifacts report, so a recalled point has the
+    /// bits a fresh evaluation would.
+    pub(crate) fn evaluate_each<T: Copy>(
+        &mut self,
+        items: &[T],
+        traces: &[Trace],
+        warmup: usize,
+        config: impl Fn(T) -> CacheConfig,
+    ) -> Vec<(T, DesignPoint)> {
+        let fingerprint = trace_fingerprint(traces);
+        let key = |c: &CacheConfig| point_key(c, fingerprint, warmup);
+        let configs: Vec<CacheConfig> = items.iter().map(|&item| config(item)).collect();
+        let mut missing = Vec::new();
+        for c in &configs {
+            if !self.points.contains_key(&key(c)) && !missing.contains(c) {
+                missing.push(*c);
+            }
+        }
+        if !missing.is_empty() {
+            let points = evaluate_points(&missing, traces, warmup);
+            self.computed += points.len();
+            self.remember(fingerprint, warmup, &points);
+        }
+        items
+            .iter()
+            .zip(&configs)
+            .map(|(&item, c)| (item, self.points[&key(c)]))
+            .collect()
+    }
+
+    /// A journalled sweep of `arch`'s paper grid over `nets` (Table 7,
+    /// Figures 1–8). Its successful points feed the memo, but it never
+    /// reads it: the checkpoint layer restores and journals every point
+    /// itself, so journal bytes do not depend on what ran before.
+    fn sweep_journalled(
+        &mut self,
+        artifact: &str,
+        arch: Architecture,
+        nets: &[u64],
+    ) -> SweepOutcome {
+        let warmup = self.warmup_for(arch);
+        let traces = self.arch_traces(arch);
+        let outcome = crate::checkpoint::evaluate_checkpointed(
+            artifact,
+            &paper_grid(arch, nets),
+            traces,
+            warmup,
+        );
+        let fingerprint = trace_fingerprint(traces);
+        self.remember(fingerprint, warmup, &outcome.points);
+        outcome
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -282,24 +383,6 @@ fn paper_grid(arch: Architecture, nets: &[u64]) -> Vec<CacheConfig> {
                 .into_iter()
                 .map(move |(b, s)| standard_config(arch, net, b, s))
         })
-        .collect()
-}
-
-/// Builds one config per item, evaluates them all in one call on the
-/// sliced worker pool ([`evaluate_points`]), and pairs each item with
-/// its point, in item order. The pool's trace-order mean is the
-/// unweighted §3.3 average the artifacts report.
-pub(crate) fn evaluate_each<T: Copy>(
-    items: &[T],
-    traces: &[Trace],
-    warmup: usize,
-    config: impl Fn(T) -> CacheConfig,
-) -> Vec<(T, DesignPoint)> {
-    let configs: Vec<CacheConfig> = items.iter().map(|&item| config(item)).collect();
-    items
-        .iter()
-        .copied()
-        .zip(evaluate_points(&configs, traces, warmup))
         .collect()
 }
 
@@ -361,9 +444,7 @@ pub fn run_figure(bench: &mut Workbench, figure: u8) -> Artifact {
         .iter()
         .find(|&&(n, ..)| n == figure)
         .unwrap_or_else(|| panic!("figure {figure} is not one of Figures 1-8"));
-    let warmup = bench.warmup_for(arch);
     let len = bench.len();
-    let traces = bench.arch_traces(arch);
 
     let mut report = String::new();
     let axis_name = match axis {
@@ -382,13 +463,7 @@ pub fn run_figure(bench: &mut Workbench, figure: u8) -> Artifact {
     // shares trace passes across nets (each (block, sub) geometry recurs
     // at every net), and journal keys are per-point, so journals written
     // by older per-net sweeps still resume.
-    let all_configs = paper_grid(arch, &nets);
-    let outcome = crate::checkpoint::evaluate_checkpointed(
-        &format!("fig{figure}"),
-        &all_configs,
-        traces,
-        warmup,
-    );
+    let outcome = bench.sweep_journalled(&format!("fig{figure}"), arch, &nets);
     let failures = outcome.failures;
     for net in nets {
         let points: Vec<&DesignPoint> = outcome
@@ -608,14 +683,11 @@ pub fn run_table7(bench: &mut Workbench) -> Artifact {
     );
     let mut csv_all = Vec::new();
     for arch in Architecture::ALL {
-        let warmup = bench.warmup_for(arch);
-        let traces = bench.arch_traces(arch);
         // All three nets in one checkpointed sweep, so the planner can
         // share trace passes across nets; journal keys stay per-point and
         // the concatenation preserves the per-net point order the render
         // expects.
-        let configs = paper_grid(arch, &[64, 256, 1024]);
-        let outcome = crate::checkpoint::evaluate_checkpointed("table7", &configs, traces, warmup);
+        let outcome = bench.sweep_journalled("table7", arch, &[64, 256, 1024]);
         let points = outcome.points;
         let failures = outcome.failures;
         report.push_str(&table7_block(arch.name(), &points, paper::table7(arch)));
@@ -647,7 +719,7 @@ pub fn run_table7(bench: &mut Workbench) -> Artifact {
 pub fn run_table8(bench: &mut Workbench) -> Artifact {
     let len = bench.len();
     let warmup = bench.warmup_for(Architecture::Z8000);
-    let traces = bench.load_forward_traces();
+    let traces = bench.load_forward_traces().to_vec();
 
     let mut report = String::new();
     let _ = writeln!(
@@ -664,19 +736,8 @@ pub fn run_table8(bench: &mut Workbench) -> Artifact {
     );
 
     // One grid for every row: the demand and load-forward rows share
-    // one LRU engine pass per trace.
-    for (row, p) in evaluate_each(paper::TABLE8, traces, warmup, |row| {
-        let mut builder = CacheConfig::builder();
-        builder
-            .net_size(row.net)
-            .block_size(row.block)
-            .sub_block_size(row.sub)
-            .word_size(2);
-        if row.load_forward {
-            builder.fetch(FetchPolicy::LOAD_FORWARD);
-        }
-        builder.build().expect("Table 8 geometry is valid")
-    }) {
+    // one LRU engine pass per trace. Figure 9 recalls them all.
+    for (row, p) in bench.evaluate_each(paper::TABLE8, &traces, warmup, table8_config) {
         let (miss, traffic) = (p.miss_ratio, p.traffic_ratio);
         let (scaled, redundant) = (p.nibble_traffic_ratio, p.redundant_load_fraction);
         let label = if row.load_forward {
@@ -715,6 +776,21 @@ pub fn run_table8(bench: &mut Workbench) -> Artifact {
     }
 }
 
+/// The configuration of one Table 8 row: 4-way LRU, 16-bit words,
+/// demand or load-forward fetch.
+fn table8_config(row: paper::Table8Row) -> CacheConfig {
+    let mut builder = CacheConfig::builder();
+    builder
+        .net_size(row.net)
+        .block_size(row.block)
+        .sub_block_size(row.sub)
+        .word_size(2);
+    if row.load_forward {
+        builder.fetch(FetchPolicy::LOAD_FORWARD);
+    }
+    builder.build().expect("Table 8 geometry is valid")
+}
+
 /// Regenerates Figure 9 (identical data to Table 8, organised as the
 /// miss-vs-traffic figure).
 pub fn run_fig9(bench: &mut Workbench) -> Artifact {
@@ -737,7 +813,7 @@ pub fn run_fig9(bench: &mut Workbench) -> Artifact {
 /// 8-byte blocks, instruction fetches only, 512–4096 bytes.
 pub fn run_risc2(bench: &mut Workbench) -> Artifact {
     let len = bench.len();
-    let traces = bench.riscii_traces();
+    let traces = bench.riscii_traces().to_vec();
     let mut report = String::new();
     let _ = writeln!(
         report,
@@ -750,16 +826,18 @@ pub fn run_risc2(bench: &mut Workbench) -> Artifact {
         "net", "miss", "p.miss", "relerr"
     );
     let mut csv = String::from("net,miss_ratio,paper_miss\n");
-    for ((net, paper_miss), p) in evaluate_each(paper::RISCII_CURVE, traces, 0, |(net, _)| {
-        CacheConfig::builder()
-            .net_size(net)
-            .block_size(8)
-            .sub_block_size(8)
-            .associativity(1)
-            .word_size(4)
-            .build()
-            .expect("RISC II geometry is valid")
-    }) {
+    for ((net, paper_miss), p) in
+        bench.evaluate_each(paper::RISCII_CURVE, &traces, 0, |(net, _)| {
+            CacheConfig::builder()
+                .net_size(net)
+                .block_size(8)
+                .sub_block_size(8)
+                .associativity(1)
+                .word_size(4)
+                .build()
+                .expect("RISC II geometry is valid")
+        })
+    {
         let miss = p.miss_ratio;
         let _ = writeln!(
             report,
@@ -801,9 +879,9 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
     let _ = writeln!(report, "Associativity (1024-byte cache, 16,8):");
     for arch in [Architecture::Pdp11, Architecture::Vax11] {
         let warmup = bench.warmup_for(arch);
-        let traces = bench.arch_traces(arch);
+        let traces = bench.arch_traces(arch).to_vec();
         let mut row = format!("  {:<16}", arch.name());
-        for (ways, p) in evaluate_each(&[1u64, 2, 4, 8], traces, warmup, |ways| {
+        for (ways, p) in bench.evaluate_each(&[1u64, 2, 4, 8], &traces, warmup, |ways| {
             CacheConfig::builder()
                 .net_size(1024)
                 .block_size(16)
@@ -828,14 +906,14 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
     let _ = writeln!(report, "Replacement policy (1024-byte cache, 16,8, 4-way):");
     for arch in [Architecture::Pdp11, Architecture::S370] {
         let warmup = bench.warmup_for(arch);
-        let traces = bench.arch_traces(arch);
+        let traces = bench.arch_traces(arch).to_vec();
         let mut row = format!("  {:<16}", arch.name());
         let policies = [
             ReplacementPolicy::Lru,
             ReplacementPolicy::Fifo,
             ReplacementPolicy::Random,
         ];
-        for (policy, p) in evaluate_each(&policies, traces, warmup, |policy| {
+        for (policy, p) in bench.evaluate_each(&policies, &traces, warmup, |policy| {
             CacheConfig::builder()
                 .net_size(1024)
                 .block_size(16)
@@ -860,17 +938,19 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
     );
     let _ = writeln!(report, "  {:>6} {:>9} {:>9}", "net", "miss", "Strecker");
     {
-        let traces = bench.arch_traces(Architecture::Pdp11);
-        for ((net, paper_miss), p) in evaluate_each(paper::STRECKER_CURVE, traces, 0, |(net, _)| {
-            CacheConfig::builder()
-                .net_size(net)
-                .block_size(4)
-                .sub_block_size(4)
-                .associativity(1)
-                .word_size(2)
-                .build()
-                .expect("valid geometry")
-        }) {
+        let traces = bench.arch_traces(Architecture::Pdp11).to_vec();
+        for ((net, paper_miss), p) in
+            bench.evaluate_each(paper::STRECKER_CURVE, &traces, 0, |(net, _)| {
+                CacheConfig::builder()
+                    .net_size(net)
+                    .block_size(4)
+                    .sub_block_size(4)
+                    .associativity(1)
+                    .word_size(2)
+                    .build()
+                    .expect("valid geometry")
+            })
+        {
             let miss = p.miss_ratio;
             let _ = writeln!(report, "  {:>6} {:>9.4} {:>9.2}", net, miss, paper_miss);
             let _ = writeln!(csv, "strecker,PDP-11,{net},{miss:.6},");
@@ -885,7 +965,7 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
     );
     {
         let warmup = bench.warmup_for(Architecture::Z8000);
-        let traces = bench.load_forward_traces();
+        let traces = bench.load_forward_traces().to_vec();
         let variants = [
             ("redundant (paper)", FetchPolicy::LOAD_FORWARD),
             (
@@ -895,7 +975,7 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
                 },
             ),
         ];
-        for ((label, _), p) in evaluate_each(&variants, traces, warmup, |(_, fetch)| {
+        for ((label, _), p) in bench.evaluate_each(&variants, &traces, warmup, |(_, fetch)| {
             CacheConfig::builder()
                 .net_size(256)
                 .block_size(16)
@@ -925,7 +1005,7 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
     );
     {
         let len = bench.len();
-        let traces = bench.arch_traces(Architecture::Z8000);
+        let traces = bench.arch_traces(Architecture::Z8000).to_vec();
         let config = CacheConfig::builder()
             .net_size(1024)
             .block_size(16)
@@ -934,7 +1014,9 @@ pub fn run_ablations(bench: &mut Workbench) -> Artifact {
             .build()
             .expect("valid geometry");
         for (label, warmup) in [("cold", 0usize), ("warm (5%)", len / 20)] {
-            let miss = evaluate_points(&[config], traces, warmup)[0].miss_ratio;
+            let miss = bench.evaluate_each(&[config], &traces, warmup, |c| c)[0]
+                .1
+                .miss_ratio;
             let _ = writeln!(report, "  {label:<12} miss {miss:.4}");
             let _ = writeln!(csv, "warm_start,Z8000,{label},{miss:.6},");
         }
@@ -971,9 +1053,9 @@ pub fn run_headline(bench: &mut Workbench) -> Artifact {
     let mut csv = String::from("arch,miss_ratio,traffic_ratio,paper_miss,paper_traffic\n");
     for arch in Architecture::ALL {
         let warmup = bench.warmup_for(arch);
-        let traces = bench.arch_traces(arch);
+        let traces = bench.arch_traces(arch).to_vec();
         let config = standard_config(arch, 1024, 8, 8);
-        let p = evaluate_points(&[config], traces, warmup)[0];
+        let p = bench.evaluate_each(&[config], &traces, warmup, |c| c)[0].1;
         let (miss, traffic) = (p.miss_ratio, p.traffic_ratio);
         let reference = paper::table7_row(arch, 1024, 8, 8).expect("anchor row present");
         let _ = writeln!(
@@ -1055,6 +1137,29 @@ mod tests {
         assert!(a.report.contains("net 32 bytes"));
         let csv = &a.csv[0].1;
         assert!(csv.lines().count() > 10, "{csv}");
+
+        // The journalled sweep fed the memo without asking it: every
+        // point Figure 1 plotted is now a recall, with the bits it
+        // printed.
+        assert_eq!(b.computed, 0);
+        let traces = b.arch_traces(Architecture::Pdp11).to_vec();
+        let configs = paper_grid(Architecture::Pdp11, &[32, 128, 512]);
+        let mut rows = String::new();
+        for (_, p) in b.evaluate_each(&configs, &traces, 0, |c| c) {
+            let c = p.config;
+            let _ = writeln!(
+                rows,
+                "{},{},{},{},{:.6},{:.6}",
+                c.net_size(),
+                c.block_size(),
+                c.sub_block_size(),
+                p.gross_size,
+                p.miss_ratio,
+                p.traffic_ratio
+            );
+        }
+        assert_eq!(b.computed, 0, "Figure 1's points were not remembered");
+        assert!(csv.ends_with(&rows), "{csv}");
     }
 
     #[test]
@@ -1071,6 +1176,75 @@ mod tests {
         // One CSV data line per Table 8 row.
         assert_eq!(a.csv[0].1.lines().count(), paper::TABLE8.len() + 1);
         assert!(a.report.contains("16,2,LF"));
+    }
+
+    /// The memo is keyed by config, trace set *and* warm-up: a point
+    /// evaluated over one trace set or warm-up is never returned for
+    /// another, and every point it returns has the direct simulator's
+    /// bits for its own inputs.
+    #[test]
+    fn point_memo_never_crosses_warmup_or_trace_set() {
+        let mut b = small_bench();
+        let bits = |p: &DesignPoint| {
+            [
+                p.miss_ratio,
+                p.traffic_ratio,
+                p.nibble_traffic_ratio,
+                p.redundant_load_fraction,
+            ]
+            .map(f64::to_bits)
+        };
+        let z8000 = b.arch_traces(Architecture::Z8000).to_vec();
+        let load_forward = b.load_forward_traces().to_vec();
+        let warm = b.warmup_for(Architecture::Z8000);
+
+        // Ablations' warm and cold Z8000 rows share one config.
+        let ablations = run_ablations(&mut b);
+        let config = CacheConfig::builder()
+            .net_size(1024)
+            .block_size(16)
+            .sub_block_size(8)
+            .word_size(2)
+            .build()
+            .expect("valid geometry");
+        let computed = b.computed;
+        let mut misses = Vec::new();
+        for (label, warmup) in [("cold", 0), ("warm (5%)", warm)] {
+            let recalled = b.evaluate_each(&[config], &z8000, warmup, |c| c)[0].1;
+            let direct = crate::sweep::evaluate_point(config, &z8000, warmup);
+            assert_eq!(bits(&recalled), bits(&direct), "{label}");
+            let row = format!("warm_start,Z8000,{label},{:.6},", direct.miss_ratio);
+            assert!(ablations.csv[0].1.contains(&row), "{row}");
+            misses.push(direct.miss_ratio);
+        }
+        assert_eq!(b.computed, computed, "both rows were remembered");
+        assert_ne!(misses[0], misses[1], "the warm-up must change the point");
+
+        // Table 8's configs and warm-up over the Z8000 main set first:
+        // Table 8 must still evaluate its own (load-forward) set.
+        let configs: Vec<CacheConfig> = paper::TABLE8.iter().copied().map(table8_config).collect();
+        let main_set = b.evaluate_each(&configs, &z8000, warm, |c| c);
+        let before = b.computed;
+        let table8 = run_table8(&mut b);
+        assert!(
+            b.computed > before,
+            "Table 8 recalled another trace set's points"
+        );
+        let recalled = b.evaluate_each(&configs, &load_forward, warm, |c| c);
+        let mut differs = false;
+        for ((config, (_, recalled)), (_, other)) in configs.iter().zip(&recalled).zip(&main_set) {
+            let direct = crate::sweep::evaluate_point(*config, &load_forward, warm);
+            assert_eq!(bits(recalled), bits(&direct), "{config}");
+            differs |= bits(recalled) != bits(other);
+        }
+        assert!(differs, "the trace set must change some point");
+
+        // Figure 9 recalls every Table 8 row and prints the same rows.
+        let computed = b.computed;
+        let fig9 = run_fig9(&mut b);
+        assert_eq!(b.computed, computed, "Figure 9 simulated again");
+        assert_eq!(fig9.csv[0].0, "fig9.csv");
+        assert_eq!(fig9.csv[0].1, table8.csv[0].1);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! two calls (or the thin [`evaluate_results_sliced`] and
 //! [`evaluate_points`]); the serving layer's live queue
 //! ([`crate::queue`]) coalesces submissions into grids and runs them
-//! through the same pool.
+//! through the same pool. Per-trace work that is not a cache simulation
+//! runs on [`pool_map`], at the same width.
 //!
 //! Under a deadline, each design point (or engine slice) runs on a named
 //! watchdog thread and the supervisor waits with a timeout; a point that
@@ -781,6 +782,45 @@ pub fn evaluate_metrics(
     rows
 }
 
+/// Maps `f` over `items` on the pool's threads and returns the results
+/// in item order: for per-trace work that is not a cache simulation,
+/// such as trace statistics and instruction-buffer models. The width
+/// follows the pool's rule (`OCCACHE_SLICE_THREADS`, else the hardware
+/// parallelism), at most one thread per item, the calling thread
+/// included. Threads claim items one at a time, so uneven items
+/// balance. A panic in `f` resumes on the calling thread with its
+/// original payload.
+pub fn pool_map<T, R, F>(items: &[T], f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+{
+    let workers = slice_pool(items.len(), 1, None).workers;
+    let (next, f) = (&AtomicUsize::new(0), &f);
+    let work = move || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            done.push((i, f(item)));
+        }
+        done
+    };
+    thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for handle in handles {
+            match handle.join() {
+                Ok(more) => done.extend(more),
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        }
+        done.sort_unstable_by_key(|&(i, _)| i);
+        done.into_iter().map(|(_, r)| r).collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1088,5 +1128,35 @@ mod tests {
         // One retry for the failed slice, one per member re-run.
         assert_eq!(stats.retries, configs.len() + 1);
         assert_eq!(stats.direct_points, configs.len());
+    }
+
+    #[test]
+    fn pool_map_keeps_item_order_over_uneven_items() {
+        // Early items are the slow ones, so later items finish first on
+        // any thread that is free.
+        let items: Vec<u64> = (0..40).collect();
+        let out = pool_map(&items, |&i| {
+            thread::sleep(Duration::from_micros((40 - i) * 50));
+            i * i
+        });
+        assert_eq!(out, items.iter().map(|i| i * i).collect::<Vec<_>>());
+        assert!(pool_map(&[] as &[u8], |&b| b).is_empty());
+    }
+
+    #[test]
+    fn pool_map_propagates_a_panic_with_its_payload() {
+        let items: Vec<usize> = (0..16).collect();
+        for bad in [0, 7, 15] {
+            let payload = panic::catch_unwind(|| {
+                pool_map(&items, |&i| {
+                    if i == bad {
+                        panic!("item {bad} failed");
+                    }
+                    i
+                })
+            })
+            .expect_err("the panic must reach the caller");
+            assert_eq!(panic_message(payload), format!("item {bad} failed"));
+        }
     }
 }

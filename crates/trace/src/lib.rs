@@ -32,6 +32,7 @@
 
 pub mod din;
 pub mod fault;
+mod hash;
 pub mod io;
 pub mod packed;
 pub mod record;

@@ -7,8 +7,7 @@
 //! architectures in the way the paper describes (small compact Z8000
 //! utilities vs hundreds-of-kilobytes System/370 jobs).
 
-use std::collections::HashSet;
-
+use crate::hash::WordSet;
 use crate::record::{AccessKind, MemRef};
 
 /// Aggregate statistics over a trace, collected in a single pass.
@@ -31,7 +30,7 @@ pub struct TraceStats {
     ifetches: u64,
     reads: u64,
     writes: u64,
-    touched_words: HashSet<u64>,
+    touched_words: WordSet,
     last_ifetch_word: Option<u64>,
     current_run: u64,
     runs: u64,
@@ -56,7 +55,7 @@ impl TraceStats {
             ifetches: 0,
             reads: 0,
             writes: 0,
-            touched_words: HashSet::new(),
+            touched_words: WordSet::default(),
             last_ifetch_word: None,
             current_run: 0,
             runs: 0,

@@ -11,8 +11,7 @@
 //! forward re-reference gap (for a block's final reference, the distance
 //! to the end of the trace).
 
-use std::collections::HashMap;
-
+use crate::hash::WordMap;
 use crate::record::MemRef;
 
 /// Single-pass working-set curve estimator at block granularity.
@@ -31,7 +30,7 @@ use crate::record::MemRef;
 #[derive(Debug, Clone)]
 pub struct WorkingSetCurve {
     block_size: u64,
-    last_access: HashMap<u64, u64>,
+    last_access: WordMap<u64>,
     /// Histogram of inter-reference gaps (index = gap, saturating).
     gap_histogram: Vec<u64>,
     total: u64,
@@ -55,7 +54,7 @@ impl WorkingSetCurve {
         );
         WorkingSetCurve {
             block_size,
-            last_access: HashMap::new(),
+            last_access: WordMap::default(),
             gap_histogram: Vec::new(),
             total: 0,
             clock: 0,
