@@ -4,17 +4,19 @@
 #   ./ci.sh          run everything (lint, rustdoc, tier-1, full workspace tests)
 #
 # Tier-1 (the must-stay-green bar from ROADMAP.md) is the release build
-# plus the root-package test suite; the clippy gate enforces, among the
-# default lints, the `unwrap_used` deny in occache-cli/occache-experiments
-# (non-test code must return structured errors, not panic).
+# plus the root-package test suite; the clippy gate lints every target,
+# tests included, and enforces, among the default lints, the
+# `unwrap_used` deny in occache-cli/occache-experiments (non-test code
+# must return structured errors, not panic; `clippy.toml` lets tests
+# unwrap).
 set -euo pipefail
 cd "$(dirname "$0")"
 
 echo "== rustfmt (formatting is enforced) =="
 cargo fmt --all -- --check
 
-echo "== clippy (warnings are errors) =="
-cargo clippy --workspace -- -D warnings
+echo "== clippy (warnings are errors, test code included) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc (broken or ambiguous doc links are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
@@ -133,6 +135,24 @@ for FIG in fig2 fig8; do
     || { echo "FAIL: the $FIG MANIFEST line differs from a standalone run"; exit 1; }
 done
 echo "   fig2, fig8: 0 points computed after table7; CSV, journal and MANIFEST line match standalone runs"
+# The headline computes each architecture's 1024-byte (8,8) cell before
+# Table 7 runs, and keeps no journal: Table 7 must not borrow those
+# memory-only points, so its journal and MANIFEST line match a
+# standalone run's.
+HEAD_DIR=target/ci-reuse-headline
+T7_DIR=target/ci-reuse-table7
+rm -rf "$HEAD_DIR" "$T7_DIR"
+OCCACHE_RESULTS="$HEAD_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_SLICE_THREADS=1 \
+  ./target/release/all headline table7 > /dev/null
+OCCACHE_RESULTS="$T7_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_SLICE_THREADS=1 \
+  ./target/release/all table7 > /dev/null
+cmp "$HEAD_DIR/.checkpoint/table7.jsonl" "$T7_DIR/.checkpoint/table7.jsonl" \
+  || { echo "FAIL: table7.jsonl after headline differs from a standalone run"; exit 1; }
+HEAD_LINE=$(grep '"artifact":"table7"' "$HEAD_DIR/MANIFEST.json" | sed 's/,$//')
+T7_LINE=$(grep '"artifact":"table7"' "$T7_DIR/MANIFEST.json" | sed 's/,$//')
+[ -n "$HEAD_LINE" ] && [ "$HEAD_LINE" = "$T7_LINE" ] \
+  || { echo "FAIL: the table7 MANIFEST lines differ after headline"; exit 1; }
+echo "   headline then table7: table7 journal and MANIFEST lines match a standalone run"
 
 echo "== policy gate: FIFO and Random Table 7 ride the one-pass engines end to end =="
 # A full Table 7 run down the FIFO axis must compute every point on a

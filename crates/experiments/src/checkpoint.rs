@@ -10,14 +10,12 @@
 //! instead of re-simulated; anything else (changed trace set, changed
 //! `OCCACHE_REFS`, new configs) misses the key and is evaluated normally.
 //!
-//! The record *codec* — sealing, parsing, line classification, whole-file
-//! scanning and the key derivation — lives in [`occache_runtime::journal`]
-//! and [`occache_runtime::keys`], shared with `occache-serve`'s result
-//! cache so a cache entry in the server means exactly what a journal line
-//! means here; callers import them from `occache_runtime` directly. This
-//! module owns the *policy* around the codec: quarantine
-//! tallies, the advisory lock, atomic compaction, and the checkpointed
-//! sweep entry points.
+//! The record *codec* and the key derivation live in
+//! [`occache_runtime::journal`] and [`occache_runtime::keys`], and the
+//! [`PointStore`] that `occache-serve` answers from too lives in
+//! [`occache_runtime::store`]. This module owns the *policy* around
+//! them: quarantine tallies, the advisory lock, atomic compaction, and
+//! the checkpointed sweep entry points.
 //!
 //! Since journal format v2 every record carries a schema-version field
 //! and an FNV-1a checksum over its payload, so corruption is *detected*
@@ -33,29 +31,27 @@
 //! detection makes each results directory single-writer, so two
 //! concurrent runs cannot interleave appends.
 //!
-//! A results directory computes each point key once. The key does not
-//! name an artifact, so before a sweep evaluates its pending points it
-//! looks their keys up in the intact points of every other journal in
-//! the same `.checkpoint/` store: Figures 2 and 4–6 restore Table 7's
-//! points, Figure 7 restores Figure 1's and Figure 8 Figure 2's. A
-//! reused point counts as restored, and its sealed line is appended to
-//! the borrower's own journal, so every journal stays self-contained for
-//! resume and `occache-verify`. Sibling journals are read-only sources:
-//! never compacted, repaired or counted into the borrower's
-//! [`SweepOutcome::journal`], and their tombstones do not cross over, so
-//! quarantine stays per artifact.
+//! A results directory computes each point key once. Its journals load
+//! once into a [`PointStore`], which takes every successful append too,
+//! and a sweep borrows the pending points another journal holds (see
+//! the store's read rules): Figures 2 and 4–6 restore Table 7's points,
+//! Figure 7 Figure 1's and Figure 8 Figure 2's. A borrowed point counts
+//! as restored, and its sealed line is appended to the borrower's
+//! journal, so every journal stays self-contained for resume and
+//! `occache-verify`. Sibling journals are only read: never compacted,
+//! repaired or counted into the borrower's [`SweepOutcome::journal`],
+//! and their tombstones do not cross over, so quarantine stays per
+//! artifact.
 //!
 //! Pass `--fresh` (or set `OCCACHE_FRESH=1`) to discard the journal
-//! (tombstones included) and recompute everything. Under a fresh run a
-//! sibling is a source only if this process freshened it, so `all
-//! --fresh` still computes each point once while a standalone `fig2
-//! --fresh` never restores a stale point.
+//! (tombstones included) and recompute everything; `all --fresh` still
+//! computes each point once.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::fs::{self, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use occache_core::CacheConfig;
 use occache_runtime::journal::{point_body, seal, tombstone_body};
@@ -69,8 +65,9 @@ use occache_runtime::executor::{
 };
 
 use occache_runtime::config::fresh_requested;
-use occache_runtime::journal::{journal_path, scan_journal, store_journals, Entry, JournalScan};
+use occache_runtime::journal::{journal_path, scan_journal, Entry, JournalScan};
 use occache_runtime::keys::{config_fingerprint, point_key, trace_fingerprint};
+use occache_runtime::store::PointStore;
 
 /// How many failed runs put a design point into quarantine: the point is
 /// skipped (with a structured failure) instead of retried forever on
@@ -258,75 +255,24 @@ fn warn_once(path: &Path, scan: &JournalScan) {
     );
 }
 
-/// Per-process registry of journal paths discarded under `--fresh`. It
-/// makes a bin that sweeps one artifact in several calls (e.g. `table7`,
-/// once per architecture) discard the journal on the *first* call only,
-/// and it names the siblings a fresh run may restore points from.
-fn freshened() -> &'static Mutex<HashSet<PathBuf>> {
-    static FRESHENED: OnceLock<Mutex<HashSet<PathBuf>>> = OnceLock::new();
-    FRESHENED.get_or_init(|| Mutex::new(HashSet::new()))
-}
-
-/// The intact points that other journals of `dir`'s store hold for the
-/// `wanted` keys, each with the file name of the journal it came from
-/// (the first in path order). Siblings are read-only sources: they are
-/// never repaired or counted into this sweep's journal health, and their
-/// tombstones are ignored, so quarantine stays per artifact. An
-/// unreadable sibling is skipped. Under a fresh run (`fresh`, or
-/// `--fresh` for the process) only siblings this process freshened
-/// qualify, so stale points never cross over.
-fn sibling_points(
-    dir: &Path,
-    own: &Path,
-    fresh: bool,
-    mut wanted: HashSet<u64>,
-) -> HashMap<u64, (Entry, String)> {
-    let mut found = HashMap::new();
-    let Ok(journals) = store_journals(dir) else {
-        return found;
-    };
-    let fresh_run = fresh || fresh_requested();
-    let freshened = freshened()
-        .lock()
-        .expect("freshened journal registry lock")
-        .clone();
-    for path in journals {
-        if wanted.is_empty() {
-            break;
-        }
-        if path == own || (fresh_run && !freshened.contains(&path)) {
-            continue;
-        }
-        let Ok(scan) = scan_journal(&path) else {
-            continue;
-        };
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        for (key, entry) in scan.points {
-            if wanted.remove(&key) {
-                found.insert(key, (entry, name.clone()));
-            }
-        }
+/// The point store of the results directory `dir`, loaded on first use.
+/// The process keeps one store at a time: asking for another directory
+/// drops the previous one, so a harness that runs each pass into a new
+/// directory does not accumulate stores.
+pub(crate) fn results_store(dir: &Path) -> Arc<PointStore> {
+    static SLOT: Mutex<Option<Arc<PointStore>>> = Mutex::new(None);
+    let mut slot = SLOT.lock().expect("point store slot lock");
+    if let Some(store) = slot.as_ref().filter(|s| s.dir() == Some(dir)) {
+        return Arc::clone(store);
     }
-    found
+    *slot = None;
+    Arc::clone(slot.insert(Arc::new(PointStore::load(dir, usize::MAX))))
 }
 
-fn restore_point(config: CacheConfig, e: &Entry) -> DesignPoint {
-    DesignPoint {
-        config,
-        miss_ratio: e.miss,
-        traffic_ratio: e.traffic,
-        nibble_traffic_ratio: e.nibble,
-        redundant_load_fraction: e.redundant,
-        gross_size: config.gross_size(),
-    }
-}
-
-/// Checkpointed, fault-isolated sweep with an explicit journal directory,
-/// fresh flag and evaluation function — the fully injectable form used by
-/// tests; production callers use [`evaluate_checkpointed`].
+/// Checkpointed, fault-isolated sweep with an explicit point store (whose
+/// results directory holds the journal), fresh flag and evaluation
+/// function — the fully injectable form used by tests; production
+/// callers use [`evaluate_checkpointed`].
 ///
 /// `eval` takes the whole pending batch at once (so the production path
 /// can share trace passes across configs — see
@@ -337,15 +283,15 @@ fn restore_point(config: CacheConfig, e: &Entry) -> DesignPoint {
 /// points were batched.
 ///
 /// Journalled points are restored without re-simulation
-/// ([`SweepOutcome::resumed`] counts them), including pending points a
-/// sibling journal in the same store already holds, whose lines are
-/// appended to this journal first (see the module docs); quarantined
-/// points (those
-/// with [`QUARANTINE_AFTER`] or more journalled failures) are skipped
-/// with a structured failure; the rest run through `eval`. Each success
-/// with finite metrics is appended to the journal before returning; a
-/// failure — or a non-finite "success", which is rejected here — appends
-/// a failure tombstone so the quarantine tally survives restarts.
+/// ([`SweepOutcome::resumed`] counts them), including pending points
+/// borrowed from the store (see the module docs); quarantined points
+/// (those with [`QUARANTINE_AFTER`] or more journalled failures) are
+/// skipped with a structured failure; the rest run through `eval`. Each
+/// success with finite metrics is appended to the journal and the store
+/// before returning; a failure — or a non-finite "success", which is
+/// rejected here — appends a failure tombstone so the quarantine tally
+/// survives restarts. Under `fresh` the first call per journal and store
+/// discards the journal.
 ///
 /// The whole call holds the directory's [`JournalLock`]; a second live
 /// process gets [`io::ErrorKind::WouldBlock`]. Journal damage found on
@@ -355,10 +301,11 @@ fn restore_point(config: CacheConfig, e: &Entry) -> DesignPoint {
 /// # Errors
 ///
 /// Propagates journal I/O failures (unreadable/unwritable checkpoint
-/// directory, lock contention). Simulation faults are *not* errors —
-/// they come back in [`SweepOutcome::failures`].
+/// directory, lock contention, a store with no results directory).
+/// Simulation faults are *not* errors — they come back in
+/// [`SweepOutcome::failures`].
 pub fn evaluate_checkpointed_in<F>(
-    dir: &Path,
+    store: &PointStore,
     artifact: &str,
     configs: &[CacheConfig],
     traces: &[Trace],
@@ -373,7 +320,7 @@ where
     // order — the historical semantics the tests pin down. It is a thin
     // wrapper over the streamed form with a post-hoc sink.
     evaluate_checkpointed_in_streamed(
-        dir,
+        store,
         artifact,
         configs,
         traces,
@@ -422,7 +369,7 @@ pub type JournalSink<'a> = dyn Fn(usize, &Result<DesignPoint, PointError>) + Syn
 /// As [`evaluate_checkpointed_in`]; additionally any journal-append
 /// failure observed by the writer thread is reported after evaluation.
 pub fn evaluate_checkpointed_in_streamed<F>(
-    dir: &Path,
+    store: &PointStore,
     artifact: &str,
     configs: &[CacheConfig],
     traces: &[Trace],
@@ -439,18 +386,18 @@ where
         &ProgressWriter,
     ) -> Vec<Result<DesignPoint, PointError>>,
 {
+    let dir = store
+        .dir()
+        .ok_or_else(|| io::Error::other("the point store has no results directory"))?;
     let path = journal_path(dir, artifact);
+    let own = format!("{artifact}.jsonl");
     let _lock = JournalLock::acquire(dir)?;
-    if fresh {
+    if fresh && store.freshen(&own) {
         match fs::remove_file(&path) {
             Ok(()) => {}
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
             Err(e) => return Err(e),
         }
-        freshened()
-            .lock()
-            .expect("freshened journal registry lock")
-            .insert(path.clone());
     }
     let scan = scan_journal(&path)?;
     warn_once(&path, &scan);
@@ -471,7 +418,7 @@ where
     let mut quarantined = 0;
     for (i, (&config, &key)) in configs.iter().zip(&keys).enumerate() {
         if let Some(entry) = scan.points.get(&key) {
-            slots[i] = Some(Ok(restore_point(config, entry)));
+            slots[i] = Some(Ok(entry.restore(config)));
             resumed += 1;
         } else if let Some(&fails) = scan.fails.get(&key).filter(|&&n| n >= QUARANTINE_AFTER) {
             slots[i] = Some(Err(PointError::quarantined(config, fails)));
@@ -482,30 +429,33 @@ where
     }
 
     // A results directory computes each point key once: a pending point
-    // another artifact already journalled here is restored from that
-    // journal, and its sealed line is appended to this one (in config
-    // order, before any evaluation) so this journal stays self-contained
+    // another artifact already journalled here is restored from the
+    // store, and its sealed line is appended to this journal (in config
+    // order, before any evaluation) so the journal stays self-contained
     // for resume and verification.
-    let mut borrowed = String::new();
-    let mut sources: BTreeMap<String, usize> = BTreeMap::new();
-    if !pending_idx.is_empty() {
-        let wanted = pending_idx.iter().map(|&i| keys[i]).collect();
-        let found = sibling_points(dir, &path, fresh, wanted);
-        pending_idx.retain(|&i| {
-            let Some((entry, source)) = found.get(&keys[i]) else {
-                return true;
-            };
-            slots[i] = Some(Ok(restore_point(configs[i], entry)));
-            borrowed.push_str(&seal(&point_body(keys[i], entry)));
-            borrowed.push('\n');
-            *sources.entry(source.clone()).or_insert(0) += 1;
-            false
-        });
-        resumed += sources.values().sum::<usize>();
-        if !borrowed.is_empty() {
-            let mut out = OpenOptions::new().create(true).append(true).open(&path)?;
-            out.write_all(borrowed.as_bytes())?;
-            out.sync_all()?;
+    let fresh_run = fresh || fresh_requested();
+    let mut borrowed = Vec::new();
+    let mut sources: BTreeMap<Arc<str>, usize> = BTreeMap::new();
+    pending_idx.retain(|&i| {
+        let Some((entry, source)) = store.borrow(keys[i], &own, fresh_run) else {
+            return true;
+        };
+        slots[i] = Some(Ok(entry.restore(configs[i])));
+        borrowed.push((keys[i], entry));
+        *sources.entry(source).or_insert(0) += 1;
+        false
+    });
+    resumed += borrowed.len();
+    if !borrowed.is_empty() {
+        let lines: String = borrowed
+            .iter()
+            .map(|(key, entry)| format!("{}\n", seal(&point_body(*key, entry))))
+            .collect();
+        let mut out = OpenOptions::new().create(true).append(true).open(&path)?;
+        out.write_all(lines.as_bytes())?;
+        out.sync_all()?;
+        for (key, entry) in borrowed {
+            store.insert(key, entry, Some(&own));
         }
     }
     if resumed > 0 {
@@ -606,7 +556,10 @@ where
                     let entry = Entry::of(&p);
                     match entry.non_finite_field() {
                         Some(field) => Err(PointError::non_finite(p.config, field)),
-                        None => Ok(p),
+                        None => {
+                            store.insert(keys[i], entry, Some(&own));
+                            Ok(p)
+                        }
                     }
                 }
                 Err(e) => Err(e),
@@ -627,19 +580,11 @@ where
     })
 }
 
-/// Whether this call should discard `path` under `--fresh`: only the
-/// first call per journal in this process does, so a bin that sweeps one
-/// artifact in several calls keeps its own earlier appends.
-fn fresh_effective(path: &Path) -> bool {
-    fresh_requested()
-        && freshened()
-            .lock()
-            .expect("freshened journal registry lock")
-            .insert(path.to_path_buf())
-}
-
 /// Checkpointed sweep for an artifact under the standard results
-/// directory, honouring `--fresh` / `OCCACHE_FRESH` and the supervisor
+/// directory, through that directory's point store
+/// (`results_store`), honouring `--fresh` / `OCCACHE_FRESH` (the
+/// journal is discarded on the artifact's first sweep only, so one swept
+/// in several calls keeps its earlier appends) and the supervisor
 /// environment (`OCCACHE_POINT_TIMEOUT`, `OCCACHE_FAULT_POINT`). Every
 /// evaluation runs under the supervisor: per-point deadlines, bounded
 /// retries, quarantine on repeat offenders.
@@ -662,7 +607,6 @@ pub fn evaluate_checkpointed(
     let policy = SupervisorPolicy::from_env_lenient();
     let stats = Mutex::new(SuperviseStats::default());
     let dir = results_dir();
-    let fresh = fresh_effective(&journal_path(&dir, artifact));
     // Stream each point into the journal as the supervisor finishes it,
     // so a SIGINT mid-sweep still leaves everything completed so far
     // sealed on disk.
@@ -682,7 +626,13 @@ pub fn evaluate_checkpointed(
         results
     };
     let mut outcome = match evaluate_checkpointed_in_streamed(
-        &dir, artifact, configs, traces, warmup, fresh, supervised,
+        &results_store(&dir),
+        artifact,
+        configs,
+        traces,
+        warmup,
+        fresh_requested(),
+        supervised,
     ) {
         Ok(outcome) => outcome,
         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -756,6 +706,11 @@ mod tests {
             .map(|(b, s)| standard_config(Architecture::Pdp11, 64, b, s))
             .collect();
         (configs, traces)
+    }
+
+    /// The point store a process starting now would load for `dir`.
+    fn store_at(dir: &Path) -> PointStore {
+        PointStore::load(dir, usize::MAX)
     }
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -850,6 +805,7 @@ mod tests {
     #[test]
     fn non_finite_results_become_point_errors_and_tombstones() {
         let dir = temp_dir("nonfinite");
+        let store = store_at(&dir);
         let (configs, traces) = test_grid();
         let poisoned = configs[1];
         let eval = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
@@ -862,14 +818,14 @@ mod tests {
             results
         };
         let outcome =
-            evaluate_checkpointed_in(&dir, "t", &configs, &traces, 0, false, eval).unwrap();
+            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, eval).unwrap();
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].fault, PointFault::NonFinite);
         assert!(outcome.failures[0].message.contains("miss_ratio"));
         // The journal holds a tombstone, not a poisoned point: a healthy
         // rerun re-simulates it.
         let second = evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs,
             &traces,
@@ -913,9 +869,10 @@ mod tests {
     #[test]
     fn second_run_resumes_everything() {
         let dir = temp_dir("resume");
+        let store = store_at(&dir);
         let (configs, traces) = test_grid();
         let first = evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs,
             &traces,
@@ -929,7 +886,7 @@ mod tests {
         // Second run: everything comes from the journal; an eval fn that
         // panics proves nothing is re-simulated.
         let second = evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs,
             &traces,
@@ -953,9 +910,10 @@ mod tests {
     #[test]
     fn fresh_discards_the_journal() {
         let dir = temp_dir("fresh");
+        let store = store_at(&dir);
         let (configs, traces) = test_grid();
         evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs,
             &traces,
@@ -965,7 +923,7 @@ mod tests {
         )
         .unwrap();
         let again = evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs,
             &traces,
@@ -981,6 +939,7 @@ mod tests {
     #[test]
     fn failed_points_are_retried_then_quarantined() {
         let dir = temp_dir("quarantine");
+        let store = store_at(&dir);
         let (configs, traces) = test_grid();
         let bad = configs[3];
         // The pool, with the bad cell failing as a panic on every run.
@@ -994,13 +953,13 @@ mod tests {
             results
         };
         let first =
-            evaluate_checkpointed_in(&dir, "t", &configs, &traces, 0, false, faulty).unwrap();
+            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, faulty).unwrap();
         assert_eq!(first.failures.len(), 1);
         assert_eq!(first.failures[0].fault, PointFault::Panic);
         // Second failing run: the point is retried (1 < QUARANTINE_AFTER)
         // and fails again, reaching the quarantine threshold.
         let second =
-            evaluate_checkpointed_in(&dir, "t", &configs, &traces, 0, false, faulty).unwrap();
+            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, faulty).unwrap();
         assert_eq!(second.failures.len(), 1);
         assert_eq!(second.failures[0].fault, PointFault::Panic);
         assert_eq!(second.resumed, configs.len() - 1);
@@ -1011,7 +970,7 @@ mod tests {
             evaluate_results_sliced(cs, ts, w)
         };
         let third =
-            evaluate_checkpointed_in(&dir, "t", &configs, &traces, 0, false, counting).unwrap();
+            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, counting).unwrap();
         assert_eq!(evals.load(std::sync::atomic::Ordering::SeqCst), 0);
         assert_eq!(third.failures.len(), 1);
         assert_eq!(third.failures[0].fault, PointFault::Quarantined);
@@ -1022,7 +981,7 @@ mod tests {
         );
         // --fresh clears the tally and the point runs again.
         let fresh = evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs,
             &traces,
@@ -1038,9 +997,10 @@ mod tests {
     #[test]
     fn changed_traces_invalidate_the_journal() {
         let dir = temp_dir("invalidate");
+        let store = store_at(&dir);
         let (configs, traces) = test_grid();
         evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs,
             &traces,
@@ -1051,7 +1011,7 @@ mod tests {
         .unwrap();
         let longer = materialize(&[WorkloadSpec::pdp11_ed()], 2_000);
         let outcome = evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs,
             &longer,
@@ -1067,9 +1027,10 @@ mod tests {
     #[test]
     fn corrupt_mid_file_line_is_counted_and_compacted_away() {
         let dir = temp_dir("compact");
+        let store = store_at(&dir);
         let (configs, traces) = test_grid();
         evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs,
             &traces,
@@ -1086,8 +1047,9 @@ mod tests {
         bytes[target] = bytes[target].wrapping_add(1);
         fs::write(&path, &bytes).unwrap();
 
+        let store = store_at(&dir);
         let outcome = evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs,
             &traces,
@@ -1110,10 +1072,11 @@ mod tests {
     #[test]
     fn tail_truncation_at_every_byte_recovers_the_intact_prefix() {
         let dir = temp_dir("truncate");
+        let store = store_at(&dir);
         let (configs, traces) = test_grid();
         let take = 4.min(configs.len());
         evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs[..take],
             &traces,
@@ -1179,9 +1142,16 @@ mod tests {
         let table7 = journalled_grid(&mut bench, "table7").unwrap();
         let fig2 = journalled_grid(&mut bench, "fig2").unwrap().remove(0);
         let shared = temp_dir("reuse");
+        let shared_store = store_at(&shared);
         for g in &table7 {
             evaluate_checkpointed_in(
-                &shared, "table7", &g.configs, &g.traces, g.warmup, false, serial,
+                &shared_store,
+                "table7",
+                &g.configs,
+                &g.traces,
+                g.warmup,
+                false,
+                serial,
             )
             .unwrap();
         }
@@ -1192,7 +1162,7 @@ mod tests {
             serial(cs, ts, w)
         };
         let reused = evaluate_checkpointed_in(
-            &shared,
+            &shared_store,
             "fig2",
             &fig2.configs,
             &fig2.traces,
@@ -1212,8 +1182,9 @@ mod tests {
         // The borrower's journal is self-contained and byte-equal to a
         // standalone run's; the source journal is untouched.
         let alone = temp_dir("reuse-alone");
+        let alone_store = store_at(&alone);
         let standalone = evaluate_checkpointed_in(
-            &alone,
+            &alone_store,
             "fig2",
             &fig2.configs,
             &fig2.traces,
@@ -1242,6 +1213,7 @@ mod tests {
     #[test]
     fn fresh_borrows_only_from_siblings_this_process_freshened() {
         let dir = temp_dir("reuse-fresh");
+        let store = store_at(&dir);
         let (configs, traces) = test_grid();
         let run = |artifact: &str, fresh: bool| {
             let evals = AtomicUsize::new(0);
@@ -1250,7 +1222,7 @@ mod tests {
                 serial(cs, ts, w)
             };
             let outcome =
-                evaluate_checkpointed_in(&dir, artifact, &configs, &traces, 0, fresh, counting)
+                evaluate_checkpointed_in(&store, artifact, &configs, &traces, 0, fresh, counting)
                     .unwrap();
             assert!(outcome.is_complete());
             evals.into_inner()
@@ -1272,8 +1244,9 @@ mod tests {
     #[test]
     fn a_damaged_sibling_keeps_its_bytes_and_its_intact_points_serve() {
         let dir = temp_dir("reuse-damaged");
+        let store = store_at(&dir);
         let (configs, traces) = test_grid();
-        evaluate_checkpointed_in(&dir, "a", &configs, &traces, 0, false, serial).unwrap();
+        evaluate_checkpointed_in(&store, "a", &configs, &traces, 0, false, serial).unwrap();
         let sibling = journal_path(&dir, "a");
         // Flip a byte in the middle of the second line and tear the tail.
         let mut bytes = fs::read(&sibling).unwrap();
@@ -1281,6 +1254,7 @@ mod tests {
         bytes[first_nl + 10] = bytes[first_nl + 10].wrapping_add(1);
         bytes.extend_from_slice(b"{\"v\":2,\"key\":\"00");
         fs::write(&sibling, &bytes).unwrap();
+        let store = store_at(&dir);
 
         let evals = AtomicUsize::new(0);
         let counting = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
@@ -1288,7 +1262,7 @@ mod tests {
             serial(cs, ts, w)
         };
         let outcome =
-            evaluate_checkpointed_in(&dir, "b", &configs, &traces, 0, false, counting).unwrap();
+            evaluate_checkpointed_in(&store, "b", &configs, &traces, 0, false, counting).unwrap();
         assert_eq!(
             evals.load(Ordering::SeqCst),
             1,
@@ -1308,6 +1282,7 @@ mod tests {
     #[test]
     fn a_sibling_tombstone_does_not_quarantine_the_borrower() {
         let dir = temp_dir("reuse-tombstone");
+        let store = store_at(&dir);
         let (configs, traces) = test_grid();
         let bad = configs[3];
         let faulty = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
@@ -1320,10 +1295,10 @@ mod tests {
             results
         };
         for _ in 0..QUARANTINE_AFTER {
-            evaluate_checkpointed_in(&dir, "a", &configs, &traces, 0, false, faulty).unwrap();
+            evaluate_checkpointed_in(&store, "a", &configs, &traces, 0, false, faulty).unwrap();
         }
         let quarantined =
-            evaluate_checkpointed_in(&dir, "a", &configs, &traces, 0, false, faulty).unwrap();
+            evaluate_checkpointed_in(&store, "a", &configs, &traces, 0, false, faulty).unwrap();
         assert_eq!(
             quarantined.quarantined(),
             1,
@@ -1336,7 +1311,7 @@ mod tests {
             serial(cs, ts, w)
         };
         let outcome =
-            evaluate_checkpointed_in(&dir, "b", &configs, &traces, 0, false, counting).unwrap();
+            evaluate_checkpointed_in(&store, "b", &configs, &traces, 0, false, counting).unwrap();
         assert_eq!(
             evals.load(Ordering::SeqCst),
             1,
@@ -1372,11 +1347,12 @@ mod tests {
     #[test]
     fn checkpointed_run_fails_fast_under_a_foreign_lock() {
         let dir = temp_dir("lock-contention");
+        let store = store_at(&dir);
         fs::create_dir_all(dir.join(".checkpoint")).unwrap();
         fs::write(lock_path(&dir), "1").unwrap();
         let (configs, traces) = test_grid();
         let err = evaluate_checkpointed_in(
-            &dir,
+            &store,
             "t",
             &configs,
             &traces,

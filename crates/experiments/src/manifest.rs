@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn entries_round_trip_through_render_and_parse() {
         let e = ManifestEntry::of("table7_pdp_11.csv", "a,b\n1,2\n", "table7", 0xabc, 0xdef);
-        let text = render(&[e.clone()]);
+        let text = render(std::slice::from_ref(&e));
         let parsed: Vec<ManifestEntry> = text.lines().filter_map(parse_entry).collect();
         assert_eq!(parsed, vec![e]);
     }

@@ -10,7 +10,9 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use occache_core::{CacheConfig, FetchPolicy, Metrics, ReplacementPolicy};
+use occache_runtime::config::{fresh_requested, results_dir};
 use occache_runtime::executor::{evaluate_metrics, pool_map};
+use occache_runtime::journal::Entry;
 use occache_runtime::keys::{point_key, trace_fingerprint};
 use occache_workloads::{m85_mix, riscii_instruction_workload, Architecture, WorkloadSpec};
 
@@ -145,8 +147,7 @@ pub fn select(names: &[String]) -> Result<Vec<Runner>, &str> {
         .collect()
 }
 
-/// Materialised trace sets, built lazily and shared across artifacts,
-/// and the design points evaluated over them.
+/// Materialised trace sets, built lazily and shared across artifacts.
 ///
 /// Generation is memoized per workload spec (by its name, which is unique
 /// across all sets; the seed is always 0 and the length fixed per
@@ -154,11 +155,14 @@ pub fn select(names: &[String]) -> Result<Vec<Runner>, &str> {
 /// generate each trace exactly once. A recalled [`Trace`] is an `Arc`
 /// clone, not a copy of the stream.
 ///
-/// Evaluation is memoized per point key — config, trace-set fingerprint
-/// and warm-up, the identity a journal line has — so a design point two
-/// artifacts share is simulated once per workbench. The unjournalled
-/// artifacts read and feed the memo; the journalled sweeps (Table 7,
-/// Figures 1–8) only feed it, so their journals never depend on it.
+/// Design points go through the results directory's point store
+/// ([`occache_runtime::store::PointStore`]), keyed by config, trace-set
+/// fingerprint and warm-up — the identity a journal line has — so a
+/// design point two artifacts share is simulated once per results
+/// directory. The unjournalled artifacts read and feed it through
+/// `Workbench::evaluate_each`; the journalled sweeps (Table 7, Figures
+/// 1–8) borrow only what it holds on disk, so their journals never
+/// depend on which unjournalled artifacts ran first.
 #[derive(Debug, Default)]
 pub struct Workbench {
     store: HashMap<&'static str, Trace>,
@@ -167,7 +171,6 @@ pub struct Workbench {
     m85: Option<Vec<Trace>>,
     riscii: Option<Vec<Trace>>,
     len: usize,
-    points: HashMap<u64, DesignPoint>,
     /// Points [`Workbench::evaluate_each`] sent to the pool.
     computed: usize,
 }
@@ -197,6 +200,12 @@ impl Workbench {
     /// Whether the workbench would generate empty traces.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Design points `Workbench::evaluate_each` has sent to the pool:
+    /// those the point store could not recall.
+    pub fn computed(&self) -> usize {
+        self.computed
     }
 
     /// Warm-up prefix for an architecture: the paper quotes warm-start
@@ -279,22 +288,15 @@ impl Workbench {
             .collect()
     }
 
-    /// Stores points evaluated over the trace set with `fingerprint`
-    /// under `warmup`, by point key.
-    fn remember(&mut self, fingerprint: u64, warmup: usize, points: &[DesignPoint]) {
-        for p in points {
-            self.points
-                .insert(point_key(&p.config, fingerprint, warmup), *p);
-        }
-    }
-
     /// Builds one config per item and pairs each item with its design
-    /// point over `traces`, in item order. Points the memo holds for this
-    /// trace set and warm-up are recalled; the rest go to the sliced
-    /// worker pool ([`evaluate_points`]) in one call and are remembered.
-    /// Either way a point is the pool's trace-order mean, the unweighted
-    /// §3.3 average the artifacts report, so a recalled point has the
-    /// bits a fresh evaluation would.
+    /// point over `traces`, in item order. Points the results directory's
+    /// store holds for this trace set and warm-up are recalled
+    /// ([`occache_runtime::store::PointStore::recall`]: under `--fresh`
+    /// only this run's); the rest go to the sliced worker pool
+    /// ([`evaluate_points`]) in one call and into the store. Either way a
+    /// point is the pool's trace-order mean, the unweighted §3.3 average
+    /// the artifacts report, so a recalled point has the bits a fresh
+    /// evaluation would.
     pub(crate) fn evaluate_each<T: Copy>(
         &mut self,
         items: &[T],
@@ -302,31 +304,38 @@ impl Workbench {
         warmup: usize,
         config: impl Fn(T) -> CacheConfig,
     ) -> Vec<(T, DesignPoint)> {
+        let store = crate::checkpoint::results_store(&results_dir());
+        let fresh = fresh_requested();
         let fingerprint = trace_fingerprint(traces);
         let key = |c: &CacheConfig| point_key(c, fingerprint, warmup);
         let configs: Vec<CacheConfig> = items.iter().map(|&item| config(item)).collect();
+        let mut points: HashMap<u64, DesignPoint> = HashMap::new();
         let mut missing = Vec::new();
         for c in &configs {
-            if !self.points.contains_key(&key(c)) && !missing.contains(c) {
+            if let Some(entry) = store.recall(key(c), fresh) {
+                points.insert(key(c), entry.restore(*c));
+            } else if !missing.contains(c) {
                 missing.push(*c);
             }
         }
         if !missing.is_empty() {
-            let points = evaluate_points(&missing, traces, warmup);
-            self.computed += points.len();
-            self.remember(fingerprint, warmup, &points);
+            let computed = evaluate_points(&missing, traces, warmup);
+            self.computed += computed.len();
+            for p in computed {
+                store.insert(key(&p.config), Entry::of(&p), None);
+                points.insert(key(&p.config), p);
+            }
         }
         items
             .iter()
             .zip(&configs)
-            .map(|(&item, c)| (item, self.points[&key(c)]))
+            .map(|(&item, c)| (item, points[&key(c)]))
             .collect()
     }
 
     /// A journalled sweep of `arch`'s paper grid over `nets` (Table 7,
-    /// Figures 1–8). Its successful points feed the memo, but it never
-    /// reads it: the checkpoint layer restores and journals every point
-    /// itself, so journal bytes do not depend on what ran before.
+    /// Figures 1–8). The checkpoint layer restores, borrows and journals
+    /// every point itself, and puts what it journals into the store.
     fn sweep_journalled(
         &mut self,
         artifact: &str,
@@ -334,16 +343,12 @@ impl Workbench {
         nets: &[u64],
     ) -> SweepOutcome {
         let warmup = self.warmup_for(arch);
-        let traces = self.arch_traces(arch);
-        let outcome = crate::checkpoint::evaluate_checkpointed(
+        crate::checkpoint::evaluate_checkpointed(
             artifact,
             &paper_grid(arch, nets),
-            traces,
+            self.arch_traces(arch),
             warmup,
-        );
-        let fingerprint = trace_fingerprint(traces);
-        self.remember(fingerprint, warmup, &outcome.points);
-        outcome
+        )
     }
 }
 
@@ -1178,13 +1183,16 @@ mod tests {
         assert!(a.report.contains("16,2,LF"));
     }
 
-    /// The memo is keyed by config, trace set *and* warm-up: a point
+    /// The point store is keyed by config, trace set *and* warm-up: a point
     /// evaluated over one trace set or warm-up is never returned for
     /// another, and every point it returns has the direct simulator's
     /// bits for its own inputs.
     #[test]
     fn point_memo_never_crosses_warmup_or_trace_set() {
-        let mut b = small_bench();
+        // A trace length of its own: every test in this process shares
+        // the results directory's point store, and another test's Table 8
+        // points must not be recalled here.
+        let mut b = Workbench::new(20_001);
         let bits = |p: &DesignPoint| {
             [
                 p.miss_ratio,

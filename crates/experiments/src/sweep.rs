@@ -14,7 +14,7 @@
 //! turning [`WorkloadSpec`]s into traces and building the paper's
 //! standard configurations.
 
-use occache_core::{CacheConfig, FetchPolicy};
+use occache_core::CacheConfig;
 use occache_runtime::config::replacement_override;
 use occache_workloads::{Architecture, WorkloadSpec};
 
@@ -77,18 +77,6 @@ pub fn standard_config(arch: Architecture, net: u64, block: u64, sub: u64) -> Ca
     builder.build().expect("Table 1 geometry is valid")
 }
 
-/// Like [`standard_config`] but with the load-forward fetch policy.
-pub fn load_forward_config(arch: Architecture, net: u64, block: u64, sub: u64) -> CacheConfig {
-    CacheConfig::builder()
-        .net_size(net)
-        .block_size(block)
-        .sub_block_size(sub)
-        .word_size(arch.word_size())
-        .fetch(FetchPolicy::LOAD_FORWARD)
-        .build()
-        .expect("Table 1 geometry is valid")
-}
-
 /// Number of references per trace: `OCCACHE_REFS` env var, defaulting to
 /// the paper's 1 million.
 ///
@@ -109,7 +97,7 @@ pub fn trace_len() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use occache_core::{engine_supports, MAX_MULTISIM_CONFIGS};
+    use occache_core::{engine_supports, FetchPolicy, MAX_MULTISIM_CONFIGS};
     use occache_runtime::config::DisabledEngines;
     use occache_runtime::eval::plan_units_disabling;
     use occache_runtime::executor::{

@@ -7,7 +7,7 @@
 
 use std::fs;
 use std::io::Read as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use occache_core::CacheConfig;
@@ -20,6 +20,7 @@ use occache_experiments::sweep::{
 };
 use occache_experiments::verify::{verify_dir, VerifyOptions};
 use occache_runtime::executor::{evaluate_results_supervised_with, FaultPlan, SupervisorPolicy};
+use occache_runtime::store::PointStore;
 use occache_trace::fault::{FaultMode, FaultyReader};
 use occache_trace::io::{parse_trace, write_trace, ParseTraceError};
 use occache_workloads::{Architecture, WorkloadSpec};
@@ -27,8 +28,14 @@ use occache_workloads::{Architecture, WorkloadSpec};
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("occache-recovery-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
+    fs::create_dir_all(&dir).expect("create the test's results dir");
     dir
+}
+
+/// The point store a process starting now would load for `dir`: each
+/// checkpointed run below models one process.
+fn store_at(dir: &Path) -> PointStore {
+    PointStore::load(dir, usize::MAX)
 }
 
 fn grid() -> (Vec<CacheConfig>, Vec<Trace>) {
@@ -57,7 +64,7 @@ fn kill_and_resume_matches_clean_run() {
     // all in-memory state afterwards is exactly what a process death does;
     // the journal on disk is the only survivor.
     let partial = evaluate_checkpointed_in(
-        &dir,
+        &store_at(&dir),
         "grid",
         &configs[..k],
         &traces,
@@ -78,8 +85,16 @@ fn kill_and_resume_matches_clean_run() {
         fresh_counter.fetch_add(cs.len(), std::sync::atomic::Ordering::SeqCst);
         evaluate_results_sliced(cs, ts, w)
     };
-    let resumed =
-        evaluate_checkpointed_in(&dir, "grid", &configs, &traces, 0, false, counting_eval).unwrap();
+    let resumed = evaluate_checkpointed_in(
+        &store_at(&dir),
+        "grid",
+        &configs,
+        &traces,
+        0,
+        false,
+        counting_eval,
+    )
+    .unwrap();
     fresh_evals += fresh_counter.load(std::sync::atomic::Ordering::SeqCst);
     assert_eq!(resumed.resumed, k);
     assert_eq!(fresh_evals, configs.len() - k);
@@ -88,7 +103,7 @@ fn kill_and_resume_matches_clean_run() {
     // The merged grid equals a clean run, point for point, bit for bit.
     let clean_dir = temp_dir("kill-resume-clean");
     let clean = evaluate_checkpointed_in(
-        &clean_dir,
+        &store_at(&clean_dir),
         "grid",
         &configs,
         &traces,
@@ -149,9 +164,16 @@ fn faulty_sweep_completes_reports_and_resumes() {
         }
         results
     };
-    let outcome =
-        evaluate_checkpointed_in(&dir, "faulty", &configs, &survivors, 0, false, faulty_eval)
-            .unwrap();
+    let outcome = evaluate_checkpointed_in(
+        &store_at(&dir),
+        "faulty",
+        &configs,
+        &survivors,
+        0,
+        false,
+        faulty_eval,
+    )
+    .unwrap();
     assert_eq!(outcome.points.len(), configs.len() - 1);
     assert_eq!(outcome.failures.len(), 1);
 
@@ -188,9 +210,16 @@ fn faulty_sweep_completes_reports_and_resumes() {
         assert_eq!(cs, [bad], "only the failed cell may re-run");
         evaluate_results_sliced(cs, ts, w)
     };
-    let second =
-        evaluate_checkpointed_in(&dir, "faulty", &configs, &survivors, 0, false, retry_eval)
-            .unwrap();
+    let second = evaluate_checkpointed_in(
+        &store_at(&dir),
+        "faulty",
+        &configs,
+        &survivors,
+        0,
+        false,
+        retry_eval,
+    )
+    .unwrap();
     assert_eq!(second.resumed, configs.len() - 1);
     assert!(second.is_complete());
     fs::remove_dir_all(&dir).unwrap();
@@ -223,9 +252,16 @@ fn hung_point_times_out_twice_then_quarantines() {
 
     // Runs 1 and 2: the hung cell times out, everything else completes.
     for run in 1..=2 {
-        let outcome =
-            evaluate_checkpointed_in(&dir, "hang", &configs, &traces, 0, false, supervised)
-                .unwrap();
+        let outcome = evaluate_checkpointed_in(
+            &store_at(&dir),
+            "hang",
+            &configs,
+            &traces,
+            0,
+            false,
+            supervised,
+        )
+        .unwrap();
         assert_eq!(outcome.points.len(), configs.len() - 1, "run {run}");
         assert_eq!(outcome.failures.len(), 1, "run {run}");
         assert_eq!(outcome.timed_out(), 1, "run {run}");
@@ -251,8 +287,16 @@ fn hung_point_times_out_twice_then_quarantines() {
         );
         evaluate_results_sliced(cs, ts, w)
     };
-    let third =
-        evaluate_checkpointed_in(&dir, "hang", &configs, &traces, 0, false, must_not_run).unwrap();
+    let third = evaluate_checkpointed_in(
+        &store_at(&dir),
+        "hang",
+        &configs,
+        &traces,
+        0,
+        false,
+        must_not_run,
+    )
+    .unwrap();
     assert_eq!(third.quarantined(), 1);
     let failure = &third.failures[0];
     assert_eq!(failure.config, bad);
@@ -262,7 +306,7 @@ fn hung_point_times_out_twice_then_quarantines() {
     // --fresh lifts the quarantine: with the fault gone the cell finally
     // computes and the grid completes.
     let fourth = evaluate_checkpointed_in(
-        &dir,
+        &store_at(&dir),
         "hang",
         &configs,
         &traces,
@@ -297,9 +341,16 @@ fn transient_panic_is_retried_within_a_single_run() {
         *retries.lock().unwrap() += stats.retries;
         results
     };
-    let outcome =
-        evaluate_checkpointed_in(&dir, "transient", &configs, &traces, 0, false, supervised)
-            .unwrap();
+    let outcome = evaluate_checkpointed_in(
+        &store_at(&dir),
+        "transient",
+        &configs,
+        &traces,
+        0,
+        false,
+        supervised,
+    )
+    .unwrap();
     assert!(outcome.is_complete(), "{:?}", outcome.failure_note());
     assert!(*retries.lock().unwrap() >= 1, "the retry must be counted");
 
@@ -308,7 +359,7 @@ fn transient_panic_is_retried_within_a_single_run() {
         panic!("nothing should be pending, got {} configs", cs.len());
     };
     let resumed = evaluate_checkpointed_in(
-        &dir,
+        &store_at(&dir),
         "transient",
         &configs,
         &traces,
@@ -329,7 +380,7 @@ fn verify_catches_a_single_flipped_byte_anywhere() {
     let dir = temp_dir("verify");
     let (configs, traces) = grid();
     let outcome = evaluate_checkpointed_in(
-        &dir,
+        &store_at(&dir),
         "grid",
         &configs,
         &traces,

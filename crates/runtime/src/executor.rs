@@ -305,16 +305,6 @@ impl SuperviseStats {
         }
         self.direct_points += other.direct_points;
     }
-
-    /// Points computed per one-pass engine, as `(kind, count)` pairs in
-    /// [`EngineKind::ALL`](occache_core::EngineKind::ALL) order.
-    pub fn engine_point_counts(&self) -> [(occache_core::EngineKind, usize); 3] {
-        let mut out = [(occache_core::EngineKind::Lru, 0); 3];
-        for (slot, kind) in out.iter_mut().zip(occache_core::EngineKind::ALL) {
-            *slot = (kind, self.engine_points[kind.index()]);
-        }
-        out
-    }
 }
 
 /// The outcome of one deadline-bounded evaluation.

@@ -6,10 +6,11 @@
 //! schema-version field and an FNV-1a checksum over its payload, so
 //! corruption is *detected* rather than silently mis-parsed. This module
 //! owns what both front-ends need — the codec ([`seal`], [`parse_line`])
-//! and the non-mutating [`scan_journal`] the batch harness resumes from
-//! and the serving layer warm-starts its cache from. The write-side
-//! orchestration (advisory locking, atomic compaction, the single-writer
-//! append thread, quarantine policy) stays in
+//! and the non-mutating [`scan_journal`]. A batch sweep resumes from its
+//! own journal's scan; every journal of a results directory is read once
+//! into the [`crate::store::PointStore`] that both front-ends consult.
+//! The write-side orchestration (advisory locking, atomic compaction,
+//! the single-writer append thread, quarantine policy) stays in
 //! `occache-experiments::checkpoint`, which owns the journal's
 //! lifecycle.
 //!
@@ -22,6 +23,8 @@ use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use occache_core::CacheConfig;
 
 use crate::eval::DesignPoint;
 use crate::fmt::fmt_f64_exact;
@@ -55,6 +58,19 @@ impl Entry {
             traffic: p.traffic_ratio,
             nibble: p.nibble_traffic_ratio,
             redundant: p.redundant_load_fraction,
+        }
+    }
+
+    /// The design point this entry journals for `config`: a restored
+    /// point has the bits of the computed one.
+    pub fn restore(&self, config: CacheConfig) -> DesignPoint {
+        DesignPoint {
+            config,
+            miss_ratio: self.miss,
+            traffic_ratio: self.traffic,
+            nibble_traffic_ratio: self.nibble,
+            redundant_load_fraction: self.redundant,
+            gross_size: config.gross_size(),
         }
     }
 
@@ -92,8 +108,7 @@ pub fn journal_path(dir: &Path, artifact: &str) -> PathBuf {
 
 /// Every journal of a results directory's checkpoint store
 /// (`<dir>/.checkpoint/*.jsonl`), sorted by path; a missing store lists
-/// none. The serving layer warm-starts its cache from all of them, and a
-/// batch sweep restores points its sibling artifacts already journalled.
+/// none. [`crate::store::PointStore::load`] reads them all.
 ///
 /// # Errors
 ///

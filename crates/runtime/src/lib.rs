@@ -31,6 +31,9 @@
 //!   checksummed lines) and the read-side scan; the write-side
 //!   orchestration (locking, compaction, resume) stays in
 //!   `occache-experiments::checkpoint`.
+//! * [`store`] — the point store: every computed point by point key,
+//!   loaded once from a results directory's journals, which the
+//!   checkpointed sweep, the batch `Workbench` and serve all consult.
 //! * [`progress`] — the live progress feed
 //!   (`results/.checkpoint/PROGRESS.json`): an atomically replaced,
 //!   checksummed snapshot of the running sweep phase, written by the
@@ -52,3 +55,4 @@ pub mod journal;
 pub mod keys;
 pub mod progress;
 pub mod queue;
+pub mod store;

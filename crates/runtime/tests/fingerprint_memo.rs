@@ -63,7 +63,10 @@ fn memoized_value_is_the_uncached_stream_for_packed_streamed_and_mixed_sets() {
     // A packed trace and a streamed one over the same references hash
     // alike, memo or not.
     let (a, b) = (packed("same", 9, 2_000), streamed("same", 9, 2_000));
-    let (fa, fb) = (trace_fingerprint(&[a.clone()]), trace_fingerprint(&[b]));
+    let (fa, fb) = (
+        trace_fingerprint(std::slice::from_ref(&a)),
+        trace_fingerprint(&[b]),
+    );
     assert_eq!(fa, fb);
 
     // Same backing, other name: not the same set.

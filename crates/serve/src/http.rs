@@ -335,16 +335,6 @@ impl<S: Read + Write> Connection<S> {
     pub fn write_json(&mut self, status: u16, body: &str) -> io::Result<()> {
         self.write_response(status, "application/json", &[], body.as_bytes())
     }
-
-    /// Convenience: a JSON error body `{"error": "..."}`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors.
-    pub fn write_error(&mut self, status: u16, message: &str) -> io::Result<()> {
-        let body = format!("{{\"error\":\"{}\"}}", crate::json::escape(message));
-        self.write_json(status, &body)
-    }
 }
 
 /// Renders a complete response (status line, headers, blank line, body)

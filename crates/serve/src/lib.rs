@@ -4,8 +4,9 @@
 //! design points on demand. Clients POST JSON design points or grids
 //! referencing the named workload models from `occache-workloads`; the
 //! service fronts the shared worker-pool scheduler
-//! (`occache_runtime::queue`) with a content-addressed result cache
-//! keyed by the same FNV fingerprints the checkpoint journals use, so
+//! (`occache_runtime::queue`) with the content-addressed point store
+//! (`occache_runtime::store`) keyed by the same FNV fingerprints the
+//! checkpoint journals use, so
 //! any point a batch sweep already sealed to disk — or any point served
 //! once — comes back without re-simulation, bit-identical to direct
 //! evaluation.
@@ -17,7 +18,6 @@
 //! * [`http`] — HTTP/1.1 framing over any `Read + Write` stream, with
 //!   per-connection deadlines and torn-write injection support.
 //! * [`metrics`] — atomic counters and a fixed-bucket latency histogram.
-//! * [`cache`] — the bounded content-addressed result cache.
 //! * [`fault`] — deterministic socket/scheduler chaos injection
 //!   (`OCCACHE_SERVE_FAULT`).
 //! * [`breaker`] — the per-point-key circuit breaker mirroring the
@@ -33,7 +33,6 @@
 #![warn(missing_docs)]
 
 pub mod breaker;
-pub mod cache;
 pub mod fault;
 pub mod http;
 pub mod json;

@@ -7,6 +7,7 @@
 //! same registry). This module owns only the service's instrument *set*
 //! and the family order of its Prometheus exposition.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use occache_runtime::instrument::{Counter, Registry};
@@ -35,8 +36,9 @@ pub struct Counters {
     /// Requests refused because the point key is quarantined by the
     /// circuit breaker.
     pub quarantined: Counter,
-    /// Computed points queued to the write-behind journal.
-    pub journal_appends: Counter,
+    /// Lines the write-behind writer appended to the serve journal
+    /// (shared with its thread, which counts each successful write).
+    pub journal_appends: Arc<Counter>,
     /// Requests answered 4xx (malformed input).
     pub client_errors: Counter,
     /// Requests answered 5xx.

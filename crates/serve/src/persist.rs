@@ -4,8 +4,8 @@
 //! appended (off the request path, by a single writer thread) to
 //! `dir/.checkpoint/serve.jsonl` in the exact sealed v2 record format of
 //! `occache_runtime::journal`, so a killed-and-restarted server — whose
-//! cache warm-starts from every journal in `dir/.checkpoint/`
-//! ([`crate::cache::ResultCache::warm_start`]) — answers previously
+//! point store loads every journal in `dir/.checkpoint/`
+//! ([`occache_runtime::store::PointStore::load`]) — answers previously
 //! computed points bit-identically from disk.
 //!
 //! Properties:
@@ -14,7 +14,8 @@
 //!   down a channel; fsync cost never lands on a response's latency.
 //! * **Dedup**: the writer keeps the set of keys already on disk
 //!   (seeded by scanning the journal at open), so re-computed points —
-//!   e.g. after the bounded cache evicted them — do not grow the file.
+//!   e.g. after the bounded store evicted them — do not grow the file,
+//!   and it counts only the lines it actually wrote.
 //! * **Crash-safe**: records are sealed with the FNV checksum, and
 //!   [`scan_journal`]'s torn-tail repair means a crash mid-append costs
 //!   at most the final record.
@@ -24,8 +25,10 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use occache_runtime::instrument::Counter;
 use occache_runtime::journal::{journal_path, point_body, scan_journal, seal, Entry};
 
 /// The journal artifact name the serving layer owns (batch sweeps use
@@ -36,7 +39,7 @@ pub const ARTIFACT: &str = "serve";
 #[derive(Debug)]
 pub struct WriteBehind {
     tx: Option<Sender<(u64, Entry)>>,
-    writer: Option<JoinHandle<u64>>,
+    writer: Option<JoinHandle<()>>,
 }
 
 impl WriteBehind {
@@ -44,13 +47,14 @@ impl WriteBehind {
     /// keys already on disk seed the dedup set; torn tails and corrupt
     /// lines are reported to stderr and skipped, exactly like the batch
     /// resume path, and a torn tail is fenced off with a newline so the
-    /// next append starts a fresh record.
+    /// next append starts a fresh record. The writer bumps `appended`
+    /// once per line it writes.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures creating the directory, scanning, or
     /// opening the journal for append.
-    pub fn open(dir: &Path) -> io::Result<WriteBehind> {
+    pub fn open(dir: &Path, appended: Arc<Counter>) -> io::Result<WriteBehind> {
         let path = journal_path(dir, ARTIFACT);
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
@@ -78,7 +82,6 @@ impl WriteBehind {
         let writer = std::thread::Builder::new()
             .name("occache-journal".to_string())
             .spawn(move || {
-                let mut appended = 0u64;
                 while let Ok((key, entry)) = rx.recv() {
                     if !seen.insert(key) || entry.non_finite_field().is_some() {
                         continue;
@@ -96,10 +99,9 @@ impl WriteBehind {
                         seen.remove(&key);
                         continue;
                     }
-                    appended += 1;
+                    appended.bump();
                 }
                 let _ = file.sync_all();
-                appended
             })?;
         Ok(WriteBehind {
             tx: Some(tx),
@@ -113,22 +115,15 @@ impl WriteBehind {
             let _ = tx.send((key, entry));
         }
     }
-
-    /// Drains the channel, fsyncs, joins the writer; returns how many
-    /// records this process appended.
-    pub fn shutdown(mut self) -> u64 {
-        self.close()
-    }
-
-    fn close(&mut self) -> u64 {
-        drop(self.tx.take());
-        self.writer.take().and_then(|w| w.join().ok()).unwrap_or(0)
-    }
 }
 
 impl Drop for WriteBehind {
+    /// Drains the channel, fsyncs and joins the writer.
     fn drop(&mut self) {
-        self.close();
+        drop(self.tx.take());
+        if let Some(writer) = self.writer.take() {
+            let _ = writer.join();
+        }
     }
 }
 
@@ -149,11 +144,13 @@ mod tests {
     fn appends_dedups_and_recovers_across_reopen() {
         let dir = std::env::temp_dir().join(format!("occache-wb-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let wb = WriteBehind::open(&dir).unwrap();
+        let appended = Arc::new(Counter::default());
+        let wb = WriteBehind::open(&dir, Arc::clone(&appended)).unwrap();
         wb.record(1, entry(0.25));
         wb.record(2, entry(0.5));
         wb.record(1, entry(0.25)); // dedup
-        assert_eq!(wb.shutdown(), 2);
+        drop(wb);
+        assert_eq!(appended.get(), 2, "the counter sees written lines only");
 
         // Simulate a crash mid-append: a torn trailing record.
         let path = journal_path(&dir, ARTIFACT);
@@ -161,12 +158,13 @@ mod tests {
         file.write_all(b"{\"v\":2,\"key\":\"00000000000").unwrap();
         drop(file);
 
-        let wb = WriteBehind::open(&dir).unwrap();
+        let wb = WriteBehind::open(&dir, Arc::clone(&appended)).unwrap();
         // Keys already on disk are not appended again; new appends after
         // the torn tail still parse.
         wb.record(2, entry(0.5));
         wb.record(3, entry(0.75));
-        assert_eq!(wb.shutdown(), 1);
+        drop(wb);
+        assert_eq!(appended.get(), 3);
         let scan = scan_journal(&path).unwrap();
         let mut keys: Vec<u64> = scan.points.keys().copied().collect();
         keys.sort_unstable();

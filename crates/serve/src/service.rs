@@ -42,15 +42,15 @@ use std::time::{Duration, Instant};
 use occache_core::CacheConfig;
 use occache_experiments::sweep::materialize;
 use occache_runtime::config::env_usize;
-use occache_runtime::eval::{DesignPoint, PointError, PointFault};
+use occache_runtime::eval::{PointError, PointFault};
 use occache_runtime::executor::SupervisorPolicy;
 use occache_runtime::fmt::fmt_f64_exact;
 use occache_runtime::journal::Entry;
 use occache_runtime::keys::{point_key, trace_fingerprint};
+use occache_runtime::store::PointStore;
 use occache_workloads::WorkloadSpec;
 
 use crate::breaker::{Breaker, DEFAULT_THRESHOLD};
-use crate::cache::ResultCache;
 use crate::fault::ServeFault;
 use crate::http::{Connection, ParseError, ReadOutcome, Request};
 use crate::json::{escape, ErrorBody, Json};
@@ -194,7 +194,7 @@ impl ServiceConfig {
 #[derive(Debug)]
 pub struct Service {
     scheduler: Scheduler,
-    cache: ResultCache,
+    cache: PointStore,
     counters: Counters,
     traces: Mutex<HashMap<(String, usize), Arc<TraceSet>>>,
     default_refs: usize,
@@ -210,7 +210,7 @@ pub struct Service {
 
 impl Service {
     /// Builds the service: starts the worker pool, opens the
-    /// write-behind journal, and warm-starts the cache from every
+    /// write-behind journal, and loads its point store from every
     /// journal in its `.checkpoint/` directory — the service's own
     /// (crash recovery) and any batch sweep's.
     pub fn new(config: &ServiceConfig) -> Service {
@@ -218,27 +218,24 @@ impl Service {
         if let Some(plan) = config.fault.as_ref().and_then(|f| f.worker_fault()) {
             policy.fault = plan;
         }
+        let counters = Counters::default();
         let mut persist = None;
-        let mut journal_replayed = 0;
-        let cache = ResultCache::new(config.cache_capacity);
+        let mut cache = PointStore::new(config.cache_capacity);
         if let Some(dir) = &config.journal_dir {
             let dir_path = std::path::Path::new(dir);
-            match WriteBehind::open(dir_path) {
+            match WriteBehind::open(dir_path, Arc::clone(&counters.journal_appends)) {
                 Ok(wb) => persist = Some(wb),
                 Err(e) => {
                     eprintln!("write-behind journal in {dir} unavailable ({e}); serving without");
                 }
             }
-            match cache.warm_start(dir_path) {
-                Ok(n) => {
-                    journal_replayed = n;
-                    if n > 0 {
-                        eprintln!("crash recovery: {n} point(s) restored from {dir}/.checkpoint");
-                    }
-                }
-                Err(e) => eprintln!("warm start from {dir} failed ({e}); starting cold"),
+            cache = PointStore::load(dir_path, config.cache_capacity);
+            if !cache.is_empty() {
+                let n = cache.len();
+                eprintln!("crash recovery: {n} point(s) restored from {dir}/.checkpoint");
             }
         }
+        let journal_replayed = cache.len();
         Service {
             scheduler: Scheduler::new(
                 config.workers,
@@ -247,7 +244,7 @@ impl Service {
                 policy,
             ),
             cache,
-            counters: Counters::default(),
+            counters,
             traces: Mutex::new(HashMap::new()),
             default_refs: config.default_refs,
             started: Instant::now(),
@@ -279,15 +276,9 @@ impl Service {
         self.draining.store(true, Ordering::SeqCst);
     }
 
-    /// The result cache (integration tests inspect it).
-    pub fn cache(&self) -> &ResultCache {
+    /// The point store (integration tests inspect it).
+    pub fn cache(&self) -> &PointStore {
         &self.cache
-    }
-
-    /// The peer set, when this node runs in a cluster (tests inspect
-    /// breaker state).
-    pub fn peer_set(&self) -> Option<&Arc<PeerSet>> {
-        self.peers.as_ref()
     }
 
     /// Materialises (or recalls) the named model at `refs` references
@@ -451,14 +442,13 @@ impl Service {
         )
     }
 
-    /// Records a computed point everywhere it belongs: the cache, the
+    /// Records a computed point everywhere it belongs: the store, the
     /// write-behind journal, the counters.
     fn commit_point(&self, key: u64, entry: Entry) {
-        self.cache.insert(key, entry);
+        self.cache.insert(key, entry, None);
         self.counters.points_computed.bump();
         if let Some(persist) = &self.persist {
             persist.record(key, entry);
-            self.counters.journal_appends.bump();
         }
         self.breaker.record_success(key);
     }
@@ -554,12 +544,11 @@ impl Service {
                 nibble,
                 redundant,
             };
-            if self.cache.insert(key, entry) {
+            if self.cache.insert(key, entry, None) {
                 filled += 1;
                 self.counters.peer_fill_points.bump();
                 if let Some(persist) = &self.persist {
                     persist.record(key, entry);
-                    self.counters.journal_appends.bump();
                 }
             }
         }
@@ -1002,20 +991,6 @@ fn point_json(
         parsed.warmup,
         &inner[1..],
     )
-}
-
-/// Restores a [`DesignPoint`] from a cache entry (what a journal resume
-/// does). Exposed for integration tests comparing served responses to
-/// direct evaluation.
-pub fn restore_point(config: CacheConfig, entry: &Entry) -> DesignPoint {
-    DesignPoint {
-        config,
-        miss_ratio: entry.miss,
-        traffic_ratio: entry.traffic,
-        nibble_traffic_ratio: entry.nibble,
-        redundant_load_fraction: entry.redundant,
-        gross_size: config.gross_size(),
-    }
 }
 
 /// A running server: accept loop on its own thread, shared [`Service`]

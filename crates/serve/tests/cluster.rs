@@ -144,8 +144,8 @@ fn node_config(addr: &str, peers: &[String], journal: &std::path::Path) -> Servi
 
 /// Spawns the third node as a child OS process: this test binary,
 /// re-run filtered to [`helper_node`] with the cluster environment set.
-fn spawn_helper(addr: &str, peers: &str, journal: &std::path::Path) -> Child {
-    Command::new(std::env::current_exe().expect("current exe"))
+fn spawn_helper(addr: &str, peers: &str, journal: &std::path::Path) -> HelperNode {
+    let child = Command::new(std::env::current_exe().expect("current exe"))
         .args(["helper_node", "--exact", "--nocapture", "--ignored"])
         .env("OCCACHE_CLUSTER_HELPER", "1")
         .env("OCCACHE_SERVE_ADDR", addr)
@@ -156,7 +156,29 @@ fn spawn_helper(addr: &str, peers: &str, journal: &std::path::Path) -> Child {
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn helper node")
+        .expect("spawn helper node");
+    HelperNode(child)
+}
+
+/// A helper node process. Dropping it kills and reaps the process, so it
+/// never outlives the test, whichever way the test leaves — a failed
+/// assertion included.
+struct HelperNode(Child);
+
+impl HelperNode {
+    /// SIGKILLs the node and reaps it.
+    fn kill(&mut self) {
+        self.0.kill().expect("SIGKILL node c");
+        self.0.wait().expect("reap node c");
+    }
+}
+
+impl Drop for HelperNode {
+    fn drop(&mut self) {
+        // Already gone after `kill`: both calls then fail harmlessly.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
 }
 
 /// Not a test of its own: the body of the child process [`spawn_helper`]
@@ -204,8 +226,7 @@ fn kill_nine_mid_load_leaves_no_unattributed_errors() {
     let mut cluster_digest = BTreeSet::new();
     for round in 0..3 {
         if round == 1 {
-            node_c.kill().expect("SIGKILL node c");
-            node_c.wait().expect("reap node c");
+            node_c.kill();
         }
         for config in &points {
             cluster_digest.insert(resilient_simulate(config, &addrs));

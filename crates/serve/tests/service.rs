@@ -15,6 +15,7 @@ use occache_core::CacheConfig;
 use occache_experiments::checkpoint::evaluate_checkpointed_in;
 use occache_experiments::runs::{journalled_grid, Workbench};
 use occache_experiments::sweep::{evaluate_point, evaluate_results_sliced, materialize};
+use occache_runtime::store::PointStore;
 use occache_serve::fault::ServeFault;
 use occache_serve::json::{ErrorBody, Json};
 use occache_serve::service::{Server, ServiceConfig};
@@ -426,8 +427,9 @@ fn a_batch_table7_journal_is_served_without_recomputing() {
     let mut bench = Workbench::new(REFS);
     let groups = journalled_grid(&mut bench, "table7").expect("table7 keeps a journal");
     let pdp11 = &groups[0];
+    let store = PointStore::load(&dir, usize::MAX);
     let sealed = evaluate_checkpointed_in(
-        &dir,
+        &store,
         "table7",
         &pdp11.configs,
         &pdp11.traces,
@@ -472,6 +474,63 @@ fn a_batch_table7_journal_is_served_without_recomputing() {
         Some(pdp11.configs.len() as u64),
         "{stat}"
     );
+    server.stop().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The value of an unlabelled counter in a `/metrics` exposition.
+fn counter(metrics: &str, name: &str) -> u64 {
+    metrics
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in\n{metrics}"))
+}
+
+#[test]
+fn journal_appends_count_lines_written_not_points_queued() {
+    let dir = std::env::temp_dir().join(format!("occache-serve-appends-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = ServiceConfig::for_tests();
+    config.journal_dir = Some(dir.to_string_lossy().into_owned());
+    // One resident point: every new key evicts the last, so a repeat of
+    // an evicted key is computed again.
+    config.cache_capacity = 1;
+    let server = Server::start(&config).expect("start");
+    let addr = server.addr();
+    let point = |net: u64| {
+        format!(r#"{{"model":"pdp11","refs":1000,"config":{{"net":{net},"block":16,"sub":8}}}}"#)
+    };
+    for net in [128, 256, 128, 512] {
+        let (status, text) = http(&addr, "POST", "/v1/simulate", &point(net));
+        assert_eq!(status, 200, "{text}");
+        assert_eq!(
+            json(&text).get("cached").and_then(Json::as_bool),
+            Some(false)
+        );
+    }
+    // The writer drains its queue in order: once the last key's line is
+    // counted, the second 128-byte point has been dropped as a key
+    // already on disk.
+    let journal = dir.join(".checkpoint").join("serve.jsonl");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let metrics = loop {
+        let (_, metrics) = http(&addr, "GET", "/metrics", "");
+        if counter(&metrics, "occache_journal_appends_total") >= 3
+            || std::time::Instant::now() > deadline
+        {
+            break metrics;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(counter(&metrics, "occache_points_computed_total"), 4);
+    assert_eq!(
+        counter(&metrics, "occache_journal_appends_total"),
+        3,
+        "the 128-byte point was computed twice and appended once:\n{metrics}"
+    );
+    let lines = std::fs::read_to_string(&journal).expect("serve journal");
+    assert_eq!(lines.lines().count(), 3, "{lines}");
     server.stop().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -71,7 +71,7 @@ fn expected(trace: &[MemRef], word: u64, block: u64, windows: &[u64]) -> Expecte
     let mut previous: Option<u64> = None;
     for r in trace.iter().filter(|r| r.kind() == AccessKind::InstrFetch) {
         let w = r.address().value() / word;
-        if previous.map_or(true, |p| w != p + 1) {
+        if previous.is_none_or(|p| w != p + 1) {
             runs += 1;
         }
         previous = Some(w);

@@ -71,11 +71,6 @@ impl Multiprogram {
         self.switches
     }
 
-    /// Number of interleaved tasks.
-    pub fn task_count(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// The physical base address of task `index`.
     pub fn task_base(index: usize) -> u64 {
         index as u64 * RELOCATION_STRIDE
