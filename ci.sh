@@ -280,11 +280,15 @@ echo "-- dual front-end bit-identity: batch journal vs served sweep --"
 # batch harness journals each point with shortest-exact floats keyed by
 # the content-addressed point key, and /v1/sweep responses carry the
 # same key and the same formatting — so every served (key, metrics)
-# tuple must appear verbatim in the batch journal.
+# tuple must appear verbatim in the batch journal. The batch side
+# generates its traces serially and the server on its pool, so a
+# difference between pooled and serial generation changes the point
+# keys and fails the comparison.
 DUAL_DIR=target/ci-dual
 DUAL_REFS=2000
 rm -rf "$DUAL_DIR"
-OCCACHE_RESULTS="$DUAL_DIR" OCCACHE_REFS="$DUAL_REFS" ./target/release/all table7
+OCCACHE_RESULTS="$DUAL_DIR" OCCACHE_REFS="$DUAL_REFS" OCCACHE_SLICE_THREADS=1 \
+  ./target/release/all table7
 sed -nE 's/.*"key":"([0-9a-f]{16})","miss":([^,]*),"traffic":([^,]*),"nibble":([^,]*),"redundant":([^,}]*).*/\1 \2 \3 \4 \5/p' \
   "$DUAL_DIR/.checkpoint/table7.jsonl" | sort > target/ci-dual-batch.txt
 curl -s -X POST "http://$SERVE_ADDR/v1/sweep" \

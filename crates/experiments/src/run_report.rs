@@ -9,9 +9,16 @@
 //! run shows zeros in every failure column, and anything else names the
 //! phase to investigate (see the EXPERIMENTS.md runbook).
 //!
+//! The artifacts that keep no journal (headline, Table 8, RISC II,
+//! ablations, split, bus contention and the other
+//! `Workbench::evaluate_each` callers) are tallied apart, as
+//! [`Unjournalled`]: their points have no phase, so they stay out of
+//! the registry `MANIFEST.json` folds its fingerprints over.
+//!
 //! The format is the same hand-rolled line-oriented JSON as the
 //! checkpoint journal: one `"phases"` array with one object per line,
-//! plus a `"totals"` object — trivially greppable in CI.
+//! an `"unjournalled"` object, and a `"totals"` object over the phases
+//! — trivially greppable in CI.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -74,6 +81,33 @@ pub struct PhaseReport {
     pub config_fp: u64,
 }
 
+/// Points the unjournalled artifacts asked for this run: computed on
+/// the pool, or recalled from the results directory's point store.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Unjournalled {
+    /// Points simulated in this run.
+    pub computed: usize,
+    /// Points the point store already held.
+    pub recalled: usize,
+}
+
+fn tally() -> &'static Mutex<Unjournalled> {
+    static TALLY: OnceLock<Mutex<Unjournalled>> = OnceLock::new();
+    TALLY.get_or_init(Mutex::default)
+}
+
+/// Adds one `Workbench::evaluate_each` call's points to the tally.
+pub fn record_unjournalled(computed: usize, recalled: usize) {
+    let mut tally = tally().lock().expect("run report tally lock");
+    tally.computed += computed;
+    tally.recalled += recalled;
+}
+
+/// The unjournalled tally so far.
+pub fn unjournalled() -> Unjournalled {
+    *tally().lock().expect("run report tally lock")
+}
+
 fn registry() -> &'static Mutex<Vec<PhaseReport>> {
     static PHASES: OnceLock<Mutex<Vec<PhaseReport>>> = OnceLock::new();
     PHASES.get_or_init(|| Mutex::new(Vec::new()))
@@ -92,16 +126,19 @@ pub fn phases() -> Vec<PhaseReport> {
     registry().lock().expect("run report registry lock").clone()
 }
 
-/// Clears the registry (tests; binaries never need it).
+/// Clears the registry and the unjournalled tally (tests; binaries
+/// never need it).
 pub fn reset() {
     registry().lock().expect("run report registry lock").clear();
+    *tally().lock().expect("run report tally lock") = Unjournalled::default();
 }
 
-/// Renders the report: one JSON object per phase line plus a totals
-/// object, so `grep '"timed_out": [1-9]'` works without a JSON parser.
+/// Renders the report: one JSON object per phase line, the
+/// unjournalled tally, and a totals object over the phases, so
+/// `grep '"timed_out": [1-9]'` works without a JSON parser.
 /// `interrupted` marks a run stopped by SIGINT/SIGTERM before every
 /// phase finished — the journal is still sealed, so a rerun resumes.
-pub fn render(phases: &[PhaseReport], interrupted: bool) -> String {
+pub fn render(phases: &[PhaseReport], unjournalled: Unjournalled, interrupted: bool) -> String {
     let mut out = format!("{{\n\"interrupted\": {interrupted},\n\"phases\": [\n");
     for (i, p) in phases.iter().enumerate() {
         let comma = if i + 1 < phases.len() { "," } else { "" };
@@ -133,6 +170,11 @@ pub fn render(phases: &[PhaseReport], interrupted: bool) -> String {
         ));
     }
     out.push_str("],\n");
+    let mut tally = Registry::new();
+    tally
+        .bare("computed", unjournalled.computed as u128)
+        .bare("recalled", unjournalled.recalled as u128);
+    out.push_str(&format!("\"unjournalled\": {},\n", tally.render_json()));
     // The totals object renders through the shared instrumentation
     // registry (the same sink machinery behind the server's /metrics),
     // which pins the uniform `"name": value` spacing CI greps for.
@@ -163,16 +205,22 @@ pub fn render(phases: &[PhaseReport], interrupted: bool) -> String {
 /// [`render`] except for one extra `"in_progress": true` line after the
 /// opening brace. The final [`write()`] drops the marker again, so a
 /// completed run's report bytes are unchanged by mid-run flushing.
-pub fn render_in_progress(phases: &[PhaseReport], interrupted: bool) -> String {
-    let sealed = render(phases, interrupted);
+pub fn render_in_progress(
+    phases: &[PhaseReport],
+    unjournalled: Unjournalled,
+    interrupted: bool,
+) -> String {
+    let sealed = render(phases, unjournalled, interrupted);
     debug_assert!(sealed.starts_with("{\n"));
     format!("{{\n\"in_progress\": true,\n{}", &sealed[2..])
 }
 
 /// Renders the metrics sidecar ([`RUN_METRICS_FILE`]): run totals as
 /// strict Prometheus text exposition. Every sample is a counter over
-/// the whole run so far, so gates compare exact integers.
-pub fn render_metrics(phases: &[PhaseReport]) -> String {
+/// the whole run so far, so gates compare exact integers. The
+/// `occache_run_points_*` counters cover the journalled phases only;
+/// `occache_run_points_unjournalled_*` count the rest.
+pub fn render_metrics(phases: &[PhaseReport], unjournalled: Unjournalled) -> String {
     let total = |f: fn(&PhaseReport) -> usize| phases.iter().map(f).sum::<usize>() as u64;
     let mut reg = Registry::new();
     reg.counter(
@@ -209,6 +257,16 @@ pub fn render_metrics(phases: &[PhaseReport]) -> String {
         "occache_run_points_direct_total",
         "Points that fell back to the direct per-config simulator",
         total(|p| p.direct_points),
+    )
+    .counter(
+        "occache_run_points_unjournalled_computed_total",
+        "Design points of unjournalled artifacts simulated in this run",
+        unjournalled.computed as u64,
+    )
+    .counter(
+        "occache_run_points_unjournalled_recalled_total",
+        "Design points of unjournalled artifacts recalled from the point store",
+        unjournalled.recalled as u64,
     );
     reg.render_prometheus()
 }
@@ -224,12 +282,12 @@ pub fn render_metrics(phases: &[PhaseReport]) -> String {
 ///
 /// Propagates filesystem errors from the atomic writes.
 pub fn flush(dir: &Path) -> io::Result<PathBuf> {
-    let snapshot = phases();
-    write_result_in(dir, RUN_METRICS_FILE, &render_metrics(&snapshot))?;
+    let (snapshot, tally) = (phases(), unjournalled());
+    write_result_in(dir, RUN_METRICS_FILE, &render_metrics(&snapshot, tally))?;
     write_result_in(
         dir,
         RUN_REPORT_FILE,
-        &render_in_progress(&snapshot, occache_runtime::interrupt::requested()),
+        &render_in_progress(&snapshot, tally, occache_runtime::interrupt::requested()),
     )
 }
 
@@ -242,12 +300,12 @@ pub fn flush(dir: &Path) -> io::Result<PathBuf> {
 ///
 /// Propagates filesystem errors from the atomic writes.
 pub fn write(dir: &Path) -> io::Result<PathBuf> {
-    let snapshot = phases();
-    write_result_in(dir, RUN_METRICS_FILE, &render_metrics(&snapshot))?;
+    let (snapshot, tally) = (phases(), unjournalled());
+    write_result_in(dir, RUN_METRICS_FILE, &render_metrics(&snapshot, tally))?;
     write_result_in(
         dir,
         RUN_REPORT_FILE,
-        &render(&snapshot, occache_runtime::interrupt::requested()),
+        &render(&snapshot, tally, occache_runtime::interrupt::requested()),
     )
 }
 
@@ -278,7 +336,11 @@ mod tests {
 
     #[test]
     fn render_includes_phases_and_greppable_totals() {
-        let text = render(&[sample("table7", 0), sample("fig2", 1)], false);
+        let tally = Unjournalled {
+            computed: 3,
+            recalled: 4,
+        };
+        let text = render(&[sample("table7", 0), sample("fig2", 1)], tally, false);
         assert!(text.contains("\"artifact\":\"table7\""));
         assert!(text.contains("\"artifact\":\"fig2\""));
         assert!(text.contains("\"timed_out\": 1"), "{text}");
@@ -290,11 +352,19 @@ mod tests {
         assert!(text.contains("\"direct\": 1"), "{text}");
         assert!(text.contains("\"trace_fp\":\"0000000000000abc\""));
         assert!(text.contains("\"interrupted\": false"), "{text}");
+        assert!(
+            text.contains("\"unjournalled\": {\"computed\": 3,\"recalled\": 4}"),
+            "{text}"
+        );
     }
 
     #[test]
     fn metrics_sidecar_exposes_engine_split_as_strict_exposition() {
-        let text = render_metrics(&[sample("table7", 0), sample("fig2", 1)]);
+        let tally = Unjournalled {
+            computed: 3,
+            recalled: 4,
+        };
+        let text = render_metrics(&[sample("table7", 0), sample("fig2", 1)], tally);
         // The sidecar must round-trip through the same strict parser
         // occache-top --parse-metrics uses for the CI gate.
         let exposition =
@@ -305,26 +375,28 @@ mod tests {
         assert_eq!(get("occache_run_points_engine_fifo_total"), 4.0);
         assert_eq!(get("occache_run_points_engine_random_total"), 2.0);
         assert_eq!(get("occache_run_points_direct_total"), 1.0);
+        assert_eq!(get("occache_run_points_unjournalled_computed_total"), 3.0);
+        assert_eq!(get("occache_run_points_unjournalled_recalled_total"), 4.0);
     }
 
     #[test]
     fn empty_report_renders_zero_totals() {
-        let text = render(&[], false);
+        let text = render(&[], Unjournalled::default(), false);
         assert!(text.contains("\"phases\": 0"), "{text}");
         assert!(text.contains("\"timed_out\": 0"), "{text}");
     }
 
     #[test]
     fn interrupted_run_is_marked() {
-        let text = render(&[sample("table7", 0)], true);
+        let text = render(&[sample("table7", 0)], Unjournalled::default(), true);
         assert!(text.contains("\"interrupted\": true"), "{text}");
     }
 
     #[test]
     fn in_progress_variant_only_adds_the_marker_line() {
         let phases = [sample("table7", 0), sample("fig2", 1)];
-        let sealed = render(&phases, false);
-        let partial = render_in_progress(&phases, false);
+        let sealed = render(&phases, Unjournalled::default(), false);
+        let partial = render_in_progress(&phases, Unjournalled::default(), false);
         assert!(
             partial.starts_with("{\n\"in_progress\": true,\n"),
             "{partial}"

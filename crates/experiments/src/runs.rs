@@ -20,7 +20,8 @@ use crate::paper;
 use crate::plot::{ScatterPlot, Series};
 use crate::report::{points_to_csv, relative_error, table7_block};
 use crate::sweep::{
-    evaluate_points, standard_config, table1_pairs, trace_len, DesignPoint, SweepOutcome, Trace,
+    evaluate_points, materialize, standard_config, table1_pairs, trace_len, DesignPoint,
+    SweepOutcome, Trace,
 };
 
 /// A regenerated artifact: report text plus named CSV payloads.
@@ -152,8 +153,10 @@ pub fn select(names: &[String]) -> Result<Vec<Runner>, &str> {
 /// Generation is memoized per workload spec (by its name, which is unique
 /// across all sets; the seed is always 0 and the length fixed per
 /// workbench), so `--bin all` and any artifacts whose trace sets overlap
-/// generate each trace exactly once. A recalled [`Trace`] is an `Arc`
-/// clone, not a copy of the stream.
+/// generate each trace exactly once. The specs a set still lacks are
+/// generated together on the worker pool ([`materialize`]); a set no
+/// artifact asks for is never generated. A recalled [`Trace`] is an
+/// `Arc` clone, not a copy of the stream.
 ///
 /// Design points go through the results directory's point store
 /// ([`occache_runtime::store::PointStore`]), keyed by config, trace-set
@@ -219,17 +222,22 @@ impl Workbench {
     }
 
     /// Generates (or recalls) the canonical seed-0 trace of each spec,
-    /// one generation per spec name for the workbench's lifetime.
+    /// one generation per spec name for the workbench's lifetime: the
+    /// specs not stored yet go to [`materialize`] together, on the pool.
     fn traces_from(&mut self, specs: &[WorkloadSpec]) -> Vec<Trace> {
-        let len = self.len;
+        let mut missing: Vec<WorkloadSpec> = Vec::new();
+        for spec in specs {
+            let name = spec.name();
+            if !self.store.contains_key(name) && missing.iter().all(|m| m.name() != name) {
+                missing.push(spec.clone());
+            }
+        }
+        for (spec, trace) in missing.iter().zip(materialize(&missing, self.len)) {
+            self.store.insert(spec.name(), trace);
+        }
         specs
             .iter()
-            .map(|spec| {
-                self.store
-                    .entry(spec.name())
-                    .or_insert_with(|| Trace::new(spec.name(), spec.generator(0).take(len)))
-                    .clone()
-            })
+            .map(|spec| self.store[spec.name()].clone())
             .collect()
     }
 
@@ -318,6 +326,7 @@ impl Workbench {
                 missing.push(*c);
             }
         }
+        crate::run_report::record_unjournalled(missing.len(), points.len());
         if !missing.is_empty() {
             let computed = evaluate_points(&missing, traces, warmup);
             self.computed += computed.len();
@@ -1114,6 +1123,22 @@ mod tests {
         let second = b.traces_from(&WorkloadSpec::z8000_load_forward_set());
         for (a, c) in first.iter().zip(&second) {
             assert!(a.shares_backing(c), "{} was generated twice", a.name);
+        }
+        // A list that is partly stored generates only the missing specs:
+        // the full Z8000 set recalls CPP, C1 and C2 and adds the rest.
+        let full_specs = WorkloadSpec::z8000_full_set();
+        let full = b.traces_from(&full_specs);
+        for (spec, trace) in full_specs.iter().zip(&full) {
+            assert_eq!((trace.name.as_str(), trace.len()), (spec.name(), b.len()));
+        }
+        for stored in &first {
+            let recalled = full.iter().find(|t| t.name == stored.name);
+            let recalled = recalled.expect("the full Z8000 set holds the load-forward specs");
+            assert!(
+                stored.shares_backing(recalled),
+                "{} was generated twice",
+                stored.name
+            );
         }
     }
 

@@ -16,6 +16,7 @@
 
 use occache_core::CacheConfig;
 use occache_runtime::config::replacement_override;
+use occache_runtime::executor::pool_map;
 use occache_workloads::{Architecture, WorkloadSpec};
 
 pub use occache_runtime::eval::{
@@ -26,12 +27,14 @@ pub use occache_runtime::executor::{
 };
 pub use occache_runtime::journal::JournalHealth;
 
-/// Generates `len` references for each spec (seed 0, the canonical trace).
+/// Generates `len` references for each spec (seed 0, the canonical
+/// trace), one spec per [`pool_map`] item, and returns the traces in spec
+/// order. Each spec's generator is seeded and independent, so the traces
+/// are the same at every pool width.
 pub fn materialize(specs: &[WorkloadSpec], len: usize) -> Vec<Trace> {
-    specs
-        .iter()
-        .map(|spec| Trace::new(spec.name(), spec.generator(0).take(len)))
-        .collect()
+    pool_map(specs, |spec| {
+        Trace::new(spec.name(), spec.generator(0).take(len))
+    })
 }
 
 /// The `(block, sub-block)` pairs of the paper's Table 1 grid applicable to

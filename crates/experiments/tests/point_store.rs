@@ -1,7 +1,8 @@
 //! The results directory's point store across artifacts, as `all` runs
 //! them: an unjournalled artifact's points live only in memory and never
 //! reach a journal, while a journalled one's points serve every later
-//! artifact, in this process or a later one.
+//! artifact, in this process or a later one. The run report counts the
+//! unjournalled artifact's points apart from the journalled phases.
 //!
 //! One `#[test]` only: the run depends on process-global environment
 //! (`OCCACHE_RESULTS`, `OCCACHE_SLICE_THREADS`), so this file must not
@@ -9,7 +10,9 @@
 
 use std::path::{Path, PathBuf};
 
+use occache_experiments::run_report;
 use occache_experiments::runs::{run_headline, run_table7, Workbench};
+use occache_runtime::instrument::Exposition;
 
 /// References per trace: small enough for a debug-profile test run.
 const REFS: usize = 2_000;
@@ -50,9 +53,11 @@ fn memory_points_stay_out_of_journals_and_journalled_points_serve_later_runs() {
     // compute that cell again rather than borrow it.
     let after_headline = fresh_dir("after-headline");
     use_results(&after_headline);
+    run_report::reset();
     let mut bench = Workbench::new(REFS);
     run_headline(&mut bench);
     assert_eq!(bench.computed(), 4, "one headline cell per architecture");
+    assert_eq!(run_report::unjournalled().computed, 4);
     run_table7(&mut bench);
 
     // `all table7` alone.
@@ -66,14 +71,39 @@ fn memory_points_stay_out_of_journals_and_journalled_points_serve_later_runs() {
     );
 
     // A later run on the first directory loads Table 7's journal: the
-    // headline recalls every cell and simulates nothing.
+    // headline recalls every cell, simulates nothing, and its run report
+    // says so.
     use_results(&after_headline);
+    run_report::reset();
     let mut later = Workbench::new(REFS);
     run_headline(&mut later);
     assert_eq!(
         later.computed(),
         0,
         "the headline recomputed journalled cells"
+    );
+    run_report::write(&after_headline).expect("write the run report");
+    let report = std::fs::read_to_string(after_headline.join(run_report::RUN_REPORT_FILE))
+        .expect("read RUN_REPORT.json");
+    assert!(
+        report.contains("\"unjournalled\": {\"computed\": 0,\"recalled\": 4}"),
+        "{report}"
+    );
+    let metrics = std::fs::read_to_string(after_headline.join(run_report::RUN_METRICS_FILE))
+        .expect("read RUN_METRICS.prom");
+    let metrics = Exposition::parse(&metrics).expect("strict exposition");
+    assert_eq!(
+        metrics.value("occache_run_points_unjournalled_computed_total"),
+        Some(0.0)
+    );
+    assert_eq!(
+        metrics.value("occache_run_points_unjournalled_recalled_total"),
+        Some(4.0)
+    );
+    assert_eq!(
+        metrics.value("occache_run_points_computed_total"),
+        Some(0.0),
+        "no journalled phase ran"
     );
 
     std::env::remove_var("OCCACHE_RESULTS");

@@ -15,7 +15,7 @@
 //! | variable | parsed by | default |
 //! |---|---|---|
 //! | `OCCACHE_REFS` | [`env_usize`] | caller-supplied (paper: 1 M) |
-//! | `OCCACHE_SLICE_THREADS` | [`try_slice_threads`] | hardware parallelism |
+//! | `OCCACHE_SLICE_THREADS` | [`try_slice_threads`] | hardware parallelism (sizes the sweep pool and trace generation) |
 //! | `OCCACHE_NO_MULTISIM` | [`try_multisim_disabled`] | none disabled |
 //! | `OCCACHE_REPLACEMENT` | [`try_replacement_override`] | grid default (LRU) |
 //! | `OCCACHE_FRESH` | [`fresh_requested`] | off |
@@ -56,8 +56,10 @@ pub fn env_usize(var: &str, default: usize) -> Result<usize, String> {
 /// Worker-thread override for the sweep pool: `OCCACHE_SLICE_THREADS`
 /// env var. `Ok(None)` (unset or `0`) means "use the hardware
 /// parallelism"; `OCCACHE_SLICE_THREADS=1` forces a serial pool, which
-/// preserves byte-identical artifact and journal-append order. The
-/// serving layer sizes its own pool from `OCCACHE_SERVE_WORKERS`.
+/// preserves byte-identical artifact and journal-append order. The same
+/// width sizes trace generation (`pool_map`), in batch runs and in the
+/// server's trace sets alike. The serving layer sizes its request
+/// workers from `OCCACHE_SERVE_WORKERS`.
 ///
 /// # Errors
 ///

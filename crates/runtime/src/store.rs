@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::instrument::Counter;
-use crate::journal::{scan_journal, store_journals, Entry};
+use crate::journal::{scan_journal, store_journals, Entry, JournalScan};
 
 /// A stored point and the journals (file names, in path order) that hold
 /// it on disk; none for a point held only in memory.
@@ -78,6 +78,18 @@ impl PointStore {
     /// What cannot be read loads nothing; the journal writes that follow
     /// report the trouble.
     pub fn load(dir: &Path, capacity: usize) -> Self {
+        PointStore::load_with(dir, capacity, |_, _| {})
+    }
+
+    /// [`PointStore::load`], showing `read` each journal's file name and
+    /// whole scan before its points are stored, so a journal's writer
+    /// can take its on-disk keys and tail state from this one read, even
+    /// for keys the capacity then evicts.
+    pub fn load_with(
+        dir: &Path,
+        capacity: usize,
+        mut read: impl FnMut(&str, &JournalScan),
+    ) -> Self {
         let store = PointStore {
             dir: Some(dir.to_path_buf()),
             ..PointStore::new(capacity)
@@ -85,6 +97,7 @@ impl PointStore {
         for path in store_journals(dir).unwrap_or_default() {
             let name = path.file_name().map(|n| n.to_string_lossy());
             if let (Ok(scan), Some(name)) = (scan_journal(&path), name) {
+                read(&name, &scan);
                 for (key, entry) in scan.points {
                     store.insert(key, entry, Some(&name));
                 }

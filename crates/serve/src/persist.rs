@@ -13,12 +13,13 @@
 //! * **Write-behind**: the request thread only sends `(key, entry)`
 //!   down a channel; fsync cost never lands on a response's latency.
 //! * **Dedup**: the writer keeps the set of keys already on disk
-//!   (seeded by scanning the journal at open), so re-computed points —
+//!   (seeded from the scan the point store's load made of the journal,
+//!   so the file is read once per start), so re-computed points —
 //!   e.g. after the bounded store evicted them — do not grow the file,
 //!   and it counts only the lines it actually wrote.
 //! * **Crash-safe**: records are sealed with the FNV checksum, and
-//!   [`scan_journal`]'s torn-tail repair means a crash mid-append costs
-//!   at most the final record.
+//!   [`occache_runtime::journal::scan_journal`]'s torn-tail repair
+//!   means a crash mid-append costs at most the final record.
 
 use std::collections::HashSet;
 use std::fs;
@@ -29,7 +30,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use occache_runtime::instrument::Counter;
-use occache_runtime::journal::{journal_path, point_body, scan_journal, seal, Entry};
+use occache_runtime::journal::{journal_path, point_body, seal, Entry, JournalScan};
 
 /// The journal artifact name the serving layer owns (batch sweeps use
 /// their experiment names).
@@ -43,23 +44,23 @@ pub struct WriteBehind {
 }
 
 impl WriteBehind {
-    /// Opens (creating as needed) the serve journal under `dir`. The
-    /// keys already on disk seed the dedup set; torn tails and corrupt
-    /// lines are reported to stderr and skipped, exactly like the batch
-    /// resume path, and a torn tail is fenced off with a newline so the
-    /// next append starts a fresh record. The writer bumps `appended`
-    /// once per line it writes.
+    /// Opens (creating as needed) the serve journal under `dir`, whose
+    /// current contents `scan` read ([`JournalScan::default`] for a
+    /// journal not written yet). The keys already on disk seed the dedup
+    /// set; torn tails and corrupt lines are reported to stderr and
+    /// skipped, exactly like the batch resume path, and a torn tail is
+    /// fenced off with a newline so the next append starts a fresh
+    /// record. The writer bumps `appended` once per line it writes.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures creating the directory, scanning, or
-    /// opening the journal for append.
-    pub fn open(dir: &Path, appended: Arc<Counter>) -> io::Result<WriteBehind> {
+    /// Propagates I/O failures creating the directory or opening the
+    /// journal for append.
+    pub fn open(dir: &Path, scan: &JournalScan, appended: Arc<Counter>) -> io::Result<WriteBehind> {
         let path = journal_path(dir, ARTIFACT);
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        let scan = scan_journal(&path)?;
         if scan.needs_repair() {
             eprintln!(
                 "serve journal {}: {} bad line(s), {} torn tail byte(s) — skipped",
@@ -130,6 +131,7 @@ impl Drop for WriteBehind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use occache_runtime::journal::scan_journal;
 
     fn entry(seed: f64) -> Entry {
         Entry {
@@ -145,7 +147,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("occache-wb-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         let appended = Arc::new(Counter::default());
-        let wb = WriteBehind::open(&dir, Arc::clone(&appended)).unwrap();
+        let path = journal_path(&dir, ARTIFACT);
+        let wb =
+            WriteBehind::open(&dir, &scan_journal(&path).unwrap(), Arc::clone(&appended)).unwrap();
         wb.record(1, entry(0.25));
         wb.record(2, entry(0.5));
         wb.record(1, entry(0.25)); // dedup
@@ -153,12 +157,12 @@ mod tests {
         assert_eq!(appended.get(), 2, "the counter sees written lines only");
 
         // Simulate a crash mid-append: a torn trailing record.
-        let path = journal_path(&dir, ARTIFACT);
         let mut file = fs::OpenOptions::new().append(true).open(&path).unwrap();
         file.write_all(b"{\"v\":2,\"key\":\"00000000000").unwrap();
         drop(file);
 
-        let wb = WriteBehind::open(&dir, Arc::clone(&appended)).unwrap();
+        let wb =
+            WriteBehind::open(&dir, &scan_journal(&path).unwrap(), Arc::clone(&appended)).unwrap();
         // Keys already on disk are not appended again; new appends after
         // the torn tail still parse.
         wb.record(2, entry(0.5));

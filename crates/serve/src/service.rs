@@ -45,7 +45,7 @@ use occache_runtime::config::env_usize;
 use occache_runtime::eval::{PointError, PointFault};
 use occache_runtime::executor::SupervisorPolicy;
 use occache_runtime::fmt::fmt_f64_exact;
-use occache_runtime::journal::Entry;
+use occache_runtime::journal::{Entry, JournalScan};
 use occache_runtime::keys::{point_key, trace_fingerprint};
 use occache_runtime::store::PointStore;
 use occache_workloads::WorkloadSpec;
@@ -140,6 +140,8 @@ impl ServiceConfig {
     /// Returns a message naming the malformed variable.
     pub fn try_from_env() -> Result<ServiceConfig, String> {
         let peers = occache_runtime::config::try_peers()?;
+        // Trace generation sizes its pool from OCCACHE_SLICE_THREADS.
+        occache_runtime::config::try_slice_threads()?;
         let workers = match env_usize("OCCACHE_SERVE_WORKERS", 0)? {
             0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
             n => n,
@@ -209,10 +211,10 @@ pub struct Service {
 }
 
 impl Service {
-    /// Builds the service: starts the worker pool, opens the
-    /// write-behind journal, and loads its point store from every
-    /// journal in its `.checkpoint/` directory — the service's own
-    /// (crash recovery) and any batch sweep's.
+    /// Builds the service: starts the worker pool, loads its point store
+    /// from every journal in its `.checkpoint/` directory — the
+    /// service's own (crash recovery) and any batch sweep's — and opens
+    /// the write-behind journal from that same read of its own.
     pub fn new(config: &ServiceConfig) -> Service {
         let mut policy = config.policy.clone();
         if let Some(plan) = config.fault.as_ref().and_then(|f| f.worker_fault()) {
@@ -223,16 +225,22 @@ impl Service {
         let mut cache = PointStore::new(config.cache_capacity);
         if let Some(dir) = &config.journal_dir {
             let dir_path = std::path::Path::new(dir);
-            match WriteBehind::open(dir_path, Arc::clone(&counters.journal_appends)) {
+            let own = format!("{}.jsonl", crate::persist::ARTIFACT);
+            let mut on_disk = JournalScan::default();
+            cache = PointStore::load_with(dir_path, config.cache_capacity, |name, scan| {
+                if name == own {
+                    on_disk = scan.clone();
+                }
+            });
+            if !cache.is_empty() {
+                let n = cache.len();
+                eprintln!("crash recovery: {n} point(s) restored from {dir}/.checkpoint");
+            }
+            match WriteBehind::open(dir_path, &on_disk, Arc::clone(&counters.journal_appends)) {
                 Ok(wb) => persist = Some(wb),
                 Err(e) => {
                     eprintln!("write-behind journal in {dir} unavailable ({e}); serving without");
                 }
-            }
-            cache = PointStore::load(dir_path, config.cache_capacity);
-            if !cache.is_empty() {
-                let n = cache.len();
-                eprintln!("crash recovery: {n} point(s) restored from {dir}/.checkpoint");
             }
         }
         let journal_replayed = cache.len();

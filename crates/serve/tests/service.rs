@@ -534,3 +534,119 @@ fn journal_appends_count_lines_written_not_points_queued() {
     server.stop().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_restarted_node_recomputes_an_evicted_key_without_growing_the_journal() {
+    let dir = std::env::temp_dir().join(format!("occache-serve-evicted-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut config = ServiceConfig::for_tests();
+    config.journal_dir = Some(dir.to_string_lossy().into_owned());
+    config.cache_capacity = 1;
+    let point = |net: u64| {
+        format!(r#"{{"model":"pdp11","refs":1000,"config":{{"net":{net},"block":16,"sub":8}}}}"#)
+    };
+    // Waits until the writer has written `lines` lines in this process;
+    // it drains its queue in order.
+    let appended = |addr: &std::net::SocketAddr, lines: u64| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let (_, metrics) = http(addr, "GET", "/metrics", "");
+            if counter(&metrics, "occache_journal_appends_total") >= lines
+                || std::time::Instant::now() > deadline
+            {
+                break metrics;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    };
+
+    let server = Server::start(&config).expect("start");
+    let mut keys = Vec::new();
+    for net in [128, 256] {
+        let (status, text) = http(&server.addr(), "POST", "/v1/simulate", &point(net));
+        assert_eq!(status, 200, "{text}");
+        let key = json(&text)
+            .get("key")
+            .and_then(Json::as_str)
+            .map(str::to_string);
+        keys.push((net, key.expect("a served point names its key")));
+    }
+    appended(&server.addr(), 2);
+    server.stop().expect("clean shutdown");
+    let journal = dir.join(".checkpoint").join("serve.jsonl");
+    let before = std::fs::read_to_string(&journal).expect("serve journal");
+    assert_eq!(before.lines().count(), 2, "{before}");
+
+    // The restarted node holds one point: loading the second evicted the
+    // first. Recomputing the evicted one must not append it again.
+    let server = Server::start(&config).expect("restart");
+    let addr = server.addr();
+    let evicted: Vec<u64> = keys
+        .iter()
+        .filter(|(_, key)| {
+            let key = u64::from_str_radix(key, 16).expect("hex key");
+            !server.service().cache().contains(key)
+        })
+        .map(|&(net, _)| net)
+        .collect();
+    assert_eq!(evicted.len(), 1, "capacity 1 holds one of {keys:?}");
+    let (status, text) = http(&addr, "POST", "/v1/simulate", &point(evicted[0]));
+    assert_eq!(status, 200, "{text}");
+    assert_eq!(
+        json(&text).get("cached").and_then(Json::as_bool),
+        Some(false)
+    );
+    // A new key after it: once its line is counted, the writer has
+    // already dropped the recomputed key as one on disk.
+    let (status, text) = http(&addr, "POST", "/v1/simulate", &point(512));
+    assert_eq!(status, 200, "{text}");
+    let metrics = appended(&addr, 1);
+    assert_eq!(counter(&metrics, "occache_points_computed_total"), 2);
+    assert_eq!(
+        counter(&metrics, "occache_journal_appends_total"),
+        1,
+        "only the new key is appended:\n{metrics}"
+    );
+    server.stop().expect("clean shutdown");
+    let after = std::fs::read_to_string(&journal).expect("serve journal");
+    assert!(
+        after.starts_with(&before),
+        "the journal only grows at its end"
+    );
+    assert_eq!(after.lines().count(), 3, "{after}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_malformed_slice_thread_count_refuses_to_start() {
+    // The server generates its trace sets on the pool that
+    // OCCACHE_SLICE_THREADS sizes, so a typo must fail at startup like
+    // every other OCCACHE_* variable rather than run at some width.
+    let mut child = std::process::Command::new(env!("CARGO_BIN_EXE_occache-serve"))
+        .env("OCCACHE_SERVE_ADDR", "127.0.0.1:0")
+        .env("OCCACHE_SLICE_THREADS", "two")
+        .env_remove("OCCACHE_SERVE_JOURNAL")
+        .env_remove("OCCACHE_PEERS")
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn occache-serve");
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll occache-serve") {
+            break Some(status);
+        }
+        if std::time::Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut stderr = String::new();
+    if let Some(mut pipe) = child.stderr.take() {
+        let _ = pipe.read_to_string(&mut stderr);
+    }
+    assert_eq!(status.and_then(|s| s.code()), Some(2), "{stderr}");
+    assert!(stderr.contains("OCCACHE_SLICE_THREADS"), "{stderr}");
+}

@@ -322,6 +322,12 @@ impl Iterator for ProgramGenerator {
         }
         Some(fetch)
     }
+
+    /// Endless: a `take(n)` prefix reports exactly `n` references, so
+    /// collecting one (`Trace::new`) allocates its buffers once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (usize::MAX, None)
+    }
 }
 
 impl ProgramGenerator {
