@@ -166,6 +166,8 @@ pub fn point_key(config: &CacheConfig, fingerprint: u64, warmup: usize) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use occache_trace::MemRef;
+
     use super::*;
 
     #[test]
@@ -218,5 +220,72 @@ mod tests {
         assert_ne!(keys[0], keys[1]);
         assert_ne!(keys[0], keys[2]);
         assert_ne!(keys[1], keys[2]);
+    }
+
+    /// Traces "a" and "b" over `refs`, packed, and the same traces
+    /// streamed.
+    fn fixed_set(refs: [Vec<MemRef>; 2]) -> [Vec<Trace>; 2] {
+        let names = ["a", "b"];
+        let packed = names
+            .iter()
+            .zip(&refs)
+            .map(|(name, refs)| Trace::new(*name, refs.iter().copied()))
+            .collect();
+        let streamed = names
+            .iter()
+            .zip(refs)
+            .map(|(name, refs)| {
+                Trace::streamed(*name, refs.len(), move || refs.clone().into_iter())
+            })
+            .collect();
+        [packed, streamed]
+    }
+
+    /// Journals, serve caches, MANIFEST files and the golden hashes all
+    /// name design points by these values, so no change to how a trace
+    /// is stored may move them. Both sets are pinned: one whose
+    /// addresses fit in 32 bits and one that reaches past 2^32.
+    #[test]
+    fn fixed_sets_keep_their_fingerprints_and_point_keys() {
+        let config = occache_core::CacheConfig::builder()
+            .net_size(64)
+            .block_size(8)
+            .sub_block_size(4)
+            .word_size(2)
+            .build()
+            .expect("valid geometry");
+        let low = [
+            vec![
+                MemRef::ifetch(0x1000),
+                MemRef::read(0x2004),
+                MemRef::write(0x2004),
+                MemRef::ifetch(0x1002),
+                MemRef::ifetch(0xffff_fffe),
+            ],
+            vec![
+                MemRef::read(0x40),
+                MemRef::write(0),
+                MemRef::ifetch(0x7fff_0000),
+            ],
+        ];
+        let high = [
+            vec![
+                MemRef::ifetch(0x1000),
+                MemRef::read(1 << 32),
+                MemRef::write(u64::MAX),
+                MemRef::ifetch(0x1002),
+                MemRef::read(0x2004),
+            ],
+            vec![MemRef::write(0x1_2345_6780), MemRef::ifetch(0x40)],
+        ];
+        for (refs, fingerprint, key) in [
+            (low, 0x8c9e_b414_5fac_a097, 0x0cf7_b3ca_bf3c_d26e),
+            (high, 0xd35c_68a1_0c66_b508, 0xd34a_e40f_ed93_211b),
+        ] {
+            for traces in fixed_set(refs) {
+                assert_eq!(trace_fingerprint(&traces), fingerprint, "{traces:?}");
+                assert_eq!(point_key(&config, fingerprint, 100), key);
+            }
+        }
     }
 }
