@@ -27,11 +27,9 @@
 //!   simulator's per-cache RNG exactly, one seeded generator per
 //!   residency class, drawn only on a full-set miss.
 //!
-//! [`simulate_many`] runs consecutive traces two at a time. Two
-//! equal-length chunks of an LRU slice go through one four-way
-//! interleaved loop (the `lru` module); FIFO and Random chunks, and the
-//! ragged tail of a pair, run back to back. Pairing is a scheduling
-//! change only: the two traces never share state.
+//! [`simulate_many`] runs each trace alone, on its own clone of the
+//! slice's fresh engine: warm-up, metrics reset, counted chunks,
+//! read-out, then the next trace. Traces never share state.
 //!
 //! The machinery shared by the policies lives here: the deduplicated
 //! **residency class** (`ClassState` — configurations with equal block
@@ -97,8 +95,8 @@ use crate::metrics::{EngineCounters, Metrics};
 
 /// Dispatches two adjacent classes' sub-block rule and member counts
 /// to `$plain!(MA, MB)` or `$extended!(MA, MB)` for every specialised
-/// two-class shape, or to `false`: the shape table the paired and quad
-/// runners share. Plain classes specialise 1 to 6 members each;
+/// two-class shape, or to `false`: the shape table of the class-pair
+/// interleave ([`run_pair`]). Plain classes specialise 1 to 6 members each;
 /// extended classes only 1 or 2, the most any artifact or benchmark
 /// grid puts in one (more shapes would mostly grow the binary).
 macro_rules! pair_shapes {
@@ -149,7 +147,6 @@ macro_rules! pair_shapes {
     };
 }
 
-mod lru;
 mod random;
 
 use random::Fifo;
@@ -940,8 +937,10 @@ impl Step for Lru {
 /// front block words are stored and immediately reloaded. Interleaving
 /// two classes puts a second, fully independent dependency chain in
 /// the out-of-order window, overlapping those stalls (and sharing the
-/// one address load per reference); measured on the Table 7 grid this
-/// is worth roughly a third of the LRU pass.
+/// one address load per reference). Running every class alone instead
+/// raised the benchmark's median `wall_s` by 9% on `sweep-lru` (the four
+/// Table 7 grids on the LRU engine), 16% on `sweep-policies` and 10% on
+/// `paper-all` (2 vCPUs, 10 alternating pairs each).
 fn run_pair_spec<const WAYS: usize, const MA: usize, const MB: usize, const EXT: bool, S: Step>(
     (first, first_step): (&mut ClassState, &mut S),
     (second, second_step): (&mut ClassState, &mut S),
@@ -1040,8 +1039,8 @@ impl ClassState {
     }
 
     /// Whether this class and the next can share an interleaved loop
-    /// (`run_pair_spec`, or the quad loop of paired traces): both 4-way,
-    /// one sub-block rule, and within the specialised tables.
+    /// ([`run_pair_spec`]): both 4-way, one sub-block rule, and within
+    /// the specialised tables.
     fn pairs_with(&self, next: &ClassState) -> bool {
         self.assoc == 4
             && next.assoc == 4
@@ -1404,25 +1403,6 @@ impl Engine {
             Policy::Random(rngs) => run_classes(classes, rngs, addrs, lanes, bank),
         }
     }
-
-    /// Presents one chunk to this engine and another chunk to `other`,
-    /// a clone of the same fresh engine running a second trace.
-    ///
-    /// Two equal-length LRU chunks go through the four-way interleave
-    /// (`lru::run_pair`); anything else — FIFO, Random, or the ragged
-    /// tail of two traces of different lengths — runs back to back.
-    /// Results are exactly what two separate
-    /// [`access_run`](Engine::access_run) calls produce. Pairing stays
-    /// LRU-only because a quad of the fixed-way runner measured slower
-    /// than two FIFO or Random passes back to back.
-    fn run_pair(&mut self, refs: &[MemRef], other: &mut Engine, other_refs: &[MemRef]) {
-        if matches!(self.policy, Policy::Lru) && refs.len() == other_refs.len() {
-            lru::run_pair(&mut self.core, refs, &mut other.core, other_refs);
-        } else {
-            self.access_run(refs);
-            other.access_run(other_refs);
-        }
-    }
 }
 
 /// Chunk size (in references) fed to [`Engine::access_run`]: a chunk
@@ -1442,8 +1422,8 @@ const ENGINE_CHUNK: usize = 4096;
 /// [`DEFAULT_RANDOM_SEED`](crate::DEFAULT_RANDOM_SEED) to match
 /// [`simulate`](crate::simulate).
 ///
-/// Consecutive traces run as pairs, with an odd last trace alone; see
-/// the module docs for what pairing buys.
+/// Each trace runs alone on its own clone of one fresh engine, so a
+/// trace's metrics never depend on the traces beside it in the call.
 ///
 /// ```
 /// use occache_core::{simulate, simulate_many, CacheConfig, DEFAULT_RANDOM_SEED};
@@ -1485,55 +1465,33 @@ where
     T::Item: IntoIterator<Item = MemRef>,
 {
     let fresh = Engine::new(configs, seed)?;
-    let mut out = Vec::new();
-    let mut traces = traces.into_iter();
-    while let Some(first) = traces.next() {
-        let second = traces.next();
-        let paired = second.is_some();
-        let [a, b] = run_two(&fresh, first, second.into_iter().flatten(), warmup);
-        out.push(a);
-        if paired {
-            out.push(b);
-        }
-    }
-    Ok(out)
+    Ok(traces
+        .into_iter()
+        .map(|trace| run_one(&fresh, trace, warmup))
+        .collect())
 }
 
-/// Runs two traces through two clones of `fresh`, chunk by chunk, and
-/// returns each one's metrics. An empty second trace makes this a
-/// single-trace run.
-fn run_two<I, J>(fresh: &Engine, refs_a: I, refs_b: J, warmup: usize) -> [Vec<Metrics>; 2]
-where
-    I: IntoIterator<Item = MemRef>,
-    J: IntoIterator<Item = MemRef>,
-{
-    let mut engine_a = fresh.clone();
-    let mut engine_b = fresh.clone();
-    let mut iter_a = refs_a.into_iter();
-    let mut iter_b = refs_b.into_iter();
-    let mut buf_a: Vec<MemRef> = Vec::with_capacity(ENGINE_CHUNK);
-    let mut buf_b: Vec<MemRef> = Vec::with_capacity(ENGINE_CHUNK);
-    let mut refill = |take: usize, buf_a: &mut Vec<MemRef>, buf_b: &mut Vec<MemRef>| {
-        buf_a.clear();
-        buf_a.extend(iter_a.by_ref().take(take));
-        buf_b.clear();
-        buf_b.extend(iter_b.by_ref().take(take));
-        !(buf_a.is_empty() && buf_b.is_empty())
+/// Runs one trace through a clone of `fresh`, chunk by chunk, and
+/// returns its metrics.
+fn run_one<I: IntoIterator<Item = MemRef>>(fresh: &Engine, refs: I, warmup: usize) -> Vec<Metrics> {
+    let mut engine = fresh.clone();
+    let mut iter = refs.into_iter();
+    let mut buf: Vec<MemRef> = Vec::with_capacity(ENGINE_CHUNK);
+    let mut refill = |take: usize, buf: &mut Vec<MemRef>| {
+        buf.clear();
+        buf.extend(iter.by_ref().take(take));
+        !buf.is_empty()
     };
     let mut remaining = warmup;
-    while remaining > 0 && refill(remaining.min(ENGINE_CHUNK), &mut buf_a, &mut buf_b) {
-        // Both traces consume warm-up at the same pace, so the chunks
-        // stay aligned until one stream ends; after that the longer
-        // one alone counts down what is left.
-        remaining -= buf_a.len().max(buf_b.len());
-        engine_a.run_pair(&buf_a, &mut engine_b, &buf_b);
+    while remaining > 0 && refill(remaining.min(ENGINE_CHUNK), &mut buf) {
+        remaining -= buf.len();
+        engine.access_run(&buf);
     }
-    engine_a.core.reset_metrics();
-    engine_b.core.reset_metrics();
-    while refill(ENGINE_CHUNK, &mut buf_a, &mut buf_b) {
-        engine_a.run_pair(&buf_a, &mut engine_b, &buf_b);
+    engine.core.reset_metrics();
+    while refill(ENGINE_CHUNK, &mut buf) {
+        engine.access_run(&buf);
     }
-    [engine_a.core.metrics(), engine_b.core.metrics()]
+    engine.core.metrics()
 }
 
 #[cfg(test)]
@@ -1687,10 +1645,12 @@ mod tests {
     }
 
     #[test]
-    fn paired_and_ragged_traces_match_per_trace_runs() {
-        // Three traces: the first two run as a pair whose chunks go
-        // ragged once the shorter ends (mid warm-up for one of them),
-        // the third alone. Lengths straddle the 4096-reference chunk.
+    fn each_trace_of_a_call_matches_its_own_seeded_run() {
+        // Three traces of one call, each of which must come out as its
+        // own `simulate_seeded` run: no engine state and no warm-up
+        // countdown may carry from one trace to the next. Lengths
+        // straddle the 4096-reference chunk, and the 5 000-reference
+        // warm-up outlasts the 3 000-reference trace.
         let traces = [
             mixed_trace(10_000, 4096),
             mixed_trace(3_000, 2048),
@@ -1838,8 +1798,7 @@ mod tests {
         // 128-byte blocks in 2-byte sub-blocks: 64 slots, past the
         // specialised runners' 32-entry offset tables, so these classes
         // take the generic path — alone, and beside a 4-way class of
-        // narrow blocks they would otherwise pair with. Two equal-length
-        // traces take the LRU quad scheduler too.
+        // narrow blocks they would otherwise pair with.
         let traces = [mixed_trace(20_000, 8192), mixed_trace(20_000, 4096)];
         for policy in POLICIES {
             let lf = FetchPolicy::LOAD_FORWARD;

@@ -28,8 +28,8 @@
 //!
 //! Each victim rule is a [`Step`] through a blanket impl, so the fixed-way
 //! runner rides the same shape table, class-pair interleave and generic
-//! fallback as LRU; paired Random classes each draw from their own
-//! generator.
+//! fallback as LRU. The two Random classes of an interleaved class pair
+//! each draw from their own generator.
 
 use rand::rngs::StdRng;
 use rand::Rng;

@@ -2,8 +2,8 @@
 //! a [`Trace`] backed by a regenerating iterator and one backed by the
 //! packed copy of the same stream must agree on the trace fingerprint
 //! (and therefore every journal point key), and drive the simulators —
-//! direct, one-pass sliced, and the paired two-trace interleave — to
-//! bit-identical metrics. This is the contract that lets sweeps fuse
+//! direct, and one-pass sliced on the serial path — to bit-identical
+//! metrics. This is the contract that lets sweeps fuse
 //! generation into simulation without touching any committed artifact.
 
 use occache_core::{simulate, CacheConfig};
@@ -14,8 +14,8 @@ use occache_trace::AccessKind;
 use occache_workloads::{Architecture, Profile, ProgramGenerator};
 use proptest::prelude::*;
 
-/// The pool at width 1, so the one engine unit runs both traces in one
-/// paired (interleaved) pass instead of sharding them.
+/// The pool at width 1: the serial path, one engine unit running the
+/// traces one after another. `random_determinism.rs` covers widths 1–5.
 fn sliced(configs: &[CacheConfig], traces: &[Trace], warmup: usize) -> Vec<DesignPoint> {
     let policy = SupervisorPolicy::disabled();
     evaluate_results_supervised_with(&policy, configs, traces, warmup, Some(1), |_, _| {})
@@ -92,8 +92,8 @@ proptest! {
             prop_assert_eq!(direct_mat, direct_str);
         }
 
-        // And through the sliced one-pass path, with two traces so the
-        // paired (interleaved) engine run is what actually executes.
+        // And through the sliced one-pass path, with two traces run one
+        // after another by the same engine unit.
         let sliced_mat = sliced(
             &configs,
             &[materialized.clone(), materialized.clone()],
