@@ -41,7 +41,7 @@ PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-runtime --test streaming --tes
 PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-runtime --lib fmt::
 PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --test http_parser
 PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --lib router::
-PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-cli --test client_torn
+PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --test client_torn
 PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-trace --test hasher_oracle --test packed_roundtrip
 
 echo "== integrity: manifest + verify + supervised fault injection =="

@@ -3,36 +3,24 @@
 //! One keep-alive connection per client; requests are closed-loop (each
 //! waits for its response). Std-only, like the server it talks to.
 //!
-//! The response reader is deliberately strict: a torn or truncated
+//! Responses are read by the service crate's one reader,
+//! [`occache_serve::http::read_response_from`]: a torn or truncated
 //! response (chaos injection, mid-write crash) surfaces as an error the
 //! caller can retry on a fresh connection — never a panic, never a
-//! silently short body. [`read_response_from`] is generic over
-//! [`BufRead`] so property tests can feed it arbitrary byte prefixes.
+//! silently short body — and an endless head or body is refused at its
+//! cap.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+
+use occache_serve::http::read_response_from;
+pub use occache_serve::http::Response;
 
 use crate::CliError;
 
 /// How long a single response may take before the client gives up.
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(600);
-
-/// Responses larger than this are refused (the service never sends
-/// bodies anywhere near it).
-const MAX_RESPONSE_BODY: usize = 64 * 1024 * 1024;
-
-/// A parsed HTTP response: status code, body, and the `Retry-After`
-/// header when the server sent one (429 backpressure).
-#[derive(Debug)]
-pub struct Response {
-    /// The status code (200, 429, ...).
-    pub status: u16,
-    /// The response body, assumed UTF-8.
-    pub body: String,
-    /// Whole seconds from a `Retry-After` header, if present.
-    pub retry_after: Option<u64>,
-}
 
 /// A keep-alive HTTP/1.1 connection to one server.
 #[derive(Debug)]
@@ -97,7 +85,7 @@ impl HttpClient {
         stream.write_all(head.as_bytes())?;
         stream.write_all(payload.as_bytes())?;
         stream.flush()?;
-        read_response_from(&mut self.reader)
+        Ok(read_response_from(&mut self.reader)?)
     }
 
     /// Convenience: `POST` a JSON body.
@@ -116,99 +104,5 @@ impl HttpClient {
     /// As [`HttpClient::request`].
     pub fn get(&mut self, path: &str) -> Result<Response, CliError> {
         self.request("GET", path, None)
-    }
-}
-
-/// Reads one HTTP/1.1 response (status line, headers, Content-Length
-/// body) from any buffered stream. Any truncation — a torn status
-/// line, headers cut short, a body shorter than its `Content-Length` —
-/// is an error, never a short read passed off as success.
-///
-/// # Errors
-///
-/// Returns [`CliError::Io`] on transport failure or any framing
-/// violation.
-pub fn read_response_from<R: BufRead>(reader: &mut R) -> Result<Response, CliError> {
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    if !line.ends_with('\n') {
-        return Err(bad(format!("truncated status line {line:?}")));
-    }
-    let mut parts = line.split_whitespace();
-    let status = match (parts.next(), parts.next()) {
-        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code
-            .parse::<u16>()
-            .map_err(|_| bad(format!("unparseable status {code:?}")))?,
-        _ => return Err(bad(format!("bad status line {line:?}"))),
-    };
-    let mut content_length: Option<usize> = None;
-    let mut retry_after: Option<u64> = None;
-    loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
-        if !header.ends_with('\n') {
-            return Err(bad("truncated header block".into()));
-        }
-        let header = header.trim_end();
-        if header.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                let n = value
-                    .trim()
-                    .parse::<usize>()
-                    .map_err(|_| bad(format!("bad content-length {value:?}")))?;
-                content_length = Some(n);
-            } else if name.eq_ignore_ascii_case("retry-after") {
-                retry_after = value.trim().parse::<u64>().ok();
-            }
-        }
-    }
-    let len = content_length.ok_or_else(|| bad("response without content-length".into()))?;
-    if len > MAX_RESPONSE_BODY {
-        return Err(bad(format!("response body of {len} bytes is too large")));
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
-    let body = String::from_utf8(body).map_err(|_| bad("response body is not UTF-8".into()))?;
-    Ok(Response {
-        status,
-        body,
-        retry_after,
-    })
-}
-
-fn bad(message: String) -> CliError {
-    CliError::Io(std::io::Error::new(
-        std::io::ErrorKind::InvalidData,
-        format!("malformed HTTP response: {message}"),
-    ))
-}
-
-#[cfg(test)]
-mod tests {
-    use std::io::Read as _;
-
-    use super::*;
-
-    #[test]
-    fn parses_full_response_with_retry_after() {
-        let wire =
-            "HTTP/1.1 429 Too Many Requests\r\nContent-Length: 2\r\nRetry-After: 7\r\n\r\nhi";
-        let response = read_response_from(&mut wire.as_bytes()).unwrap();
-        assert_eq!(response.status, 429);
-        assert_eq!(response.body, "hi");
-        assert_eq!(response.retry_after, Some(7));
-    }
-
-    #[test]
-    fn truncated_responses_error_out() {
-        let wire = "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort";
-        for cut in 0..wire.len() {
-            let err = read_response_from(&mut wire.as_bytes().take(cut as u64));
-            assert!(err.is_err(), "prefix of {cut} bytes parsed as a response");
-        }
-        assert!(read_response_from(&mut wire.as_bytes()).is_err());
     }
 }

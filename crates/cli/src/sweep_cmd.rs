@@ -88,19 +88,22 @@ pub fn run<S: AsRef<str>>(argv: &[S]) -> Result<String, CliError> {
     let warmup = parsed.value_or("warmup", 0usize)?;
 
     let traces = materialize(&WorkloadSpec::set_for(arch), refs);
-    let mut points = Vec::new();
-    let mut failures = Vec::new();
-    for &net in &nets {
-        let configs: Vec<_> = table1_pairs(net, arch.word_size())
-            .into_iter()
-            .map(|(block, sub)| standard_config(arch, net, block, sub))
-            .collect();
-        let outcome: SweepOutcome = evaluate_results_sliced(&configs, &traces, warmup)
-            .into_iter()
-            .collect();
-        points.extend(outcome.points);
-        failures.extend(outcome.failures);
-    }
+    // The whole grid, nets outer, in one call: results come back in
+    // input order, and the planner can share one engine pass per trace
+    // across net sizes instead of one pass per net.
+    let configs: Vec<_> = nets
+        .iter()
+        .flat_map(|&net| {
+            table1_pairs(net, arch.word_size())
+                .into_iter()
+                .map(move |(block, sub)| standard_config(arch, net, block, sub))
+        })
+        .collect();
+    let SweepOutcome {
+        points, failures, ..
+    } = evaluate_results_sliced(&configs, &traces, warmup)
+        .into_iter()
+        .collect();
 
     let mut out = String::new();
     let _ = writeln!(

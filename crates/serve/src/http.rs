@@ -1,5 +1,8 @@
-//! Hand-rolled HTTP/1.1: a pure, fuzz-tested request parser plus small
-//! connection and response helpers over any `Read + Write` stream.
+//! Hand-rolled HTTP/1.1: a pure, fuzz-tested request parser, the one
+//! listener and connection loop both front ends (`occache-serve`'s
+//! [`crate::service::Service`] and `occache-route`'s
+//! [`crate::router::Router`]) run behind a [`Handler`], and the one
+//! response reader every client side uses ([`read_response_from`]).
 //!
 //! The wire-facing surface is deliberately tiny: `GET`/`POST`, explicit
 //! `Content-Length` bodies only (chunked transfer encoding is rejected),
@@ -7,9 +10,44 @@
 //! received so far — it either needs more bytes, yields a complete head,
 //! or rejects the input — which makes torn reads, oversized heads and
 //! malformed framing directly property-testable without sockets.
+//!
+//! [`Listener`] accepts on a non-blocking socket, polls for shutdown
+//! ([`Listener::stop`] or SIGINT/SIGTERM via
+//! `occache_runtime::interrupt`), runs one thread per connection, and on
+//! shutdown calls [`Handler::drain`] and waits up to a bounded deadline
+//! for in-flight connections. Each connection runs under a wall-clock
+//! deadline: a half-sent request gets a 408, bad framing a 413 or 400,
+//! an idle keep-alive a quiet close. The connection faults of
+//! `OCCACHE_SERVE_FAULT` (`stall-read`, `drop-conn`, `torn-write`) fire
+//! here, so they fire on whichever front end is configured with them.
 
-use std::io::{self, Read, Write};
-use std::time::Instant;
+use std::io::{self, BufRead, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use crate::fault::ServeFault;
+use crate::json::ErrorBody;
+
+/// The per-connection wall-clock deadline of both front ends, and the
+/// bound on each socket read: how long a connection may sit idle (or
+/// mid-read) before the server gives up on it.
+pub const CONN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Accept-loop poll interval (shutdown-flag latency bound).
+const ACCEPT_POLL: Duration = Duration::from_millis(25);
+
+/// How long shutdown waits for in-flight connections to finish.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Upper bound on a response head (status line + headers) that
+/// [`read_response_from`] buffers.
+const MAX_RESPONSE_HEAD: usize = 64 * 1024;
+
+/// Upper bound on a response body that [`read_response_from`] accepts
+/// (the service never sends bodies anywhere near it).
+const MAX_RESPONSE_BODY: usize = 64 * 1024 * 1024;
 
 /// Upper bound on the request head (request line + headers + blank
 /// line). Heads that exceed this without terminating are rejected.
@@ -301,39 +339,18 @@ impl<S: Read + Write> Connection<S> {
         extra_headers: &[(&str, String)],
         body: &[u8],
     ) -> io::Result<()> {
-        let wire = render_response(status, content_type, extra_headers, body);
-        self.stream.write_all(&wire)?;
-        self.stream.flush()
+        self.write_wire(&render_response(status, content_type, extra_headers, body))
     }
 
-    /// Writes only the first `prefix` bytes of the response — the chaos
-    /// harness's torn-write injection. The caller must close the
-    /// connection afterwards; the peer sees a response whose body stops
-    /// short of its declared `Content-Length`.
+    /// Writes already-rendered response bytes (or, for torn-write
+    /// injection, a prefix of them).
     ///
     /// # Errors
     ///
     /// Propagates transport errors.
-    pub fn write_torn_response(
-        &mut self,
-        status: u16,
-        content_type: &str,
-        extra_headers: &[(&str, String)],
-        body: &[u8],
-        prefix: usize,
-    ) -> io::Result<()> {
-        let wire = render_response(status, content_type, extra_headers, body);
-        self.stream.write_all(&wire[..prefix.min(wire.len())])?;
+    pub fn write_wire(&mut self, wire: &[u8]) -> io::Result<()> {
+        self.stream.write_all(wire)?;
         self.stream.flush()
-    }
-
-    /// Convenience: a JSON body.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors.
-    pub fn write_json(&mut self, status: u16, body: &str) -> io::Result<()> {
-        self.write_response(status, "application/json", &[], body.as_bytes())
     }
 }
 
@@ -376,6 +393,361 @@ fn reason_phrase(status: u16) -> &'static str {
         503 => "Service Unavailable",
         _ => "Response",
     }
+}
+
+/// What a [`Handler`] answers: status, content type, extra headers and
+/// body.
+#[derive(Debug)]
+pub struct Reply {
+    /// The status code.
+    pub status: u16,
+    /// The `Content-Type` header value.
+    pub content_type: &'static str,
+    /// Headers beyond `Content-Type` and `Content-Length`.
+    pub headers: Vec<(&'static str, String)>,
+    /// The body.
+    pub body: String,
+}
+
+impl Reply {
+    /// A JSON reply with no extra headers.
+    pub fn json(status: u16, body: String) -> Reply {
+        Reply {
+            status,
+            content_type: "application/json",
+            headers: Vec::new(),
+            body,
+        }
+    }
+
+    fn render(&self) -> Vec<u8> {
+        render_response(
+            self.status,
+            self.content_type,
+            &self.headers,
+            self.body.as_bytes(),
+        )
+    }
+}
+
+/// A front end's request logic, plugged in behind a [`Listener`].
+pub trait Handler: Send + Sync + std::fmt::Debug + 'static {
+    /// Answers one complete request.
+    fn handle(&self, request: &Request) -> Reply;
+
+    /// Sees every status the connection loop writes — the handler's own
+    /// and the loop's 408/413/400 — just before it is written.
+    fn answered(&self, status: u16);
+
+    /// Called when the listener stops accepting, before in-flight
+    /// connections drain.
+    fn drain(&self) {}
+
+    /// Called once the listener has drained and stopped: stop whatever
+    /// the handler runs in the background.
+    fn shutdown(&self) {}
+}
+
+/// What every connection thread of one listener shares.
+#[derive(Debug)]
+struct Front<H> {
+    handler: Arc<H>,
+    conn_timeout: Option<Duration>,
+    fault: Option<Arc<ServeFault>>,
+    stop: AtomicBool,
+}
+
+/// A running front end: the accept loop on its own thread, one thread
+/// per connection, every request answered by one [`Handler`]. The node
+/// is `Listener<Service>` ([`crate::service::Server`]) and the router
+/// `Listener<Router>` ([`crate::router::RouterServer`]).
+#[derive(Debug)]
+pub struct Listener<H> {
+    addr: SocketAddr,
+    front: Arc<Front<H>>,
+    accept: Option<std::thread::JoinHandle<io::Result<()>>>,
+}
+
+impl<H: Handler> Listener<H> {
+    /// Starts the accept loop on an already-bound socket. `name`
+    /// prefixes the thread names (`<name>-accept`, `<name>-conn`);
+    /// `conn_timeout` is the per-connection deadline (`None` disables
+    /// it); `fault` injects connection faults.
+    ///
+    /// # Errors
+    ///
+    /// Propagates socket setup and thread spawn failures.
+    pub fn spawn(
+        socket: TcpListener,
+        name: &str,
+        handler: Arc<H>,
+        conn_timeout: Option<Duration>,
+        fault: Option<Arc<ServeFault>>,
+    ) -> io::Result<Listener<H>> {
+        socket.set_nonblocking(true)?;
+        let addr = socket.local_addr()?;
+        let front = Arc::new(Front {
+            handler,
+            conn_timeout,
+            fault,
+            stop: AtomicBool::new(false),
+        });
+        let accept = {
+            let front = Arc::clone(&front);
+            let name = name.to_string();
+            std::thread::Builder::new()
+                .name(format!("{name}-accept"))
+                .spawn(move || accept_loop(&socket, &front, &name))?
+        };
+        Ok(Listener {
+            addr,
+            front,
+            accept: Some(accept),
+        })
+    }
+
+    /// The bound address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The shared handler.
+    pub fn handler(&self) -> &Arc<H> {
+        &self.front.handler
+    }
+
+    /// Whether the accept loop has exited (e.g. after SIGINT).
+    pub fn finished(&self) -> bool {
+        self.accept.as_ref().is_none_or(|h| h.is_finished())
+    }
+
+    /// Graceful shutdown: [`Handler::drain`], stop accepting, drain
+    /// in-flight connections, join the accept loop, then
+    /// [`Handler::shutdown`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates an accept-loop I/O failure (the drain still ran).
+    pub fn stop(mut self) -> io::Result<()> {
+        self.front.handler.drain();
+        self.front.stop.store(true, Ordering::SeqCst);
+        let outcome = match self.accept.take() {
+            Some(handle) => handle
+                .join()
+                .unwrap_or_else(|_| Err(io::Error::other("accept loop panicked"))),
+            None => Ok(()),
+        };
+        self.front.handler.shutdown();
+        outcome
+    }
+}
+
+fn accept_loop<H: Handler>(
+    socket: &TcpListener,
+    front: &Arc<Front<H>>,
+    name: &str,
+) -> io::Result<()> {
+    let active = Arc::new(AtomicUsize::new(0));
+    while !front.stop.load(Ordering::SeqCst) && !occache_runtime::interrupt::requested() {
+        match socket.accept() {
+            Ok((stream, _peer)) => {
+                active.fetch_add(1, Ordering::SeqCst);
+                let front = Arc::clone(front);
+                let conn_active = Arc::clone(&active);
+                let spawned = std::thread::Builder::new()
+                    .name(format!("{name}-conn"))
+                    .spawn(move || {
+                        let _ = serve_connection(stream, &front);
+                        conn_active.fetch_sub(1, Ordering::SeqCst);
+                    });
+                if spawned.is_err() {
+                    active.fetch_sub(1, Ordering::SeqCst);
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                std::thread::sleep(ACCEPT_POLL);
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    // Drain: the handler flips its readiness first so health checks
+    // route away, then in-flight connections get a bounded window.
+    front.handler.drain();
+    let deadline = Instant::now() + DRAIN_DEADLINE;
+    while active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+        std::thread::sleep(ACCEPT_POLL);
+    }
+    Ok(())
+}
+
+/// Reports `reply`'s status to the handler, then writes it.
+fn send<H: Handler>(
+    conn: &mut Connection<TcpStream>,
+    front: &Front<H>,
+    reply: &Reply,
+) -> io::Result<()> {
+    front.handler.answered(reply.status);
+    conn.write_wire(&reply.render())
+}
+
+fn serve_connection<H: Handler>(stream: TcpStream, front: &Front<H>) -> io::Result<()> {
+    // The socket read timeout bounds each individual read; the
+    // connection deadline bounds the whole request, so a slow-loris
+    // trickling bytes inside the read timeout still gets cut off. A
+    // deadline shorter than the default read timeout tightens the
+    // per-read bound too, so the deadline overshoots by at most itself.
+    let read_timeout = front
+        .conn_timeout
+        .map_or(CONN_TIMEOUT, |t| t.min(CONN_TIMEOUT));
+    stream.set_read_timeout(Some(read_timeout))?;
+    let fault = front.fault.as_deref();
+    let mut conn = Connection::new(stream);
+    loop {
+        let deadline = front.conn_timeout.map(|t| Instant::now() + t);
+        let request = match conn.read_request_before(deadline) {
+            Ok(ReadOutcome::Complete(request)) => request,
+            Ok(ReadOutcome::Closed) => return Ok(()),
+            Ok(ReadOutcome::Malformed(e)) => {
+                let (status, code) = match e {
+                    ParseError::TooLarge | ParseError::BodyTooLarge => (413, "payload-too-large"),
+                    ParseError::Bad(_) => (400, "bad-request"),
+                };
+                let body = ErrorBody::new(code, &e.to_string(), false).render();
+                // Framing is gone: answer, then close.
+                return send(&mut conn, front, &Reply::json(status, body));
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                // A half-sent request deserves a structured 408; an
+                // idle keep-alive timing out is a normal close.
+                if conn.mid_request() {
+                    let body =
+                        ErrorBody::new("request-timeout", "request not completed in time", true)
+                            .render();
+                    return send(&mut conn, front, &Reply::json(408, body));
+                }
+                return Ok(());
+            }
+            Err(e) => return Err(e),
+        };
+        if let Some(stall) = fault.and_then(ServeFault::stall_read_now) {
+            std::thread::sleep(stall);
+        }
+        if fault.is_some_and(ServeFault::drop_conn_now) {
+            return Ok(()); // injected: vanish without a response
+        }
+        let reply = front.handler.handle(&request);
+        if fault.is_some_and(ServeFault::torn_write_now) {
+            // Injected: send only half the response, then close.
+            front.handler.answered(reply.status);
+            let wire = reply.render();
+            return conn.write_wire(&wire[..wire.len() / 2]);
+        }
+        send(&mut conn, front, &reply)?;
+        if !request.head.keep_alive || front.stop.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+    }
+}
+
+/// A parsed HTTP response: status code, body, and the `Retry-After`
+/// header when the server sent one (429 backpressure).
+#[derive(Debug)]
+pub struct Response {
+    /// The status code (200, 429, ...).
+    pub status: u16,
+    /// The response body, which must be UTF-8.
+    pub body: String,
+    /// Whole seconds from a `Retry-After` header, if present.
+    pub retry_after: Option<u64>,
+}
+
+/// Reads one HTTP/1.1 response (status line, headers, Content-Length
+/// body) from any buffered stream. Any truncation — a torn status
+/// line, headers cut short, a body shorter than its `Content-Length` —
+/// is an error, never a short read passed off as success. The head is
+/// capped at 64 KiB and the body at 64 MiB, so a misbehaving server
+/// cannot make the caller buffer without bound.
+///
+/// # Errors
+///
+/// Transport failures (a socket timeout included) propagate; any
+/// framing violation is `InvalidData`.
+pub fn read_response_from<R: BufRead>(reader: &mut R) -> io::Result<Response> {
+    let mut head_left = MAX_RESPONSE_HEAD;
+    let line = head_line(reader, &mut head_left)?;
+    let mut parts = line.split_whitespace();
+    let status = match (parts.next(), parts.next()) {
+        (Some(version), Some(code)) if version.starts_with("HTTP/1.") => code
+            .parse::<u16>()
+            .map_err(|_| bad(format!("unparseable status {code:?}")))?,
+        _ => return Err(bad(format!("bad status line {line:?}"))),
+    };
+    let mut content_length: Option<usize> = None;
+    let mut retry_after: Option<u64> = None;
+    loop {
+        let header = head_line(reader, &mut head_left)?;
+        let header = header.trim_end();
+        if header.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = header.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                let n = value
+                    .trim()
+                    .parse::<usize>()
+                    .map_err(|_| bad(format!("bad content-length {value:?}")))?;
+                content_length = Some(n);
+            } else if name.eq_ignore_ascii_case("retry-after") {
+                retry_after = value.trim().parse::<u64>().ok();
+            }
+        }
+    }
+    let len = content_length.ok_or_else(|| bad("response without content-length".into()))?;
+    if len > MAX_RESPONSE_BODY {
+        return Err(bad(format!("response body of {len} bytes is too large")));
+    }
+    let mut body = Vec::new();
+    reader.by_ref().take(len as u64).read_to_end(&mut body)?;
+    if body.len() < len {
+        return Err(bad(format!(
+            "body ended after {} of {len} bytes",
+            body.len()
+        )));
+    }
+    let body = String::from_utf8(body).map_err(|_| bad("response body is not UTF-8".into()))?;
+    Ok(Response {
+        status,
+        body,
+        retry_after,
+    })
+}
+
+/// Reads one complete head line, charging it to the head budget.
+fn head_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Result<String> {
+    let mut line = String::new();
+    reader.by_ref().take(*budget as u64).read_line(&mut line)?;
+    *budget -= line.len();
+    if line.ends_with('\n') {
+        Ok(line)
+    } else if *budget == 0 {
+        Err(bad(format!(
+            "response head larger than {MAX_RESPONSE_HEAD} bytes"
+        )))
+    } else {
+        Err(bad(format!("truncated response head at {line:?}")))
+    }
+}
+
+fn bad(message: String) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!("malformed HTTP response: {message}"),
+    )
 }
 
 #[cfg(test)]
@@ -486,5 +858,50 @@ mod tests {
         );
         assert!(wire.contains("Retry-After: 1\r\n"), "{wire}");
         assert!(wire.ends_with("\r\n\r\n{}"), "{wire}");
+    }
+
+    #[test]
+    fn parses_full_response_with_retry_after() {
+        let wire =
+            "HTTP/1.1 429 Too Many Requests\r\nContent-Length: 2\r\nRetry-After: 7\r\n\r\nhi";
+        let response = read_response_from(&mut wire.as_bytes()).unwrap();
+        assert_eq!(response.status, 429);
+        assert_eq!(response.body, "hi");
+        assert_eq!(response.retry_after, Some(7));
+    }
+
+    #[test]
+    fn truncated_responses_error_out() {
+        let wire = "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort";
+        for cut in 0..wire.len() {
+            let err = read_response_from(&mut wire.as_bytes().take(cut as u64));
+            assert!(err.is_err(), "prefix of {cut} bytes parsed as a response");
+        }
+        assert!(read_response_from(&mut wire.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn response_heads_over_the_cap_are_refused() {
+        let head = |pad: usize| {
+            format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: 2\r\nX-Pad: {}\r\n\r\nhi",
+                "p".repeat(pad)
+            )
+        };
+        // "X-Pad: " and its CRLF, the status line, the Content-Length
+        // line and the blank line fill the rest of the cap exactly.
+        let fixed = head(0).len() - 2;
+        let at_cap = head(MAX_RESPONSE_HEAD - fixed);
+        let response = read_response_from(&mut at_cap.as_bytes()).unwrap();
+        assert_eq!(response.body, "hi");
+
+        let over = head(MAX_RESPONSE_HEAD - fixed + 1);
+        let err = read_response_from(&mut over.as_bytes()).unwrap_err();
+        assert!(err.to_string().contains("larger than"), "{err}");
+        // An endless header line is cut off at the cap, not buffered.
+        let mut endless = "HTTP/1.1 200 OK\r\nX-Pad: "
+            .as_bytes()
+            .chain(io::repeat(b'p'));
+        assert!(read_response_from(&mut io::BufReader::new(&mut endless)).is_err());
     }
 }

@@ -15,8 +15,10 @@
 //!
 //! * [`json`] — a minimal recursive-descent JSON parser and escaper,
 //!   plus the unified structured error body both wire sides speak.
-//! * [`http`] — HTTP/1.1 framing over any `Read + Write` stream, with
-//!   per-connection deadlines and torn-write injection support.
+//! * [`http`] — HTTP/1.1 framing over any `Read + Write` stream; the one
+//!   listener and connection loop both front ends run (per-connection
+//!   deadlines, 408/413/400 refusals, connection faults, bounded drain);
+//!   and the one response reader every client side uses.
 //! * [`metrics`] — atomic counters and a fixed-bucket latency histogram.
 //! * [`fault`] — deterministic socket/scheduler chaos injection
 //!   (`OCCACHE_SERVE_FAULT`).
@@ -27,7 +29,7 @@
 //!   breakers, and the deadline-bounded peer HTTP client.
 //! * [`router`] — rendezvous-hash request routing and the thin
 //!   `occache-route` front door that scatters sweeps across shards.
-//! * [`service`] — routing, request handling, accept loop, graceful
+//! * [`service`] — the node: routing, request handling, graceful
 //!   shutdown.
 
 #![warn(missing_docs)]

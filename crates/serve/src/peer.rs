@@ -14,14 +14,16 @@
 //! recovered one re-admitted even when no traffic is flowing.
 //!
 //! Every outbound call carries a strict deadline
-//! ([`PeerPolicy::timeout`]) spanning connect, write and read, and is
+//! ([`PeerPolicy::timeout`]) spanning connect, write and read — the
+//! reply is read by the shared [`read_response_from`] through an
+//! adapter that resets the socket timeout to the time left — and is
 //! retried at most [`PeerPolicy::retries`] times with deterministic
 //! (FNV-jittered, not random) backoff. Callers treat exhaustion as "peer
 //! unavailable" and fall back — the router re-ranks to a survivor, a
 //! node computes locally — so a peer failure is never surfaced to a
 //! client as an unattributed error.
 
-use std::io::{Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -30,6 +32,7 @@ use std::time::{Duration, Instant};
 use occache_runtime::keys::fnv1a;
 
 use crate::fault::ServeFault;
+use crate::http::read_response_from;
 
 /// Deadline for one peer call, connect included. It cannot be disabled:
 /// a peer call with no deadline would couple one node's latency to
@@ -415,7 +418,8 @@ pub fn backoff_delay(addr: &str, attempt: usize) -> Duration {
 /// One HTTP/1.1 call to `addr` under a strict wall-clock deadline
 /// spanning resolve, connect, write and read. `Connection: close` — peer
 /// calls are infrequent enough that keep-alive bookkeeping isn't worth
-/// the shared-state coupling.
+/// the shared-state coupling. The response goes through the shared
+/// [`read_response_from`], so its head and body caps apply here too.
 ///
 /// # Errors
 ///
@@ -437,7 +441,7 @@ pub fn http_call(
     if remaining.is_zero() {
         return Err(format!("peer {addr}: deadline before connect"));
     }
-    let mut stream = TcpStream::connect_timeout(&sock, remaining)
+    let stream = TcpStream::connect_timeout(&sock, remaining)
         .map_err(|e| format!("peer {addr}: connect failed: {e}"))?;
     stream.set_nodelay(true).ok();
     let request = format!(
@@ -445,91 +449,50 @@ pub fn http_call(
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    set_io_deadline(&stream, deadline).map_err(|e| format!("peer {addr}: {e}"))?;
-    stream
-        .write_all(request.as_bytes())
-        .and_then(|()| stream.write_all(body))
+    let mut io = BufReader::new(DeadlineStream { stream, deadline });
+    let conn = io.get_mut();
+    conn.write_all(request.as_bytes())
+        .and_then(|()| conn.write_all(body))
         .map_err(|e| format!("peer {addr}: write failed: {e}"))?;
-    read_response(&mut stream, addr, deadline)
+    let response =
+        read_response_from(&mut io).map_err(|e| format!("peer {addr}: read failed: {e}"))?;
+    Ok((response.status, response.body.into_bytes()))
 }
 
-fn set_io_deadline(stream: &TcpStream, deadline: Instant) -> Result<(), String> {
-    let remaining = deadline.saturating_duration_since(Instant::now());
-    if remaining.is_zero() {
-        return Err("deadline exceeded".to_string());
-    }
-    stream
-        .set_read_timeout(Some(remaining))
-        .and_then(|()| stream.set_write_timeout(Some(remaining)))
-        .map_err(|e| format!("socket deadline: {e}"))
-}
-
-fn read_response(
-    stream: &mut TcpStream,
-    addr: &str,
+/// A socket under one wall-clock deadline: each read or write first
+/// sets the socket timeout to the time left, so the deadline bounds the
+/// whole exchange rather than each call.
+struct DeadlineStream {
+    stream: TcpStream,
     deadline: Instant,
-) -> Result<(u16, Vec<u8>), String> {
-    let mut buf: Vec<u8> = Vec::with_capacity(4096);
-    let mut chunk = [0u8; 4096];
-    let header_end = loop {
-        if let Some(pos) = find_header_end(&buf) {
-            break pos;
-        }
-        if buf.len() > 64 * 1024 {
-            return Err(format!("peer {addr}: response headers too large"));
-        }
-        set_io_deadline(stream, deadline).map_err(|e| format!("peer {addr}: {e}"))?;
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(format!("peer {addr}: closed before response headers")),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(format!("peer {addr}: read failed: {e}")),
-        }
-    };
-    let head = std::str::from_utf8(&buf[..header_end])
-        .map_err(|_| format!("peer {addr}: non-UTF-8 response head"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("peer {addr}: bad status line {status_line:?}"))?;
-    let mut content_length: Option<usize> = None;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok();
-            }
-        }
-    }
-    let len =
-        content_length.ok_or_else(|| format!("peer {addr}: response without Content-Length"))?;
-    if len > 64 * 1024 * 1024 {
-        return Err(format!(
-            "peer {addr}: response body too large ({len} bytes)"
-        ));
-    }
-    let mut body = buf[header_end..].to_vec();
-    while body.len() < len {
-        set_io_deadline(stream, deadline).map_err(|e| format!("peer {addr}: {e}"))?;
-        match stream.read(&mut chunk) {
-            // A short body is a torn response, not a result.
-            Ok(0) => {
-                return Err(format!(
-                    "peer {addr}: closed mid-body ({}/{len})",
-                    body.len()
-                ))
-            }
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(format!("peer {addr}: body read failed: {e}")),
-        }
-    }
-    body.truncate(len);
-    Ok((status, body))
 }
 
-fn find_header_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
+impl DeadlineStream {
+    fn time_left(&self) -> io::Result<Duration> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "deadline exceeded"));
+        }
+        Ok(left)
+    }
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.stream.set_read_timeout(Some(self.time_left()?))?;
+        self.stream.read(buf)
+    }
+}
+
+impl Write for DeadlineStream {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.stream.set_write_timeout(Some(self.time_left()?))?;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
+    }
 }
 
 #[cfg(test)]
@@ -600,6 +563,34 @@ mod tests {
         assert_eq!(set.health("127.0.0.1:1"), PeerHealth::Down);
         assert!(set.calls_made() >= 1);
         set.shutdown();
+    }
+
+    #[test]
+    fn a_response_stalled_mid_body_fails_within_the_deadline() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (release, released) = std::sync::mpsc::channel::<()>();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = [0u8; 1024];
+            let _ = stream.read(&mut request);
+            stream
+                .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nhalf_")
+                .unwrap();
+            // Hold the socket open and silent until the caller gave up.
+            let _ = released.recv_timeout(Duration::from_secs(10));
+        });
+        let timeout = Duration::from_millis(300);
+        let started = Instant::now();
+        let err = http_call(&addr, "GET", "/v1/health", b"", timeout).unwrap_err();
+        let took = started.elapsed();
+        release.send(()).unwrap();
+        server.join().unwrap();
+        assert!(err.contains(&addr), "failure names the peer: {err}");
+        assert!(
+            took < timeout + Duration::from_millis(250),
+            "gave up after {took:?}, deadline {timeout:?}"
+        );
     }
 
     #[test]

@@ -28,11 +28,17 @@
 //! `peer_fill: true`, suppressing onward fan-out). Only when every peer
 //! is unreachable does the router answer, and then with a structured,
 //! retryable 503 — never an unattributed error.
+//!
+//! [`Router`] is a [`Handler`] behind the same [`Listener`] the node
+//! runs, so its connection deadlines, 408/413/400 refusals and
+//! connection faults (`OCCACHE_SERVE_FAULT`'s `torn-write`,
+//! `stall-read`, `drop-conn`) are the node's, and every status it
+//! writes is counted in `occache_route_client_errors_total` or
+//! `occache_route_server_errors_total`.
 
 use std::collections::BTreeMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,19 +47,13 @@ use occache_runtime::instrument::{Counter, Registry};
 use occache_runtime::keys::fnv1a;
 
 use crate::fault::ServeFault;
-use crate::http::{Connection, ParseError, ReadOutcome, Request};
+use crate::http::{Handler, Listener, Reply, Request, CONN_TIMEOUT};
 use crate::json::{escape, ErrorBody, Json};
 use crate::peer::{PeerPolicy, PeerSet};
-use crate::service::{parse_point_request, CONN_TIMEOUT};
+use crate::service::parse_point_request;
 
 /// Default bind address for the router.
 const DEFAULT_ROUTE_ADDR: &str = "127.0.0.1:7806";
-
-/// Accept-loop poll interval (mirrors the node service).
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// How long router shutdown waits for in-flight connections.
-const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 
 /// The routing key of one design point: FNV-1a over the request
 /// identity (lowercased model, refs, warm-up, config `Debug`). Nodes
@@ -243,7 +243,6 @@ pub struct Router {
     addrs: Vec<String>,
     default_refs: usize,
     counters: RouteCounters,
-    conn_timeout: Option<Duration>,
     fault: Option<Arc<ServeFault>>,
     started: Instant,
 }
@@ -262,7 +261,6 @@ impl Router {
             peers,
             default_refs: config.default_refs,
             counters: RouteCounters::default(),
-            conn_timeout: config.conn_timeout,
             fault: config.fault.clone(),
             started: Instant::now(),
         }
@@ -271,59 +269,6 @@ impl Router {
     /// The live peer set (tests and embedders).
     pub fn peers(&self) -> &Arc<PeerSet> {
         &self.peers
-    }
-
-    /// Handles one parsed request.
-    fn handle(&self, request: &Request) -> (u16, String) {
-        self.counters.requests.bump();
-        let path = request
-            .head
-            .target
-            .split('?')
-            .next()
-            .unwrap_or(&request.head.target);
-        let method = request.head.method.as_str();
-        let (status, body) = match (method, path) {
-            ("POST", "/v1/simulate") => self.forward_simulate(&request.body),
-            ("POST", "/v1/sweep") => self.forward_sweep(&request.body),
-            ("GET", "/v1/health") => (200, "{\"status\":\"ok\"}".to_string()),
-            ("GET", "/v1/ready") => {
-                if self.addrs.iter().any(|a| self.peers.available(a)) {
-                    (200, "{\"ready\":true}".to_string())
-                } else {
-                    (
-                        503,
-                        ErrorBody::new("no-peers-available", "every peer is down", true).render(),
-                    )
-                }
-            }
-            ("GET", "/v1/status") => {
-                self.counters.scrapes.bump();
-                (200, self.status_json())
-            }
-            ("GET", "/metrics") => {
-                self.counters.scrapes.bump();
-                return (200, self.metrics_text());
-            }
-            (
-                _,
-                "/v1/simulate" | "/v1/sweep" | "/v1/status" | "/v1/health" | "/v1/ready"
-                | "/metrics",
-            ) => (
-                405,
-                ErrorBody::new("method-not-allowed", "method not allowed", false).render(),
-            ),
-            _ => (
-                404,
-                ErrorBody::new("not-found", "no such endpoint", false).render(),
-            ),
-        };
-        match status {
-            400..=499 => self.counters.client_errors.bump(),
-            500..=599 => self.counters.server_errors.bump(),
-            _ => {}
-        }
-        (status, body)
     }
 
     /// Tries `key`'s peers best-first: available ones in ranked order,
@@ -584,166 +529,99 @@ impl Router {
     }
 }
 
-/// A running router: accept loop on its own thread.
-#[derive(Debug)]
-pub struct RouterServer {
-    addr: SocketAddr,
-    router: Arc<Router>,
-    stop: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<io::Result<()>>>,
+impl Handler for Router {
+    fn handle(&self, request: &Request) -> Reply {
+        self.counters.requests.bump();
+        let path = request
+            .head
+            .target
+            .split('?')
+            .next()
+            .unwrap_or(&request.head.target);
+        let method = request.head.method.as_str();
+        let (status, body) = match (method, path) {
+            ("POST", "/v1/simulate") => self.forward_simulate(&request.body),
+            ("POST", "/v1/sweep") => self.forward_sweep(&request.body),
+            ("GET", "/v1/health") => (200, "{\"status\":\"ok\"}".to_string()),
+            ("GET", "/v1/ready") => {
+                if self.addrs.iter().any(|a| self.peers.available(a)) {
+                    (200, "{\"ready\":true}".to_string())
+                } else {
+                    (
+                        503,
+                        ErrorBody::new("no-peers-available", "every peer is down", true).render(),
+                    )
+                }
+            }
+            ("GET", "/v1/status") => {
+                self.counters.scrapes.bump();
+                (200, self.status_json())
+            }
+            ("GET", "/metrics") => {
+                self.counters.scrapes.bump();
+                (200, self.metrics_text())
+            }
+            (
+                _,
+                "/v1/simulate" | "/v1/sweep" | "/v1/status" | "/v1/health" | "/v1/ready"
+                | "/metrics",
+            ) => (
+                405,
+                ErrorBody::new("method-not-allowed", "method not allowed", false).render(),
+            ),
+            _ => (
+                404,
+                ErrorBody::new("not-found", "no such endpoint", false).render(),
+            ),
+        };
+        let content_type = if request.head.target.starts_with("/metrics") {
+            "text/plain; version=0.0.4"
+        } else {
+            "application/json"
+        };
+        Reply {
+            content_type,
+            ..Reply::json(status, body)
+        }
+    }
+
+    fn answered(&self, status: u16) {
+        match status {
+            400..=499 => self.counters.client_errors.bump(),
+            500..=599 => self.counters.server_errors.bump(),
+            _ => {}
+        }
+    }
+
+    fn shutdown(&self) {
+        self.peers.shutdown();
+    }
 }
 
+/// A running router: the shared [`Listener`] in front of a [`Router`].
+pub type RouterServer = Listener<Router>;
+
 impl RouterServer {
-    /// Binds and starts the accept loop.
+    /// Binds and starts the listener. [`Listener::stop`] stops
+    /// accepting, drains, and joins the peer probes.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
     pub fn start(config: &RouterConfig) -> io::Result<RouterServer> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let router = Arc::new(Router::new(config));
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let router = Arc::clone(&router);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("occache-route-accept".to_string())
-                .spawn(move || accept_loop(&listener, &router, &stop))?
-        };
-        Ok(RouterServer {
-            addr,
-            router,
-            stop,
-            accept: Some(accept),
-        })
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+        let socket = TcpListener::bind(&config.addr)?;
+        Listener::spawn(
+            socket,
+            "occache-route",
+            Arc::new(Router::new(config)),
+            config.conn_timeout,
+            config.fault.clone(),
+        )
     }
 
     /// The shared router (tests and embedders).
     pub fn router(&self) -> &Arc<Router> {
-        &self.router
-    }
-
-    /// Whether the accept loop has exited (e.g. after SIGINT).
-    pub fn finished(&self) -> bool {
-        self.accept.as_ref().is_none_or(|h| h.is_finished())
-    }
-
-    /// Graceful shutdown: stop accepting, drain, join the probes.
-    ///
-    /// # Errors
-    ///
-    /// Propagates an accept-loop I/O failure (the drain still ran).
-    pub fn stop(mut self) -> io::Result<()> {
-        self.stop.store(true, Ordering::SeqCst);
-        let outcome = match self.accept.take() {
-            Some(handle) => handle
-                .join()
-                .unwrap_or_else(|_| Err(io::Error::other("router accept loop panicked"))),
-            None => Ok(()),
-        };
-        self.router.peers.shutdown();
-        outcome
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    router: &Arc<Router>,
-    stop: &Arc<AtomicBool>,
-) -> io::Result<()> {
-    let active = Arc::new(AtomicUsize::new(0));
-    let should_stop =
-        |stop: &AtomicBool| stop.load(Ordering::SeqCst) || occache_runtime::interrupt::requested();
-    while !should_stop(stop) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                active.fetch_add(1, Ordering::SeqCst);
-                let router = Arc::clone(router);
-                let stop = Arc::clone(stop);
-                let conn_active = Arc::clone(&active);
-                let spawned = std::thread::Builder::new()
-                    .name("occache-route-conn".to_string())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &router, &stop);
-                        conn_active.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    let deadline = Instant::now() + DRAIN_DEADLINE;
-    while active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(ACCEPT_POLL);
-    }
-    Ok(())
-}
-
-fn serve_connection(stream: TcpStream, router: &Router, stop: &AtomicBool) -> io::Result<()> {
-    let read_timeout = router
-        .conn_timeout
-        .map_or(CONN_TIMEOUT, |t| t.min(CONN_TIMEOUT));
-    stream.set_read_timeout(Some(read_timeout))?;
-    let mut conn = Connection::new(stream);
-    loop {
-        let deadline = router.conn_timeout.map(|t| Instant::now() + t);
-        let outcome = match conn.read_request_before(deadline) {
-            Ok(o) => o,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if conn.mid_request() {
-                    let body =
-                        ErrorBody::new("request-timeout", "request not completed in time", true)
-                            .render();
-                    let _ = conn.write_json(408, &body);
-                }
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        match outcome {
-            ReadOutcome::Closed => return Ok(()),
-            ReadOutcome::Malformed(e) => {
-                let (status, code) = match e {
-                    ParseError::TooLarge | ParseError::BodyTooLarge => (413, "payload-too-large"),
-                    ParseError::Bad(_) => (400, "bad-request"),
-                };
-                conn.write_json(
-                    status,
-                    &ErrorBody::new(code, &e.to_string(), false).render(),
-                )?;
-                return Ok(());
-            }
-            ReadOutcome::Complete(request) => {
-                let keep_alive = request.head.keep_alive;
-                let (status, body) = router.handle(&request);
-                let content_type = if request.head.target.starts_with("/metrics") {
-                    "text/plain; version=0.0.4"
-                } else {
-                    "application/json"
-                };
-                conn.write_response(status, content_type, &[], body.as_bytes())?;
-                if !keep_alive || stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-        }
+        self.handler()
     }
 }
 

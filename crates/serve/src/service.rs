@@ -1,5 +1,6 @@
-//! The HTTP service: routing, request handling, the trace-set store,
-//! and the accept loop with graceful shutdown.
+//! The node service: routing, request handling, the trace-set store,
+//! and graceful shutdown. The listener and connection loop are
+//! [`crate::http::Listener`]; [`Service`] is its [`Handler`].
 //!
 //! Endpoints:
 //!
@@ -15,7 +16,7 @@
 //! * `GET /metrics` — Prometheus-style text exposition.
 //!
 //! Failure model (DESIGN.md §10): every connection runs under a
-//! wall-clock deadline ([`CONN_TIMEOUT`]) so a slow-loris
+//! wall-clock deadline ([`crate::http::CONN_TIMEOUT`]) so a slow-loris
 //! client gets a 408 and a close, never a parked thread; admission
 //! control sheds bulk (grid) work at half the queue capacity and
 //! interactive points only when it is full, with a queue-depth-derived
@@ -26,15 +27,15 @@
 //! journal in the same directory); and every error is a
 //! structured [`ErrorBody`] with fault attribution.
 //!
-//! Shutdown: the accept loop watches both [`Server::stop`] and the
-//! process-wide SIGINT/SIGTERM flag (`occache_runtime::interrupt`),
-//! stops accepting, waits for in-flight connections to finish, then
-//! drains and joins the scheduler.
+//! Shutdown: the listener watches both [`Server::stop`] and the
+//! process-wide SIGINT/SIGTERM flag (`occache_runtime::interrupt`).
+//! Readiness flips to 503 first, in-flight connections drain, then the
+//! scheduler drains and joins and the peer probes stop.
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -52,18 +53,13 @@ use occache_workloads::WorkloadSpec;
 
 use crate::breaker::{Breaker, DEFAULT_THRESHOLD};
 use crate::fault::ServeFault;
-use crate::http::{Connection, ParseError, ReadOutcome, Request};
+use crate::http::{Handler, Listener, Reply, Request, CONN_TIMEOUT};
 use crate::json::{escape, ErrorBody, Json};
 use crate::metrics::{Counters, Gauges, PeerStats};
 use crate::peer::{PeerPolicy, PeerSet};
 use crate::persist::WriteBehind;
 use crate::router::{ranked, render_peer_request, route_key};
 use occache_runtime::queue::{Job, Priority, Scheduler, SubmitError, TraceSet};
-
-/// The per-connection wall-clock deadline of the service and the
-/// router, and the bound on each socket read: how long a connection may
-/// sit idle (or mid-read) before the server gives up on it.
-pub const CONN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Bounded scheduler queue capacity.
 const QUEUE_CAPACITY: usize = 256;
@@ -78,12 +74,6 @@ const CACHE_CAPACITY: usize = 65_536;
 /// returning 503. Generous: the supervisor's own per-point deadline
 /// fires first when one is configured.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(300);
-
-/// Accept-loop poll interval (shutdown-flag latency bound).
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// How long shutdown waits for in-flight connections to finish.
-const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Service tuning, normally read from the environment.
 #[derive(Debug, Clone)]
@@ -205,7 +195,6 @@ pub struct Service {
     persist: Option<WriteBehind>,
     peers: Option<Arc<PeerSet>>,
     fault: Option<Arc<ServeFault>>,
-    conn_timeout: Option<Duration>,
     draining: AtomicBool,
     journal_replayed: usize,
 }
@@ -267,7 +256,6 @@ impl Service {
                 )
             }),
             fault: config.fault.clone(),
-            conn_timeout: config.conn_timeout,
             draining: AtomicBool::new(false),
             journal_replayed,
         }
@@ -313,90 +301,6 @@ impl Service {
         });
         store.insert(key, Arc::clone(&set));
         Ok(set)
-    }
-
-    /// Handles one parsed request, returning `(status, content_type,
-    /// extra headers, body)`.
-    fn handle(
-        &self,
-        request: &Request,
-    ) -> (u16, &'static str, Vec<(&'static str, String)>, String) {
-        self.counters.requests.bump();
-        let path = request
-            .head
-            .target
-            .split('?')
-            .next()
-            .unwrap_or(&request.head.target);
-        let method = request.head.method.as_str();
-        let started = Instant::now();
-        let (status, body) = match (method, path) {
-            ("POST", "/v1/simulate") => {
-                self.counters.simulate.bump();
-                let out = self.simulate(&request.body);
-                self.counters.latency.record(started.elapsed());
-                out
-            }
-            ("POST", "/v1/sweep") => {
-                self.counters.sweep.bump();
-                let out = self.sweep(&request.body);
-                self.counters.latency.record(started.elapsed());
-                out
-            }
-            ("GET", "/v1/status") => {
-                self.counters.scrapes.bump();
-                (200, self.status_json())
-            }
-            ("GET", "/v1/health") => {
-                // Liveness: answering at all is the signal.
-                (200, "{\"status\":\"ok\"}".to_string())
-            }
-            ("GET", "/v1/ready") => {
-                if self.ready() {
-                    (200, "{\"ready\":true}".to_string())
-                } else {
-                    (503, err("draining", "service is draining", false))
-                }
-            }
-            ("GET", "/metrics") => {
-                self.counters.scrapes.bump();
-                let faults = self.fault.as_ref().map(|f| f.injected());
-                let peer_stats = self.peers.as_ref().map(|p| PeerStats {
-                    states: p.state_gauge(),
-                    down_total: p.down_total(),
-                    probe_failures: p.probe_failures(),
-                    calls: p.calls_made(),
-                });
-                let text = crate::metrics::render(
-                    &self.counters,
-                    self.gauges(),
-                    &self.scheduler.worker_busy(),
-                    faults.as_ref().map_or(&[], |f| &f[..]),
-                    peer_stats.as_ref(),
-                );
-                return (200, "text/plain; version=0.0.4", Vec::new(), text);
-            }
-            (
-                _,
-                "/v1/simulate" | "/v1/sweep" | "/v1/status" | "/v1/health" | "/v1/ready"
-                | "/metrics",
-            ) => (405, err("method-not-allowed", "method not allowed", false)),
-            _ => (404, err("not-found", "no such endpoint", false)),
-        };
-        match status {
-            400..=499 => self.counters.client_errors.bump(),
-            500..=599 => self.counters.server_errors.bump(),
-            _ => {}
-        }
-        let mut headers = Vec::new();
-        if status == 429 {
-            self.counters.rejected.bump();
-            headers.push((
-                "Retry-After",
-                self.scheduler.suggested_retry_after().to_string(),
-            ));
-        }
-        (status, "application/json", headers, body)
     }
 
     fn gauges(&self) -> Gauges {
@@ -822,6 +726,107 @@ impl Service {
     }
 }
 
+impl Handler for Service {
+    fn handle(&self, request: &Request) -> Reply {
+        self.counters.requests.bump();
+        let path = request
+            .head
+            .target
+            .split('?')
+            .next()
+            .unwrap_or(&request.head.target);
+        let method = request.head.method.as_str();
+        let started = Instant::now();
+        let (status, body) = match (method, path) {
+            ("POST", "/v1/simulate") => {
+                self.counters.simulate.bump();
+                let out = self.simulate(&request.body);
+                self.counters.latency.record(started.elapsed());
+                out
+            }
+            ("POST", "/v1/sweep") => {
+                self.counters.sweep.bump();
+                let out = self.sweep(&request.body);
+                self.counters.latency.record(started.elapsed());
+                out
+            }
+            ("GET", "/v1/status") => {
+                self.counters.scrapes.bump();
+                (200, self.status_json())
+            }
+            ("GET", "/v1/health") => {
+                // Liveness: answering at all is the signal.
+                (200, "{\"status\":\"ok\"}".to_string())
+            }
+            ("GET", "/v1/ready") => {
+                if self.ready() {
+                    (200, "{\"ready\":true}".to_string())
+                } else {
+                    (503, err("draining", "service is draining", false))
+                }
+            }
+            ("GET", "/metrics") => {
+                self.counters.scrapes.bump();
+                let faults = self.fault.as_ref().map(|f| f.injected());
+                let peer_stats = self.peers.as_ref().map(|p| PeerStats {
+                    states: p.state_gauge(),
+                    down_total: p.down_total(),
+                    probe_failures: p.probe_failures(),
+                    calls: p.calls_made(),
+                });
+                let text = crate::metrics::render(
+                    &self.counters,
+                    self.gauges(),
+                    &self.scheduler.worker_busy(),
+                    faults.as_ref().map_or(&[], |f| &f[..]),
+                    peer_stats.as_ref(),
+                );
+                return Reply {
+                    content_type: "text/plain; version=0.0.4",
+                    ..Reply::json(200, text)
+                };
+            }
+            (
+                _,
+                "/v1/simulate" | "/v1/sweep" | "/v1/status" | "/v1/health" | "/v1/ready"
+                | "/metrics",
+            ) => (405, err("method-not-allowed", "method not allowed", false)),
+            _ => (404, err("not-found", "no such endpoint", false)),
+        };
+        let mut reply = Reply::json(status, body);
+        if status == 429 {
+            self.counters.rejected.bump();
+            reply.headers.push((
+                "Retry-After",
+                self.scheduler.suggested_retry_after().to_string(),
+            ));
+        }
+        reply
+    }
+
+    fn answered(&self, status: u16) {
+        if status == 408 {
+            self.counters.timeouts.bump();
+        }
+        match status {
+            400..=499 => self.counters.client_errors.bump(),
+            500..=599 => self.counters.server_errors.bump(),
+            _ => {}
+        }
+    }
+
+    fn drain(&self) {
+        self.begin_drain();
+    }
+
+    fn shutdown(&self) {
+        self.scheduler.shutdown();
+        if let Some(peers) = &self.peers {
+            peers.shutdown();
+        }
+    }
+}
+
 /// A decoded simulate/sweep request body. Shared with the router, which
 /// parses only to compute routing keys.
 #[derive(Debug)]
@@ -1001,201 +1006,33 @@ fn point_json(
     )
 }
 
-/// A running server: accept loop on its own thread, shared [`Service`]
-/// behind it.
-#[derive(Debug)]
-pub struct Server {
-    addr: SocketAddr,
-    service: Arc<Service>,
-    stop: Arc<AtomicBool>,
-    accept: Option<std::thread::JoinHandle<io::Result<()>>>,
-}
+/// A running node: the shared [`Listener`] in front of a [`Service`].
+pub type Server = Listener<Service>;
 
 impl Server {
-    /// Binds, starts the worker pool and the accept loop, and returns.
+    /// Binds, starts the worker pool and the listener, and returns.
     /// The bound address (with the real port when `:0` was asked) is in
-    /// [`Server::addr`].
+    /// [`Listener::addr`]. [`Listener::stop`] shuts down gracefully:
+    /// readiness flips, connections drain, then the scheduler queue
+    /// drains and the peer probes stop.
     ///
     /// # Errors
     ///
     /// Propagates bind failures.
     pub fn start(config: &ServiceConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let service = Arc::new(Service::new(config));
-        let stop = Arc::new(AtomicBool::new(false));
-        let accept = {
-            let service = Arc::clone(&service);
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("occache-accept".to_string())
-                .spawn(move || accept_loop(&listener, &service, &stop))?
-        };
-        Ok(Server {
-            addr,
-            service,
-            stop,
-            accept: Some(accept),
-        })
-    }
-
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
+        let socket = TcpListener::bind(&config.addr)?;
+        Listener::spawn(
+            socket,
+            "occache",
+            Arc::new(Service::new(config)),
+            config.conn_timeout,
+            config.fault.clone(),
+        )
     }
 
     /// The shared service (tests and embedders).
     pub fn service(&self) -> &Arc<Service> {
-        &self.service
-    }
-
-    /// Whether the accept loop has exited (e.g. after SIGINT).
-    pub fn finished(&self) -> bool {
-        self.accept.as_ref().is_none_or(|h| h.is_finished())
-    }
-
-    /// Graceful shutdown: stop accepting, drain connections and the
-    /// scheduler queue, join everything.
-    ///
-    /// # Errors
-    ///
-    /// Propagates an accept-loop I/O failure (the drain still ran).
-    pub fn stop(mut self) -> io::Result<()> {
-        self.service.begin_drain();
-        self.stop.store(true, Ordering::SeqCst);
-        let outcome = match self.accept.take() {
-            Some(handle) => handle
-                .join()
-                .unwrap_or_else(|_| Err(io::Error::other("accept loop panicked"))),
-            None => Ok(()),
-        };
-        self.service.scheduler.shutdown();
-        if let Some(peers) = &self.service.peers {
-            peers.shutdown();
-        }
-        outcome
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    service: &Arc<Service>,
-    stop: &Arc<AtomicBool>,
-) -> io::Result<()> {
-    let active = Arc::new(AtomicUsize::new(0));
-    let should_stop =
-        |stop: &AtomicBool| stop.load(Ordering::SeqCst) || occache_runtime::interrupt::requested();
-    while !should_stop(stop) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                active.fetch_add(1, Ordering::SeqCst);
-                let service = Arc::clone(service);
-                let stop = Arc::clone(stop);
-                let conn_active = Arc::clone(&active);
-                let spawned = std::thread::Builder::new()
-                    .name("occache-conn".to_string())
-                    .spawn(move || {
-                        let _ = serve_connection(stream, &service, &stop);
-                        conn_active.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if spawned.is_err() {
-                    active.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    // Drain: give in-flight connections a bounded window to finish.
-    // The readiness flag flips first so health checks route away.
-    service.begin_drain();
-    let deadline = Instant::now() + DRAIN_DEADLINE;
-    while active.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-        std::thread::sleep(ACCEPT_POLL);
-    }
-    Ok(())
-}
-
-fn serve_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) -> io::Result<()> {
-    // The socket read timeout bounds each individual read; the
-    // connection deadline bounds the whole request, so a slow-loris
-    // trickling bytes inside the read timeout still gets cut off. A
-    // deadline shorter than the default read timeout tightens the
-    // per-read bound too, so the deadline overshoots by at most itself.
-    let read_timeout = service
-        .conn_timeout
-        .map_or(CONN_TIMEOUT, |t| t.min(CONN_TIMEOUT));
-    stream.set_read_timeout(Some(read_timeout))?;
-    let fault = service.fault.as_deref();
-    let mut conn = Connection::new(stream);
-    loop {
-        let deadline = service.conn_timeout.map(|t| Instant::now() + t);
-        let outcome = match conn.read_request_before(deadline) {
-            Ok(o) => o,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // A half-sent request deserves a structured 408; an
-                // idle keep-alive timing out is a normal close.
-                if conn.mid_request() {
-                    service.counters.timeouts.bump();
-                    service.counters.client_errors.bump();
-                    let body = err("request-timeout", "request not completed in time", true);
-                    let _ = conn.write_json(408, &body);
-                }
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        match outcome {
-            ReadOutcome::Closed => return Ok(()),
-            ReadOutcome::Malformed(e) => {
-                service.counters.client_errors.bump();
-                let (status, code) = match e {
-                    ParseError::TooLarge | ParseError::BodyTooLarge => (413, "payload-too-large"),
-                    ParseError::Bad(_) => (400, "bad-request"),
-                };
-                conn.write_json(status, &err(code, &e.to_string(), false))?;
-                return Ok(()); // framing is gone; close
-            }
-            ReadOutcome::Complete(request) => {
-                if let Some(stall) = fault.and_then(ServeFault::stall_read_now) {
-                    std::thread::sleep(stall);
-                }
-                if fault.is_some_and(ServeFault::drop_conn_now) {
-                    return Ok(()); // injected: vanish without a response
-                }
-                let keep_alive = request.head.keep_alive;
-                let (status, content_type, headers, body) = service.handle(&request);
-                if fault.is_some_and(ServeFault::torn_write_now) {
-                    // Injected: send only half the response, then close.
-                    let wire = crate::http::render_response(
-                        status,
-                        content_type,
-                        &headers,
-                        body.as_bytes(),
-                    );
-                    conn.write_torn_response(
-                        status,
-                        content_type,
-                        &headers,
-                        body.as_bytes(),
-                        wire.len() / 2,
-                    )?;
-                    return Ok(());
-                }
-                conn.write_response(status, content_type, &headers, body.as_bytes())?;
-                if !keep_alive || stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-        }
+        self.handler()
     }
 }
 

@@ -1,4 +1,5 @@
-//! Property tests for the loadgen HTTP response reader: a torn or
+//! Property tests for the shared HTTP response reader (loadgen, the
+//! CLI client and peer calls all read through it): a torn or
 //! truncated response — any strict prefix of a valid wire image — must
 //! come back as an error (which the resilience layer turns into a
 //! reconnect-and-retry), never a panic and never a partial success
@@ -6,7 +7,7 @@
 
 use std::io::Read as _;
 
-use occache_cli::client::read_response_from;
+use occache_serve::http::read_response_from;
 use proptest::prelude::*;
 
 const PAD_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789";

@@ -11,9 +11,11 @@
 
 use std::collections::BTreeSet;
 use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use occache_core::CacheConfig;
+use occache_serve::fault::ServeFault;
 use occache_serve::json::{ErrorBody, Json};
 use occache_serve::peer::http_call;
 use occache_serve::router::{ranked, route_key, RouterConfig, RouterServer};
@@ -375,4 +377,66 @@ fn router_status_reports_uptime_and_peer_summary() {
     router.stop().expect("router stop");
     node.stop().expect("node stop");
     let _ = std::fs::remove_dir_all(&temp);
+}
+
+#[test]
+fn router_torn_writes_fire_and_completed_answers_stay_bit_identical() {
+    let node = Server::start(&ServiceConfig::for_tests()).expect("node");
+    let naddr = node.addr().to_string();
+    let mut config = RouterConfig::for_tests(vec![naddr.clone()]);
+    config.fault = Some(Arc::new(
+        ServeFault::parse("torn-write:3").expect("fault spec"),
+    ));
+    let router = RouterServer::start(&config).expect("router");
+    let raddr = router.addr().to_string();
+
+    let (mut completed, mut torn) = (0, 0);
+    for config in keyspace().iter().take(12) {
+        let body = body_for(config);
+        let (status, own) = http_call(
+            &naddr,
+            "POST",
+            "/v1/simulate",
+            body.as_bytes(),
+            CALL_TIMEOUT,
+        )
+        .expect("node answers directly");
+        let own = String::from_utf8(own).expect("utf-8 body");
+        assert_eq!(status, 200, "{own}");
+        match http_call(
+            &raddr,
+            "POST",
+            "/v1/simulate",
+            body.as_bytes(),
+            CALL_TIMEOUT,
+        ) {
+            Ok((status, reply)) => {
+                let reply = String::from_utf8(reply).expect("utf-8 body");
+                assert_eq!(status, 200, "{reply}");
+                assert_eq!(digest_line(&reply), digest_line(&own), "{config:?}");
+                completed += 1;
+            }
+            // A torn response is an error, never a short answer.
+            Err(_) => torn += 1,
+        }
+    }
+    assert!(
+        completed > 0 && torn > 0,
+        "{completed} completed, {torn} torn"
+    );
+
+    // The scrape itself may be torn: retry until one arrives whole.
+    let metrics = (0..10)
+        .find_map(|_| http_call(&raddr, "GET", "/metrics", b"", CALL_TIMEOUT).ok())
+        .map(|(_, text)| String::from_utf8(text).expect("utf-8 metrics"))
+        .expect("router metrics");
+    let fired: u64 = metrics
+        .lines()
+        .find_map(|line| line.strip_prefix("occache_fault_torn_write_injected_total "))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no torn-write counter in\n{metrics}"));
+    assert!(fired > 0, "{metrics}");
+
+    router.stop().expect("router stop");
+    node.stop().expect("node stop");
 }

@@ -17,7 +17,9 @@ use occache_experiments::runs::{journalled_grid, Workbench};
 use occache_experiments::sweep::{evaluate_point, evaluate_results_sliced, materialize};
 use occache_runtime::store::PointStore;
 use occache_serve::fault::ServeFault;
+use occache_serve::http::CONN_TIMEOUT;
 use occache_serve::json::{ErrorBody, Json};
+use occache_serve::router::{RouterConfig, RouterServer};
 use occache_serve::service::{Server, ServiceConfig};
 use occache_workloads::WorkloadSpec;
 
@@ -61,6 +63,57 @@ const METRICS: [&str; 4] = [
     "nibble_traffic_ratio",
     "redundant_load_fraction",
 ];
+
+/// One of the two front ends behind the shared listener: a node, or a
+/// router in front of one. The connection-level refusal tests run
+/// against each.
+enum FrontEnd {
+    Node(Server),
+    Router(RouterServer, Server),
+}
+
+impl FrontEnd {
+    /// A node and a router (with its own node), both under `conn_timeout`.
+    fn both(conn_timeout: Duration) -> [FrontEnd; 2] {
+        let mut config = ServiceConfig::for_tests();
+        config.conn_timeout = Some(conn_timeout);
+        let node = Server::start(&config).expect("start node");
+        let behind = Server::start(&ServiceConfig::for_tests()).expect("start routed node");
+        let mut route = RouterConfig::for_tests(vec![behind.addr().to_string()]);
+        route.conn_timeout = Some(conn_timeout);
+        let router = RouterServer::start(&route).expect("start router");
+        [FrontEnd::Node(node), FrontEnd::Router(router, behind)]
+    }
+
+    fn addr(&self) -> std::net::SocketAddr {
+        match self {
+            FrontEnd::Node(node) => node.addr(),
+            FrontEnd::Router(router, _) => router.addr(),
+        }
+    }
+
+    /// This front end's count of requests answered 4xx, from its own
+    /// `/metrics`.
+    fn client_errors(&self) -> u64 {
+        let name = match self {
+            FrontEnd::Node(_) => "occache_client_errors_total",
+            FrontEnd::Router(..) => "occache_route_client_errors_total",
+        };
+        let (status, metrics) = http(&self.addr(), "GET", "/metrics", "");
+        assert_eq!(status, 200, "{metrics}");
+        counter(&metrics, name)
+    }
+
+    fn stop(self) {
+        match self {
+            FrontEnd::Node(node) => node.stop().expect("clean shutdown"),
+            FrontEnd::Router(router, node) => {
+                router.stop().expect("clean router shutdown");
+                node.stop().expect("clean shutdown");
+            }
+        }
+    }
+}
 
 #[test]
 fn repeated_point_is_cached_and_bit_identical_to_direct_evaluation() {
@@ -252,10 +305,19 @@ fn health_is_liveness_and_ready_tracks_drain() {
 
 #[test]
 fn mid_request_deadline_answers_408_and_idle_connections_close_silently() {
-    let mut config = ServiceConfig::for_tests();
-    config.conn_timeout = Some(Duration::from_millis(200));
-    let server = Server::start(&config).expect("start");
-    let addr = server.addr();
+    for front in FrontEnd::both(Duration::from_millis(200)) {
+        mid_request_deadline_answers_408(&front);
+        assert_eq!(
+            front.client_errors(),
+            1,
+            "the 408 is counted, the idle close is not"
+        );
+        front.stop();
+    }
+}
+
+fn mid_request_deadline_answers_408(front: &FrontEnd) {
+    let addr = front.addr();
 
     // A slow-loris half request: the server must answer 408 within the
     // deadline and close, never park the thread.
@@ -282,13 +344,19 @@ fn mid_request_deadline_answers_408_and_idle_connections_close_silently() {
     let mut nothing = Vec::new();
     idle.read_to_end(&mut nothing).expect("silent close");
     assert!(nothing.is_empty(), "{nothing:?}");
-    server.stop().expect("clean shutdown");
 }
 
 #[test]
 fn oversized_requests_are_refused_with_413() {
-    let server = Server::start(&ServiceConfig::for_tests()).expect("start");
-    let addr = server.addr();
+    for front in FrontEnd::both(CONN_TIMEOUT) {
+        oversized_request_is_refused(&front);
+        assert_eq!(front.client_errors(), 1, "the 413 is counted");
+        front.stop();
+    }
+}
+
+fn oversized_request_is_refused(front: &FrontEnd) {
+    let addr = front.addr();
 
     // A body budget violation is detected from the head alone — the
     // server refuses before reading 5 MB.
@@ -304,7 +372,6 @@ fn oversized_requests_are_refused_with_413() {
     let parsed = ErrorBody::parse(body).expect("structured 413 body");
     assert_eq!(parsed.code, "payload-too-large");
     assert!(!parsed.retryable);
-    server.stop().expect("clean shutdown");
 }
 
 #[test]
