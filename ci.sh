@@ -2,6 +2,8 @@
 # CI gate for the occache workspace.
 #
 #   ./ci.sh          run everything (lint, rustdoc, tier-1, full workspace tests)
+#   ./ci.sh --deep   the same, then the date-seeded proptest pass again at
+#                    ten times every test's case count (PROPTEST_CASES=10x)
 #
 # Tier-1 (the must-stay-green bar from ROADMAP.md) is the release build
 # plus the root-package test suite; the clippy gate lints every target,
@@ -11,6 +13,14 @@
 # unwrap).
 set -euo pipefail
 cd "$(dirname "$0")"
+
+DEEP=0
+for arg in "$@"; do
+  case "$arg" in
+    --deep) DEEP=1 ;;
+    *) echo "usage: ./ci.sh [--deep]" >&2; exit 2 ;;
+  esac
+done
 
 echo "== rustfmt (formatting is enforced) =="
 cargo fmt --all -- --check
@@ -35,14 +45,23 @@ echo "== proptests under a rotating seed =="
 # prints the PROPTEST_SEED and PROPTEST_CASES that replay it.
 PT_SEED=$(date -u +%Y%m%d)
 echo "   PROPTEST_SEED=$PT_SEED"
-PROPTEST_SEED="$PT_SEED" cargo test -q --test policy_equiv --test multisim_equiv --test properties
-PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-runtime --test streaming --test progress_feed \
-  --test metrics_roundtrip --test random_determinism
-PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-runtime --lib fmt::
-PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --test http_parser
-PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --lib router::
-PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-serve --test client_torn
-PROPTEST_SEED="$PT_SEED" cargo test -q -p occache-trace --test hasher_oracle --test packed_roundtrip
+# The proptest suites, run under the environment given (a seed, and for
+# --deep a case multiplier).
+proptest_pass() {
+  env "$@" cargo test -q --test policy_equiv --test multisim_equiv --test properties
+  env "$@" cargo test -q -p occache-runtime --test streaming --test progress_feed \
+    --test metrics_roundtrip --test random_determinism
+  env "$@" cargo test -q -p occache-runtime --lib fmt::
+  env "$@" cargo test -q -p occache-serve --test http_parser
+  env "$@" cargo test -q -p occache-serve --lib router::
+  env "$@" cargo test -q -p occache-serve --test client_torn
+  env "$@" cargo test -q -p occache-trace --test hasher_oracle --test packed_roundtrip
+}
+proptest_pass PROPTEST_SEED="$PT_SEED"
+if [ "$DEEP" = 1 ]; then
+  echo "== deep: the same proptests at ten times the cases =="
+  proptest_pass PROPTEST_SEED="$PT_SEED" PROPTEST_CASES=10x
+fi
 
 echo "== integrity: manifest + verify + supervised fault injection =="
 # A real Table 7 run into a scratch results dir, then occache-verify on

@@ -88,7 +88,7 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use occache_trace::MemRef;
+use occache_trace::{ChunkRead, RefChunk};
 
 use crate::config::{CacheConfig, FetchPolicy, ReplacementPolicy, WritePolicy};
 use crate::metrics::{EngineCounters, Metrics};
@@ -1164,7 +1164,7 @@ impl ClassState {
     /// collapse to straight-line selects.
     ///
     /// Must be exactly equivalent to calling [`Step::one`] per
-    /// reference; `access_run_matches_per_reference_access` and the
+    /// reference; `access_next_matches_per_reference_access` and the
     /// equivalence proptests enforce this.
     fn run_spec<const WAYS: usize, const M: usize, const EXT: bool, S: Step>(
         &mut self,
@@ -1194,10 +1194,11 @@ struct EngineCore {
     configs: Vec<CacheConfig>,
     classes: Vec<ClassState>,
     bank: CounterBank,
-    /// Chunk scratch: addresses decoded once per `access_run` chunk so
-    /// the per-class passes read plain words instead of re-decoding
-    /// every reference per class.
-    scratch_addr: Vec<u64>,
+    /// Chunk scratch: the references of the current chunk, read in bulk
+    /// (addresses and kinds as plain arrays) so the per-class passes
+    /// read plain words instead of re-decoding every reference per
+    /// class.
+    chunk: RefChunk,
     /// Chunk scratch: counter lane per reference (1 counted, 0 write).
     scratch_lane: Vec<u8>,
 }
@@ -1277,23 +1278,23 @@ impl EngineCore {
             configs: configs.to_vec(),
             classes,
             bank: CounterBank::default(),
-            scratch_addr: Vec::new(),
+            chunk: RefChunk::new(),
             scratch_lane: Vec::new(),
         })
     }
 
-    /// Decodes one chunk into the address/lane scratch and folds the
+    /// Derives the chunk's counter lanes from its kinds and folds the
     /// access totals into the bank.
-    fn decode_chunk(&mut self, refs: &[MemRef]) {
-        self.scratch_addr.clear();
+    fn count_chunk(&mut self) {
         self.scratch_lane.clear();
-        for r in refs {
-            let counted = u8::from(r.kind().is_counted());
-            self.bank.accesses += u64::from(counted);
-            self.bank.write_accesses += u64::from(1 - counted);
-            self.scratch_addr.push(r.address().value());
-            self.scratch_lane.push(counted);
+        let mut counted = 0;
+        for kind in self.chunk.kinds() {
+            let lane = u8::from(kind.is_counted());
+            counted += u64::from(lane);
+            self.scratch_lane.push(lane);
         }
+        self.bank.accesses += counted;
+        self.bank.write_accesses += self.chunk.len() as u64 - counted;
     }
 
     /// Zeroes every configuration's metrics while keeping cache state.
@@ -1376,8 +1377,9 @@ impl Engine {
         Ok(Engine { core, policy })
     }
 
-    /// Feeds a run of references through every residency class, one
-    /// class at a time.
+    /// Reads up to `max` references from `refs` into the chunk scratch
+    /// and feeds them through every residency class, one class at a
+    /// time; returns how many it read (0 once `refs` is spent).
     ///
     /// Residency classes are independent simulations, so processing the
     /// whole chunk for one class before the next is exactly equivalent
@@ -1385,27 +1387,33 @@ impl Engine {
     /// faster, because each class's tight inner loop keeps its set
     /// state cache-resident and its branch history coherent instead of
     /// cycling through every class's working set per reference.
-    fn access_run(&mut self, refs: &[MemRef]) {
-        self.core.decode_chunk(refs);
+    fn access_next(&mut self, refs: &mut impl ChunkRead, max: usize) -> usize {
+        let n = refs.read_chunk(&mut self.core.chunk, max);
+        if n == 0 {
+            return 0;
+        }
+        self.core.count_chunk();
         let EngineCore {
             classes,
             bank,
-            scratch_addr: addrs,
+            chunk,
             scratch_lane: lanes,
             ..
         } = &mut self.core;
+        let addrs = chunk.addrs();
         // LRU and FIFO steps are zero-sized, so their per-class vectors
         // never allocate.
-        let n = classes.len();
+        let n_classes = classes.len();
         match &mut self.policy {
-            Policy::Lru => run_classes(classes, &mut vec![Lru; n], addrs, lanes, bank),
-            Policy::Fifo => run_classes(classes, &mut vec![Fifo; n], addrs, lanes, bank),
+            Policy::Lru => run_classes(classes, &mut vec![Lru; n_classes], addrs, lanes, bank),
+            Policy::Fifo => run_classes(classes, &mut vec![Fifo; n_classes], addrs, lanes, bank),
             Policy::Random(rngs) => run_classes(classes, rngs, addrs, lanes, bank),
         }
+        n
     }
 }
 
-/// Chunk size (in references) fed to [`Engine::access_run`]: a chunk
+/// Chunk size (in references) read by [`Engine::access_next`]: a chunk
 /// this size stays L1/L2-resident while every residency class sweeps
 /// over it.
 const ENGINE_CHUNK: usize = 4096;
@@ -1424,6 +1432,9 @@ const ENGINE_CHUNK: usize = 4096;
 ///
 /// Each trace runs alone on its own clone of one fresh engine, so a
 /// trace's metrics never depend on the traces beside it in the call.
+/// A trace is any [`ChunkRead`]er — a packed trace's reader decodes
+/// straight into the engine's chunk, and any `Iterator<Item = MemRef>`
+/// also reads, item by item.
 ///
 /// ```
 /// use occache_core::{simulate, simulate_many, CacheConfig, DEFAULT_RANDOM_SEED};
@@ -1462,7 +1473,7 @@ pub fn simulate_many<T>(
 ) -> Result<Vec<Vec<Metrics>>, MultiSimError>
 where
     T: IntoIterator,
-    T::Item: IntoIterator<Item = MemRef>,
+    T::Item: ChunkRead,
 {
     let fresh = Engine::new(configs, seed)?;
     Ok(traces
@@ -1471,26 +1482,19 @@ where
         .collect())
 }
 
-/// Runs one trace through a clone of `fresh`, chunk by chunk, and
-/// returns its metrics.
-fn run_one<I: IntoIterator<Item = MemRef>>(fresh: &Engine, refs: I, warmup: usize) -> Vec<Metrics> {
+/// Runs one trace through a clone of `fresh`, a chunk at a time straight
+/// from its reader, and returns its metrics.
+fn run_one(fresh: &Engine, mut refs: impl ChunkRead, warmup: usize) -> Vec<Metrics> {
     let mut engine = fresh.clone();
-    let mut iter = refs.into_iter();
-    let mut buf: Vec<MemRef> = Vec::with_capacity(ENGINE_CHUNK);
-    let mut refill = |take: usize, buf: &mut Vec<MemRef>| {
-        buf.clear();
-        buf.extend(iter.by_ref().take(take));
-        !buf.is_empty()
-    };
     let mut remaining = warmup;
-    while remaining > 0 && refill(remaining.min(ENGINE_CHUNK), &mut buf) {
-        remaining -= buf.len();
-        engine.access_run(&buf);
+    while remaining > 0 {
+        match engine.access_next(&mut refs, remaining.min(ENGINE_CHUNK)) {
+            0 => break,
+            n => remaining -= n,
+        }
     }
     engine.core.reset_metrics();
-    while refill(ENGINE_CHUNK, &mut buf) {
-        engine.access_run(&buf);
-    }
+    while engine.access_next(&mut refs, ENGINE_CHUNK) > 0 {}
     engine.core.metrics()
 }
 
@@ -1498,6 +1502,7 @@ fn run_one<I: IntoIterator<Item = MemRef>>(fresh: &Engine, refs: I, warmup: usiz
 mod tests {
     use super::*;
     use crate::{simulate, simulate_seeded, DEFAULT_RANDOM_SEED};
+    use occache_trace::MemRef;
 
     const POLICIES: [ReplacementPolicy; 3] = [
         ReplacementPolicy::Lru,
@@ -1682,7 +1687,7 @@ mod tests {
 
     #[test]
     fn no_traces_yield_no_results() {
-        let none: [Vec<MemRef>; 0] = [];
+        let none: [std::vec::IntoIter<MemRef>; 0] = [];
         assert_eq!(simulate_many(&[cfg(64, 8, 4)], none, 0, 0), Ok(Vec::new()));
     }
 
@@ -1938,7 +1943,7 @@ mod tests {
 
     #[test]
     fn rejects_empty_and_oversized_slices() {
-        let trace = [mixed_trace(10, 64)];
+        let trace = [mixed_trace(10, 64).into_iter()];
         assert_eq!(
             simulate_many(&[], trace.clone(), 0, 0),
             Err(MultiSimError::NoConfigs)
@@ -2012,7 +2017,7 @@ mod tests {
     }
 
     #[test]
-    fn access_run_matches_per_reference_access() {
+    fn access_next_matches_per_reference_access() {
         let trace = mixed_trace(10_000, 2048);
         for policy in POLICIES {
             let mut configs = vec![
@@ -2021,9 +2026,8 @@ mod tests {
             ];
             configs.extend(policy_mix(policy));
             let mut chunked = Engine::new(&configs, 0).unwrap();
-            for chunk in trace.chunks(97) {
-                chunked.access_run(chunk);
-            }
+            let mut refs = trace.iter().copied();
+            while chunked.access_next(&mut refs, 97) > 0 {}
             let mut one = Engine::new(&configs, 0).unwrap();
             for &r in &trace {
                 access_one(&mut one, r);
@@ -2048,7 +2052,7 @@ mod tests {
     }
 
     /// Drives a [`one_set_engine`] one reference at a time — through the
-    /// specialised runner (`access_run` on one-reference chunks) or the
+    /// specialised runner (`access_next` on one-reference chunks) or the
     /// generic step — beside the direct simulator's `CacheSet` seeded
     /// alike, over a block stream full of hits and misses. Asserts every
     /// miss fills the way `CacheSet::choose_victim` picks and every hit
@@ -2075,7 +2079,7 @@ mod tests {
             let before = engine.core.classes[0].data[..4].to_vec();
             let r = MemRef::read(8 * block);
             if specialised {
-                engine.access_run(&[r]);
+                engine.access_next(&mut [r].into_iter(), 1);
             } else {
                 access_one(&mut engine, r);
             }
@@ -2177,7 +2181,7 @@ mod tests {
     fn random_runs_are_deterministic() {
         let random = |net| cfg_policy(net, 16, 8, ReplacementPolicy::Random);
         let configs = [random(64), random(256), random(1024)];
-        let trace = [mixed_trace(15_000, 4096)];
+        let trace = [mixed_trace(15_000, 4096).into_iter()];
         let a = simulate_many(&configs, trace.clone(), 500, DEFAULT_RANDOM_SEED).unwrap();
         let b = simulate_many(&configs, trace, 500, DEFAULT_RANDOM_SEED).unwrap();
         assert_eq!(a, b);

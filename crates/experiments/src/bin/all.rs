@@ -54,6 +54,10 @@ fn main() -> ExitCode {
         runners.len(),
         bench.len()
     );
+    if names.is_empty() {
+        // The paper set reads every trace set: generate them together.
+        bench.generate_paper_sets();
+    }
     match run_all(&mut bench, &runners).and_then(|()| {
         occache_experiments::run_report::write(&occache_experiments::report::results_dir())
     }) {

@@ -241,6 +241,30 @@ impl Workbench {
             .collect()
     }
 
+    /// Generates every trace set the paper artifacts read — the four
+    /// architecture sets, the Z8000 load-forward phases, Table 6's mix
+    /// and the RISC II workload — in one [`materialize`] call, so the
+    /// pool sees all of them at once instead of idling at the end of
+    /// each set (the one-trace RISC II set alone would run serially).
+    /// Each spec is seeded alone, so the traces are the ones the set
+    /// accessors generate lazily.
+    pub fn generate_paper_sets(&mut self) {
+        let mut specs: Vec<WorkloadSpec> = Architecture::ALL
+            .into_iter()
+            .flat_map(WorkloadSpec::set_for)
+            .collect();
+        specs.extend(WorkloadSpec::z8000_load_forward_set());
+        specs.extend(m85_mix());
+        specs.push(riscii_instruction_workload());
+        self.traces_from(&specs);
+        for arch in Architecture::ALL {
+            self.arch_traces(arch);
+        }
+        self.load_forward_traces();
+        self.m85_traces();
+        self.riscii_traces();
+    }
+
     /// The main trace set for an architecture (Tables 2–5).
     pub fn arch_traces(&mut self, arch: Architecture) -> &[Trace] {
         if !self.sets.contains_key(&arch) {
@@ -1099,6 +1123,27 @@ pub fn run_headline(bench: &mut Workbench) -> Artifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paper_sets_generated_together_match_the_lazy_sets() {
+        let mut together = Workbench::new(2_000);
+        together.generate_paper_sets();
+        let mut lazy = Workbench::new(2_000);
+        for arch in Architecture::ALL {
+            let expected = trace_fingerprint(lazy.arch_traces(arch));
+            assert_eq!(
+                trace_fingerprint(together.arch_traces(arch)),
+                expected,
+                "{arch}"
+            );
+        }
+        let expected = trace_fingerprint(lazy.load_forward_traces());
+        assert_eq!(trace_fingerprint(together.load_forward_traces()), expected);
+        let expected = trace_fingerprint(lazy.m85_traces());
+        assert_eq!(trace_fingerprint(together.m85_traces()), expected);
+        let expected = trace_fingerprint(lazy.riscii_traces());
+        assert_eq!(trace_fingerprint(together.riscii_traces()), expected);
+    }
 
     fn small_bench() -> Workbench {
         Workbench::new(20_000)

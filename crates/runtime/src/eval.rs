@@ -30,22 +30,27 @@ use occache_core::{
     simulate, simulate_many, BusModel, CacheConfig, EngineKind, Metrics, DEFAULT_RANDOM_SEED,
     MAX_MULTISIM_CONFIGS,
 };
-use occache_trace::{AccessKind, MemRef, PackedTrace};
+use occache_trace::packed::PackedReader;
+use occache_trace::{AccessKind, ChunkIter, ChunkRead, MemRef, PackedTrace, RefChunk};
 
 /// A named reference stream, reusable across configurations.
 ///
 /// Two backings exist. [`Trace::new`] fully materialises the stream
-/// into a shared [`PackedTrace`] (about 4.25 bytes per reference
-/// instead of 16 while addresses fit in 32 bits), so cloning a `Trace`
-/// — as the memoizing workbench and the sweep workers do — bumps a
-/// reference count rather than copying a million-entry stream.
-/// [`Trace::streamed`] instead stores a replayable *factory*: every
-/// [`Trace::iter`] call regenerates the stream on the fly, so
-/// evaluation feeds references straight from the source (e.g. a
-/// workload generator) into the simulators without a packed copy ever
-/// existing. Both backings yield identical references
-/// in identical order for the same underlying stream, so journal keys,
-/// fingerprints and metrics do not depend on which one a sweep used.
+/// into a shared [`PackedTrace`] (about 1.7 bytes per reference on the
+/// paper's workloads instead of 16; see [`occache_trace::packed`]), so
+/// cloning a `Trace` — as the memoizing workbench and the sweep workers
+/// do — bumps a reference count rather than copying a million-entry
+/// stream. [`Trace::streamed`] instead stores a replayable *factory*:
+/// every read regenerates the stream on the fly, so evaluation feeds
+/// references straight from the source (e.g. a workload generator) into
+/// the simulators without a packed copy ever existing. Both backings
+/// yield identical references in identical order for the same
+/// underlying stream, so journal keys, fingerprints and metrics do not
+/// depend on which one a sweep used.
+///
+/// Consumers read a trace a chunk at a time through [`Trace::reader`]
+/// (the engines, the fingerprint) or item by item through
+/// [`Trace::iter`], which decodes in chunks behind the scenes.
 #[derive(Clone)]
 pub struct Trace {
     /// Trace name (as in the paper's workload tables).
@@ -54,13 +59,13 @@ pub struct Trace {
 }
 
 /// A replayable stream factory: every call starts the stream afresh.
-type MakeStream = dyn Fn() -> Box<dyn Iterator<Item = MemRef> + Send> + Send + Sync;
+type MakeStream = dyn Fn() -> Box<dyn ChunkRead + Send> + Send + Sync;
 
 #[derive(Clone)]
 enum TraceBacking {
     /// Fully materialised, shared by reference across workers.
     Packed(Arc<PackedTrace>),
-    /// Regenerated on every iteration from a replayable factory.
+    /// Regenerated on every read from a replayable factory.
     Streamed { len: usize, make: Arc<MakeStream> },
 }
 
@@ -107,8 +112,8 @@ impl Trace {
     /// A streamed trace: `make` must return a fresh iterator replaying
     /// the *same* `len`-reference stream on every call (a deterministic
     /// generator reseeded identically). Evaluation then consumes the
-    /// stream chunk-by-chunk without materialising it; iteration is
-    /// truncated to `len` so the declared length is authoritative.
+    /// stream chunk-by-chunk without materialising it; reads stop after
+    /// `len` references, so the declared length is authoritative.
     pub fn streamed<F, I>(name: impl Into<String>, len: usize, make: F) -> Self
     where
         F: Fn() -> I + Send + Sync + 'static,
@@ -136,19 +141,27 @@ impl Trace {
         self.len() == 0
     }
 
-    /// Whether this trace regenerates on iteration instead of replaying
+    /// Whether this trace regenerates on every read instead of replaying
     /// a packed copy.
     pub fn is_streamed(&self) -> bool {
         matches!(self.source, TraceBacking::Streamed { .. })
     }
 
-    /// Iterates the reference stream (decoding the packed copy, or
-    /// regenerating via the factory).
-    pub fn iter(&self) -> TraceIter<'_> {
-        match &self.source {
-            TraceBacking::Packed(refs) => TraceIter::Packed(refs.iter()),
-            TraceBacking::Streamed { len, make } => TraceIter::Streamed(make().take(*len)),
-        }
+    /// A reader over the reference stream from its start, filling a
+    /// caller's chunk in bulk: a packed trace decodes straight into it,
+    /// a streamed one regenerates into it.
+    pub fn reader(&self) -> TraceReader<'_> {
+        let (source, left): (Box<dyn ChunkRead + Send + '_>, _) = match &self.source {
+            TraceBacking::Packed(refs) => (Box::new(refs.reader()), refs.len()),
+            TraceBacking::Streamed { len, make } => (make(), *len),
+        };
+        TraceReader { source, left }
+    }
+
+    /// Iterates the reference stream item by item, read a chunk at a
+    /// time through [`Trace::reader`].
+    pub fn iter(&self) -> ChunkIter<TraceReader<'_>> {
+        ChunkIter::new(self.reader())
     }
 
     /// A streamed view of this trace that keeps only the references
@@ -165,17 +178,19 @@ impl Trace {
             TraceBacking::Packed(refs) => {
                 let refs = Arc::clone(refs);
                 Arc::new(move || {
-                    let refs = Arc::clone(&refs);
-                    Box::new(
-                        (0..refs.len())
-                            .filter_map(move |i| refs.get(i))
-                            .filter(move |r| keep(r.kind())),
-                    )
+                    let source = PackedReader::new(Arc::clone(&refs));
+                    Box::new(ChunkIter::new(source).filter(move |r| keep(r.kind())))
                 })
             }
             TraceBacking::Streamed { len, make } => {
                 let (len, make) = (*len, Arc::clone(make));
-                Arc::new(move || Box::new(make().take(len).filter(move |r| keep(r.kind()))))
+                Arc::new(move || {
+                    let source = TraceReader {
+                        source: make(),
+                        left: len,
+                    };
+                    Box::new(ChunkIter::new(source).filter(move |r| keep(r.kind())))
+                })
             }
         };
         Trace {
@@ -218,22 +233,23 @@ impl Trace {
     }
 }
 
-/// Iterator over a [`Trace`]'s references, whichever backing it has.
-pub enum TraceIter<'a> {
-    /// Decoding a packed trace in place.
-    Packed(occache_trace::packed::PackedIter<'a>),
-    /// Draining a freshly regenerated stream.
-    Streamed(std::iter::Take<Box<dyn Iterator<Item = MemRef> + Send>>),
+/// Reads a [`Trace`] a chunk at a time, stopping after its declared
+/// length.
+pub struct TraceReader<'a> {
+    source: Box<dyn ChunkRead + Send + 'a>,
+    /// References still to read.
+    left: usize,
 }
 
-impl Iterator for TraceIter<'_> {
-    type Item = MemRef;
+impl ChunkRead for TraceReader<'_> {
+    fn read_chunk(&mut self, chunk: &mut RefChunk, max: usize) -> usize {
+        let n = self.source.read_chunk(chunk, max.min(self.left));
+        self.left -= n;
+        n
+    }
 
-    fn next(&mut self) -> Option<MemRef> {
-        match self {
-            TraceIter::Packed(it) => it.next(),
-            TraceIter::Streamed(it) => it.next(),
-        }
+    fn remaining(&self) -> Option<usize> {
+        self.source.remaining().map(|left| left.min(self.left))
     }
 }
 
@@ -350,7 +366,7 @@ pub(crate) fn slice_metrics(
 fn engine_metrics(configs: &[CacheConfig], traces: &[Trace], warmup: usize) -> Vec<Vec<Metrics>> {
     simulate_many(
         configs,
-        traces.iter().map(Trace::iter),
+        traces.iter().map(Trace::reader),
         warmup,
         DEFAULT_RANDOM_SEED,
     )

@@ -11,6 +11,7 @@
 use std::sync::{Mutex, PoisonError};
 
 use occache_core::CacheConfig;
+use occache_trace::{ChunkRead, RefChunk};
 
 use crate::eval::{Trace, WeakBacking};
 
@@ -113,18 +114,24 @@ impl MemoEntry {
     }
 }
 
+/// References per chunk [`hash_traces`] reads.
+const HASH_CHUNK: usize = 4096;
+
 /// The FNV-1a stream behind [`trace_fingerprint`]: per trace its name, a
 /// 0xff separator, its length (u64 LE), then each reference's din label
-/// byte and address (u64 LE).
+/// byte and address (u64 LE), read a chunk at a time.
 fn hash_traces(traces: &[Trace]) -> u64 {
-    let mut h = Fnv::new();
+    let (mut h, mut chunk) = (Fnv::new(), RefChunk::new());
     for trace in traces {
         h.write(trace.name.as_bytes());
         h.write(&[0xff]);
         h.write(&(trace.len() as u64).to_le_bytes());
-        for r in trace.iter() {
-            h.write(&[occache_trace::din::din_label(r.kind())]);
-            h.write(&r.address().value().to_le_bytes());
+        let mut reader = trace.reader();
+        while reader.read_chunk(&mut chunk, HASH_CHUNK) > 0 {
+            for (&kind, &addr) in chunk.kinds().iter().zip(chunk.addrs()) {
+                h.write(&[occache_trace::din::din_label(kind)]);
+                h.write(&addr.to_le_bytes());
+            }
         }
     }
     h.finish()

@@ -5,12 +5,15 @@
 //! direct, and one-pass sliced on the serial path — to bit-identical
 //! metrics. This is the contract that lets sweeps fuse
 //! generation into simulation without touching any committed artifact.
+//! Both backings are read a chunk at a time: chunk reads of every size
+//! must give back the per-item stream, and the one-pass engine reading
+//! a trace's chunks must match the direct simulator.
 
-use occache_core::{simulate, CacheConfig};
+use occache_core::{simulate, simulate_many, CacheConfig, DEFAULT_RANDOM_SEED};
 use occache_runtime::eval::{evaluate_point, DesignPoint, Trace};
 use occache_runtime::executor::{evaluate_results_supervised_with, SupervisorPolicy};
 use occache_runtime::keys::{point_key, trace_fingerprint};
-use occache_trace::AccessKind;
+use occache_trace::{AccessKind, ChunkRead, MemRef, RefChunk};
 use occache_workloads::{Architecture, Profile, ProgramGenerator};
 use proptest::prelude::*;
 
@@ -46,8 +49,68 @@ fn profile(mem_ref_prob: f64, loop_prob: f64, functions: usize) -> Profile {
     p
 }
 
+/// Reads `trace` with chunk sizes taken in turn from `sizes`.
+fn read_in_chunks(trace: &Trace, sizes: &[usize]) -> Vec<MemRef> {
+    let (mut reader, mut chunk, mut out) = (trace.reader(), RefChunk::new(), Vec::new());
+    for &max in sizes.iter().cycle() {
+        let n = reader.read_chunk(&mut chunk, max);
+        assert_eq!(n, chunk.len());
+        assert!(n <= max);
+        if n == 0 {
+            return out;
+        }
+        out.extend(chunk.iter());
+    }
+    out
+}
+
+/// A packed trace and a streamed one over the same generator prefix.
+fn both_backings(p: &Profile, seed: u64, len: usize) -> [Trace; 2] {
+    let p = p.clone();
+    [
+        Trace::new("prop", ProgramGenerator::new(p.clone(), seed).take(len)),
+        Trace::streamed("prop", len, move || ProgramGenerator::new(p.clone(), seed)),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn chunk_reads_of_every_size_match_per_item_iteration(
+        seed in 0u64..1_000,
+        len in 0usize..3_000,
+        sizes in proptest::collection::vec(1usize..700, 5),
+    ) {
+        let p = Profile::baseline(Architecture::Vax11);
+        let expected: Vec<MemRef> = ProgramGenerator::new(p.clone(), seed).take(len).collect();
+        for trace in both_backings(&p, seed, len) {
+            prop_assert_eq!(trace.iter().collect::<Vec<_>>(), expected.clone());
+            prop_assert_eq!(read_in_chunks(&trace, &sizes), expected.clone());
+            // Every boundary: one reference at a time, and all at once.
+            prop_assert_eq!(read_in_chunks(&trace, &[1]), expected.clone());
+            prop_assert_eq!(read_in_chunks(&trace, &[len + 1]), expected.clone());
+        }
+    }
+
+    #[test]
+    fn the_engine_reading_chunks_matches_the_direct_simulator(
+        seed in 0u64..1_000,
+        // Past the engine's 4096-reference chunk, with a warm-up that
+        // ends inside one.
+        len in 1usize..9_000,
+        warmup in 0usize..6_000,
+    ) {
+        let p = Profile::baseline(Architecture::Pdp11);
+        let configs = [config(256, 16, 8), config(1024, 32, 8), config(64, 8, 4)];
+        for trace in both_backings(&p, seed, len) {
+            let all = simulate_many(&configs, [trace.reader()], warmup, DEFAULT_RANDOM_SEED)
+                .expect("engine-eligible slice");
+            for (c, metrics) in configs.iter().zip(&all[0]) {
+                prop_assert_eq!(*metrics, simulate(*c, trace.iter(), warmup));
+            }
+        }
+    }
 
     #[test]
     fn streamed_trace_is_indistinguishable_from_materialized(

@@ -420,6 +420,16 @@ impl Reply {
         }
     }
 
+    /// A `200` Prometheus text-format reply: the `GET /metrics` route's,
+    /// on node and router alike. Every other answer on that path (a
+    /// `405`, say) is JSON.
+    pub fn metrics(text: String) -> Reply {
+        Reply {
+            content_type: "text/plain; version=0.0.4",
+            ..Reply::json(200, text)
+        }
+    }
+
     fn render(&self) -> Vec<u8> {
         render_response(
             self.status,

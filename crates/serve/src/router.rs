@@ -559,7 +559,7 @@ impl Handler for Router {
             }
             ("GET", "/metrics") => {
                 self.counters.scrapes.bump();
-                (200, self.metrics_text())
+                return Reply::metrics(self.metrics_text());
             }
             (
                 _,
@@ -574,15 +574,7 @@ impl Handler for Router {
                 ErrorBody::new("not-found", "no such endpoint", false).render(),
             ),
         };
-        let content_type = if request.head.target.starts_with("/metrics") {
-            "text/plain; version=0.0.4"
-        } else {
-            "application/json"
-        };
-        Reply {
-            content_type,
-            ..Reply::json(status, body)
-        }
+        Reply::json(status, body)
     }
 
     fn answered(&self, status: u16) {

@@ -781,10 +781,7 @@ impl Handler for Service {
                     faults.as_ref().map_or(&[], |f| &f[..]),
                     peer_stats.as_ref(),
                 );
-                return Reply {
-                    content_type: "text/plain; version=0.0.4",
-                    ..Reply::json(200, text)
-                };
+                return Reply::metrics(text);
             }
             (
                 _,

@@ -25,6 +25,17 @@ use occache_workloads::WorkloadSpec;
 
 /// One-shot request: fresh connection, `Connection: close`, read to EOF.
 fn http(addr: &std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    let (status, _, body) = http_typed(addr, method, path, body);
+    (status, body)
+}
+
+/// [`http`], also returning the response's `Content-Type`.
+fn http_typed(
+    addr: &std::net::SocketAddr,
+    method: &str,
+    path: &str,
+    body: &str,
+) -> (u16, String, String) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     let wire = format!(
         "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -39,11 +50,12 @@ fn http(addr: &std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u
         .nth(1)
         .and_then(|code| code.parse().ok())
         .unwrap_or_else(|| panic!("bad status line in {text:?}"));
-    let body = text
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
+    let (head, body) = text.split_once("\r\n\r\n").unwrap_or((&text, ""));
+    let content_type = head
+        .lines()
+        .find_map(|line| line.strip_prefix("Content-Type: "))
         .unwrap_or_default();
-    (status, body)
+    (status, content_type.to_string(), body.to_string())
 }
 
 fn json(body: &str) -> Json {
@@ -278,6 +290,31 @@ fn routing_and_input_validation() {
         assert!(metrics.contains(family), "missing {family} in:\n{metrics}");
     }
     server.stop().expect("clean shutdown");
+}
+
+#[test]
+fn only_a_metrics_scrape_is_labelled_prometheus_text() {
+    // Node and router choose the type per route: a refused or unknown
+    // request on a /metrics-like path answers JSON, and says so.
+    for front in FrontEnd::both(CONN_TIMEOUT) {
+        let addr = front.addr();
+        let (status, content_type, body) = http_typed(&addr, "GET", "/metrics", "");
+        assert_eq!(
+            (status, content_type.as_str()),
+            (200, "text/plain; version=0.0.4")
+        );
+        assert!(body.contains("# TYPE"), "{body}");
+        for (method, path, want) in [("POST", "/metrics", 405), ("GET", "/metrics-anything", 404)] {
+            let (status, content_type, body) = http_typed(&addr, method, path, "");
+            assert_eq!(
+                (status, content_type.as_str()),
+                (want, "application/json"),
+                "{method} {path}"
+            );
+            json(&body);
+        }
+        front.stop();
+    }
 }
 
 #[test]

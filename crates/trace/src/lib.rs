@@ -7,8 +7,10 @@
 //! the rest of the workspace shares:
 //!
 //! * [`MemRef`], [`Address`] and [`AccessKind`] — the trace record types,
-//! * [`PackedTrace`] — a compact structure-of-arrays reference buffer
-//!   shared across sweep workers ([`packed`]),
+//! * [`PackedTrace`] — a compact delta-encoded reference buffer shared
+//!   across sweep workers ([`packed`]),
+//! * [`ChunkRead`] and [`RefChunk`] — reading a stream in bulk, a chunk
+//!   of decoded references at a time ([`chunk`]),
 //! * the [`TraceSource`] abstraction plus combinators ([`stream`]),
 //! * a `dinero`-style text format for persisting traces ([`io`]),
 //! * a fault-injecting reader for hardening tests ([`fault`]),
@@ -30,6 +32,7 @@
 //! assert_eq!(source.next_ref().unwrap().address().value(), 0x100);
 //! ```
 
+pub mod chunk;
 pub mod din;
 pub mod fault;
 mod hash;
@@ -41,6 +44,7 @@ pub mod stats;
 pub mod stream;
 pub mod workingset;
 
+pub use chunk::{ChunkIter, ChunkRead, RefChunk};
 pub use packed::PackedTrace;
 pub use record::{AccessKind, Address, MemRef};
 pub use stats::TraceStats;

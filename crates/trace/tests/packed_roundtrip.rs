@@ -1,15 +1,17 @@
-//! `PackedTrace` keeps the low address words, 2-bit access kinds and,
-//! only once an address of 2^32 or more arrives, the high address words
-//! in separate arrays. Whatever the layout, a packed trace must give back
-//! exactly the references it was built from: over random reference
-//! sequences of every kind, of lengths that are not a multiple of four,
-//! and with addresses up to `u64::MAX` first appearing mid-trace,
-//! `iter()` and `get(i)` must round-trip bit for bit, the iterator's
-//! size hints must be exact, and a trace of 32-bit addresses must cost
-//! at most 4.25 bytes per reference plus a constant. Set `PROPTEST_SEED`
-//! to explore other traces.
+//! `PackedTrace` keeps 2-bit access kinds and per-stream address
+//! differences, and falls back to fixed low and high address words when
+//! the differences do not compress. Whatever the layout, a packed trace
+//! must give back exactly the references it was built from: over random
+//! reference sequences of every kind, of lengths that are not a multiple
+//! of four, and with addresses up to `u64::MAX` first appearing
+//! mid-trace, `iter()` and chunk reads of every size must round-trip bit
+//! for bit, the iterator's size hints must be exact, a trace of 32-bit
+//! addresses must cost at most 4.25 bytes per reference plus a constant
+//! and any trace at most 8.25 per reference, and uniformly random 64-bit
+//! addresses must fall back to the fixed form. Set `PROPTEST_SEED` to
+//! explore other traces.
 
-use occache_trace::{MemRef, PackedTrace};
+use occache_trace::{ChunkRead, MemRef, PackedTrace, RefChunk};
 use proptest::prelude::*;
 
 const MAX_LEN: usize = 203;
@@ -24,6 +26,25 @@ fn address(i: usize, high_from: usize, pick: u8, raw: u64) -> u64 {
         6 => 1 << 32,
         7 => u64::MAX,
         _ => raw,
+    }
+}
+
+/// Reads `packed` in chunks of at most `max` references.
+fn read_in_chunks(packed: &PackedTrace, max: usize) -> Vec<MemRef> {
+    let (mut reader, mut chunk, mut out) = (packed.reader(), RefChunk::new(), Vec::new());
+    loop {
+        let left = reader.remaining();
+        let n = reader.read_chunk(&mut chunk, max);
+        assert_eq!(n, chunk.len());
+        assert_eq!(
+            Some(n),
+            left.map(|left| left.min(max)),
+            "a chunk is full until the end"
+        );
+        if n == 0 {
+            return out;
+        }
+        out.extend(chunk.iter());
     }
 }
 
@@ -57,15 +78,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn iter_and_get_round_trip_exactly(refs in arb_refs()) {
+    fn iter_and_chunk_reads_round_trip_exactly(refs in arb_refs(), max in 1usize..=9) {
         let packed: PackedTrace = refs.iter().copied().collect();
         prop_assert_eq!(packed.len(), refs.len());
         prop_assert_eq!(packed.is_empty(), refs.is_empty());
         prop_assert_eq!(packed.iter().collect::<Vec<_>>(), refs.clone());
-        for (i, &r) in refs.iter().enumerate() {
-            prop_assert_eq!(packed.get(i), Some(r));
+        prop_assert_eq!(read_in_chunks(&packed, max), refs.clone());
+        prop_assert_eq!(read_in_chunks(&packed, MAX_LEN + 1), refs);
+    }
+
+    #[test]
+    fn chunk_reads_cut_anywhere_match_iteration(refs in arb_refs(), cuts in collection::vec(1usize..=64, 8)) {
+        // Chunks of changing sizes put every boundary at a different
+        // offset into the kind bytes and the stored differences.
+        let packed: PackedTrace = refs.iter().copied().collect();
+        let (mut reader, mut chunk, mut out) = (packed.reader(), RefChunk::new(), Vec::new());
+        for &max in cuts.iter().cycle() {
+            if reader.read_chunk(&mut chunk, max) == 0 {
+                break;
+            }
+            out.extend(chunk.iter());
         }
-        prop_assert_eq!(packed.get(refs.len()), None);
+        prop_assert_eq!(out, packed.iter().collect::<Vec<_>>());
     }
 
     #[test]
@@ -103,8 +137,24 @@ proptest! {
             // payload_bytes() <= 4.25 * len + 8, in integers.
             prop_assert!(4 * packed.payload_bytes() <= 17 * len + 32);
         } else {
-            // The high words, once allocated, cover every reference.
+            // At worst the fixed form, whose high words cover every
+            // reference once allocated.
+            prop_assert!(packed.payload_bytes() <= 8 * len + len.div_ceil(4));
+        }
+    }
+
+    #[test]
+    fn random_64_bit_addresses_fall_back_to_the_fixed_form(len in 1usize..=MAX_LEN, raw in collection::vec(0u64..=u64::MAX, MAX_LEN)) {
+        // Uniform 64-bit addresses leave almost no difference that fits
+        // 3 bytes, so the dense form passes its budget within the first
+        // few references and the trace costs exactly what the fixed form
+        // with high words does.
+        let refs: Vec<MemRef> = raw[..len].iter().map(|&a| MemRef::read(a)).collect();
+        let packed: PackedTrace = refs.iter().copied().collect();
+        prop_assert!(packed.payload_bytes() <= 8 * len + len.div_ceil(4));
+        if len >= 2 {
             prop_assert_eq!(packed.payload_bytes(), 8 * len + len.div_ceil(4));
         }
+        prop_assert_eq!(packed.iter().collect::<Vec<_>>(), refs);
     }
 }

@@ -330,28 +330,11 @@ impl Iterator for ProgramGenerator {
     }
 }
 
-impl ProgramGenerator {
-    /// Fills `buf` with the next references of the stream and returns
-    /// the count written (always `buf.len()`: the generator is endless).
-    ///
-    /// This is the streaming-evaluation entry point: a sweep refills one
-    /// small buffer per engine chunk instead of materialising the whole
-    /// trace, and the references are exactly what per-item [`Iterator`]
-    /// calls would have produced.
-    pub fn next_chunk(&mut self, buf: &mut [MemRef]) -> usize {
-        for slot in buf.iter_mut() {
-            // The generator never returns None.
-            *slot = self.next().expect("ProgramGenerator is endless");
-        }
-        buf.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::Architecture;
-    use occache_trace::{TraceSource, TraceStats};
+    use occache_trace::{ChunkRead, RefChunk, TraceSource, TraceStats};
 
     fn generator(arch: Architecture, seed: u64) -> ProgramGenerator {
         ProgramGenerator::new(Profile::baseline(arch), seed)
@@ -444,12 +427,11 @@ mod tests {
         let expected = generator(Architecture::Pdp11, 11).collect_refs(10_000);
         let mut gen = generator(Architecture::Pdp11, 11);
         let mut got = Vec::with_capacity(10_000);
-        let mut buf = vec![MemRef::new(Address::new(0), AccessKind::InstrFetch); 257];
+        let mut chunk = RefChunk::new();
         while got.len() < 10_000 {
-            let room = (10_000 - got.len()).min(buf.len());
-            let n = gen.next_chunk(&mut buf[..room]);
-            assert_eq!(n, room);
-            got.extend_from_slice(&buf[..n]);
+            let room = (10_000 - got.len()).min(257);
+            assert_eq!(gen.read_chunk(&mut chunk, room), room);
+            got.extend(chunk.iter());
         }
         assert_eq!(got, expected);
     }
