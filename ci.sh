@@ -40,9 +40,9 @@ cargo test --workspace -q
 
 echo "== proptests under a rotating seed =="
 # The proptest shim seeds every test from its name, so the runs above
-# replay the same cases each time. One more pass of all thirteen proptest
-# suites under a seed taken from the date explores new cases; a failure
-# prints the PROPTEST_SEED and PROPTEST_CASES that replay it.
+# replay the same cases each time. One more pass of every proptest suite
+# under a seed taken from the date explores new cases; a failure prints
+# the PROPTEST_SEED and PROPTEST_CASES that replay it.
 PT_SEED=$(date -u +%Y%m%d)
 echo "   PROPTEST_SEED=$PT_SEED"
 # The proptest suites, run under the environment given (a seed, and for
@@ -57,6 +57,25 @@ proptest_pass() {
   env "$@" cargo test -q -p occache-serve --test client_torn
   env "$@" cargo test -q -p occache-trace --test hasher_oracle --test packed_roundtrip
 }
+# Every file holding proptest! cases must be run above, or its cases
+# never meet the rotating seed: a test file by its package and --test
+# name, a library module by its package and --lib filter.
+PT_PASS=$(declare -f proptest_pass)
+for f in $(grep -rl --include='*.rs' 'proptest!' src tests crates | sort); do
+  stem=$(basename "$f" .rs)
+  case "$f" in
+    crates/*) run="cargo test -q -p occache-$(echo "$f" | cut -d/ -f2) " ;;
+    *) run="cargo test -q --" ;;
+  esac
+  case "$f" in
+    tests/*|*/tests/*) target="--test $stem" ;;
+    *) target="--lib $stem::" ;;
+  esac
+  if ! grep -F -- "$run" <<<"$PT_PASS" | grep -w -- "$target" >/dev/null; then
+    echo "FAIL: $f holds proptest! cases but proptest_pass does not run it ($target)"
+    exit 1
+  fi
+done
 proptest_pass PROPTEST_SEED="$PT_SEED"
 if [ "$DEEP" = 1 ]; then
   echo "== deep: the same proptests at ten times the cases =="

@@ -11,21 +11,26 @@
 //! number of traces, a warm-up and a seed, and returns each trace's
 //! per-configuration metrics.
 //!
-//! Behind it sits one engine type whose replacement policy picks the
-//! chunk runner, once per chunk of references:
+//! Behind it sits one engine type and one runner for all three
+//! replacement policies (the `fixed_way` module): blocks keep the
+//! physical way they were filled into, a hit touches only that way's
+//! sub-block masks, and a miss fills the victim way in place. The
+//! policies differ only in one word of state per set, which a hit may
+//! update and a miss consults for its victim:
 //!
-//! * **LRU** — the Mattson-style stack simulation, permutation-packed
-//!   recency per set.
-//! * **FIFO** and **Random** — one fixed-way runner (the `random`
-//!   module): blocks keep the physical way they were filled into, a hit
-//!   touches only that way's sub-block masks, and a miss fills the
-//!   victim way in place. The two policies differ only in the victim.
-//!   FIFO has no inclusion property across associativities (CIPARSim's
-//!   intersection property degenerates to exact class sharing), but
-//!   hits never disturb its queue, so with fixed ways the queue is a
-//!   per-set round-robin pointer. Random replicates the direct
-//!   simulator's per-cache RNG exactly, one seeded generator per
-//!   residency class, drawn only on a full-set miss.
+//! * **LRU** — the rank→way permutation, sixteen 4-bit fields with the
+//!   most recently used way at rank 0: a hit promotes its way's rank, a
+//!   miss fills the way at the last rank.
+//! * **FIFO** — a round-robin pointer, the next victim way; hits never
+//!   disturb the queue. FIFO has no inclusion property across
+//!   associativities (CIPARSim's intersection property degenerates to
+//!   exact class sharing), which the runner never needs.
+//! * **Random** — unused. Random replicates the direct simulator's
+//!   per-cache RNG exactly, one seeded generator per residency class,
+//!   drawn only on a full-set miss.
+//!
+//! Which physical way holds a block never shows in the metrics, so all
+//! three stay bit-identical to the direct simulator.
 //!
 //! [`simulate_many`] runs each trace alone, on its own clone of the
 //! slice's fresh engine: warm-up, metrics reset, counted chunks,
@@ -36,8 +41,8 @@
 //! size, set count and associativity make identical residency and
 //! victim decisions under LRU *and* FIFO, and share one RNG draw
 //! sequence under Random, so they share block-level state), the
-//! shape-specialised reference loops (`SpecCtx`, const-generic over
-//! way count and member count, with an `EXT` flag selecting the
+//! shape-specialised reference loops' context (`SpecCtx`, const-generic
+//! over way count and member count, with an `EXT` flag selecting the
 //! sub-block rule), the chunk schedulers every policy's `Step` plugs
 //! into (single classes and interleaved 4-way class pairs), and the flat
 //! per-configuration counter bank from which full [`Metrics`] are
@@ -57,8 +62,8 @@
 //!   write writes through one word. The Table 7 grids run here.
 //! * **Extended** classes (any member with load-forward or copy-back)
 //!   keep three words per (way, configuration) — referenced, valid and
-//!   dirty sub-blocks — and follow one rule (`ext_touch`) in every
-//!   runner: a miss at sub-block `s` fills `s` alone under demand fetch
+//!   dirty sub-blocks — and follow one rule (`ext_touch`) in the
+//!   specialised and the generic step alike: a miss at sub-block `s` fills `s` alone under demand fetch
 //!   or `s..slots` under load-forward, counting the loaded and, under
 //!   the redundant variant, the re-fetched valid sub-blocks on counted
 //!   references; a data write marks its sub-block dirty; an eviction
@@ -73,8 +78,9 @@
 //! What the engine cannot express (callers fall back to [`simulate`]):
 //! the prefetch fetch policies (their pollution statistics need a
 //! fourth, prefetched-but-unused mask, and under tagged prefetch a
-//! *hit* can fetch, which no runner's hit path models), geometries whose set count is not a power
-//! of two (bit-selection needs one), more than 16 ways (recency
+//! *hit* can fetch, which the runner's hit path does not model),
+//! geometries whose set count is not a power of two (bit-selection
+//! needs one), more than 16 ways (recency
 //! permutations pack into 4-bit fields) and 1-byte blocks (block
 //! numbers reserve the sentinel). The engine's equivalence to the
 //! direct simulator is enforced by property tests in
@@ -147,9 +153,9 @@ macro_rules! pair_shapes {
     };
 }
 
-mod random;
+mod fixed_way;
 
-use random::Fifo;
+use fixed_way::{Fifo, Lru, Step};
 
 /// Maximum configurations one engine instance simulates per pass.
 ///
@@ -205,7 +211,7 @@ impl Error for MultiSimError {}
 /// with it (progress feeds, run reports, per-policy kill switches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EngineKind {
-    /// The permutation-packed LRU stack runner.
+    /// The fixed-way runner with a per-set LRU recency permutation.
     Lru,
     /// The fixed-way runner with a round-robin FIFO victim.
     Fifo,
@@ -416,7 +422,7 @@ struct ExtTouch {
     redundant: u64,
 }
 
-/// The extended sub-block rule, the one every runner applies to an
+/// The extended sub-block rule, the one every step applies to an
 /// extended class's members: presents a reference to sub-block `bit` to
 /// the member's `[referenced, valid, dirty]` words at `row[at..at + 3]`,
 /// the way `cache.rs`'s access and fill do.
@@ -463,8 +469,8 @@ fn ext_touch(
 
 /// Presents address `a` to every member's masks of one way — the mask
 /// row at `mrow` — through the class's sub-block rule, counting into
-/// the bank: the per-member step of the generic per-reference steps
-/// (LRU's [`ClassState::one`] and the fixed-way one). `keep` is as for
+/// the bank: the per-member step of the generic per-reference step
+/// ([`Step::one`]). `keep` is as for
 /// [`ext_touch`]; `lane` is 1 for counted references, 0 for data writes.
 #[inline(always)]
 fn touch_members<const EXT: bool>(
@@ -534,24 +540,19 @@ const EMPTY_WAY: u64 = u64::MAX;
 /// Configurations in one class make identical fill and eviction
 /// decisions under LRU and FIFO alike — sub-block state never feeds
 /// back into block-level residency — so the class is policy-agnostic
-/// storage and the policy lives in how the runners update it.
+/// storage and the policy lives in its per-set word (`perm`).
 ///
 /// `data` packs each set as `[block_0 .. block_{A-1},
 /// masks_0 .. masks_{A-1}]` — the `A` resident block numbers
 /// contiguous (so the probe reads one cache line), followed by `A` rows
 /// of member-configuration mask words (one per member in a plain
-/// class, [`EXT_WORDS`] per member in an extended one) in **physical**
-/// order. Under LRU the block words are in recency order, most recent
-/// first. Mask rows never move: moving a block rotates only the block
-/// words, and the per-set entry of `perm` — sixteen 4-bit fields
-/// mapping stack rank to physical mask row — is updated instead.
-/// Rotating the mask rows too would make every promotion copy every
-/// mask word through a store-to-load-forwarding chain; one
-/// packed-permutation word update replaces all of that traffic. Under
-/// FIFO and Random block word `w` simply belongs to mask row `w` (see
-/// [`random`]). Unoccupied ways hold [`EMPTY_WAY`] with zero masks, so
-/// every set is structurally full and the hot path never consults an
-/// occupancy count.
+/// class, [`EXT_WORDS`] per member in an extended one). Block word `w`
+/// owns mask row `w`, and neither ever moves: a block stays in the way
+/// it was filled into under every policy (see [`fixed_way`]), so a hit
+/// writes one mask row and a miss one block word plus one mask row.
+/// Unoccupied ways hold [`EMPTY_WAY`] with zero masks, so every set is
+/// structurally full and the hot path never consults an occupancy
+/// count.
 #[derive(Debug, Clone)]
 struct ClassState {
     /// log2 of the block size: addresses shift down by this to become
@@ -569,19 +570,19 @@ struct ClassState {
     /// `num_sets * assoc * (1 + mask_words())` words of per-set state
     /// (see the struct docs for the layout).
     data: Vec<u64>,
-    /// One word per set. LRU: the rank→physical-mask-row permutation,
-    /// 4 bits per rank (which is why the engine caps associativity at
-    /// 16 ways). FIFO: the next victim way, a round-robin pointer.
-    /// Random: unused.
+    /// One word per set. LRU: the rank→way permutation, 4 bits per rank
+    /// with the most recently used way at rank 0 (which is why the
+    /// engine caps associativity at 16 ways). FIFO: the next victim way,
+    /// a round-robin pointer. Random: unused.
     perm: Vec<u64>,
 }
 
-/// The identity permutation: rank `r` maps to physical row `r`.
+/// The identity permutation: rank `r` maps to way `r`.
 const IDENT_PERM: u64 = 0xFEDC_BA98_7654_3210;
 
 /// Promotes rank `pos` of a packed permutation to rank 0, shifting
-/// ranks `0..pos` up by one — the stack rotation, applied to the
-/// 4-bit fields instead of the mask rows they name.
+/// ranks `0..pos` up by one — the LRU stack rotation, applied to the
+/// 4-bit fields instead of the ways they name.
 #[inline]
 fn promote(perm: u64, pos: usize) -> u64 {
     let lo_mask = u64::MAX >> (60 - 4 * pos);
@@ -593,11 +594,10 @@ fn promote(perm: u64, pos: usize) -> u64 {
 /// per-chunk geometry, borrowed set state, and the chunk-local member
 /// tables and counters ([`Members`]).
 ///
-/// Factoring the per-reference step into a method lets one reference
-/// loop drive either a single class ([`ClassState::run_spec`]) or two
-/// classes interleaved ([`run_pair_spec`]); see the latter for why
-/// interleaving pays. [`SpecCtx::visit`] is the LRU stack step; the
-/// fixed-way step FIFO and Random share lives in the `random` module.
+/// Factoring the per-reference step ([`Step::visit`]) out of the loop
+/// lets one reference loop drive either a single class
+/// ([`ClassState::run_spec`]) or two classes interleaved
+/// ([`run_pair_spec`]); see the latter for why interleaving pays.
 /// The context's `EXT` flag selects the class's sub-block rule; with it
 /// clear, the extended tables and counters are never touched and the
 /// member step is the plain demand/write-through one.
@@ -788,141 +788,9 @@ impl<'a, const M: usize, const EXT: bool> SpecCtx<'a, M, EXT> {
         }
     }
 
-    /// Presents one reference to this class under LRU: the entire
-    /// per-reference step of the specialised LRU runners.
-    #[inline(always)]
-    fn visit<const WAYS: usize>(&mut self, a: u64, wmask: u64) {
-        let row_words = WAYS * (1 + M * Self::WORDS);
-        let block = a >> self.shift;
-        let set = (block & self.set_mask) as usize;
-        let base = set * row_words;
-        let data = &mut *self.data;
-        let perms = &mut *self.perms;
-        let row = &mut data[base..base + row_words];
-        let off = ((a >> self.min_shift) & self.off_mask) as usize;
-        // Top-two fast path: hits on the two newest ways cover both
-        // straight-line reuse and the in-set ping-pong of two
-        // interleaved streams (instruction fetches alternating with
-        // data references), so this branch predicts far better than
-        // a front-way-only check — and which of the two ways hit is
-        // resolved with selects, not a second branch. Mask rows are
-        // physical: only the hit way's row is touched, found through
-        // the permutation word. A way-1 hit swaps the two front
-        // permutation fields instead of moving any masks.
-        let p = perms[set];
-        if WAYS >= 2 {
-            let h1 = row[1] == block;
-            if row[0] == block || h1 {
-                let phys0 = (p as usize) & (WAYS - 1);
-                let phys1 = ((p >> 4) as usize) & (WAYS - 1);
-                let mrow = WAYS + if h1 { phys1 } else { phys0 } * M * Self::WORDS;
-                let b0 = row[0];
-                row[0] = block;
-                row[1] = if h1 { b0 } else { row[1] };
-                let swapped = (p & !0xFF) | (((p & 15) << 4) | ((p >> 4) & 15));
-                perms[set] = if h1 { swapped } else { p };
-                self.members.touch(row, mrow, off, u64::MAX, wmask);
-                return;
-            }
-        } else if row[0] == block {
-            self.members.touch(row, WAYS, off, u64::MAX, wmask);
-            return;
-        }
-        // Ways 0 and 1 were just probed (way 0 alone when WAYS is
-        // 1), so the scan starts at 2 — empty for 1- and 2-way sets,
-        // where falling through means a miss.
-        let mut j = usize::MAX;
-        #[allow(clippy::needless_range_loop)] // select scan: stay branch-free
-        for t in 2..WAYS {
-            if row[t] == block {
-                j = t;
-            }
-        }
-        let hit = j != usize::MAX;
-        let pos = if hit { j } else { WAYS - 1 };
-        let mrow = WAYS + (((p >> (4 * pos)) as usize) & (WAYS - 1)) * M * Self::WORDS;
-        // Eviction of a real block is the rarest outcome; keeping
-        // its statistics behind a branch spares the common paths
-        // the victim-mask loads and counter read-modify-writes. The
-        // victim's masks live in the row about to be refilled, read
-        // here before the update overwrites them.
-        if !hit && row[WAYS - 1] != EMPTY_WAY {
-            self.members.evict(row, mrow);
-        }
-        // All-ones when hit: masks the old way's words so the miss
-        // case sees zeros without a separate arm.
-        let keep = u64::from(hit).wrapping_neg();
-        self.members.touch(row, mrow, off, keep, wmask);
-        // Shift block words right where their slot index is ≤ pos,
-        // leave the rest: with const bounds this unrolls to pure
-        // load/select/store, no branch on `pos`. The mask rows stay
-        // put — the permutation promotion below is the whole of the
-        // stack bookkeeping for them.
-        for t in (1..WAYS).rev() {
-            let shifted = row[t - 1];
-            let kept = row[t];
-            row[t] = if t <= pos { shifted } else { kept };
-        }
-        row[0] = block;
-        perms[set] = promote(p, pos);
-    }
-
     /// Folds the chunk-local counters into the shared bank.
     fn flush(self, bank: &mut CounterBank) {
         self.members.flush(bank);
-    }
-}
-
-/// A replacement policy's per-reference step over one residency class:
-/// the one thing the chunk schedulers ([`run_classes`],
-/// [`run_pair_spec`], [`ClassState::run`]) are generic over. An
-/// implementor carries the per-class state its policy needs — none for
-/// LRU and FIFO, the class's generator for Random — and the schedulers
-/// hand each class its own.
-trait Step {
-    /// The shape-specialised step: one reference through `ctx`.
-    fn visit<const WAYS: usize, const M: usize, const EXT: bool>(
-        &mut self,
-        ctx: &mut SpecCtx<'_, M, EXT>,
-        a: u64,
-        wmask: u64,
-    );
-
-    /// The generic step, for shapes without a specialisation: one
-    /// reference (`lane` 1 = counted, 0 = data write) through `class`.
-    fn one<const EXT: bool>(
-        &mut self,
-        class: &mut ClassState,
-        a: u64,
-        lane: usize,
-        bank: &mut CounterBank,
-    );
-}
-
-/// LRU's [`Step`]: the permutation-packed stack update.
-#[derive(Debug, Clone, Copy)]
-struct Lru;
-
-impl Step for Lru {
-    #[inline(always)]
-    fn visit<const WAYS: usize, const M: usize, const EXT: bool>(
-        &mut self,
-        ctx: &mut SpecCtx<'_, M, EXT>,
-        a: u64,
-        wmask: u64,
-    ) {
-        ctx.visit::<WAYS>(a, wmask);
-    }
-
-    #[inline(always)]
-    fn one<const EXT: bool>(
-        &mut self,
-        class: &mut ClassState,
-        a: u64,
-        lane: usize,
-        bank: &mut CounterBank,
-    ) {
-        class.one::<EXT>(a, lane, bank);
     }
 }
 
@@ -933,8 +801,8 @@ impl Step for Lru {
 ///
 /// A class's step for reference `i+1` frequently chains on its step
 /// for reference `i` through store-to-load forwarding — sequential
-/// code keeps hitting the same set, so the per-set word and the
-/// front block words are stored and immediately reloaded. Interleaving
+/// code keeps hitting the same set, so its mask words and, under LRU,
+/// its per-set word are stored and immediately reloaded. Interleaving
 /// two classes puts a second, fully independent dependency chain in
 /// the out-of-order window, overlapping those stalls (and sharing the
 /// one address load per reference). Running every class alone instead
@@ -1047,48 +915,6 @@ impl ClassState {
             && self.ext == next.ext
             && self.fits_bit_table()
             && next.fits_bit_table()
-    }
-
-    /// Presents one reference (`lane` 1 = counted, 0 = data write) to
-    /// this class and its member configurations under LRU. Generic
-    /// fallback for shapes [`ClassState::run`] has no specialisation
-    /// for.
-    fn one<const EXT: bool>(&mut self, a: u64, lane: usize, bank: &mut CounterBank) {
-        debug_assert_eq!(self.ext, EXT);
-        let block = a >> self.shift;
-        let ways = self.assoc;
-        let words = self.mask_words();
-        let set = (block & self.mask) as usize;
-        let base = set * ways * (1 + words);
-        let row = &mut self.data[base..base + ways * (1 + words)];
-        // Probe every way (sentinels never match; resident block
-        // numbers are distinct, so no early exit is needed).
-        let mut j = usize::MAX;
-        #[allow(clippy::needless_range_loop)] // select scan: stay branch-free
-        for t in 0..ways {
-            if row[t] == block {
-                j = t;
-            }
-        }
-        let hit = j != usize::MAX;
-        // The way being replaced at the front: the hit way, or the
-        // oldest way (victim) on a miss.
-        let pos = if hit { j } else { ways - 1 };
-        let perm = &mut self.perm[set];
-        // The mask row of the touched way never moves; the permutation
-        // names it and is rotated in its stead below.
-        let mrow = ways + (((*perm >> (4 * pos)) & 15) as usize) * words;
-        if !hit && row[ways - 1] != EMPTY_WAY {
-            charge_eviction::<EXT>(&self.meta, row, mrow, bank);
-        }
-        // Rotate block words 0..=pos right by one — the pos way (hit or
-        // victim) lands at slot 0 — and promote the permutation to
-        // match; the mask rows stay put.
-        row[..pos + 1].rotate_right(1);
-        row[0] = block;
-        *perm = promote(*perm, pos);
-        let keep = u64::from(hit).wrapping_neg();
-        touch_members::<EXT>(&self.meta, row, mrow, a, keep, lane, bank);
     }
 
     /// Runs a whole pre-decoded chunk of references through this class
@@ -1258,8 +1084,9 @@ impl EngineCore {
         // Set state is sized once membership is final: per way, one
         // block word plus the member configurations' mask words, the
         // block words leading each set and initialised to the sentinel.
-        // The per-set word starts as LRU's identity permutation, or as
-        // FIFO's pointer at way 0 (Random leaves it alone).
+        // The per-set word starts as LRU's identity permutation, so the
+        // sentinel ways fill from the last way down, or as FIFO's
+        // pointer at way 0 (Random leaves it alone).
         let per_set = if policy == ReplacementPolicy::Lru {
             IDENT_PERM
         } else {
@@ -1401,7 +1228,7 @@ impl Engine {
             ..
         } = &mut self.core;
         let addrs = chunk.addrs();
-        // LRU and FIFO steps are zero-sized, so their per-class vectors
+        // LRU and FIFO rules are zero-sized, so their per-class vectors
         // never allocate.
         let n_classes = classes.len();
         match &mut self.policy {
@@ -2136,6 +1963,63 @@ mod tests {
                 let victims = fixed_way_victims(ReplacementPolicy::Random, specialised, seed);
                 assert_eq!(victims[..4], [0, 1, 2, 3], "fills take the first empty way");
                 assert!(victims.len() > 40, "the stream must keep missing");
+            }
+        }
+    }
+
+    #[test]
+    fn lru_victims_are_the_least_recently_touched_way() {
+        use rand::Rng;
+        for ways in [1u64, 2, 4, 8, 16] {
+            let config = CacheConfig::builder()
+                .net_size(8 * ways)
+                .block_size(8)
+                .sub_block_size(8)
+                .associativity(ways)
+                .word_size(2)
+                .build()
+                .unwrap();
+            let ways = ways as usize;
+            for specialised in [true, false] {
+                let mut engine = Engine::new(&[config], 0).unwrap();
+                assert_eq!(engine.core.classes[0].mask, 0, "one set");
+                // The model: touched ways, most recent first.
+                let mut recent: Vec<usize> = Vec::new();
+                let mut rng = StdRng::seed_from_u64(ways as u64);
+                let mut evictions = 0;
+                for _ in 0..2_000 {
+                    // Half again as many blocks as ways: hits and misses.
+                    let block = rng.gen_range(0..(ways + ways / 2 + 1) as u64);
+                    let before = engine.core.classes[0].data[..ways].to_vec();
+                    let r = MemRef::read(8 * block);
+                    if specialised {
+                        engine.access_next(&mut [r].into_iter(), 1);
+                    } else {
+                        access_one(&mut engine, r);
+                    }
+                    let class = &engine.core.classes[0];
+                    let after = &class.data[..ways];
+                    let way = after.iter().position(|&b| b == block).unwrap();
+                    let ctx = format!("{ways} ways (specialised: {specialised}), block {block}");
+                    if before.contains(&block) {
+                        assert_eq!(after, &before[..], "a hit moved a block: {ctx}");
+                    } else if recent.len() < ways {
+                        assert_eq!(before[way], EMPTY_WAY, "evicted before full: {ctx}");
+                    } else {
+                        assert_eq!(Some(&way), recent.last(), "not the LRU way: {ctx}");
+                        evictions += 1;
+                    }
+                    recent.retain(|&w| w != way);
+                    recent.insert(0, way);
+                    let perm = class.perm[0];
+                    let ranks: Vec<usize> =
+                        (0..ways).map(|r| (perm >> (4 * r)) as usize & 15).collect();
+                    let mut sorted = ranks.clone();
+                    sorted.sort_unstable();
+                    assert!(sorted.iter().copied().eq(0..ways), "{ranks:?}: {ctx}");
+                    assert_eq!(ranks[..recent.len()], recent[..], "{ctx}");
+                }
+                assert!(evictions > 100, "{ways} ways: only {evictions} evictions");
             }
         }
     }

@@ -84,7 +84,7 @@ pub fn try_progress_every() -> Result<usize, String> {
 /// their points to the direct simulator instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DisabledEngines {
-    /// The permutation-packed LRU engine is off.
+    /// The one-pass LRU engine is off.
     pub lru: bool,
     /// The one-pass FIFO engine is off.
     pub fifo: bool,

@@ -167,30 +167,38 @@ impl Trace {
     /// A streamed view of this trace that keeps only the references
     /// whose kind `keep` accepts, in order: e.g. the instruction or the
     /// data half of a split I/D study. The view replays the same backing
-    /// (a packed buffer is shared, not copied); its length comes from one
-    /// counting pass here.
+    /// (a packed buffer is shared, not copied) a chunk at a time; its
+    /// length is counted here, from the kinds alone.
     pub fn filtered<F>(&self, name: impl Into<String>, keep: F) -> Trace
     where
         F: Fn(AccessKind) -> bool + Copy + Send + Sync + 'static,
     {
-        let len = self.iter().filter(|r| keep(r.kind())).count();
-        let make: Arc<MakeStream> = match &self.source {
+        // A packed source is counted from its kind codes alone; a
+        // streamed one by a chunked pass over the stream.
+        let (len, make) = match &self.source {
             TraceBacking::Packed(refs) => {
                 let refs = Arc::clone(refs);
-                Arc::new(move || {
+                let len = refs.count_kinds(keep);
+                let make: Arc<MakeStream> = Arc::new(move || {
                     let source = PackedReader::new(Arc::clone(&refs));
-                    Box::new(ChunkIter::new(source).filter(move |r| keep(r.kind())))
-                })
+                    Box::new(KindFilter::new(source, keep))
+                });
+                (len, make)
             }
             TraceBacking::Streamed { len, make } => {
+                let (mut reader, mut chunk, mut kept) = (self.reader(), RefChunk::new(), 0);
+                while reader.read_chunk(&mut chunk, FILTER_CHUNK) > 0 {
+                    kept += chunk.kinds().iter().filter(|&&kind| keep(kind)).count();
+                }
                 let (len, make) = (*len, Arc::clone(make));
-                Arc::new(move || {
+                let make: Arc<MakeStream> = Arc::new(move || {
                     let source = TraceReader {
                         source: make(),
                         left: len,
                     };
-                    Box::new(ChunkIter::new(source).filter(move |r| keep(r.kind())))
-                })
+                    Box::new(KindFilter::new(source, keep))
+                });
+                (kept, make)
             }
         };
         Trace {
@@ -250,6 +258,49 @@ impl ChunkRead for TraceReader<'_> {
 
     fn remaining(&self) -> Option<usize> {
         self.source.remaining().map(|left| left.min(self.left))
+    }
+}
+
+/// References per source read of a [`Trace::filtered`] view: the
+/// engine's chunk size, so one source chunk fills about one engine
+/// chunk's worth of the kept kinds.
+const FILTER_CHUNK: usize = 4096;
+
+/// Reads the references of `source` whose kind `keep` accepts, a chunk
+/// of the source at a time: the reader behind [`Trace::filtered`].
+struct KindFilter<R, F> {
+    source: R,
+    keep: F,
+    /// The source's current chunk.
+    buf: RefChunk,
+    /// The next unread index into `buf`.
+    at: usize,
+}
+
+impl<R, F> KindFilter<R, F> {
+    fn new(source: R, keep: F) -> Self {
+        KindFilter {
+            source,
+            keep,
+            buf: RefChunk::new(),
+            at: 0,
+        }
+    }
+}
+
+impl<R: ChunkRead, F: Fn(AccessKind) -> bool> ChunkRead for KindFilter<R, F> {
+    fn read_chunk(&mut self, chunk: &mut RefChunk, max: usize) -> usize {
+        chunk.clear();
+        while chunk.len() < max {
+            if self.at == self.buf.len() {
+                if self.source.read_chunk(&mut self.buf, FILTER_CHUNK) == 0 {
+                    break;
+                }
+                self.at = 0;
+            }
+            self.at = chunk.extend_kept(&self.buf, self.at, max, &self.keep);
+        }
+        chunk.len()
     }
 }
 

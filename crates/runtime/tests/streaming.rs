@@ -185,38 +185,42 @@ proptest! {
 
 /// A filtered view replays exactly the kept references of its source,
 /// in order, under the declared length — from a packed source or a
-/// streamed one — and so fingerprints like a packed copy of them.
+/// streamed one, item by item or in chunks of any size, over sources
+/// shorter and longer than one source read — and so fingerprints like a
+/// packed copy of them.
 #[test]
 fn filtered_views_replay_the_kept_references() {
-    let p = Profile::baseline(Architecture::Z8000);
-    let len = 3_000;
-    let refs: Vec<_> = ProgramGenerator::new(p.clone(), 7).take(len).collect();
-    let sources = [
-        Trace::new("src", refs.clone()),
-        Trace::streamed("src", len, move || ProgramGenerator::new(p.clone(), 7)),
-    ];
-    for source in &sources {
-        for data in [false, true] {
-            let keep: fn(AccessKind) -> bool = if data {
-                AccessKind::is_data
-            } else {
-                |k| !k.is_data()
-            };
-            let view = source.filtered("view", keep);
-            let kept: Vec<_> = refs
-                .iter()
-                .copied()
-                .filter(|r| r.kind().is_data() == data)
-                .collect();
-            assert!(view.is_streamed());
-            assert_eq!(view.len(), kept.len());
-            assert_eq!(view.iter().collect::<Vec<_>>(), kept);
-            // Replayable: a second pass yields the same stream.
-            assert_eq!(view.iter().count(), kept.len());
-            assert_eq!(
-                trace_fingerprint(&[view]),
-                trace_fingerprint(&[Trace::new("view", kept)])
-            );
+    for len in [3_000, 9_000] {
+        let p = Profile::baseline(Architecture::Z8000);
+        let refs: Vec<_> = ProgramGenerator::new(p.clone(), 7).take(len).collect();
+        let sources = [
+            Trace::new("src", refs.clone()),
+            Trace::streamed("src", len, move || ProgramGenerator::new(p.clone(), 7)),
+        ];
+        for source in &sources {
+            for data in [false, true] {
+                let keep: fn(AccessKind) -> bool = if data {
+                    AccessKind::is_data
+                } else {
+                    |k| !k.is_data()
+                };
+                let view = source.filtered("view", keep);
+                let kept: Vec<_> = refs
+                    .iter()
+                    .copied()
+                    .filter(|r| r.kind().is_data() == data)
+                    .collect();
+                assert!(view.is_streamed());
+                assert_eq!(view.len(), kept.len());
+                assert_eq!(view.iter().collect::<Vec<_>>(), kept);
+                // Replayable: a second pass yields the same stream.
+                assert_eq!(view.iter().count(), kept.len());
+                assert_eq!(read_in_chunks(&view, &[1, 700, 4096, 5_000, 13]), kept);
+                assert_eq!(
+                    trace_fingerprint(&[view]),
+                    trace_fingerprint(&[Trace::new("view", kept)])
+                );
+            }
         }
     }
 }

@@ -84,6 +84,58 @@ impl RefChunk {
             .map(|(&addr, &kind)| MemRef::new(Address::new(addr), kind))
     }
 
+    /// Appends the references of `from`, from index `at` on, whose kind
+    /// `keep` accepts, until this chunk holds `max` of them; returns the
+    /// index in `from` after the last reference read.
+    ///
+    /// ```
+    /// use occache_trace::{AccessKind, MemRef, RefChunk};
+    ///
+    /// let mut from = RefChunk::new();
+    /// for a in 0..6 {
+    ///     from.push(if a % 2 == 0 { MemRef::ifetch(a) } else { MemRef::read(a) });
+    /// }
+    /// let mut kept = RefChunk::new();
+    /// let fetch = |k| k == AccessKind::InstrFetch;
+    /// assert_eq!(kept.extend_kept(&from, 1, 2, fetch), 5);
+    /// assert_eq!(kept.addrs(), &[2, 4]);
+    /// // A full chunk reads nothing more.
+    /// assert_eq!(kept.extend_kept(&from, 5, 2, fetch), 5);
+    /// // The rest of `from` holds no fetch: read to its end, keep none.
+    /// let mut rest = RefChunk::new();
+    /// assert_eq!(rest.extend_kept(&from, 5, 4, fetch), 6);
+    /// assert!(rest.is_empty());
+    /// ```
+    pub fn extend_kept(
+        &mut self,
+        from: &RefChunk,
+        at: usize,
+        max: usize,
+        keep: impl Fn(AccessKind) -> bool,
+    ) -> usize {
+        let mut n = self.len();
+        if n >= max {
+            return at;
+        }
+        // Every reference read is written to slot `n`, and kept by
+        // advancing `n`: no branch on the kind.
+        self.addrs.resize(max, 0);
+        self.kinds.resize(max, AccessKind::InstrFetch);
+        let mut i = at;
+        for (&addr, &kind) in from.addrs.iter().zip(&from.kinds).skip(at) {
+            if n == max {
+                break;
+            }
+            self.addrs[n] = addr;
+            self.kinds[n] = kind;
+            n += usize::from(keep(kind));
+            i += 1;
+        }
+        self.addrs.truncate(n);
+        self.kinds.truncate(n);
+        i
+    }
+
     /// Resizes the chunk to `n` references and lends out both arrays for
     /// a decoder to overwrite in full.
     pub(crate) fn slots(&mut self, n: usize) -> (&mut [u64], &mut [AccessKind]) {

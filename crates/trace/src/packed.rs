@@ -292,6 +292,28 @@ impl PackedTrace {
         self.len == 0
     }
 
+    /// How many references have a kind `keep` accepts, counted from the
+    /// kind codes alone, with no address decoded.
+    pub fn count_kinds(&self, keep: impl Fn(AccessKind) -> bool) -> usize {
+        let per_code = KIND_OF.map(|kind| usize::from(keep(kind)));
+        let per_byte: [usize; 256] = std::array::from_fn(|byte| {
+            (0..KINDS_PER_BYTE)
+                .map(|j| per_code[(byte >> (2 * j)) & 3])
+                .sum()
+        });
+        // Whole bytes by table; the last byte's unused codes are zero,
+        // so a partial one is read code by code.
+        let full = self.len / KINDS_PER_BYTE;
+        let whole: usize = self.kinds[..full]
+            .iter()
+            .map(|&byte| per_byte[usize::from(byte)])
+            .sum();
+        let tail: usize = (full * KINDS_PER_BYTE..self.len)
+            .map(|i| per_code[usize::from(code_at(&self.kinds, i))])
+            .sum();
+        whole + tail
+    }
+
     /// A reader that decodes the trace front to back, a chunk at a time.
     pub fn reader(&self) -> PackedReader<&PackedTrace> {
         PackedReader::new(self)

@@ -5,13 +5,14 @@
 //! reference sequences of every kind, of lengths that are not a multiple
 //! of four, and with addresses up to `u64::MAX` first appearing
 //! mid-trace, `iter()` and chunk reads of every size must round-trip bit
-//! for bit, the iterator's size hints must be exact, a trace of 32-bit
+//! for bit, the iterator's size hints must be exact, kind counts must
+//! match iteration, a trace of 32-bit
 //! addresses must cost at most 4.25 bytes per reference plus a constant
 //! and any trace at most 8.25 per reference, and uniformly random 64-bit
 //! addresses must fall back to the fixed form. Set `PROPTEST_SEED` to
 //! explore other traces.
 
-use occache_trace::{ChunkRead, MemRef, PackedTrace, RefChunk};
+use occache_trace::{AccessKind, ChunkRead, MemRef, PackedTrace, RefChunk};
 use proptest::prelude::*;
 
 const MAX_LEN: usize = 203;
@@ -100,6 +101,26 @@ proptest! {
             out.extend(chunk.iter());
         }
         prop_assert_eq!(out, packed.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn kind_counts_match_iteration(refs in arb_refs()) {
+        // The same kinds again with every fetch one step past the last,
+        // so most fetches take the sequential code.
+        let sequential: Vec<MemRef> = refs
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| if r.kind().is_data() { r } else { MemRef::ifetch(2 * i as u64) })
+            .collect();
+        for refs in [refs, sequential] {
+            let packed: PackedTrace = refs.iter().copied().collect();
+            let keeps: [fn(AccessKind) -> bool; 3] =
+                [AccessKind::is_data, |k| !k.is_data(), |k| k == AccessKind::DataWrite];
+            for keep in keeps {
+                let kept = refs.iter().filter(|r| keep(r.kind())).count();
+                prop_assert_eq!(packed.count_kinds(keep), kept);
+            }
+        }
     }
 
     #[test]
