@@ -86,10 +86,11 @@ echo "== integrity: manifest + verify + supervised fault injection =="
 # A real Table 7 run into a scratch results dir, then occache-verify on
 # it: manifest hashes, strict journal scan, and sampled bit-exact
 # re-simulation through the direct simulator. A single flipped byte in
-# either a CSV or a journal record must fail the gate; a re-run must
-# repair the damage; an injected hang must surface as a Timeout in
-# RUN_REPORT.json; and a second run against a held checkpoint lock must
-# fail fast with a diagnostic instead of corrupting the journal.
+# either a CSV or a journal record, or a torn journal tail, must fail
+# the gate; a re-run must repair the damage; an injected hang must
+# surface as a Timeout in RUN_REPORT.json; and a second run against a
+# held checkpoint lock must fail fast with a diagnostic instead of
+# corrupting the journal.
 INT_DIR=target/ci-integrity
 INT_REFS=20000
 rm -rf "$INT_DIR"
@@ -118,6 +119,32 @@ if ./target/release/occache-verify --dir "$INT_DIR" --refs "$INT_REFS" --sample 
 fi
 OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/all table7
 ./target/release/occache-verify --dir "$INT_DIR" --refs "$INT_REFS" --sample 2
+
+echo "-- a torn journal tail must fail verify; a re-run recomputes only the torn point --"
+# The batch twin of serve's kill -9 gate: cut the journal's last record
+# mid-line, as a crash mid-append would. A re-run must fence the torn
+# record off, compute that one point again (RUN_REPORT.json's table7
+# phases sum to 1 computed point) and write the same CSVs.
+BEFORE_DIR=target/ci-integrity-before
+rm -rf "$BEFORE_DIR"
+mkdir -p "$BEFORE_DIR"
+cp "$INT_DIR"/table7_*.csv "$BEFORE_DIR"/
+JOURNAL_BYTES=$(wc -c < "$JOURNAL")
+truncate -s $((JOURNAL_BYTES - 20)) "$JOURNAL"
+if ./target/release/occache-verify --dir "$INT_DIR" --refs "$INT_REFS" --sample 2 >/dev/null; then
+  echo "FAIL: verify passed on a torn journal"; exit 1
+fi
+OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" ./target/release/all table7 > /dev/null
+RECOMPUTED=$(grep '"artifact":"table7"' "$INT_DIR/RUN_REPORT.json" \
+  | sed 's/.*"computed":\([0-9]*\),.*/\1/' | awk '{ n += $1 } END { print n + 0 }')
+[ "$RECOMPUTED" = "1" ] \
+  || { echo "FAIL: the torn-tail re-run computed $RECOMPUTED point(s), not 1"; exit 1; }
+./target/release/occache-verify --dir "$INT_DIR" --refs "$INT_REFS" --sample 2
+for CSV in "$BEFORE_DIR"/table7_*.csv; do
+  cmp "$CSV" "$INT_DIR/$(basename "$CSV")" \
+    || { echo "FAIL: $(basename "$CSV") changed across the torn-tail repair"; exit 1; }
+done
+echo "   torn tail: verify failed, the re-run recomputed 1 point, verify passed, CSVs unchanged"
 
 echo "-- an injected hang must be reported as a timeout --"
 OCCACHE_RESULTS="$INT_DIR" OCCACHE_REFS="$INT_REFS" OCCACHE_FRESH=1 \

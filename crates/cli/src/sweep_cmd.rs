@@ -2,10 +2,12 @@
 
 use std::fmt::Write as _;
 
-use occache_experiments::report::{points_to_csv, write_result_in};
+use occache_experiments::report::points_to_csv;
 use occache_experiments::sweep::{
-    evaluate_results_sliced, failure_note, materialize, standard_config, table1_pairs, SweepOutcome,
+    evaluate_results_sliced, materialize, standard_config, table1_pairs,
 };
+use occache_runtime::config::write_result_in;
+use occache_runtime::executor::{failure_note, SweepOutcome};
 use occache_workloads::{Architecture, WorkloadSpec};
 
 use crate::args::parse;

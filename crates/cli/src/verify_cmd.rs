@@ -5,8 +5,8 @@
 //! journalled points through the direct simulator, comparing bit-exactly.
 //! Also reachable as `occache sweep --verify`.
 
-use occache_experiments::report::results_dir;
 use occache_experiments::verify::{verify_dir, VerifyOptions};
+use occache_runtime::config::results_dir;
 
 use crate::args::parse;
 use crate::error::CliError;
@@ -122,7 +122,7 @@ mod tests {
     fn intact_results_pass_and_a_flipped_byte_fails() {
         let dir = temp_dir("roundtrip");
         let contents = "block,miss\n32,0.05\n";
-        occache_experiments::report::write_result_in(&dir, "t.csv", contents).unwrap();
+        occache_runtime::config::write_result_in(&dir, "t.csv", contents).unwrap();
         let entry = occache_experiments::manifest::ManifestEntry::of("t.csv", contents, "t", 0, 0);
         occache_experiments::manifest::record(&dir, "t", vec![entry]).unwrap();
         let out = run(&["--dir", dir.to_str().unwrap(), "--no-resim"]).unwrap();

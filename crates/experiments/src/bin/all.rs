@@ -14,6 +14,7 @@
 use std::process::ExitCode;
 
 use occache_experiments::runs::{select, Runner, Workbench, ARTIFACTS};
+use occache_runtime::config::results_dir;
 
 fn run_all(bench: &mut Workbench, runners: &[Runner]) -> std::io::Result<()> {
     for run in runners {
@@ -58,9 +59,9 @@ fn main() -> ExitCode {
         // The paper set reads every trace set: generate them together.
         bench.generate_paper_sets();
     }
-    match run_all(&mut bench, &runners).and_then(|()| {
-        occache_experiments::run_report::write(&occache_experiments::report::results_dir())
-    }) {
+    match run_all(&mut bench, &runners)
+        .and_then(|()| occache_experiments::run_report::write(&results_dir()))
+    {
         Ok(path) => {
             eprintln!("wrote {}", path.display());
             if occache_runtime::interrupt::requested() {

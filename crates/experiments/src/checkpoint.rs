@@ -10,12 +10,14 @@
 //! instead of re-simulated; anything else (changed trace set, changed
 //! `OCCACHE_REFS`, new configs) misses the key and is evaluated normally.
 //!
-//! The record *codec* and the key derivation live in
-//! [`occache_runtime::journal`] and [`occache_runtime::keys`], and the
-//! [`PointStore`] that `occache-serve` answers from too lives in
-//! [`occache_runtime::store`]. This module owns the *policy* around
-//! them: quarantine tallies, the advisory lock, atomic compaction, and
-//! the checkpointed sweep entry points.
+//! The record *codec*, compaction and the one journal writer
+//! ([`Appender`]) live in [`occache_runtime::journal`], the key
+//! derivation in [`occache_runtime::keys`], and the [`PointStore`] that
+//! `occache-serve` answers from too in [`occache_runtime::store`]. This
+//! module owns the *policy* around them: quarantine tallies, the
+//! advisory lock, when to compact, and the checkpointed sweep entry
+//! points. A checkpointed sweep is a resume filter in front of the
+//! evaluation pool and a journal sink behind it.
 //!
 //! Since journal format v2 every record carries a schema-version field
 //! and an FNV-1a checksum over its payload, so corruption is *detected*
@@ -54,20 +56,19 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use occache_core::CacheConfig;
-use occache_runtime::journal::{point_body, seal, tombstone_body};
-use occache_runtime::progress::ProgressWriter;
-
-use crate::report::{results_dir, write_result_in};
-use crate::run_report::PhaseReport;
-use crate::sweep::{DesignPoint, PointError, PointFault, SweepOutcome, Trace};
+use occache_runtime::config::{fresh_requested, results_dir};
+use occache_runtime::eval::{DesignPoint, PointError, PointFault, Trace};
 use occache_runtime::executor::{
-    evaluate_results_supervised_with, SuperviseStats, SupervisorPolicy,
+    evaluate_results_supervised_with, SuperviseStats, SupervisorPolicy, SweepOutcome,
 };
-
-use occache_runtime::config::fresh_requested;
-use occache_runtime::journal::{journal_path, scan_journal, Entry, JournalScan};
+use occache_runtime::journal::{
+    compact_journal, journal_path, lock_path, scan_journal, Appender, Entry, JournalScan, Record,
+};
 use occache_runtime::keys::{config_fingerprint, point_key, trace_fingerprint};
+use occache_runtime::progress::ProgressWriter;
 use occache_runtime::store::PointStore;
+
+use crate::run_report::PhaseReport;
 
 /// How many failed runs put a design point into quarantine: the point is
 /// skipped (with a structured failure) instead of retried forever on
@@ -77,38 +78,6 @@ pub const QUARANTINE_AFTER: u32 = 2;
 /// Process exit code when another live run holds the checkpoint lock
 /// (sysexits `EX_TEMPFAIL`: try again later).
 pub const EXIT_LOCKED: i32 = 75;
-
-/// Atomically rewrites a journal from a scan's intact records: canonical
-/// sealed lines, points first (sorted by key), then one aggregated
-/// tombstone per still-failing key. Tombstones for keys that later
-/// succeeded are dropped — success clears the tally.
-fn compact_journal(path: &Path, scan: &JournalScan) -> io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "journal path has no name"))?;
-    let mut content = String::new();
-    let mut keys: Vec<u64> = scan.points.keys().copied().collect();
-    keys.sort_unstable();
-    for key in keys {
-        let entry = scan.points[&key];
-        content.push_str(&seal(&point_body(key, &entry)));
-        content.push('\n');
-    }
-    let mut fail_keys: Vec<u64> = scan
-        .fails
-        .keys()
-        .copied()
-        .filter(|k| !scan.points.contains_key(k))
-        .collect();
-    fail_keys.sort_unstable();
-    for key in fail_keys {
-        content.push_str(&seal(&tombstone_body(key, scan.fails[&key])));
-        content.push('\n');
-    }
-    write_result_in(dir, name, &content).map(|_| ())
-}
 
 // ---------------------------------------------------------------------------
 // Advisory lock: .checkpoint/LOCK holds the writer's PID.
@@ -149,9 +118,10 @@ impl JournalLock {
     /// `WouldBlock` when another live run holds the lock; other I/O
     /// errors propagate from filesystem trouble.
     pub fn acquire(dir: &Path) -> io::Result<JournalLock> {
-        let ckpt = dir.join(".checkpoint");
-        fs::create_dir_all(&ckpt)?;
-        let path = ckpt.join("LOCK");
+        let path = lock_path(dir);
+        if let Some(ckpt) = path.parent() {
+            fs::create_dir_all(ckpt)?;
+        }
         let own_pid = std::process::id();
         // Bounded own-PID wait: 25 ms polls for up to ~10 minutes.
         let mut own_waits: u32 = 0;
@@ -269,106 +239,61 @@ pub(crate) fn results_store(dir: &Path) -> Arc<PointStore> {
     Arc::clone(slot.insert(Arc::new(PointStore::load(dir, usize::MAX))))
 }
 
+/// The per-point completion sink a checkpointed sweep hands to its
+/// evaluation function: `(pending_index, result)`. Must be called
+/// exactly once per pending config, from any thread; each call queues
+/// one record for the journal's [`Appender`].
+pub type JournalSink<'a> = dyn Fn(usize, &Result<DesignPoint, PointError>) + Sync + 'a;
+
 /// Checkpointed, fault-isolated sweep with an explicit point store (whose
 /// results directory holds the journal), fresh flag and evaluation
-/// function — the fully injectable form used by tests; production
-/// callers use [`evaluate_checkpointed`].
-///
-/// `eval` takes the whole pending batch at once (so the production path
-/// can share trace passes across configs — see
-/// [`crate::sweep::evaluate_results_sliced`]) and must return exactly one
-/// result per pending config, in order. Tests wrap the pool in a closure
-/// here to inject faults or count evaluations. Journal keys stay
-/// per-point either way, so resume semantics do not depend on how
-/// points were batched.
+/// function: the injectable form tests use; production callers use
+/// [`evaluate_checkpointed`].
 ///
 /// Journalled points are restored without re-simulation
 /// ([`SweepOutcome::resumed`] counts them), including pending points
-/// borrowed from the store (see the module docs); quarantined points
+/// borrowed from the store (see the module docs), whose sealed lines
+/// are written and fsynced before evaluation starts; quarantined points
 /// (those with [`QUARANTINE_AFTER`] or more journalled failures) are
-/// skipped with a structured failure; the rest run through `eval`. Each
-/// success with finite metrics is appended to the journal and the store
-/// before returning; a failure — or a non-finite "success", which is
-/// rejected here — appends a failure tombstone so the quarantine tally
-/// survives restarts. Under `fresh` the first call per journal and store
+/// skipped with a structured failure. The rest go to `eval` in one
+/// batch, so the production path can share trace passes across configs
+/// ([`occache_runtime::executor::evaluate_results_sliced`]). `eval` must
+/// return one result per pending config, in order, and call the
+/// [`JournalSink`] once per pending config as each completes, so a
+/// crash or interrupt mid-batch loses only the points in flight. A
+/// success with finite metrics is journalled as a point and goes into
+/// the store; a failure, or a non-finite "success" (rejected here),
+/// journals a failure tombstone so the quarantine tally survives
+/// restarts. Interrupted points ([`PointFault::Interrupted`]) are not
+/// tombstoned: nothing was evaluated, and a tombstone would push an
+/// innocent point toward quarantine. Lines land in completion order;
+/// journal keys are per point, so resume does not depend on how points
+/// were batched. Under `fresh` the first call per journal and store
 /// discards the journal.
+///
+/// The phase also drives the live progress feed
+/// ([`occache_runtime::progress`], `results/.checkpoint/PROGRESS.json`):
+/// an initial snapshot lands once resume has settled restored and
+/// quarantined counts, every sink call feeds it, and the feed is sealed,
+/// interrupt flag included, before the outcome returns. `eval` receives
+/// the [`ProgressWriter`] so it can fold in what only it observes
+/// (supervisor retry tallies).
 ///
 /// The whole call holds the directory's [`JournalLock`]; a second live
 /// process gets [`io::ErrorKind::WouldBlock`]. Journal damage found on
 /// load is counted into [`SweepOutcome::journal`], warned about once,
-/// and repaired in place by atomic compaction.
+/// and repaired in place by atomic compaction. A journal write that
+/// fails once evaluation has begun does not fail the call: the
+/// evaluated outcome returns, stderr names the journal and the error,
+/// and the points stay out of the store's on-disk view.
 ///
 /// # Errors
 ///
-/// Propagates journal I/O failures (unreadable/unwritable checkpoint
-/// directory, lock contention, a store with no results directory).
-/// Simulation faults are *not* errors — they come back in
-/// [`SweepOutcome::failures`].
+/// Propagates journal I/O failures before evaluation (unreadable or
+/// unwritable checkpoint directory, a failed borrowed-line write, lock
+/// contention, a store with no results directory). Simulation faults
+/// are *not* errors: they come back in [`SweepOutcome::failures`].
 pub fn evaluate_checkpointed_in<F>(
-    store: &PointStore,
-    artifact: &str,
-    configs: &[CacheConfig],
-    traces: &[Trace],
-    warmup: usize,
-    fresh: bool,
-    eval: F,
-) -> io::Result<SweepOutcome>
-where
-    F: Fn(&[CacheConfig], &[Trace], usize) -> Vec<Result<DesignPoint, PointError>> + Sync,
-{
-    // The batch form journals after the whole batch returns, in pending
-    // order — the historical semantics the tests pin down. It is a thin
-    // wrapper over the streamed form with a post-hoc sink.
-    evaluate_checkpointed_in_streamed(
-        store,
-        artifact,
-        configs,
-        traces,
-        warmup,
-        fresh,
-        |cfgs, tr, w, sink: &JournalSink, _progress: &ProgressWriter| {
-            let results = eval(cfgs, tr, w);
-            for (i, r) in results.iter().enumerate() {
-                sink(i, r);
-            }
-            results
-        },
-    )
-}
-
-/// The per-point completion sink a streamed checkpointed sweep hands to
-/// its evaluation function: `(pending_index, result)`. Must be called
-/// exactly once per pending config, from any thread; each call seals one
-/// journal line and forwards it to the single writer thread.
-pub type JournalSink<'a> = dyn Fn(usize, &Result<DesignPoint, PointError>) + Sync + 'a;
-
-/// [`evaluate_checkpointed_in`] with *incremental* journaling: `eval`
-/// receives a [`JournalSink`] and calls it as each pending point
-/// completes, so a crash or interrupt mid-batch loses only in-flight
-/// points, not the whole batch. All appends go through one writer
-/// thread fed by a channel, keeping the journal single-writer no matter
-/// how many sweep workers complete points concurrently
-/// (`OCCACHE_SLICE_THREADS`).
-///
-/// Lines land in completion order; journal keys are per-point, so resume
-/// semantics are identical to the batch form. Interrupted points
-/// ([`PointFault::Interrupted`]) are *not* tombstoned — nothing was
-/// evaluated, and a tombstone would push an innocent point toward
-/// quarantine.
-///
-/// The phase also drives the live progress feed
-/// (`[occache_runtime::progress]`, `results/.checkpoint/PROGRESS.json`):
-/// an initial snapshot lands once resume has settled restored and
-/// quarantined counts, every journal-sink completion feeds it, and the
-/// feed is sealed — interrupt flag included — before the outcome
-/// returns. `eval` receives the [`ProgressWriter`] so it can fold in
-/// what only it observes (supervisor retry tallies).
-///
-/// # Errors
-///
-/// As [`evaluate_checkpointed_in`]; additionally any journal-append
-/// failure observed by the writer thread is reported after evaluation.
-pub fn evaluate_checkpointed_in_streamed<F>(
     store: &PointStore,
     artifact: &str,
     configs: &[CacheConfig],
@@ -401,9 +326,12 @@ where
     }
     let scan = scan_journal(&path)?;
     warn_once(&path, &scan);
-    if scan.needs_repair() {
-        compact_journal(&path, &scan)?;
-    }
+    let health = scan.health();
+    let scan = if scan.needs_repair() {
+        compact_journal(&path, scan)?
+    } else {
+        scan
+    };
     let fingerprint = trace_fingerprint(traces);
     let keys: Vec<u64> = configs
         .iter()
@@ -434,28 +362,29 @@ where
     // order, before any evaluation) so the journal stays self-contained
     // for resume and verification.
     let fresh_run = fresh || fresh_requested();
-    let mut borrowed = Vec::new();
+    let mut journalled = Vec::new();
     let mut sources: BTreeMap<Arc<str>, usize> = BTreeMap::new();
     pending_idx.retain(|&i| {
         let Some((entry, source)) = store.borrow(keys[i], &own, fresh_run) else {
             return true;
         };
         slots[i] = Some(Ok(entry.restore(configs[i])));
-        borrowed.push((keys[i], entry));
+        journalled.push((keys[i], entry));
         *sources.entry(source).or_insert(0) += 1;
         false
     });
-    resumed += borrowed.len();
-    if !borrowed.is_empty() {
-        let lines: String = borrowed
-            .iter()
-            .map(|(key, entry)| format!("{}\n", seal(&point_body(*key, entry))))
-            .collect();
-        let mut out = OpenOptions::new().create(true).append(true).open(&path)?;
-        out.write_all(lines.as_bytes())?;
-        out.sync_all()?;
-        for (key, entry) in borrowed {
-            store.insert(key, entry, Some(&own));
+    resumed += journalled.len();
+    // The journal opens only when there is a line to write, so a sweep
+    // with nothing to append leaves no file behind.
+    let appender = (!journalled.is_empty() || !pending_idx.is_empty())
+        .then(|| Appender::open(dir, artifact, &scan, Arc::default()))
+        .transpose()?;
+    if let Some(appender) = &appender {
+        for &(key, entry) in &journalled {
+            appender.append(Record::Point(key, entry));
+        }
+        if !journalled.is_empty() && !pending_idx.is_empty() {
+            appender.sync()?;
         }
     }
     if resumed > 0 {
@@ -485,86 +414,71 @@ where
     });
     let progress = ProgressWriter::start(dir, artifact, configs.len(), resumed, quarantined, every);
 
-    if !pending_cfg.is_empty() {
-        let out = OpenOptions::new().create(true).append(true).open(&path)?;
-        // Single-writer journal: every completion, from any sweep worker,
-        // funnels through this channel to one thread owning the file, so
-        // sealed lines never interleave mid-record.
-        let (tx, rx) = std::sync::mpsc::channel::<String>();
-        let writer = std::thread::Builder::new()
-            .name("occache-journal".to_string())
-            .spawn(move || -> io::Result<()> {
-                let mut out = out;
-                for line in rx {
-                    out.write_all(line.as_bytes())?;
-                }
-                out.sync_all()
-            })
-            .map_err(|e| {
-                io::Error::new(e.kind(), format!("could not spawn the journal writer: {e}"))
-            })?;
-        let tx = Mutex::new(Some(tx));
-        let pending_keys: Vec<u64> = pending_idx.iter().map(|&i| keys[i]).collect();
-        let progress = &progress;
-        let sink = |pi: usize, result: &Result<DesignPoint, PointError>| {
-            let Some(&key) = pending_keys.get(pi) else {
-                return; // out-of-range index from a buggy eval: ignore
-            };
-            let body = match result {
-                Ok(p) => match Entry::of(p).non_finite_field() {
+    if let Some(appender) = appender {
+        if !pending_cfg.is_empty() {
+            let pending_keys: Vec<u64> = pending_idx.iter().map(|&i| keys[i]).collect();
+            let progress = &progress;
+            let appender = &appender;
+            let sink = |pi: usize, result: &Result<DesignPoint, PointError>| {
+                let Some(&key) = pending_keys.get(pi) else {
+                    return; // out-of-range index from a buggy eval: ignore
+                };
+                let record = match result {
                     // Reject poisoned metrics at the journal gate: a
                     // NaN/inf must not round-trip into an artifact.
-                    Some(_) => {
+                    Ok(p) if Entry::of(p).non_finite_field().is_some() => {
                         progress.failed(false);
-                        tombstone_body(key, 1)
+                        Record::Tombstone(key, 1)
                     }
-                    None => {
+                    Ok(p) => {
                         progress.completed();
-                        point_body(key, &Entry::of(p))
+                        Record::Point(key, Entry::of(p))
                     }
-                },
-                // An interrupted point was never evaluated: no tombstone,
-                // so the resumed run retries it without a quarantine mark.
-                Err(e) if e.fault == PointFault::Interrupted => return,
-                Err(e) => {
-                    progress.failed(e.fault == PointFault::Timeout);
-                    tombstone_body(key, 1)
-                }
+                    // An interrupted point was never evaluated: no
+                    // tombstone, so the resumed run retries it without a
+                    // quarantine mark.
+                    Err(e) if e.fault == PointFault::Interrupted => return,
+                    Err(e) => {
+                        progress.failed(e.fault == PointFault::Timeout);
+                        Record::Tombstone(key, 1)
+                    }
+                };
+                appender.append(record);
             };
-            if let Some(tx) = tx.lock().expect("journal sender lock").as_ref() {
-                let _ = tx.send(format!("{}\n", seal(&body)));
-            }
-        };
-        let results = eval(&pending_cfg, traces, warmup, &sink, progress);
-        // Close the channel and reap the writer; its I/O verdict is the
-        // journal's.
-        *tx.lock().expect("journal sender lock") = None;
-        writer.join().unwrap_or_else(|payload| {
-            Err(io::Error::other(format!(
-                "journal writer thread panicked: {}",
-                occache_runtime::eval::panic_message(payload)
-            )))
-        })?;
-        assert_eq!(
-            results.len(),
-            pending_cfg.len(),
-            "batch eval must return one result per pending config"
-        );
-        for (&i, result) in pending_idx.iter().zip(results) {
-            let result = match result {
-                Ok(p) => {
+            let results = eval(&pending_cfg, traces, warmup, &sink, progress);
+            assert_eq!(
+                results.len(),
+                pending_cfg.len(),
+                "batch eval must return one result per pending config"
+            );
+            for (&i, result) in pending_idx.iter().zip(results) {
+                slots[i] = Some(result.and_then(|p| {
                     let entry = Entry::of(&p);
                     match entry.non_finite_field() {
                         Some(field) => Err(PointError::non_finite(p.config, field)),
                         None => {
-                            store.insert(keys[i], entry, Some(&own));
+                            journalled.push((keys[i], entry));
                             Ok(p)
                         }
                     }
-                }
-                Err(e) => Err(e),
-            };
-            slots[i] = Some(result);
+                }));
+            }
+        }
+        // The points are evaluated: a journal that could not take them
+        // costs resumability, not the science.
+        let on_disk = match appender.close() {
+            Ok(()) => Some(own.as_str()),
+            Err(e) => {
+                eprintln!(
+                    "warning: journal {} could not be written ({e}); {artifact}'s points are \
+                     computed but will not resume",
+                    path.display()
+                );
+                None
+            }
+        };
+        for (key, entry) in journalled {
+            store.insert(key, entry, on_disk);
         }
     }
 
@@ -572,7 +486,7 @@ where
 
     Ok(SweepOutcome {
         resumed,
-        journal: scan.health(),
+        journal: health,
         ..slots
             .into_iter()
             .map(|slot| slot.expect("every config restored, quarantined or evaluated"))
@@ -591,12 +505,15 @@ where
 /// The phase is recorded into the in-process run report
 /// ([`crate::run_report`]) for RUN_REPORT.json.
 ///
-/// Journal I/O trouble degrades gracefully: the sweep still runs (without
-/// resumability, its phase still recorded) and the problem is reported on
-/// stderr, because losing checkpointing must never lose the science. The one exception is lock
-/// contention — another live run writing the same results directory —
-/// where continuing would interleave appends; the process prints a
-/// diagnostic and exits with [`EXIT_LOCKED`].
+/// Journal I/O trouble degrades gracefully, because losing checkpointing
+/// must never lose the science. Trouble before evaluation (opening,
+/// scanning or compacting the journal) runs the sweep without resume;
+/// a journal write that fails after evaluation began keeps the
+/// evaluated outcome, so no point is simulated twice. Either way the
+/// phase is recorded and stderr names the problem. The one exception is
+/// lock contention — another live run writing the same results
+/// directory — where continuing would interleave appends; the process
+/// prints a diagnostic and exits with [`EXIT_LOCKED`].
 pub fn evaluate_checkpointed(
     artifact: &str,
     configs: &[CacheConfig],
@@ -625,7 +542,7 @@ pub fn evaluate_checkpointed(
         stats.lock().expect("supervisor stats lock").merge(s);
         results
     };
-    let mut outcome = match evaluate_checkpointed_in_streamed(
+    let mut outcome = match evaluate_checkpointed_in(
         &results_store(&dir),
         artifact,
         configs,
@@ -691,13 +608,30 @@ pub fn evaluate_checkpointed(
 mod tests {
     use super::*;
     use crate::runs::{journalled_grid, Workbench};
-    use crate::sweep::{
-        evaluate_results_sliced, materialize, standard_config, table1_pairs, JournalHealth,
-        PointFault,
+    use crate::sweep::{evaluate_results_sliced, materialize, standard_config, table1_pairs};
+    use occache_runtime::journal::{
+        parse_line, point_body, seal, tombstone_body, JournalHealth, LineIssue,
     };
-    use occache_runtime::journal::{lock_path, parse_line, LineIssue, Record};
     use occache_workloads::{Architecture, WorkloadSpec};
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// One result per pending config, in order.
+    type Results = Vec<Result<DesignPoint, PointError>>;
+
+    /// Runs a batch evaluation, then journals each result in pending
+    /// order: the shape the fault-injecting closures below take.
+    fn batch(
+        eval: impl FnOnce(&[CacheConfig], &[Trace], usize) -> Results,
+    ) -> impl FnOnce(&[CacheConfig], &[Trace], usize, &JournalSink, &ProgressWriter) -> Results
+    {
+        move |cs, ts, w, sink, _| {
+            let results = eval(cs, ts, w);
+            for (i, r) in results.iter().enumerate() {
+                sink(i, r);
+            }
+            results
+        }
+    }
 
     fn test_grid() -> (Vec<CacheConfig>, Vec<Trace>) {
         let traces = materialize(&[WorkloadSpec::pdp11_ed()], 1_000);
@@ -818,7 +752,8 @@ mod tests {
             results
         };
         let outcome =
-            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, eval).unwrap();
+            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, batch(eval))
+                .unwrap();
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].fault, PointFault::NonFinite);
         assert!(outcome.failures[0].message.contains("miss_ratio"));
@@ -831,7 +766,7 @@ mod tests {
             &traces,
             0,
             false,
-            evaluate_results_sliced,
+            batch(evaluate_results_sliced),
         )
         .unwrap();
         assert!(second.is_complete());
@@ -878,7 +813,7 @@ mod tests {
             &traces,
             0,
             false,
-            evaluate_results_sliced,
+            batch(evaluate_results_sliced),
         )
         .unwrap();
         assert_eq!(first.resumed, 0);
@@ -892,9 +827,14 @@ mod tests {
             &traces,
             0,
             false,
-            |_: &[CacheConfig], _: &[Trace], _: usize| -> Vec<Result<DesignPoint, PointError>> {
-                panic!("should not re-simulate")
-            },
+            batch(
+                |_: &[CacheConfig],
+                 _: &[Trace],
+                 _: usize|
+                 -> Vec<Result<DesignPoint, PointError>> {
+                    panic!("should not re-simulate")
+                },
+            ),
         )
         .unwrap();
         assert_eq!(second.resumed, configs.len());
@@ -919,7 +859,7 @@ mod tests {
             &traces,
             0,
             false,
-            evaluate_results_sliced,
+            batch(evaluate_results_sliced),
         )
         .unwrap();
         let again = evaluate_checkpointed_in(
@@ -929,7 +869,7 @@ mod tests {
             &traces,
             0,
             true,
-            evaluate_results_sliced,
+            batch(evaluate_results_sliced),
         )
         .unwrap();
         assert_eq!(again.resumed, 0, "--fresh must re-simulate");
@@ -953,13 +893,15 @@ mod tests {
             results
         };
         let first =
-            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, faulty).unwrap();
+            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, batch(faulty))
+                .unwrap();
         assert_eq!(first.failures.len(), 1);
         assert_eq!(first.failures[0].fault, PointFault::Panic);
         // Second failing run: the point is retried (1 < QUARANTINE_AFTER)
         // and fails again, reaching the quarantine threshold.
         let second =
-            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, faulty).unwrap();
+            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, batch(faulty))
+                .unwrap();
         assert_eq!(second.failures.len(), 1);
         assert_eq!(second.failures[0].fault, PointFault::Panic);
         assert_eq!(second.resumed, configs.len() - 1);
@@ -970,7 +912,8 @@ mod tests {
             evaluate_results_sliced(cs, ts, w)
         };
         let third =
-            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, counting).unwrap();
+            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, batch(counting))
+                .unwrap();
         assert_eq!(evals.load(std::sync::atomic::Ordering::SeqCst), 0);
         assert_eq!(third.failures.len(), 1);
         assert_eq!(third.failures[0].fault, PointFault::Quarantined);
@@ -987,7 +930,7 @@ mod tests {
             &traces,
             0,
             true,
-            evaluate_results_sliced,
+            batch(evaluate_results_sliced),
         )
         .unwrap();
         assert!(fresh.is_complete());
@@ -1006,7 +949,7 @@ mod tests {
             &traces,
             0,
             false,
-            evaluate_results_sliced,
+            batch(evaluate_results_sliced),
         )
         .unwrap();
         let longer = materialize(&[WorkloadSpec::pdp11_ed()], 2_000);
@@ -1017,7 +960,7 @@ mod tests {
             &longer,
             0,
             false,
-            evaluate_results_sliced,
+            batch(evaluate_results_sliced),
         )
         .unwrap();
         assert_eq!(outcome.resumed, 0, "different traces must not resume");
@@ -1036,7 +979,7 @@ mod tests {
             &traces,
             0,
             false,
-            evaluate_results_sliced,
+            batch(evaluate_results_sliced),
         )
         .unwrap();
         let path = journal_path(&dir, "t");
@@ -1055,7 +998,7 @@ mod tests {
             &traces,
             0,
             false,
-            evaluate_results_sliced,
+            batch(evaluate_results_sliced),
         )
         .unwrap();
         assert_eq!(outcome.journal.bad_lines, 1, "{:?}", outcome.journal);
@@ -1082,7 +1025,7 @@ mod tests {
             &traces,
             0,
             false,
-            evaluate_results_sliced,
+            batch(evaluate_results_sliced),
         )
         .unwrap();
         let path = journal_path(&dir, "t");
@@ -1111,7 +1054,7 @@ mod tests {
                 assert!(!scan.needs_repair(), "empty tail needs no repair");
             } else {
                 assert_eq!(scan.torn_tail_bytes, cut, "cut at byte {cut}");
-                compact_journal(&path, &scan).unwrap();
+                compact_journal(&path, scan).unwrap();
                 let rescan = scan_journal(&path).unwrap();
                 assert!(!rescan.needs_repair());
                 assert_eq!(rescan.points.len(), take - 1);
@@ -1124,7 +1067,7 @@ mod tests {
         assert_eq!(scan.points.len(), take);
         assert!(scan.missing_final_newline);
         assert_eq!(scan.torn_tail_bytes, 0);
-        compact_journal(&path, &scan).unwrap();
+        compact_journal(&path, scan).unwrap();
         assert!(!scan_journal(&path).unwrap().needs_repair());
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1151,7 +1094,7 @@ mod tests {
                 &g.traces,
                 g.warmup,
                 false,
-                serial,
+                batch(serial),
             )
             .unwrap();
         }
@@ -1168,7 +1111,7 @@ mod tests {
             &fig2.traces,
             fig2.warmup,
             false,
-            counting,
+            batch(counting),
         )
         .unwrap();
         assert_eq!(
@@ -1190,7 +1133,7 @@ mod tests {
             &fig2.traces,
             fig2.warmup,
             false,
-            serial,
+            batch(serial),
         )
         .unwrap();
         assert_eq!(standalone.resumed, 0);
@@ -1221,9 +1164,16 @@ mod tests {
                 evals.fetch_add(cs.len(), Ordering::SeqCst);
                 serial(cs, ts, w)
             };
-            let outcome =
-                evaluate_checkpointed_in(&store, artifact, &configs, &traces, 0, fresh, counting)
-                    .unwrap();
+            let outcome = evaluate_checkpointed_in(
+                &store,
+                artifact,
+                &configs,
+                &traces,
+                0,
+                fresh,
+                batch(counting),
+            )
+            .unwrap();
             assert!(outcome.is_complete());
             evals.into_inner()
         };
@@ -1246,7 +1196,7 @@ mod tests {
         let dir = temp_dir("reuse-damaged");
         let store = store_at(&dir);
         let (configs, traces) = test_grid();
-        evaluate_checkpointed_in(&store, "a", &configs, &traces, 0, false, serial).unwrap();
+        evaluate_checkpointed_in(&store, "a", &configs, &traces, 0, false, batch(serial)).unwrap();
         let sibling = journal_path(&dir, "a");
         // Flip a byte in the middle of the second line and tear the tail.
         let mut bytes = fs::read(&sibling).unwrap();
@@ -1262,7 +1212,8 @@ mod tests {
             serial(cs, ts, w)
         };
         let outcome =
-            evaluate_checkpointed_in(&store, "b", &configs, &traces, 0, false, counting).unwrap();
+            evaluate_checkpointed_in(&store, "b", &configs, &traces, 0, false, batch(counting))
+                .unwrap();
         assert_eq!(
             evals.load(Ordering::SeqCst),
             1,
@@ -1295,10 +1246,12 @@ mod tests {
             results
         };
         for _ in 0..QUARANTINE_AFTER {
-            evaluate_checkpointed_in(&store, "a", &configs, &traces, 0, false, faulty).unwrap();
+            evaluate_checkpointed_in(&store, "a", &configs, &traces, 0, false, batch(faulty))
+                .unwrap();
         }
         let quarantined =
-            evaluate_checkpointed_in(&store, "a", &configs, &traces, 0, false, faulty).unwrap();
+            evaluate_checkpointed_in(&store, "a", &configs, &traces, 0, false, batch(faulty))
+                .unwrap();
         assert_eq!(
             quarantined.quarantined(),
             1,
@@ -1311,7 +1264,8 @@ mod tests {
             serial(cs, ts, w)
         };
         let outcome =
-            evaluate_checkpointed_in(&store, "b", &configs, &traces, 0, false, counting).unwrap();
+            evaluate_checkpointed_in(&store, "b", &configs, &traces, 0, false, batch(counting))
+                .unwrap();
         assert_eq!(
             evals.load(Ordering::SeqCst),
             1,
@@ -1319,6 +1273,45 @@ mod tests {
         );
         assert!(outcome.is_complete(), "{:?}", outcome.failures);
         assert_eq!(outcome.resumed, configs.len() - 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_unwritable_journal_keeps_the_evaluated_points() {
+        if !Path::new("/dev/full").exists() {
+            eprintln!("skipped: this system has no /dev/full");
+            return;
+        }
+        let dir = temp_dir("dev-full");
+        let store = store_at(&dir);
+        let (configs, traces) = test_grid();
+        let path = journal_path(&dir, "t");
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::os::unix::fs::symlink("/dev/full", &path).unwrap();
+        let evals: Vec<AtomicUsize> = configs.iter().map(|_| AtomicUsize::new(0)).collect();
+        let counting = |cs: &[CacheConfig], ts: &[Trace], w: usize| {
+            for c in cs {
+                let i = configs.iter().position(|x| x == c).unwrap();
+                evals[i].fetch_add(1, Ordering::SeqCst);
+            }
+            serial(cs, ts, w)
+        };
+        let outcome =
+            evaluate_checkpointed_in(&store, "t", &configs, &traces, 0, false, batch(counting))
+                .expect("a failed append after evaluation is not an error");
+        assert!(outcome.is_complete(), "{:?}", outcome.failures);
+        assert_eq!(outcome.points.len(), configs.len());
+        for (c, n) in configs.iter().zip(&evals) {
+            assert_eq!(n.load(Ordering::SeqCst), 1, "{c:?} ran once");
+        }
+        // Nothing reached the disk, so no other journal may borrow it.
+        let fingerprint = trace_fingerprint(&traces);
+        for c in &configs {
+            assert!(store
+                .borrow(point_key(c, fingerprint, 0), "u.jsonl", false)
+                .is_none());
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1358,7 +1351,7 @@ mod tests {
             &traces,
             0,
             false,
-            evaluate_results_sliced,
+            batch(evaluate_results_sliced),
         )
         .expect_err("held lock must fail the run");
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock);

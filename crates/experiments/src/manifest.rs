@@ -166,7 +166,7 @@ pub fn record(dir: &Path, artifact: &str, entries: Vec<ManifestEntry>) -> io::Re
         .collect();
     merged.extend(entries);
     merged.sort_by(|a, b| a.name.cmp(&b.name));
-    crate::report::write_result_in(dir, MANIFEST_FILE, &render(&merged)).map(|_| ())
+    occache_runtime::config::write_result_in(dir, MANIFEST_FILE, &render(&merged)).map(|_| ())
 }
 
 #[cfg(test)]

@@ -1,9 +1,6 @@
 //! Report formatting: paper-style text tables and CSV output.
 
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 use crate::paper::Table7Row;
 use crate::sweep::DesignPoint;
@@ -63,55 +60,6 @@ pub fn points_to_csv(arch_name: &str, points: &[DesignPoint]) -> String {
     out
 }
 
-/// Writes `content` under the workspace `results/` directory (created on
-/// demand), returning the path written.
-///
-/// The write is atomic: content goes to a temporary file in the same
-/// directory, is fsynced, and is renamed over the target. A crash mid-run
-/// therefore leaves either the old artifact or the new one — never a
-/// truncated CSV that looks complete.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from directory creation or the write.
-pub fn write_result(file_name: &str, content: &str) -> io::Result<std::path::PathBuf> {
-    write_result_in(&results_dir(), file_name, content)
-}
-
-/// [`write_result`] with an explicit directory (used by tests and anything
-/// that must not depend on `$OCCACHE_RESULTS`).
-///
-/// # Errors
-///
-/// Propagates filesystem errors from directory creation or the write.
-pub fn write_result_in(
-    dir: &Path,
-    file_name: &str,
-    content: &str,
-) -> io::Result<std::path::PathBuf> {
-    fs::create_dir_all(dir)?;
-    let path = dir.join(file_name);
-    // Same-directory temp name keeps the rename on one filesystem (rename
-    // across mount points is not atomic — or possible — on any platform).
-    let tmp = dir.join(format!(".{file_name}.tmp-{}", std::process::id()));
-    let result = (|| {
-        let mut f = fs::File::create(&tmp)?;
-        io::Write::write_all(&mut f, content.as_bytes())?;
-        f.sync_all()?;
-        fs::rename(&tmp, &path)
-    })();
-    if result.is_err() {
-        // Best-effort cleanup; the original error is what matters.
-        let _ = fs::remove_file(&tmp);
-    }
-    result.map(|()| path)
-}
-
-/// The output directory: `$OCCACHE_RESULTS` or `results/` in the current
-/// working directory. Delegates to [`occache_runtime::config::results_dir`],
-/// the single reader of `OCCACHE_RESULTS`.
-pub use occache_runtime::config::results_dir;
-
 /// Relative error `|measured - reference| / reference`, tolerant of a zero
 /// reference (returns the absolute error then).
 pub fn relative_error(measured: f64, reference: f64) -> f64 {
@@ -166,23 +114,5 @@ mod tests {
     fn relative_error_behaviour() {
         assert!((relative_error(0.11, 0.10) - 0.1).abs() < 1e-9);
         assert_eq!(relative_error(0.05, 0.0), 0.05);
-    }
-
-    #[test]
-    fn atomic_write_replaces_and_leaves_no_temp() {
-        let dir = std::env::temp_dir().join(format!("occache-report-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let path = write_result_in(&dir, "out.csv", "a,b\n1,2\n").unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
-        // Overwrite: new content fully replaces old, no temp file remains.
-        write_result_in(&dir, "out.csv", "new\n").unwrap();
-        assert_eq!(fs::read_to_string(&path).unwrap(), "new\n");
-        let leftovers: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name())
-            .filter(|n| n.to_string_lossy().contains("tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -24,9 +24,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, OnceLock};
 
+use occache_runtime::config::write_result_in;
 use occache_runtime::instrument::Registry;
-
-use crate::report::write_result_in;
 
 /// The report file name under the results directory.
 pub const RUN_REPORT_FILE: &str = "RUN_REPORT.json";

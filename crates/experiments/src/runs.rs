@@ -10,8 +10,8 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use occache_core::{CacheConfig, FetchPolicy, Metrics, ReplacementPolicy};
-use occache_runtime::config::{fresh_requested, results_dir};
-use occache_runtime::executor::{evaluate_metrics, pool_map};
+use occache_runtime::config::{fresh_requested, results_dir, write_result_in};
+use occache_runtime::executor::{evaluate_metrics, failure_note, pool_map, SweepOutcome};
 use occache_runtime::journal::Entry;
 use occache_runtime::keys::{point_key, trace_fingerprint};
 use occache_workloads::{m85_mix, riscii_instruction_workload, Architecture, WorkloadSpec};
@@ -19,10 +19,7 @@ use occache_workloads::{m85_mix, riscii_instruction_workload, Architecture, Work
 use crate::paper;
 use crate::plot::{ScatterPlot, Series};
 use crate::report::{points_to_csv, relative_error, table7_block};
-use crate::sweep::{
-    evaluate_points, materialize, standard_config, table1_pairs, trace_len, DesignPoint,
-    SweepOutcome, Trace,
-};
+use crate::sweep::{materialize, standard_config, table1_pairs, trace_len, DesignPoint, Trace};
 
 /// A regenerated artifact: report text plus named CSV payloads.
 #[derive(Debug, Clone)]
@@ -50,8 +47,9 @@ impl Artifact {
         println!("{}", self.report);
         let (trace_fp, config_fp) = artifact_fingerprints(self.name);
         let mut entries = Vec::new();
+        let dir = results_dir();
         for (file_name, contents) in &self.csv {
-            let path = crate::report::write_result(file_name, contents).map_err(|e| {
+            let path = write_result_in(&dir, file_name, contents).map_err(|e| {
                 std::io::Error::new(e.kind(), format!("failed to write {file_name}: {e}"))
             })?;
             eprintln!("wrote {}", path.display());
@@ -59,7 +57,7 @@ impl Artifact {
                 file_name, contents, self.name, trace_fp, config_fp,
             ));
         }
-        crate::manifest::record(&crate::report::results_dir(), self.name, entries).map_err(|e| {
+        crate::manifest::record(&dir, self.name, entries).map_err(|e| {
             std::io::Error::new(e.kind(), format!("failed to update the manifest: {e}"))
         })
     }
@@ -325,7 +323,7 @@ impl Workbench {
     /// store holds for this trace set and warm-up are recalled
     /// ([`occache_runtime::store::PointStore::recall`]: under `--fresh`
     /// only this run's); the rest go to the sliced worker pool
-    /// ([`evaluate_points`]) in one call and into the store. Either way a
+    /// ([`evaluate_metrics`]) in one call and into the store. Either way a
     /// point is the pool's trace-order mean, the unweighted §3.3 average
     /// the artifacts report, so a recalled point has the bits a fresh
     /// evaluation would.
@@ -352,11 +350,12 @@ impl Workbench {
         }
         crate::run_report::record_unjournalled(missing.len(), points.len());
         if !missing.is_empty() {
-            let computed = evaluate_points(&missing, traces, warmup);
+            let computed = evaluate_metrics(&missing, traces, warmup);
             self.computed += computed.len();
-            for p in computed {
-                store.insert(key(&p.config), Entry::of(&p), None);
-                points.insert(key(&p.config), p);
+            for (&c, per_trace) in missing.iter().zip(&computed) {
+                let p = DesignPoint::from_metrics(c, per_trace);
+                store.insert(key(&c), Entry::of(&p), None);
+                points.insert(key(&c), p);
             }
         }
         items
@@ -564,7 +563,7 @@ pub fn run_figure(bench: &mut Workbench, figure: u8) -> Artifact {
         }
     }
     let _ = writeln!(report, "{}", plot.render());
-    if let Some(note) = crate::sweep::failure_note(&failures) {
+    if let Some(note) = failure_note(&failures) {
         let _ = writeln!(report, "{note}");
     }
     let name: &'static str = match figure {
@@ -729,7 +728,7 @@ pub fn run_table7(bench: &mut Workbench) -> Artifact {
         let points = outcome.points;
         let failures = outcome.failures;
         report.push_str(&table7_block(arch.name(), &points, paper::table7(arch)));
-        if let Some(note) = crate::sweep::failure_note(&failures) {
+        if let Some(note) = failure_note(&failures) {
             report.push_str(&note);
         }
         report.push('\n');

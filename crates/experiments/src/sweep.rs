@@ -5,27 +5,22 @@
 //! The evaluation machinery itself — [`Trace`], [`DesignPoint`], the
 //! direct and one-pass engine paths, the slice planner, fault types and
 //! the one supervised evaluation pool — lives in `occache-runtime`
-//! (shared with the serving layer). The names the experiment binary,
-//! the CLI and the checkpoint layer call are re-exported here, so a
-//! sweep needs one import path: [`evaluate_point`] for one design
-//! point, [`evaluate_points`] for a complete grid, and
-//! [`evaluate_results_sliced`] for per-point results, which collect
-//! into a [`SweepOutcome`]. This module adds only what needs the workload crate:
-//! turning [`WorkloadSpec`]s into traces and building the paper's
-//! standard configurations.
+//! (shared with the serving layer), and callers import it from there.
+//! This module adds only what needs the workload crate: turning
+//! [`WorkloadSpec`]s into traces and building the paper's standard
+//! configurations.
 
 use occache_core::CacheConfig;
 use occache_runtime::config::replacement_override;
 use occache_runtime::executor::pool_map;
 use occache_workloads::{Architecture, WorkloadSpec};
 
+// The names perfbench imports through this path; ROADMAP item 1 moves
+// those imports to `occache_runtime` and this block goes.
 pub use occache_runtime::eval::{
-    evaluate_point, plan_units, DesignPoint, PointError, PointFault, SweepUnit, Trace,
+    evaluate_point, plan_units, DesignPoint, PointError, SweepUnit, Trace,
 };
-pub use occache_runtime::executor::{
-    evaluate_points, evaluate_results_sliced, failure_note, SweepOutcome,
-};
-pub use occache_runtime::journal::JournalHealth;
+pub use occache_runtime::executor::evaluate_results_sliced;
 
 /// Generates `len` references for each spec (seed 0, the canonical
 /// trace), one spec per [`pool_map`] item, and returns the traces in spec
@@ -104,7 +99,8 @@ mod tests {
     use occache_runtime::config::DisabledEngines;
     use occache_runtime::eval::plan_units_disabling;
     use occache_runtime::executor::{
-        evaluate_results_supervised_with, FaultPlan, SupervisorPolicy,
+        evaluate_metrics, evaluate_results_supervised_with, FaultPlan, SupervisorPolicy,
+        SweepOutcome,
     };
     use std::time::Duration;
 
@@ -228,8 +224,9 @@ mod tests {
             .into_iter()
             .map(|(b, s)| standard_config(Architecture::Pdp11, 64, b, s))
             .collect();
-        let parallel = evaluate_points(&configs, &traces, 0);
-        for (cfg, p) in configs.iter().zip(&parallel) {
+        let parallel = evaluate_metrics(&configs, &traces, 0);
+        for (cfg, per_trace) in configs.iter().zip(&parallel) {
+            let p = DesignPoint::from_metrics(*cfg, per_trace);
             let serial = evaluate_point(*cfg, &traces, 0);
             assert_eq!(serial.miss_ratio, p.miss_ratio);
         }

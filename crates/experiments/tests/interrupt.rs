@@ -1,9 +1,8 @@
 //! Interrupt containment for the pooled unjournalled artifacts: a
 //! runner that is already running when SIGINT arrives must still finish
 //! its artifact, byte for byte. The pool skips the configs it has not
-//! claimed once the interrupt flag is up, and `evaluate_points` and
-//! `evaluate_metrics` then evaluate those on the direct path instead of
-//! failing the grid.
+//! claimed once the interrupt flag is up, and `evaluate_metrics` then
+//! evaluates those on the direct path instead of failing the grid.
 //!
 //! One `#[test]` only, in a file of its own: the interrupt flag is
 //! process-global, and raising it would stop any sibling test's sweep.
@@ -14,8 +13,9 @@ use occache_runtime::interrupt;
 
 #[test]
 fn interrupted_runners_match_an_uninterrupted_run() {
-    // `run_ablations` averages through `evaluate_points`; `run_writes`
-    // and `run_table6` read per-trace rows from `evaluate_metrics`.
+    // `run_ablations` averages `evaluate_metrics` rows through
+    // `Workbench::evaluate_each`; `run_writes` and `run_table6` read the
+    // per-trace rows themselves.
     let runners: [fn(&mut Workbench) -> Artifact; 3] = [run_ablations, run_writes, run_table6];
     interrupt::clear();
     let mut bench = Workbench::new(3_000);

@@ -11,15 +11,17 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use occache_core::CacheConfig;
-use occache_experiments::checkpoint::evaluate_checkpointed_in;
+use occache_experiments::checkpoint::{evaluate_checkpointed_in, JournalSink};
 use occache_experiments::manifest::{self, ManifestEntry};
-use occache_experiments::report::{points_to_csv, write_result_in};
+use occache_experiments::report::points_to_csv;
 use occache_experiments::sweep::{
-    evaluate_results_sliced, materialize, standard_config, table1_pairs, PointError, PointFault,
-    Trace,
+    evaluate_results_sliced, materialize, standard_config, table1_pairs, Trace,
 };
 use occache_experiments::verify::{verify_dir, VerifyOptions};
+use occache_runtime::config::write_result_in;
+use occache_runtime::eval::{DesignPoint, PointError, PointFault};
 use occache_runtime::executor::{evaluate_results_supervised_with, FaultPlan, SupervisorPolicy};
+use occache_runtime::progress::ProgressWriter;
 use occache_runtime::store::PointStore;
 use occache_trace::fault::{FaultMode, FaultyReader};
 use occache_trace::io::{parse_trace, write_trace, ParseTraceError};
@@ -36,6 +38,23 @@ fn temp_dir(tag: &str) -> PathBuf {
 /// checkpointed run below models one process.
 fn store_at(dir: &Path) -> PointStore {
     PointStore::load(dir, usize::MAX)
+}
+
+/// One result per pending config, in order.
+type Results = Vec<Result<DesignPoint, PointError>>;
+
+/// Runs a batch evaluation, then journals each result in pending
+/// order: the shape the fault-injecting closures below take.
+fn batch(
+    eval: impl FnOnce(&[CacheConfig], &[Trace], usize) -> Results,
+) -> impl FnOnce(&[CacheConfig], &[Trace], usize, &JournalSink, &ProgressWriter) -> Results {
+    move |cs, ts, w, sink, _| {
+        let results = eval(cs, ts, w);
+        for (i, r) in results.iter().enumerate() {
+            sink(i, r);
+        }
+        results
+    }
 }
 
 fn grid() -> (Vec<CacheConfig>, Vec<Trace>) {
@@ -70,7 +89,7 @@ fn kill_and_resume_matches_clean_run() {
         &traces,
         0,
         false,
-        evaluate_results_sliced,
+        batch(evaluate_results_sliced),
     )
     .unwrap();
     assert_eq!(partial.points.len(), k);
@@ -92,7 +111,7 @@ fn kill_and_resume_matches_clean_run() {
         &traces,
         0,
         false,
-        counting_eval,
+        batch(counting_eval),
     )
     .unwrap();
     fresh_evals += fresh_counter.load(std::sync::atomic::Ordering::SeqCst);
@@ -109,7 +128,7 @@ fn kill_and_resume_matches_clean_run() {
         &traces,
         0,
         false,
-        evaluate_results_sliced,
+        batch(evaluate_results_sliced),
     )
     .unwrap();
     assert_eq!(resumed.points.len(), clean.points.len());
@@ -171,7 +190,7 @@ fn faulty_sweep_completes_reports_and_resumes() {
         &survivors,
         0,
         false,
-        faulty_eval,
+        batch(faulty_eval),
     )
     .unwrap();
     assert_eq!(outcome.points.len(), configs.len() - 1);
@@ -217,7 +236,7 @@ fn faulty_sweep_completes_reports_and_resumes() {
         &survivors,
         0,
         false,
-        retry_eval,
+        batch(retry_eval),
     )
     .unwrap();
     assert_eq!(second.resumed, configs.len() - 1);
@@ -259,7 +278,7 @@ fn hung_point_times_out_twice_then_quarantines() {
             &traces,
             0,
             false,
-            supervised,
+            batch(supervised),
         )
         .unwrap();
         assert_eq!(outcome.points.len(), configs.len() - 1, "run {run}");
@@ -294,7 +313,7 @@ fn hung_point_times_out_twice_then_quarantines() {
         &traces,
         0,
         false,
-        must_not_run,
+        batch(must_not_run),
     )
     .unwrap();
     assert_eq!(third.quarantined(), 1);
@@ -312,7 +331,7 @@ fn hung_point_times_out_twice_then_quarantines() {
         &traces,
         0,
         true,
-        evaluate_results_sliced,
+        batch(evaluate_results_sliced),
     )
     .unwrap();
     assert!(fourth.is_complete(), "{:?}", fourth.failure_note());
@@ -348,7 +367,7 @@ fn transient_panic_is_retried_within_a_single_run() {
         &traces,
         0,
         false,
-        supervised,
+        batch(supervised),
     )
     .unwrap();
     assert!(outcome.is_complete(), "{:?}", outcome.failure_note());
@@ -365,7 +384,7 @@ fn transient_panic_is_retried_within_a_single_run() {
         &traces,
         0,
         false,
-        nothing_pending,
+        batch(nothing_pending),
     )
     .unwrap();
     assert_eq!(resumed.resumed, configs.len());
@@ -386,7 +405,7 @@ fn verify_catches_a_single_flipped_byte_anywhere() {
         &traces,
         0,
         false,
-        evaluate_results_sliced,
+        batch(evaluate_results_sliced),
     )
     .unwrap();
     let csv = points_to_csv("PDP-11", &outcome.points);

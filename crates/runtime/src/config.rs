@@ -32,7 +32,9 @@
 //! | `OCCACHE_ROUTE_ADDR` | `RouterConfig::try_from_env` | `127.0.0.1:7806` |
 //! | `OCCACHE_GOLDEN_REGEN` | the golden tests only | unset |
 
-use std::path::PathBuf;
+use std::fs;
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 /// Parses a non-negative-integer env var strictly: absent → `default`,
@@ -245,6 +247,36 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
+/// Writes `content` to `dir/file_name` atomically, creating `dir` on
+/// demand, and returns the path written: the bytes go to a temporary
+/// file in the same directory, are fsynced, and are renamed over the
+/// target, so a crash leaves the old file or the new one, never a
+/// truncated one. On failure the temporary file is removed. Results
+/// CSVs, manifests, run reports, the progress feed and compacted
+/// journals are all written this way.
+///
+/// # Errors
+///
+/// Propagates filesystem errors from directory creation or the write.
+pub fn write_result_in(dir: &Path, file_name: &str, content: &str) -> io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(file_name);
+    // Same-directory temp name keeps the rename on one filesystem (rename
+    // across mount points is not atomic — or possible — on any platform).
+    let tmp = dir.join(format!(".{file_name}.tmp-{}", std::process::id()));
+    let result = (|| {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(content.as_bytes())?;
+        f.sync_all()?;
+        fs::rename(&tmp, &path)
+    })();
+    if result.is_err() {
+        // Best-effort cleanup; the original error is what matters.
+        let _ = fs::remove_file(&tmp);
+    }
+    result.map(|()| path)
+}
+
 /// Parses `OCCACHE_POINT_TIMEOUT`: seconds as a float, with `0`, `off`
 /// or the empty string disabling the deadline.
 ///
@@ -368,6 +400,28 @@ pub fn check_batch_env() -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn atomic_write_replaces_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("occache-atomic-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let path = write_result_in(&dir, "out.csv", "a,b\n1,2\n").unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
+        // Overwrite: new content fully replaces old, no temp file remains.
+        write_result_in(&dir, "out.csv", "new\n").unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "new\n");
+        // A failed rename (the target is a non-empty directory) removes
+        // its temp file too.
+        fs::create_dir_all(dir.join("taken").join("inside")).unwrap();
+        assert!(write_result_in(&dir, "taken", "lost\n").is_err());
+        let leftovers: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|n| n.to_string_lossy().contains("tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn env_parsing_is_strict_on_malformed_values() {

@@ -6,8 +6,8 @@
 //! [`Metrics`]; [`evaluate_results_supervised_with`] averages them with
 //! [`DesignPoint::from_metrics`], and [`evaluate_metrics`] returns them
 //! as they are. Batch sweeps hand the pool a static grid through those
-//! two calls (or the thin [`evaluate_results_sliced`] and
-//! [`evaluate_points`]); the serving layer's live queue
+//! two calls (or the thin [`evaluate_results_sliced`]); the serving
+//! layer's live queue
 //! ([`crate::queue`]) coalesces submissions into grids and runs them
 //! through the same pool. Per-trace work that is not a cache simulation
 //! runs on [`pool_map`], at the same width.
@@ -694,26 +694,6 @@ pub fn failure_note(failures: &[PointError]) -> Option<String> {
         let _ = writeln!(note, "  FAILED {f}");
     }
     Some(note)
-}
-
-/// Evaluates many configurations on the pool and returns one point per
-/// config in input order: the [`evaluate_metrics`] rows, each averaged
-/// by [`DesignPoint::from_metrics`].
-///
-/// # Panics
-///
-/// As [`evaluate_metrics`]. Use [`evaluate_results_sliced`] to get
-/// partial results instead.
-pub fn evaluate_points(
-    configs: &[CacheConfig],
-    traces: &[Trace],
-    warmup: usize,
-) -> Vec<DesignPoint> {
-    configs
-        .iter()
-        .zip(evaluate_metrics(configs, traces, warmup))
-        .map(|(&config, per_trace)| DesignPoint::from_metrics(config, &per_trace))
-        .collect()
 }
 
 /// Every configuration's per-trace [`Metrics`], `result[config][trace]`,

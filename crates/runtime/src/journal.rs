@@ -1,33 +1,40 @@
-//! The checkpoint-journal record format and read-side scan.
+//! The checkpoint journal: its record format, its read-side scan, its
+//! compaction and its one writer.
 //!
 //! A journal is an append-only file of sealed JSON lines, one per
 //! completed (or failed) design point, keyed by
 //! [`crate::keys::point_key`]. Since format v2 every record carries a
 //! schema-version field and an FNV-1a checksum over its payload, so
 //! corruption is *detected* rather than silently mis-parsed. This module
-//! owns what both front-ends need — the codec ([`seal`], [`parse_line`])
-//! and the non-mutating [`scan_journal`]. A batch sweep resumes from its
-//! own journal's scan; every journal of a results directory is read once
-//! into the [`crate::store::PointStore`] that both front-ends consult.
-//! The write-side orchestration (advisory locking, atomic compaction,
-//! the single-writer append thread, quarantine policy) stays in
-//! `occache-experiments::checkpoint`, which owns the journal's
-//! lifecycle.
+//! owns what both front-ends need: the codec ([`seal`], [`parse_line`]),
+//! the non-mutating [`scan_journal`], the atomic [`compact_journal`],
+//! and the [`Appender`], the only writer of sealed lines, which the
+//! batch checkpoint layer and `occache-serve` both append through. A
+//! batch sweep resumes from its own journal's scan; every journal of a
+//! results directory is read once into the [`crate::store::PointStore`]
+//! that both front-ends consult. The batch policy around these pieces
+//! (advisory locking, when to compact, quarantine) stays in
+//! `occache-experiments::checkpoint`.
 //!
 //! Record format (v2): `{<body>,"sum":"<fnv1a(body) as 016x>"}` where
 //! `<body>` is either a point record
 //! `"v":2,"key":"<016x>","miss":M,"traffic":T,"nibble":N,"redundant":R`
 //! or a failure tombstone `"v":2,"key":"<016x>","fail":COUNT`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs;
-use std::io;
+use std::io::{self, Read as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use occache_core::CacheConfig;
 
+use crate::config::write_result_in;
 use crate::eval::DesignPoint;
 use crate::fmt::fmt_f64_exact;
+use crate::instrument::Counter;
 use crate::keys::fnv1a;
 
 /// The journal schema version this build reads and writes. Records with
@@ -342,17 +349,22 @@ impl JournalScan {
 /// special-cased: if it has no terminating newline but still parses, the
 /// record is kept (only the newline is missing); if it does not parse it
 /// is a torn tail from a crashed append, counted in bytes rather than as
-/// a bad line.
+/// a bad line. The read stops at the length the file had when opened, so
+/// a journal path that names a device (`/dev/full`, `/dev/zero`) scans
+/// as empty instead of reading forever.
 ///
 /// # Errors
 ///
 /// Propagates I/O errors other than a missing file.
 pub fn scan_journal(path: &Path) -> io::Result<JournalScan> {
-    let bytes = match fs::read(path) {
-        Ok(b) => b,
+    let file = match fs::File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(JournalScan::default()),
         Err(e) => return Err(e),
     };
+    let len = file.metadata()?.len();
+    let mut bytes = Vec::new();
+    file.take(len).read_to_end(&mut bytes)?;
     let mut scan = JournalScan::default();
     let mut line_no = 0usize;
     let mut rest: &[u8] = &bytes;
@@ -400,9 +412,295 @@ pub fn scan_journal(path: &Path) -> io::Result<JournalScan> {
     Ok(scan)
 }
 
+/// Atomically rewrites a journal from a scan's intact records: canonical
+/// sealed lines, points first (sorted by key), then one aggregated
+/// tombstone per still-failing key. Tombstones for keys that later
+/// succeeded are dropped: success clears the tally. Returns the scan of
+/// the rewritten file, which needs no repair.
+///
+/// # Errors
+///
+/// Propagates the atomic write's I/O errors.
+pub fn compact_journal(path: &Path, scan: JournalScan) -> io::Result<JournalScan> {
+    let dir = path.parent().unwrap_or_else(|| Path::new("."));
+    let name = path
+        .file_name()
+        .and_then(|n| n.to_str())
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "journal path has no name"))?;
+    let JournalScan {
+        points, mut fails, ..
+    } = scan;
+    fails.retain(|key, _| !points.contains_key(key));
+    let mut keys: Vec<u64> = points.keys().copied().collect();
+    let mut fail_keys: Vec<u64> = fails.keys().copied().collect();
+    keys.sort_unstable();
+    fail_keys.sort_unstable();
+    let bodies = (keys.iter().map(|k| point_body(*k, &points[k])))
+        .chain(fail_keys.iter().map(|k| tombstone_body(*k, fails[k])));
+    let content: String = bodies.map(|body| seal(&body) + "\n").collect();
+    write_result_in(dir, name, &content)?;
+    Ok(JournalScan {
+        points,
+        fails,
+        ..JournalScan::default()
+    })
+}
+
+/// What the journal writer thread is asked to do.
+#[derive(Debug)]
+enum Op {
+    Append(Record),
+    /// Fsync what is written so far and reply with the first I/O error.
+    Sync(Sender<io::Result<()>>),
+}
+
+/// The only writer of sealed journal lines, for batch sweeps and
+/// `occache-serve` alike. One `occache-journal` thread owns the file and
+/// drains a channel, so lines from many threads never interleave and
+/// [`Appender::append`] never waits on the disk. The writer skips
+/// non-finite points and point keys already on disk or already written;
+/// tombstones always land, each being a failure to tally. It bumps the
+/// caller's counter per line written. After a write error it forgets
+/// that point's key, so a recompute may try again, and carries on;
+/// [`Appender::sync`] and [`Appender::close`] report the first error.
+/// Dropping an appender closes it and ignores the error.
+#[derive(Debug)]
+pub struct Appender {
+    tx: Option<Sender<Op>>,
+    writer: Option<JoinHandle<io::Result<()>>>,
+}
+
+impl Appender {
+    /// Opens `<dir>/.checkpoint/<artifact>.jsonl` for append, creating
+    /// both as needed, and starts the writer thread. `on_disk` is the
+    /// caller's scan of the file as it stands ([`JournalScan::default`]
+    /// for one not written yet): its points seed the on-disk keys, and a
+    /// torn tail or missing final newline is fenced off with a newline
+    /// so the first append starts a fresh record. `appended` counts the
+    /// lines written.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors creating the directory, opening the file or
+    /// fencing its tail, and a failure to spawn the thread.
+    pub fn open(
+        dir: &Path,
+        artifact: &str,
+        on_disk: &JournalScan,
+        appended: Arc<Counter>,
+    ) -> io::Result<Appender> {
+        let path = journal_path(dir, artifact);
+        if let Some(parent) = path.parent() {
+            fs::create_dir_all(parent)?;
+        }
+        let mut file = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)?;
+        if on_disk.torn_tail_bytes > 0 || on_disk.missing_final_newline {
+            file.write_all(b"\n")?;
+        }
+        let mut written: HashSet<u64> = on_disk.points.keys().copied().collect();
+        let (tx, rx) = channel::<Op>();
+        let writer = std::thread::Builder::new()
+            .name("occache-journal".to_string())
+            .spawn(move || -> io::Result<()> {
+                let mut first_error: Option<io::Error> = None;
+                for op in rx {
+                    let record = match op {
+                        Op::Append(record) => record,
+                        Op::Sync(reply) => {
+                            let _ = reply.send(match &first_error {
+                                Some(e) => Err(io::Error::new(e.kind(), e.to_string())),
+                                None => file.sync_all(),
+                            });
+                            continue;
+                        }
+                    };
+                    let body = match record {
+                        Record::Point(key, entry) => {
+                            if entry.non_finite_field().is_some() || !written.insert(key) {
+                                continue;
+                            }
+                            point_body(key, &entry)
+                        }
+                        Record::Tombstone(key, count) => tombstone_body(key, count),
+                    };
+                    match file.write_all((seal(&body) + "\n").as_bytes()) {
+                        Ok(()) => appended.bump(),
+                        Err(e) => {
+                            if let Record::Point(key, _) = record {
+                                written.remove(&key);
+                            }
+                            first_error.get_or_insert(e);
+                        }
+                    }
+                }
+                let synced = file.sync_all();
+                first_error.map_or(synced, Err)
+            })?;
+        Ok(Appender {
+            tx: Some(tx),
+            writer: Some(writer),
+        })
+    }
+
+    /// Queues one record for the writer. Never blocks the caller.
+    pub fn append(&self, record: Record) {
+        if let Some(tx) = &self.tx {
+            let _ = tx.send(Op::Append(record));
+        }
+    }
+
+    /// Waits until every record queued so far is written and fsynced.
+    ///
+    /// # Errors
+    ///
+    /// The first write error so far, else the fsync's.
+    pub fn sync(&self) -> io::Result<()> {
+        let (reply, answer) = channel();
+        if let Some(tx) = &self.tx {
+            let _ = tx.send(Op::Sync(reply));
+        }
+        answer
+            .recv()
+            .unwrap_or_else(|_| Err(io::Error::other("the journal writer has stopped")))
+    }
+
+    /// Writes every queued record, fsyncs and stops the writer.
+    ///
+    /// # Errors
+    ///
+    /// The first write error, else the final fsync's; a panic of the
+    /// writer thread is reported as an error too.
+    pub fn close(mut self) -> io::Result<()> {
+        self.finish()
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        drop(self.tx.take());
+        let Some(writer) = self.writer.take() else {
+            return Ok(());
+        };
+        writer.join().unwrap_or_else(|payload| {
+            Err(io::Error::other(format!(
+                "journal writer thread panicked: {}",
+                crate::eval::panic_message(payload)
+            )))
+        })
+    }
+}
+
+impl Drop for Appender {
+    fn drop(&mut self) {
+        let _ = self.finish();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn entry(seed: f64) -> Entry {
+        Entry {
+            miss: seed,
+            traffic: seed * 2.0,
+            nibble: seed / 3.0,
+            redundant: 0.0,
+        }
+    }
+
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("occache-journal-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn appender_skips_known_points_and_recovers_across_reopen() {
+        let dir = temp_dir("appender");
+        let appended = Arc::new(Counter::default());
+        let path = journal_path(&dir, "serve");
+        let scan = scan_journal(&path).unwrap();
+        let journal = Appender::open(&dir, "serve", &scan, Arc::clone(&appended)).unwrap();
+        journal.append(Record::Point(1, entry(0.25)));
+        journal.append(Record::Point(2, entry(0.5)));
+        journal.append(Record::Point(1, entry(0.25))); // already written
+        journal.append(Record::Point(4, entry(f64::NAN))); // never journalled
+        journal.append(Record::Tombstone(5, 1));
+        journal.append(Record::Tombstone(5, 1)); // every failure tallies
+        journal.sync().unwrap();
+        assert_eq!(
+            scan_journal(&path).unwrap().points.len(),
+            2,
+            "synced lines are on disk"
+        );
+        journal.close().unwrap();
+        assert_eq!(appended.get(), 4, "the counter sees written lines only");
+
+        // A crash mid-append: a torn trailing record.
+        let mut file = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        file.write_all(b"{\"v\":2,\"key\":\"00000000000").unwrap();
+        drop(file);
+
+        let scan = scan_journal(&path).unwrap();
+        assert!(scan.torn_tail_bytes > 0);
+        let journal = Appender::open(&dir, "serve", &scan, Arc::clone(&appended)).unwrap();
+        // Keys already on disk are not appended again; appends after the
+        // fenced-off torn tail still parse.
+        journal.append(Record::Point(2, entry(0.5)));
+        journal.append(Record::Point(3, entry(0.75)));
+        drop(journal);
+        assert_eq!(appended.get(), 5);
+        let scan = scan_journal(&path).unwrap();
+        let mut keys: Vec<u64> = scan.points.keys().copied().collect();
+        keys.sort_unstable();
+        assert_eq!(keys, [1, 2, 3], "intact records survive the torn tail");
+        assert_eq!(scan.fails[&5], 2);
+        assert_eq!(scan.issues.len(), 1, "the torn record alone is lost");
+        assert_eq!(
+            scan.points[&1].miss.to_bits(),
+            0.25f64.to_bits(),
+            "bit-identical restore"
+        );
+        // Compaction drops the torn record and leaves a pristine journal.
+        let compacted = compact_journal(&path, scan).unwrap();
+        assert!(!compacted.needs_repair());
+        let rescan = scan_journal(&path).unwrap();
+        assert!(!rescan.needs_repair(), "{rescan:?}");
+        assert_eq!(rescan.points, compacted.points);
+        assert_eq!(rescan.fails, compacted.fails);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn appender_reports_the_first_write_error_and_counts_nothing() {
+        if !Path::new("/dev/full").exists() {
+            eprintln!("skipped: this system has no /dev/full");
+            return;
+        }
+        let dir = temp_dir("full");
+        let path = journal_path(&dir, "t");
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::os::unix::fs::symlink("/dev/full", &path).unwrap();
+        let scan = scan_journal(&path).unwrap();
+        assert!(
+            scan.points.is_empty() && !scan.needs_repair(),
+            "a device scans as empty"
+        );
+        let appended = Arc::new(Counter::default());
+        let journal = Appender::open(&dir, "t", &scan, Arc::clone(&appended)).unwrap();
+        journal.append(Record::Point(1, entry(0.25)));
+        journal.append(Record::Tombstone(2, 1));
+        assert!(journal.sync().is_err(), "sync reports the failed write");
+        journal.append(Record::Point(1, entry(0.25)));
+        let err = journal.close().expect_err("close reports the failed write");
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull, "{err}");
+        assert_eq!(appended.get(), 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn sealed_records_round_trip_through_the_parser() {

@@ -24,13 +24,14 @@
 //!   the same instruments as Prometheus text (`/metrics`) or greppable
 //!   line-oriented JSON (`RUN_REPORT.json` totals).
 //! * [`config`] — every `OCCACHE_*` environment variable, parsed in one
-//!   place with strict error behavior.
+//!   place with strict error behavior, and the one atomic file write
+//!   ([`config::write_result_in`]).
 //! * [`keys`] — content addressing: FNV-1a, trace/config fingerprints,
 //!   and the journal/cache point key.
 //! * [`journal`] — the checkpoint journal record format (sealed,
-//!   checksummed lines) and the read-side scan; the write-side
-//!   orchestration (locking, compaction, resume) stays in
-//!   `occache-experiments::checkpoint`.
+//!   checksummed lines), the read-side scan, compaction, and the one
+//!   appender both front-ends write through; the batch policy (locking,
+//!   resume, quarantine) stays in `occache-experiments::checkpoint`.
 //! * [`store`] — the point store: every computed point by point key,
 //!   loaded once from a results directory's journals, which the
 //!   checkpointed sweep, the batch `Workbench` and serve all consult.

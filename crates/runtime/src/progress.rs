@@ -24,12 +24,12 @@
 //! ephemeral per phase, so no migration is needed.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::config::write_result_in;
 use crate::keys::fnv1a;
 
 /// The progress file name under a results directory's `.checkpoint/`.
@@ -201,20 +201,6 @@ pub fn read_progress(path: &Path) -> Option<ProgressSnapshot> {
     parse_progress(&String::from_utf8_lossy(&bytes))
 }
 
-/// Atomically replaces `path` with `content`: same-directory temp file,
-/// fsync, rename — a reader sees the old bytes or the new, never a mix.
-fn write_atomic(path: &Path, content: &str) -> std::io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    fs::create_dir_all(dir)?;
-    let tmp = dir.join(format!(".{PROGRESS_FILE}.tmp-{}", std::process::id()));
-    {
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(content.as_bytes())?;
-        f.sync_all()?;
-    }
-    fs::rename(&tmp, path)
-}
-
 /// The emitter side of the progress feed: created at phase start, fed a
 /// completion event per finished point (from any worker thread), and
 /// sealed exactly once at phase end. Flushes the snapshot to disk every
@@ -286,7 +272,8 @@ impl ProgressWriter {
             state.elapsed_ms = self.started.elapsed().as_millis();
             state.render()
         };
-        if let Err(e) = write_atomic(&self.path, &content) {
+        let dir = self.path.parent().unwrap_or_else(|| Path::new("."));
+        if let Err(e) = write_result_in(dir, PROGRESS_FILE, &content) {
             if !self.broken.swap(true, Ordering::Relaxed) {
                 eprintln!(
                     "warning: progress feed {} unavailable ({e}); continuing without",

@@ -24,7 +24,6 @@
 //!   (`OCCACHE_SERVE_FAULT`).
 //! * [`breaker`] — the per-point-key circuit breaker mirroring the
 //!   journal quarantine policy.
-//! * [`persist`] — the write-behind result journal (crash recovery).
 //! * [`peer`] — the cluster peer table: health probes, per-peer circuit
 //!   breakers, and the deadline-bounded peer HTTP client.
 //! * [`router`] — rendezvous-hash request routing and the thin
@@ -40,6 +39,5 @@ pub mod http;
 pub mod json;
 pub mod metrics;
 pub mod peer;
-pub mod persist;
 pub mod router;
 pub mod service;

@@ -21,10 +21,12 @@
 //! control sheds bulk (grid) work at half the queue capacity and
 //! interactive points only when it is full, with a queue-depth-derived
 //! `Retry-After`; a per-point circuit breaker ([`crate::breaker`])
-//! quarantines keys that keep failing; computed points stream to a
-//! write-behind journal ([`crate::persist`]) so a crashed-and-restarted
-//! server answers them from disk bit-identically (with any batch
-//! journal in the same directory); and every error is a
+//! quarantines keys that keep failing; with `OCCACHE_SERVE_JOURNAL`
+//! set, computed points go write-behind, through the journal
+//! [`Appender`] the batch checkpoint layer uses too, to
+//! `<dir>/.checkpoint/serve.jsonl`, so a
+//! crashed-and-restarted server answers them from disk bit-identically
+//! (with any batch journal in the same directory); and every error is a
 //! structured [`ErrorBody`] with fault attribution.
 //!
 //! Shutdown: the listener watches both [`Server::stop`] and the
@@ -46,7 +48,7 @@ use occache_runtime::config::env_usize;
 use occache_runtime::eval::{PointError, PointFault};
 use occache_runtime::executor::SupervisorPolicy;
 use occache_runtime::fmt::fmt_f64_exact;
-use occache_runtime::journal::{Entry, JournalScan};
+use occache_runtime::journal::{journal_path, Appender, Entry, JournalScan, Record};
 use occache_runtime::keys::{point_key, trace_fingerprint};
 use occache_runtime::store::PointStore;
 use occache_workloads::WorkloadSpec;
@@ -57,9 +59,12 @@ use crate::http::{Handler, Listener, Reply, Request, CONN_TIMEOUT};
 use crate::json::{escape, ErrorBody, Json};
 use crate::metrics::{Counters, Gauges, PeerStats};
 use crate::peer::{PeerPolicy, PeerSet};
-use crate::persist::WriteBehind;
 use crate::router::{ranked, render_peer_request, route_key};
 use occache_runtime::queue::{Job, Priority, Scheduler, SubmitError, TraceSet};
+
+/// The journal artifact the serving layer appends to (batch sweeps use
+/// their experiment names).
+const JOURNAL: &str = "serve";
 
 /// Bounded scheduler queue capacity.
 const QUEUE_CAPACITY: usize = 256;
@@ -192,7 +197,7 @@ pub struct Service {
     default_refs: usize,
     started: Instant,
     breaker: Breaker,
-    persist: Option<WriteBehind>,
+    journal: Option<Appender>,
     peers: Option<Arc<PeerSet>>,
     fault: Option<Arc<ServeFault>>,
     draining: AtomicBool,
@@ -203,18 +208,20 @@ impl Service {
     /// Builds the service: starts the worker pool, loads its point store
     /// from every journal in its `.checkpoint/` directory — the
     /// service's own (crash recovery) and any batch sweep's — and opens
-    /// the write-behind journal from that same read of its own.
+    /// its journal's appender from that same read of its own: the keys
+    /// already on disk are not appended again, even ones the bounded
+    /// store evicted at load.
     pub fn new(config: &ServiceConfig) -> Service {
         let mut policy = config.policy.clone();
         if let Some(plan) = config.fault.as_ref().and_then(|f| f.worker_fault()) {
             policy.fault = plan;
         }
         let counters = Counters::default();
-        let mut persist = None;
+        let mut journal = None;
         let mut cache = PointStore::new(config.cache_capacity);
         if let Some(dir) = &config.journal_dir {
             let dir_path = std::path::Path::new(dir);
-            let own = format!("{}.jsonl", crate::persist::ARTIFACT);
+            let own = format!("{JOURNAL}.jsonl");
             let mut on_disk = JournalScan::default();
             cache = PointStore::load_with(dir_path, config.cache_capacity, |name, scan| {
                 if name == own {
@@ -225,8 +232,17 @@ impl Service {
                 let n = cache.len();
                 eprintln!("crash recovery: {n} point(s) restored from {dir}/.checkpoint");
             }
-            match WriteBehind::open(dir_path, &on_disk, Arc::clone(&counters.journal_appends)) {
-                Ok(wb) => persist = Some(wb),
+            if on_disk.needs_repair() {
+                eprintln!(
+                    "serve journal {}: {} bad line(s), {} torn tail byte(s) — skipped",
+                    journal_path(dir_path, JOURNAL).display(),
+                    on_disk.issues.len(),
+                    on_disk.torn_tail_bytes,
+                );
+            }
+            let appended = Arc::clone(&counters.journal_appends);
+            match Appender::open(dir_path, JOURNAL, &on_disk, appended) {
+                Ok(appender) => journal = Some(appender),
                 Err(e) => {
                     eprintln!("write-behind journal in {dir} unavailable ({e}); serving without");
                 }
@@ -246,7 +262,7 @@ impl Service {
             default_refs: config.default_refs,
             started: Instant::now(),
             breaker: Breaker::new(config.breaker_threshold),
-            persist,
+            journal,
             peers: config.peers.clone().map(|peers| {
                 PeerSet::start(
                     peers,
@@ -359,8 +375,8 @@ impl Service {
     fn commit_point(&self, key: u64, entry: Entry) {
         self.cache.insert(key, entry, None);
         self.counters.points_computed.bump();
-        if let Some(persist) = &self.persist {
-            persist.record(key, entry);
+        if let Some(journal) = &self.journal {
+            journal.append(Record::Point(key, entry));
         }
         self.breaker.record_success(key);
     }
@@ -459,8 +475,8 @@ impl Service {
             if self.cache.insert(key, entry, None) {
                 filled += 1;
                 self.counters.peer_fill_points.bump();
-                if let Some(persist) = &self.persist {
-                    persist.record(key, entry);
+                if let Some(journal) = &self.journal {
+                    journal.append(Record::Point(key, entry));
                 }
             }
         }

@@ -12,9 +12,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use occache_core::CacheConfig;
-use occache_experiments::checkpoint::evaluate_checkpointed_in;
+use occache_experiments::checkpoint::{evaluate_checkpointed_in, JournalSink};
 use occache_experiments::runs::{journalled_grid, Workbench};
-use occache_experiments::sweep::{evaluate_point, evaluate_results_sliced, materialize};
+use occache_experiments::sweep::{evaluate_point, materialize, Trace};
+use occache_runtime::executor::{evaluate_results_supervised_with, SupervisorPolicy};
+use occache_runtime::progress::ProgressWriter;
 use occache_runtime::store::PointStore;
 use occache_serve::fault::ServeFault;
 use occache_serve::http::CONN_TIMEOUT;
@@ -539,7 +541,10 @@ fn a_batch_table7_journal_is_served_without_recomputing() {
         &pdp11.traces,
         pdp11.warmup,
         true,
-        evaluate_results_sliced,
+        |cs: &[CacheConfig], ts: &[Trace], w: usize, sink: &JournalSink, _: &ProgressWriter| {
+            let policy = SupervisorPolicy::disabled();
+            evaluate_results_supervised_with(&policy, cs, ts, w, None, |i, r| sink(i, r)).0
+        },
     )
     .expect("seal the table7 journal");
     assert_eq!(sealed.points.len(), pdp11.configs.len());
@@ -635,6 +640,41 @@ fn journal_appends_count_lines_written_not_points_queued() {
     );
     let lines = std::fs::read_to_string(&journal).expect("serve journal");
     assert_eq!(lines.lines().count(), 3, "{lines}");
+    server.stop().expect("clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[cfg(unix)]
+#[test]
+fn a_journal_that_fails_its_writes_does_not_stop_the_node() {
+    if !std::path::Path::new("/dev/full").exists() {
+        eprintln!("skipped: this system has no /dev/full");
+        return;
+    }
+    let dir = std::env::temp_dir().join(format!("occache-serve-full-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join(".checkpoint")).unwrap();
+    std::os::unix::fs::symlink("/dev/full", dir.join(".checkpoint").join("serve.jsonl")).unwrap();
+    let mut config = ServiceConfig::for_tests();
+    config.journal_dir = Some(dir.to_string_lossy().into_owned());
+    let server = Server::start(&config).expect("start");
+    let addr = server.addr();
+    for net in [128, 256, 128] {
+        let body = format!(
+            r#"{{"model":"pdp11","refs":1000,"config":{{"net":{net},"block":16,"sub":8}}}}"#
+        );
+        let (status, text) = http(&addr, "POST", "/v1/simulate", &body);
+        assert_eq!(status, 200, "{text}");
+    }
+    let (_, metrics) = http(&addr, "GET", "/metrics", "");
+    assert_eq!(counter(&metrics, "occache_points_computed_total"), 2);
+    assert_eq!(
+        counter(&metrics, "occache_journal_appends_total"),
+        0,
+        "no line reached the disk:\n{metrics}"
+    );
+    let (status, _) = http(&addr, "GET", "/v1/ready", "");
+    assert_eq!(status, 200);
     server.stop().expect("clean shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
